@@ -14,23 +14,33 @@ Subcommands:
 
 Output is JSON (sorted keys) unless --plain is given.  Exit status:
 0 = clean, 1 = a suite/experiment reported violations or a witness
-failed its oracle check, 2 = usage or parse error.
+failed its oracle check, 2 = usage or parse error, 3 = internal error
+(a rewriting step cap was exceeded or the sign cascade got stuck; a
+bug, reported as one JSON line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
 from . import braid3, orderings, suites
-from .cone import decide_sign
+from .cone import ReductionStuck, decide_sign
 from .context import group_context, ring_of
 from .normalform import to_normal_form
 from .oracle import oracle_is_identity, phi, rho
 from .algebra import proj_is_identity
-from .words import WordSyntaxError, concat, format_word, invert, parse_word
+from .words import (
+    RewriteLimitError,
+    WordSyntaxError,
+    concat,
+    format_word,
+    invert,
+    parse_word,
+)
 
 _DEFAULT_CONVERGE_ELEMENTS = ("b^-1", "a", "a b", "a b^2")
 
@@ -44,6 +54,18 @@ def _order_spec(name: str, conj: str | None):
     if conj is not None:
         return orderings.Conjugated(base, parse_word(conj))
     return base
+
+
+def _jobs(text: str) -> int:
+    """argparse type for --jobs: an integer in 1..os.cpu_count()."""
+    limit = os.cpu_count() or 1
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if not 1 <= jobs <= limit:
+        raise argparse.ArgumentTypeError(f"must be an integer in 1..{limit}, got {text!r}")
+    return jobs
 
 
 def _emit(payload: dict, plain_lines, args) -> None:
@@ -347,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("suite", "exhaustive self-check suites", _cmd_suite)
     p.add_argument("--max-len", type=int, default=6, dest="max_len")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes, 1..cpu count")
     p.add_argument("--kind", choices=("trichotomy", "identities"), default="trichotomy")
 
     p = add("cayley", "Cayley ball export", _cmd_cayley)
@@ -371,6 +393,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RewriteLimitError, ReductionStuck) as exc:
+        error = {"error": "internal", "type": type(exc).__name__, "message": str(exc)}
+        print(json.dumps(error, sort_keys=True), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -58,7 +58,8 @@ class Sign(enum.Enum):
 
 
 class ReductionStuck(RuntimeError):
-    """The cascade ran out of moves; indicates a bug, never expected."""
+    """The cascade ran out of moves or ended with a witness that is not
+    all-negative; indicates a bug, never expected."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,7 +164,6 @@ def decide_sign(word: Word, ctx: GroupContext) -> SignResult:
         )
 
     witness = concat(tuple(negative), gen_power(GEN_A, q * ell))
-    assert witness and is_one_signed(witness) and witness[0][1] < 0, (
-        "cascade must end all-negative"
-    )
+    if not (witness and is_one_signed(witness) and witness[0][1] < 0):
+        raise ReductionStuck(f"cascade ended with a witness that is not all-negative: {witness}")
     return SignResult(Sign.NEGATIVE, witness, steps)

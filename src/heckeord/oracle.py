@@ -21,53 +21,67 @@ uniquely to a^t b^s with multiplication twisted by (t, s) * a^e =
 test and b-power extraction use it directly; rho and phi are still
 defined (and still satisfy their trace/relator invariants, degenerately).
 
+rho is evaluated without general 2x2 products: rho(b)^k is a shear,
+which adds k*lam times the first column to the second, and rho(a) is a
+rotation with rho(a)^q = -I, so a^e is a sign times min(s, q - s) steps
+of rho(a) or rho(a)^-1, s = e mod q.  Multiplying by lam is a shift
+plus one reduction row, O(deg) for deg = deg(lam), so a b-syllable
+costs O(deg) and an a-syllable O(min(e mod q, q - e mod q) * deg).
+
 Everything here is computed with integer arithmetic only.
 """
 
 from __future__ import annotations
 
-import functools
-
 from .algebra import (
     Mat2,
     mat_canonical_sign,
     mat_identity,
-    mat_mul,
-    mat_pow,
+    mat_neg,
     proj_is_identity,
 )
 from .context import GroupContext, ring_of
 from .words import GEN_A, GEN_B, Word
 
 
-@functools.lru_cache(maxsize=None)
-def _base_matrices(ctx: GroupContext) -> dict[tuple[int, int], Mat2]:
-    """Images of a, a^-1, b, b^-1, keyed by (gen, sign)."""
-    ring = ring_of(ctx)
-    one, zero, lam = ring.one, ring.zero, ring.lam
-    neg_one, neg_lam = ring.neg(one), ring.neg(lam)
-    return {
-        (GEN_A, 1): (lam, neg_one, one, zero),
-        (GEN_A, -1): (zero, one, neg_one, lam),
-        (GEN_B, 1): (one, lam, zero, one),
-        (GEN_B, -1): (one, neg_lam, zero, one),
-    }
-
-
-@functools.lru_cache(maxsize=8192)
-def _syllable_matrix(ctx: GroupContext, gen: int, exp: int) -> Mat2:
-    ring = ring_of(ctx)
-    base = _base_matrices(ctx)[(gen, 1 if exp > 0 else -1)]
-    return mat_pow(ring, base, abs(exp))
-
-
 def rho(word: Word, ctx: GroupContext) -> Mat2:
-    """The matrix image of a word (an honest SL2 product, det = 1)."""
+    """The matrix image of a word (an honest SL2 product, det = 1).
+
+    The entries (x0, x1, x2, x3) of [[x0, x1], [x2, x3]] start at the
+    identity and are right-multiplied one syllable at a time:
+
+      b^k   a shear: x1 += k lam x0 and x3 += k lam x2.
+      a^e   a rotation: rho(a)^q = -I, so e mod 2q gives a sign and
+            s = e mod q; then min(s, q - s) steps of rho(a) or of
+            rho(a)^-1 = [[0, 1], [-1, lam]] (a^s = -a^-(q-s)).
+
+    Each update is one CosRing.mul_lam_add per row.  The sign is a
+    scalar, so it is carried as a flag and applied once at the end.
+    """
     ring = ring_of(ctx)
-    acc = mat_identity(ring)
+    q = ctx.q
+    lam_add, neg = ring.mul_lam_add, ring.neg
+    x0, x1, x2, x3 = mat_identity(ring)
+    flip = False
     for gen, exp in word:
-        acc = mat_mul(ring, acc, _syllable_matrix(ctx, gen, exp))
-    return acc
+        if gen == GEN_B:
+            x1 = lam_add(x0, x1, exp)
+            x3 = lam_add(x2, x3, exp)
+            continue
+        s = exp % (2 * q)
+        if s >= q:
+            flip, s = not flip, s - q
+        if 2 * s <= q:
+            for _ in range(s):
+                x0, x1 = lam_add(x0, x1), neg(x0)
+                x2, x3 = lam_add(x2, x3), neg(x2)
+        else:
+            flip = not flip
+            for _ in range(q - s):
+                x0, x1 = neg(x1), lam_add(x1, x0)
+                x2, x3 = neg(x3), lam_add(x3, x2)
+    acc = (x0, x1, x2, x3)
+    return mat_neg(ring, acc) if flip else acc
 
 
 def phi(word: Word, ctx: GroupContext) -> int:

@@ -1,10 +1,15 @@
 """End-to-end CLI: JSON contracts, plain mode, exit codes."""
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
+from heckeord import cli
 from heckeord.cli import main
+from heckeord.cone import ReductionStuck
+from heckeord.words import RewriteLimitError
 
 
 def run(capsys, *argv):
@@ -191,6 +196,32 @@ class TestExitCodes:
     def test_bad_cayley_radius_is_2(self, capsys):
         code, _, err = run(capsys, "cayley", "--radius", "9")
         assert code == 2
+
+    @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_jobs_out_of_range_is_2_before_any_pool(self, capsys, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was created")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        code, _, err = run(capsys, "suite", "--n", "2", "--max-len", "2", f"--jobs={jobs}")
+        assert code == 2
+        assert "--jobs" in err
+
+    @pytest.mark.parametrize("error", [RewriteLimitError, ReductionStuck])
+    def test_internal_error_is_3_with_one_json_line(self, capsys, monkeypatch, error):
+        def broken(word, ctx):
+            raise error("forced")
+
+        monkeypatch.setattr(cli, "decide_sign", broken)
+        code, out, err = run(capsys, "sign", "--n", "2", "a b")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "internal",
+            "type": error.__name__,
+            "message": "forced",
+        }
 
 
 class TestDeterminism:

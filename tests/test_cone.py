@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import words
-from heckeord.cone import Sign, decide_sign, expand_handle
+from heckeord import cone
+from heckeord.cone import ReductionStuck, Sign, decide_sign, expand_handle
 from heckeord.context import group_context
 from heckeord.oracle import oracle_is_identity
 from heckeord.words import (
@@ -74,6 +75,14 @@ class TestVerdictAnchors:
         assert oracle_is_identity(
             concat(invert(parse_word("b^-1 a")), r.witness), ctx
         )
+
+
+class TestCascadeCheck:
+    def test_witness_that_is_not_one_signed_raises(self, monkeypatch):
+        # The final all-negative check is real code, so it also runs under -O.
+        monkeypatch.setattr(cone, "is_one_signed", lambda word: False)
+        with pytest.raises(ReductionStuck, match="not all-negative"):
+            decide_sign(parse_word("a b a^-1"), CTX2)
 
 
 class TestExpandHandle:

@@ -1,10 +1,10 @@
 """Matrix/abelianization oracle and group contexts."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import words
-from heckeord.algebra import mat_identity, proj_eq, proj_is_identity
+from heckeord.algebra import mat_identity, mat_mul, mat_neg, proj_eq, proj_is_identity
 from heckeord.context import GroupContext, group_context, ring_of
 from heckeord.oracle import (
     b_power_of,
@@ -93,6 +93,54 @@ class TestRepresentation:
         u, v = parse_word("a b^-2"), parse_word("b a^3")
         assert phi(concat(u, v), ctx) == phi(u, ctx) + phi(v, ctx)
         assert phi(invert(u), ctx) == -phi(u, ctx)
+
+
+def reference_rho(word, ctx):
+    """rho as a left fold of mat_mul over the four letter matrices, one
+    letter at a time: no exponent reduction, no shears, no rotations."""
+    ring = ring_of(ctx)
+    one, zero, lam = ring.one, ring.zero, ring.lam
+    letters = {
+        (GEN_A, 1): (lam, ring.neg(one), one, zero),
+        (GEN_A, -1): (zero, one, ring.neg(one), lam),
+        (GEN_B, 1): (one, lam, zero, one),
+        (GEN_B, -1): (one, ring.neg(lam), zero, one),
+    }
+    acc = mat_identity(ring)
+    for gen, exp in word:
+        letter = letters[(gen, 1 if exp > 0 else -1)]
+        for _ in range(abs(exp)):
+            acc = mat_mul(ring, acc, letter)
+    return acc
+
+
+class TestRhoKernel:
+    """rho's shear/rotation kernel against the plain product, n = 1..63."""
+
+    @settings(max_examples=40)
+    @given(st.integers(min_value=1, max_value=63), words(max_syllables=40, max_exp=300))
+    def test_matches_letter_by_letter_product(self, n, w):
+        ctx = group_context(n)
+        assert rho(w, ctx) == reference_rho(w, ctx), (n, format_word(w))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 11, 12, 30, 31, 62, 63])
+    def test_rotation_and_shear_edges(self, n):
+        ctx = group_context(n)
+        ring = ring_of(ctx)
+        q = ctx.q
+        ident = mat_identity(ring)
+        assert rho(gen_power(GEN_A, q), ctx) == mat_neg(ring, ident)
+        assert rho(gen_power(GEN_A, 2 * q), ctx) == ident
+        for e in (q, 2 * q, q - 1, q + 1, q // 2, q // 2 + 1, 2 * q + 1, 3 * q - 1):
+            for sign in (1, -1):
+                w = gen_power(GEN_A, sign * e)
+                assert rho(w, ctx) == reference_rho(w, ctx), (n, sign * e)
+        for k in (1, 2, 7, q, 2 * q + 3):
+            for sign in (1, -1):
+                w = gen_power(GEN_B, sign * k)
+                assert rho(w, ctx) == reference_rho(w, ctx), (n, sign * k)
+        w = parse_word(f"a^{q + 1} b^-3 a^-{q - 1} b^{q} a^{2 * q}")
+        assert rho(w, ctx) == reference_rho(w, ctx)
 
 
 class TestIdentityDecision:
