@@ -86,14 +86,6 @@ def expand_handle(j: int, ctx: GroupContext) -> Word:
     return ((GEN_A, -(n - 1)), (GEN_B, -1)) * j
 
 
-def _prepend(negative: deque[Syllable], gen: int, exp: int) -> None:
-    """Push gen^exp (exp < 0) on the left, merging equal generators."""
-    if negative and negative[0][0] == gen:
-        negative[0] = (gen, negative[0][1] + exp)
-    else:
-        negative.appendleft((gen, exp))
-
-
 def decide_sign(word: Word, ctx: GroupContext) -> SignResult:
     """Trichotomy verdict and one-signed witness for an arbitrary word.
 
@@ -115,11 +107,14 @@ def decide_sign(word: Word, ctx: GroupContext) -> SignResult:
         witness = concat(nf.prefix, gen_power(GEN_A, q * nf.ell))
         return SignResult(Sign.POSITIVE, witness, 0)
 
+    n = ctx.n
     positive = list(nf.prefix)
     negative: deque[Syllable] = deque()
+    # (a^-(n-1) b^-1) reversed, as extendleft prepends item by item.
+    unit = ((GEN_B, -1), (GEN_A, -(n - 1)))
     ell = nf.ell
     steps = 0
-    budget = 64 + 8 * (letter_length(nf.prefix) * (ctx.n + 1) + (-ell) + ctx.n)
+    budget = 64 + 8 * (letter_length(nf.prefix) * (n + 1) + (-ell) + n)
 
     while positive:
         steps += 1
@@ -139,7 +134,7 @@ def decide_sign(word: Word, ctx: GroupContext) -> SignResult:
                 else:
                     negative[0] = (n_gen, n_exp + cancel)
                 continue
-            if p_gen == GEN_B and n_gen == GEN_A:
+            if p_gen == GEN_B:
                 # handle move: b^j a^-1 = a^-1 (a^-(n-1) b^-1)^j
                 j = p_exp
                 positive.pop()
@@ -147,12 +142,25 @@ def decide_sign(word: Word, ctx: GroupContext) -> SignResult:
                     negative.popleft()
                 else:
                     negative[0] = (GEN_A, n_exp + 1)
-                for gen, exp in reversed(expand_handle(j, ctx)):
-                    _prepend(negative, gen, exp)
-                _prepend(negative, GEN_A, -1)
+                if n == 1:
+                    # The handle is b^-j.  A normal prefix at n = 1 has one
+                    # b-block at most (b a b is a redex), so N holds only
+                    # a-letters here and nothing merges.
+                    negative.extendleft(((GEN_B, -j), (GEN_A, -1)))
+                    continue
+                if negative and negative[0][0] == GEN_B:
+                    # The handle's last b^-1 merges into N.
+                    negative[0] = (GEN_B, negative[0][1] - 1)
+                    negative.appendleft((GEN_A, 1 - n))
+                    j -= 1
+                negative.extendleft(unit * j)
+                negative[0] = (GEN_A, -n)  # a^-1 merged into the first a^-(n-1)
                 continue
         if ell < 0:
-            _prepend(negative, GEN_A, -q)
+            if negative and negative[0][0] == GEN_A:
+                negative[0] = (GEN_A, negative[0][1] - q)
+            else:
+                negative.appendleft((GEN_A, -q))
             ell += 1
             continue
         if not negative:

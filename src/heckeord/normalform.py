@@ -3,28 +3,40 @@
 delta = a^(n+1) generates the center of G_n = < a, b | b a^n b = a >.
 Every word rewrites to a positive prefix u times a central power:
 
-Phase 1 (inverse elimination, one left-to-right pass).  The relator
-gives closed forms for both inverse letters in terms of positive
-letters and delta^-1:
+Inverse elimination.  The relator gives closed forms for both inverse
+letters in terms of positive letters and delta^-1:
 
     a^-1 = a^n * delta^-1
     b^-1 = delta^-1 * a^n b a^n
     b^-t = delta^-t * a^n (b a^2n)^(t-1) b a^n
 
 Since delta is central, the delta^-1 factors are swept into a single
-trailing exponent ell (only decremented here).
+trailing exponent ell.
 
-Phase 2 (positive reduction, leftmost-first to a fixpoint).  Two rules,
-both consequences of the relator:
+Positive reduction.  Two rules, both consequences of the relator:
 
     r1:  a^m  ->  a^(m mod (n+1)) * delta^(m div (n+1))   when m >= n+1
     r2:  b^s a^n b^t  ->  b^(s-1) a b^(t-1)               when s, t >= 1
 
 (r2 is the relator b a^n b = a applied to the innermost letters.)
-Rule applications can merge neighbouring blocks and re-enable rules to
-the left, so the scan backs up after each rewrite.  Termination: r2
-strictly decreases the b-letter count, r1 the a-letter count with
-b-letters unchanged, so (b-letters, a-letters) drops lexicographically.
+Termination: r2 strictly decreases the b-letter count, r1 the a-letter
+count with b-letters unchanged, so (b-letters, a-letters) drops
+lexicographically.  The one overlap that is not a plain power of a,
+b a^n b a^n b, rewrites both ways to b * delta, so the system is
+confluent and every rewriting order reaches the same prefix and ell.
+
+One pass over a stack does both phases.  The stack holds an irreducible
+positive word; each syllable of the inverse elimination is pushed onto
+it as it is produced.  A push can only create a redex at the top: a^m
+merges into the top a-block (r1 there), and a b onto a top a^n with a
+b-block under it fires r2, whose result again only touches the top.
+So each rewrite runs at the end of the list, and the whole pass costs
+amortised O(1) per letter after inverse elimination: every r2 removes
+b-letters for good and every r1 a-letters.  b^-t adds t b-letters and
+2nt a-letters.  Once the top is a^(n-1) (n >= 2), each further (b, a^2n)
+becomes (b, a^(n-1)) plus one delta, so that steady state is appended
+in bulk.  The prefix (and the sign cascade's witness) still grow
+linearly in t; compressed words are out of scope.
 
 The resulting prefix is irreducible: alternating positive syllables,
 every a-exponent in [1, n], and no b...a^n...b factor.  A purely
@@ -34,9 +46,14 @@ positive input never decrements ell, so it ends with ell >= 0.
 from __future__ import annotations
 
 import dataclasses
+from operator import itemgetter
 
 from .context import GroupContext
 from .words import GEN_A, GEN_B, RewriteLimitError, Syllable, Word, gen_power, concat
+
+
+class NormalFormError(ValueError):
+    """A NormalForm was built with a prefix that is not a positive word."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,49 +64,8 @@ class NormalForm:
     ell: int
 
     def __post_init__(self):
-        assert all(exp > 0 for _, exp in self.prefix)
-
-
-def _push(sylls: list[Syllable], gen: int, exp: int) -> None:
-    """Append gen^exp, merging with the last block (exponents same sign)."""
-    if exp == 0:
-        return
-    if sylls and sylls[-1][0] == gen:
-        sylls[-1] = (gen, sylls[-1][1] + exp)
-    else:
-        sylls.append((gen, exp))
-
-
-def _eliminate_inverses(word: Word, n: int) -> tuple[list[Syllable], int]:
-    """Phase 1: positive syllable list plus the collected central power."""
-    out: list[Syllable] = []
-    ell = 0
-    for gen, exp in word:
-        if exp > 0:
-            _push(out, gen, exp)
-        elif gen == GEN_A:
-            ell += exp  # a^-m = a^(n m) delta^-m
-            _push(out, GEN_A, n * (-exp))
-        else:
-            t = -exp  # b^-t = delta^-t a^n (b a^2n)^(t-1) b a^n
-            ell -= t
-            _push(out, GEN_A, n)
-            for _ in range(t - 1):
-                _push(out, GEN_B, 1)
-                _push(out, GEN_A, 2 * n)
-            _push(out, GEN_B, 1)
-            _push(out, GEN_A, n)
-    return out, ell
-
-
-def _drop_block(sylls: list[Syllable], i: int) -> None:
-    """Remove block i and merge the two (same-generator) neighbours."""
-    del sylls[i]
-    if 0 < i < len(sylls):
-        gen, exp = sylls[i]
-        assert sylls[i - 1][0] == gen
-        sylls[i - 1] = (gen, sylls[i - 1][1] + exp)
-        del sylls[i]
+        if self.prefix and min(map(itemgetter(1), self.prefix)) <= 0:
+            raise NormalFormError(f"prefix is not a positive word: {self.prefix}")
 
 
 def to_normal_form(word: Word, ctx: GroupContext) -> NormalForm:
@@ -102,47 +78,87 @@ def to_normal_form(word: Word, ctx: GroupContext) -> NormalForm:
     ('a^2 b a b a^2', -1)
     """
     n, q = ctx.n, ctx.q
-    sylls, ell = _eliminate_inverses(word, n)
+    top_a_n = (GEN_A, n)
+    steady = (GEN_A, n - 1)  # never on the stack for n = 1
+    # Rule firings may not exceed the letters after inverse elimination
+    # (a^-m gives n m of them, b^-t gives (2n+1) t) plus 16.  Every loop
+    # below ends by construction, so one check at the end is the tripwire.
+    budget = 16
+    for gen, exp in word:
+        budget += exp if exp > 0 else -exp * (n if gen == GEN_A else 2 * n + 1)
 
-    budget = sum(abs(e) for _, e in sylls) + 16
-    i = 0
-    while i < len(sylls):
-        gen, exp = sylls[i]
-        if gen == GEN_A:
-            if exp >= q:
-                # r1: absorb whole delta powers into the trailing exponent.
-                ell += exp // q
-                exp %= q
-                if exp:
-                    sylls[i] = (GEN_A, exp)
+    stack: list[Syllable] = []
+    ell = 0
+    for gen, exp in word:
+        pairs = 0  # (b, a^2n) / (b, a^n) pairs still to push for b^-t
+        if exp < 0:
+            ell += exp
+            if gen == GEN_A:
+                exp = -n * exp  # a^-m = a^(n m) delta^-m
+            else:
+                pairs = -exp  # b^-t = delta^-t a^n (b a^2n)^(t-1) b a^n
+                gen, exp = GEN_A, n
+        while True:
+            if gen == GEN_A:
+                merge = bool(stack) and stack[-1][0] == GEN_A
+                if merge:
+                    exp += stack[-1][1]
+                if exp >= q:
+                    # r1: absorb whole delta powers into the trailing exponent.
+                    ell += exp // q
+                    exp %= q
+                    budget -= 1
+                if not exp:
+                    if merge:
+                        del stack[-1]
+                elif merge:
+                    stack[-1] = (GEN_A, exp)
                 else:
-                    _drop_block(sylls, i)
-                i = max(0, i - 3)
-                budget -= 1
-                if budget < 0:
-                    raise RewriteLimitError("normal-form budget exhausted")
+                    stack.append((GEN_A, exp))
+                if not pairs:
+                    break
+                if pairs > 1 and stack and stack[-1] == steady:
+                    # Steady state of b^-t: each (b, a^2n) now becomes
+                    # (b, a^(n-1)) and one r1 firing, so append them at once.
+                    k = pairs - 1
+                    stack.extend(((GEN_B, 1), steady) * k)
+                    ell += k
+                    budget -= k
+                    pairs = 1
+                gen, exp = GEN_B, 1
                 continue
-            if exp == n and 0 < i < len(sylls) - 1:
-                # r2: b a^n b -> a on the innermost letters of the flanks.
-                sylls[i] = (GEN_A, 1)
-                left_gen, left_exp = sylls[i - 1]
-                right_gen, right_exp = sylls[i + 1]
-                assert left_gen == GEN_B and right_gen == GEN_B
-                if right_exp > 1:
-                    sylls[i + 1] = (GEN_B, right_exp - 1)
-                else:
-                    _drop_block(sylls, i + 1)
-                if left_exp > 1:
-                    sylls[i - 1] = (GEN_B, left_exp - 1)
-                else:
-                    _drop_block(sylls, i - 1)
-                i = max(0, i - 3)
+            while exp and len(stack) > 1 and stack[-1] == top_a_n:
+                # r2: b^s a^n b -> b^(s-1) a, one pushed b at a time.
                 budget -= 1
-                if budget < 0:
-                    raise RewriteLimitError("normal-form budget exhausted")
-                continue
-        i += 1
-    return NormalForm(prefix=tuple(sylls), ell=ell)
+                exp -= 1
+                del stack[-1]
+                b_exp = stack[-1][1]
+                if b_exp > 1:
+                    stack[-1] = (GEN_B, b_exp - 1)
+                    stack.append((GEN_A, 1))
+                    continue
+                del stack[-1]
+                if not stack:
+                    stack.append((GEN_A, 1))
+                elif stack[-1][1] < n:
+                    stack[-1] = (GEN_A, stack[-1][1] + 1)
+                else:
+                    # a^n at the bottom grew to a^(n+1) = delta (r1).
+                    del stack[-1]
+                    ell += 1
+                    budget -= 1
+            if exp:
+                if stack and stack[-1][0] == GEN_B:
+                    stack[-1] = (GEN_B, stack[-1][1] + exp)
+                else:
+                    stack.append((GEN_B, exp))
+            if not pairs:
+                break
+            pairs -= 1
+            gen, exp = GEN_A, 2 * n if pairs else n
+    if budget < 0:
+        raise RewriteLimitError("normal-form budget exhausted")
+    return NormalForm(prefix=tuple(stack), ell=ell)
 
 
 def nf_to_word(nf: NormalForm, ctx: GroupContext) -> Word:

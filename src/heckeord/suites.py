@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import os
 
 from .cone import Sign, decide_sign, expand_handle
 from .context import GroupContext
@@ -82,8 +83,12 @@ def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> Suit
     Per word: the trichotomy verdict must match the oracle's identity
     test, the witness must be one-signed with the verdict's sign, and
     the witness must equal the word as a group element.  Across words:
-    inverting a word must mirror its verdict.
+    inverting a word must mirror its verdict.  jobs is the number of
+    worker processes, 1..os.cpu_count(); anything else is a ValueError.
     """
+    limit = os.cpu_count() or 1
+    if not 1 <= jobs <= limit:
+        raise ValueError(f"jobs must be in 1..{limit}, got {jobs!r}")
     words = list(enumerate_reduced(max_len))
     if jobs > 1:
         chunks = [(ctx, words[i::jobs]) for i in range(jobs)]

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 
 from conftest import words
 from heckeord.context import group_context
-from heckeord.normalform import is_normal_prefix, nf_to_word, to_normal_form
+from heckeord.normalform import NormalForm, NormalFormError, is_normal_prefix, nf_to_word, to_normal_form
 from heckeord.oracle import oracle_is_identity
-from heckeord.words import concat, format_word, invert, parse_word
+from heckeord.words import GEN_A, GEN_B, concat, format_word, invert, parse_word
 
 CTX2 = group_context(2)
 CTX3 = group_context(3)
@@ -109,3 +109,16 @@ class TestSoundness:
         again = to_normal_form(nf_to_word(nf, ctx), ctx)
         assert again.prefix == nf.prefix
         assert again.ell == nf.ell
+
+
+class TestInvariant:
+    """The positive-prefix invariant is a real check, kept under python -O."""
+
+    @pytest.mark.parametrize("prefix", [((GEN_A, -1),), ((GEN_A, 2), (GEN_B, 0)), ((GEN_B, 1), (GEN_A, -3))])
+    def test_non_positive_prefix_raises(self, prefix):
+        with pytest.raises(NormalFormError):
+            NormalForm(prefix=prefix, ell=0)
+
+    def test_positive_prefix_is_accepted(self):
+        assert NormalForm(prefix=((GEN_A, 2), (GEN_B, 1)), ell=-3).ell == -3
+        assert NormalForm(prefix=(), ell=0).prefix == ()

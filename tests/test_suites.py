@@ -1,6 +1,8 @@
 """Verification suites, the two-parameter family check, Cayley export."""
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -42,6 +44,15 @@ class TestTrichotomySuite:
         assert serial.counts == parallel.counts
         assert serial.violations == parallel.violations
         assert serial.total_words == parallel.total_words
+
+    @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_jobs_out_of_range_raises_before_any_pool(self, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was created")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        with pytest.raises(ValueError, match="jobs"):
+            run_trichotomy_suite(CTX2, 2, jobs=jobs)
 
 
 class TestIdentitySuite:
