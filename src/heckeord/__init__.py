@@ -1,71 +1,9 @@
 """Exact decisions in the one-relator groups G_n = < a, b | b a^n b = a >:
 word problem, sign trichotomy with one-signed witnesses, left orders,
 and an independent 2x2 matrix oracle over Z[2cos(pi/(n+1))].
-"""
 
-from .algebra import CosRing, min_poly_2cos_pi_over
-from .braid3 import (
-    ConeRegion,
-    ab_to_sigma,
-    cone_certify_b3,
-    dehornoy_reduce,
-    format_sigma,
-    is_d_positive,
-    parse_sigma,
-    sigma_to_ab,
-)
-from .cone import ReductionStuck, Sign, SignResult, decide_sign, expand_handle
-from .context import GroupContext, group_context, ring_of
-from .normalform import NormalForm, is_normal_prefix, nf_to_word, to_normal_form
-from .oracle import (
-    b_power_of,
-    element_key,
-    klein_pair,
-    klein_sign,
-    oracle_equal,
-    oracle_is_identity,
-    phi,
-    rho,
-)
-from .orderings import (
-    DD,
-    Cmp,
-    Conjugated,
-    ConvergenceReport,
-    ConvexityReport,
-    DDReversed,
-    DehornoyLike,
-    OrderingSpec,
-    compare,
-    convergence_experiment,
-    convexity_check,
-    is_positive,
-    smallest_positive_in_ball,
-)
-from .suites import (
-    CayleyBall,
-    IdentityReport,
-    SuiteReport,
-    build_cayley_ball,
-    export_cayley_ball,
-    run_identity_suite,
-    run_trichotomy_suite,
-    verify_family_identity,
-)
-from .words import (
-    GEN_A,
-    GEN_B,
-    RewriteLimitError,
-    Word,
-    WordSyntaxError,
-    concat,
-    conjugate,
-    enumerate_reduced,
-    format_word,
-    gen_power,
-    invert,
-    letter_length,
-    parse_word,
-)
+The API lives in the submodules (see the README's module map), for
+example `heckeord.cone.decide_sign` and `heckeord.words.parse_word`.
+"""
 
 __version__ = "0.1.0"

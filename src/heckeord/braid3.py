@@ -32,6 +32,8 @@ first quadrant Q, abar(closure V) in closure(U), and
 abar^2(closure U) in closure(V).  A word whose cyclic reduction
 alternates suitably therefore maps one cone strictly inside another —
 impossible for +-identity, so the word is certified nontrivial.
+Every certificate is checked on exact rays before it is returned; a
+failed check raises CertificateError.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ from .words import (
 )
 
 S1, S2 = GEN_A, GEN_B  # sigma words reuse the two-generator machinery
+
+
+class CertificateError(RuntimeError):
+    """A result of this module failed its own check (a bug)."""
 
 
 def parse_sigma(text: str) -> Word:
@@ -138,7 +144,8 @@ def is_d_positive(sigma_word: Word) -> bool:
         return False
     s1_signs = {exp > 0 for gen, exp in reduced if gen == S1}
     if s1_signs:
-        assert len(s1_signs) == 1, "handle-free words are s1-one-signed"
+        if len(s1_signs) != 1:
+            raise CertificateError("handle reduction left s1 letters of both signs")
         return s1_signs.pop()
     return reduced[0][1] > 0  # pure s2 power
 
@@ -166,16 +173,6 @@ def _imat_mul(x, y):
         x[2] * y[0] + x[3] * y[2],
         x[2] * y[1] + x[3] * y[3],
     )
-
-
-def _imat_pow(x, e):
-    acc = (1, 0, 0, 1)
-    while e:
-        if e & 1:
-            acc = _imat_mul(acc, x)
-        x = _imat_mul(x, x)
-        e >>= 1
-    return acc
 
 
 def _apply_ray(m, ray):
@@ -211,6 +208,13 @@ def _certified(m, source: ConeRegion, target: ConeRegion) -> bool:
     )
 
 
+def _verified(m, source: ConeRegion, target: ConeRegion) -> tuple[ConeRegion, ConeRegion]:
+    """(source, target) once m's rays confirm it, else CertificateError."""
+    if not _certified(m, source, target):
+        raise CertificateError(f"{m} does not map {source.name} into {target.name}")
+    return source, target
+
+
 def cone_certify_b3(word: Word) -> tuple[ConeRegion, ConeRegion] | None:
     """Certify a positive G_2 word nontrivial by a cone containment.
 
@@ -223,7 +227,8 @@ def cone_certify_b3(word: Word) -> tuple[ConeRegion, ConeRegion] | None:
     words with all exponents 1), and the half-twist class
     cyclic(a^2 b) = s1 s2 s1 (whose square is central).
 
-    The input must be a positive word (every exponent > 0).
+    The input must be a positive word (every exponent > 0).  A
+    certificate that fails its ray check raises CertificateError.
 
     >>> cone_certify_b3(parse_word("b^3"))
     (<ConeRegion.U: 'x>y>0'>, <ConeRegion.V: '0<x<y'>)
@@ -236,7 +241,8 @@ def cone_certify_b3(word: Word) -> tuple[ConeRegion, ConeRegion] | None:
         raise ValueError("cone certification expects a positive word")
     ctx = group_context(2)
     nf = to_normal_form(word, ctx)
-    assert nf.ell >= 0, "positive words keep a nonnegative central exponent"
+    if nf.ell < 0:
+        raise CertificateError("a positive word got a negative central exponent")
     blocks = [list(s) for s in nf.prefix]  # mutable [gen, exp] pairs
 
     blocks = _cyclic_reduce(blocks)
@@ -245,22 +251,16 @@ def cone_certify_b3(word: Word) -> tuple[ConeRegion, ConeRegion] | None:
 
     if len(blocks) == 1:
         gen, exp = blocks[0]
-        if gen == GEN_A:
-            # exp is 1 or 2 after the mod-3 normalization
+        if gen == GEN_A:  # exp is 1 or 2 after the mod-3 normalization
             if exp == 1:
-                cert = (ConeRegion.V, ConeRegion.U)
-                assert _certified(_ABAR, *cert)
-            else:
-                cert = (ConeRegion.U, ConeRegion.V)
-                assert _certified(_ABAR2, *cert)
-            return cert
+                return _verified(_ABAR, ConeRegion.V, ConeRegion.U)
+            return _verified(_ABAR2, ConeRegion.U, ConeRegion.V)
         # b-powers absorb both cones into V; the returned pair records
         # the U face, and both halves are ray-verified so the
         # certificate means closure(U) ∪ closure(V) -> V.
-        m = _imat_pow(_BBAR, exp)
-        cert = (ConeRegion.U, ConeRegion.V)
-        assert _certified(m, ConeRegion.U, ConeRegion.V)
-        assert _certified(m, ConeRegion.V, ConeRegion.V)
+        m = (1, 0, exp, 1)  # bbar^exp, a lower shear
+        cert = _verified(m, ConeRegion.U, ConeRegion.V)
+        _verified(m, ConeRegion.V, ConeRegion.V)
         return cert
 
     a_exps = [e for g, e in blocks if g == GEN_A]
@@ -269,7 +269,8 @@ def cone_certify_b3(word: Word) -> tuple[ConeRegion, ConeRegion] | None:
         return None  # half-twist class
     if all(e == 1 for e in a_exps) and all(e == 1 for e in b_exps):
         return None  # conjugate of a power of s1 = a b
-    assert all(e == 1 for e in a_exps), "terminal mixed words have a-exponents 1"
+    if any(e != 1 for e in a_exps):
+        raise CertificateError("a reduced mixed word kept an a-exponent other than 1")
 
     # Rotate so the word starts with one letter of a thick b-block and
     # ends with the rest of it: b (ab-alternation) b^(j-1).  Every a in
@@ -279,10 +280,8 @@ def cone_certify_b3(word: Word) -> tuple[ConeRegion, ConeRegion] | None:
     linear = [(GEN_B, 1)] + blocks[i + 1 :] + blocks[:i] + [(GEN_B, j - 1)]
     m = (1, 0, 0, 1)
     for gen, exp in linear:
-        m = _imat_mul(m, _ABAR if gen == GEN_A else _imat_pow(_BBAR, exp))
-    cert = (ConeRegion.U, ConeRegion.V)
-    assert _certified(m, *cert), "ping-pong certificate must verify"
-    return cert
+        m = _imat_mul(m, _ABAR if gen == GEN_A else (1, 0, exp, 1))  # bbar^exp
+    return _verified(m, ConeRegion.U, ConeRegion.V)
 
 
 def _cyclic_normalize(blocks: list[list[int]]) -> list[list[int]]:

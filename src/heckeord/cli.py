@@ -1,59 +1,29 @@
-"""Command line interface.
+"""Command line interface: `heckeord --help` lists the subcommands.
 
-Subcommands:
-
-    sign      trichotomy verdict + one-signed witness for a word
-    cmp       compare two words in a chosen left order
-    nf        central normal form  prefix * delta^ell
-    oracle    matrix/abelianization oracle data for a word
-    ctx       group constants for a given n
-    b3        braid bridge: sigma-positivity, bridges, cone certificates
-    converge  conjugated-order convergence experiment
-    suite     exhaustive self-check suites (trichotomy / identities)
-    cayley    Cayley ball export (dot or json)
-
-Output is JSON (sorted keys) unless --plain is given.  Exit status:
-0 = clean, 1 = a suite/experiment reported violations or a witness
-failed its oracle check, 2 = usage or parse error, 3 = internal error
-(a rewriting step cap was exceeded or the sign cascade got stuck; a
-bug, reported as one JSON line on stderr).
+COMMANDS maps each subcommand to (help text, own arguments, run); run
+returns (payload, plain lines, exit status) for main to print as JSON
+or, with --plain, as text.  Exit status: 0 clean; 1 violations found or
+a witness failed its oracle check; 2 usage or parse error, also an
+unreadable --elems file or suite --max-len outside 0..12; 3 internal
+error (RewriteLimitError, ReductionStuck, CertificateError from a b3
+cone certificate): a bug, reported as one JSON line on stderr.
 """
 
-from __future__ import annotations
-
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
 
-from . import braid3, orderings, suites
+from . import algebra, braid3, normalform, orderings, suites
 from .cone import ReductionStuck, decide_sign
 from .context import group_context, ring_of
-from .normalform import to_normal_form
 from .oracle import oracle_is_identity, phi, rho
-from .algebra import proj_is_identity
-from .words import (
-    RewriteLimitError,
-    WordSyntaxError,
-    concat,
-    format_word,
-    invert,
-    parse_word,
-)
+from .words import RewriteLimitError, concat, format_word, invert, parse_word
 
-_DEFAULT_CONVERGE_ELEMENTS = ("b^-1", "a", "a b", "a b^2")
-
-
-def _order_spec(name: str, conj: str | None):
-    base = {
-        "dd": orderings.DD(),
-        "ddrev": orderings.DDReversed(),
-        "dlike": orderings.DehornoyLike(),
-    }[name]
-    if conj is not None:
-        return orderings.Conjugated(base, parse_word(conj))
-    return base
+_ORDERS = {"dd": orderings.DD(), "ddrev": orderings.DDReversed(), "dlike": orderings.DehornoyLike()}
+_SYMBOLS = {"less": "<", "equal": "=", "greater": ">"}
 
 
 def _jobs(text: str) -> int:
@@ -68,228 +38,120 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _emit(payload: dict, plain_lines, args) -> None:
-    if getattr(args, "plain", False):
-        for line in plain_lines:
-            print(line)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _cmd_sign(args) -> int:
-    ctx = group_context(args.n)
-    word = parse_word(args.word)
+def _sign(args):
+    ctx, word = group_context(args.n), parse_word(args.word)
     result = decide_sign(word, ctx)
     checked = oracle_is_identity(concat(invert(word), result.witness), ctx)
-    payload = {
-        "input": format_word(word),
-        "n": args.n,
-        "verdict": result.verdict.value,
-        "witness": format_word(result.witness),
-        "steps": result.steps,
-        "oracle_checked": checked,
-    }
-    _emit(
-        payload,
-        [
-            f"{format_word(word)}  is {result.verdict.value}  (n={args.n})",
-            f"witness: {format_word(result.witness)}  [oracle {'ok' if checked else 'MISMATCH'}]",
-        ],
-        args,
-    )
-    return 0 if checked else 1
+    text, witness, verdict = format_word(word), format_word(result.witness), result.verdict.value
+    payload = dict(input=text, n=args.n, verdict=verdict, witness=witness, steps=result.steps)
+    payload["oracle_checked"] = checked
+    mark = "ok" if checked else "MISMATCH"
+    lines = [f"{text}  is {verdict}  (n={args.n})", f"witness: {witness}  [oracle {mark}]"]
+    return payload, lines, 0 if checked else 1
 
 
-def _cmd_cmp(args) -> int:
+def _cmp(args):
     ctx = group_context(args.n)
-    spec = _order_spec(args.order, args.conj)
+    order = _ORDERS[args.order]
+    if args.conj is not None:
+        order = orderings.Conjugated(order, parse_word(args.conj))
     u, v = parse_word(args.u), parse_word(args.v)
-    rel = orderings.compare(u, v, spec, ctx)
-    payload = {
-        "u": format_word(u),
-        "v": format_word(v),
-        "n": args.n,
-        "order": args.order,
-        "conjugator": args.conj,
-        "result": rel.value,
-    }
-    symbol = {"less": "<", "equal": "=", "greater": ">"}[rel.value]
-    _emit(payload, [f"{format_word(u)} {symbol} {format_word(v)}  ({args.order}, n={args.n})"], args)
-    return 0
+    result = orderings.compare(u, v, order, ctx).value
+    u, v = format_word(u), format_word(v)
+    payload = dict(u=u, v=v, n=args.n, order=args.order, conjugator=args.conj, result=result)
+    return payload, [f"{u} {_SYMBOLS[result]} {v}  ({args.order}, n={args.n})"], 0
 
 
-def _cmd_nf(args) -> int:
-    ctx = group_context(args.n)
-    word = parse_word(args.word)
-    nf = to_normal_form(word, ctx)
-    payload = {
-        "input": format_word(word),
-        "n": args.n,
-        "prefix": format_word(nf.prefix),
-        "ell": nf.ell,
-    }
-    _emit(payload, [f"{format_word(word)}  =  ({format_word(nf.prefix)}) * delta^{nf.ell}"], args)
-    return 0
+def _nf(args):
+    ctx, word = group_context(args.n), parse_word(args.word)
+    nf = normalform.to_normal_form(word, ctx)
+    text, prefix = format_word(word), format_word(nf.prefix)
+    payload = dict(input=text, n=args.n, prefix=prefix, ell=nf.ell)
+    return payload, [f"{text}  =  ({prefix}) * delta^{nf.ell}"], 0
 
 
-def _cmd_oracle(args) -> int:
-    ctx = group_context(args.n)
-    word = parse_word(args.word)
-    ring = ring_of(ctx)
-    payload = {
-        "input": format_word(word),
-        "n": args.n,
-        "identity": oracle_is_identity(word, ctx),
-        "rho_is_identity": proj_is_identity(ring, rho(word, ctx)),
-        "phi": phi(word, ctx),
-    }
-    _emit(
-        payload,
-        [
-            f"identity: {payload['identity']}",
-            f"rho projectively trivial: {payload['rho_is_identity']},  phi: {payload['phi']}",
-        ],
-        args,
+def _oracle(args):
+    ctx, word = group_context(args.n), parse_word(args.word)
+    identity = oracle_is_identity(word, ctx)
+    projective = algebra.proj_is_identity(ring_of(ctx), rho(word, ctx))
+    value = phi(word, ctx)
+    payload = dict(
+        input=format_word(word), n=args.n, identity=identity, rho_is_identity=projective, phi=value
     )
-    return 0
+    lines = [f"identity: {identity}", f"rho projectively trivial: {projective},  phi: {value}"]
+    return payload, lines, 0
 
 
-def _cmd_ctx(args) -> int:
+def _ctx(args):
     ctx = group_context(args.n)
-    payload = {
-        "n": ctx.n,
-        "q": ctx.q,
-        "min_poly": list(ctx.min_poly),
-        "phi_a": ctx.phi_a,
-        "phi_b": ctx.phi_b,
-    }
-    _emit(
-        payload,
-        [
-            f"G_{ctx.n} = <a, b | b a^{ctx.n} b = a>,  delta = a^{ctx.q} central",
-            f"min poly of 2cos(pi/{ctx.q}): {ctx.min_poly}  phi(a)={ctx.phi_a} phi(b)={ctx.phi_b}",
-        ],
-        args,
-    )
-    return 0
+    lines = [
+        f"G_{ctx.n} = <a, b | b a^{ctx.n} b = a>,  delta = a^{ctx.q} central",
+        f"min poly of 2cos(pi/{ctx.q}): {ctx.min_poly}  phi(a)={ctx.phi_a} phi(b)={ctx.phi_b}",
+    ]
+    return dataclasses.asdict(ctx), lines, 0
 
 
-def _cmd_b3(args) -> int:
+def _b3(args):
     if args.action == "sign":
         word = braid3.parse_sigma(args.word)
-        reduced = braid3.dehornoy_reduce(word)
-        payload = {
-            "input": braid3.format_sigma(word),
-            "action": "sign",
-            "d_positive": braid3.is_d_positive(word),
-            "reduced": braid3.format_sigma(reduced),
-        }
-        _emit(
-            payload,
-            [f"{payload['input']}: d-positive = {payload['d_positive']} (reduced: {payload['reduced']})"],
-            args,
-        )
-        return 0
+        reduced = braid3.format_sigma(braid3.dehornoy_reduce(word))
+        text, positive = braid3.format_sigma(word), braid3.is_d_positive(word)
+        payload = dict(input=text, action="sign", d_positive=positive, reduced=reduced)
+        return payload, [f"{text}: d-positive = {positive} (reduced: {reduced})"], 0
     if args.action == "bridge":
         if args.alphabet == "sigma":
             word = braid3.parse_sigma(args.word)
-            image = braid3.sigma_to_ab(word)
-            payload = {
-                "input": braid3.format_sigma(word),
-                "action": "bridge",
-                "alphabet": "sigma",
-                "image": format_word(image),
-            }
+            text, image = braid3.format_sigma(word), format_word(braid3.sigma_to_ab(word))
         else:
             word = parse_word(args.word)
-            image = braid3.ab_to_sigma(word)
-            payload = {
-                "input": format_word(word),
-                "action": "bridge",
-                "alphabet": "ab",
-                "image": braid3.format_sigma(image),
-            }
-        _emit(payload, [f"{payload['input']}  ->  {payload['image']}"], args)
-        return 0
-    # cert
+            text, image = format_word(word), braid3.format_sigma(braid3.ab_to_sigma(word))
+        payload = dict(input=text, action="bridge", alphabet=args.alphabet, image=image)
+        return payload, [f"{text}  ->  {image}"], 0
     word = parse_word(args.word)
     cert = braid3.cone_certify_b3(word)
-    payload = {
-        "input": format_word(word),
-        "action": "cert",
-        "certificate": None
-        if cert is None
-        else {"source": cert[0].name, "target": cert[1].name},
-    }
-    if cert is None:
-        _emit(payload, [f"{payload['input']}: no cone certificate (central/exceptional class)"], args)
-    else:
-        _emit(payload, [f"{payload['input']}: maps {cert[0].name} into {cert[1].name}"], args)
-    return 0
+    text = format_word(word)
+    names = cert and dict(source=cert[0].name, target=cert[1].name)
+    payload = dict(input=text, action="cert", certificate=names)
+    if names is None:
+        return payload, [f"{text}: no cone certificate (central/exceptional class)"], 0
+    return payload, [f"{text}: maps {names['source']} into {names['target']}"], 0
 
 
-def _cmd_converge(args) -> int:
+def _converge(args):
     ctx = group_context(args.n)
+    texts = ("b^-1", "a", "a b", "a b^2")
     if args.elems:
         with open(args.elems, encoding="utf-8") as fh:
             texts = [line.strip() for line in fh if line.strip()]
-    else:
-        texts = list(_DEFAULT_CONVERGE_ELEMENTS)
-    elements = tuple(parse_word(t) for t in texts)
-    report = orderings.convergence_experiment(ctx, elements, args.kmax)
-    payload = {
-        "n": report.n,
-        "k_max": report.k_max,
-        "conjugators": "b^k a",
-        "rows": [
-            {
-                "element": format_word(row.element),
-                "verdicts": list(row.verdicts),
-                "stabilized_from": row.stabilized_from,
-            }
-            for row in report.rows
-        ],
-        "minima": {
-            "dehornoy_like": format_word(report.min_dehornoy_like)
-            if report.min_dehornoy_like is not None
-            else None,
-            "conjugated": format_word(report.min_conjugated)
-            if report.min_conjugated is not None
-            else None,
-            "distinct": report.minima_distinct,
-            "ball": report.minima_ball,
-        },
-    }
-    unstable = [r for r in report.rows if r.stabilized_from is None]
+    report = orderings.convergence_experiment(ctx, tuple(map(parse_word, texts)), args.kmax)
+    least = {"dehornoy_like": report.min_dehornoy_like, "conjugated": report.min_conjugated}
+    minima = {key: None if word is None else format_word(word) for key, word in least.items()}
+    rows = [(format_word(row.element), row.verdicts, row.stabilized_from) for row in report.rows]
+    payload = dict(
+        n=report.n,
+        k_max=report.k_max,
+        conjugators="b^k a",
+        rows=[dict(element=e, verdicts=list(v), stabilized_from=k) for e, v, k in rows],
+        minima=dict(minima, distinct=report.minima_distinct, ball=report.minima_ball),
+    )
     lines = [f"conjugated orders by g_k = b^k a, k = 1..{report.k_max}  (n={report.n})"]
-    for row in report.rows:
-        marks = "".join("+" if v else "-" for v in row.verdicts)
-        lines.append(f"  {format_word(row.element):12s} {marks}  stabilizes at k={row.stabilized_from}")
+    for element, verdicts, stable in rows:
+        marks = "".join("+" if v else "-" for v in verdicts)
+        lines.append(f"  {element:12s} {marks}  stabilizes at k={stable}")
     lines.append(
-        f"minima: dlike={payload['minima']['dehornoy_like']}  conjugated={payload['minima']['conjugated']}"
+        f"minima: dlike={minima['dehornoy_like']}  conjugated={minima['conjugated']}"
         f"  distinct={report.minima_distinct}"
     )
-    _emit(payload, lines, args)
-    return 1 if unstable else 0
+    return payload, lines, 0 if all(k is not None for _, _, k in rows) else 1
 
 
-def _cmd_suite(args) -> int:
+def _suite(args):
     ctx = group_context(args.n)
     start = time.perf_counter()
     if args.kind == "trichotomy":
         report = suites.run_trichotomy_suite(ctx, args.max_len, jobs=args.jobs)
-        payload = {
-            "kind": "trichotomy",
-            "n": report.n,
-            "max_len": report.max_len,
-            "total_words": report.total_words,
-            "counts": report.counts,
-            "violations": [
-                {"word": w, "check": c, "detail": d} for w, c, d in report.violations
-            ],
-            "ok": report.ok,
-            "wall_time": round(time.perf_counter() - start, 6),
-        }
+        violations = [dict(word=w, check=c, detail=d) for w, c, d in report.violations]
+        payload = dict(dataclasses.asdict(report), violations=violations)
         lines = [
             f"trichotomy suite n={report.n} max_len={report.max_len}: "
             f"{report.total_words} words, counts={report.counts}",
@@ -297,29 +159,74 @@ def _cmd_suite(args) -> int:
         ]
     else:
         report = suites.run_identity_suite(ctx)
-        payload = {
-            "kind": "identities",
-            "n": report.n,
-            "checks": [_check_dict(c) for c in report.checks],
-            "ok": report.ok,
-            "wall_time": round(time.perf_counter() - start, 6),
-        }
+        payload = dataclasses.asdict(report)
         lines = [f"identity suite n={report.n}: ok={report.ok}"] + [
             f"  {c.name:24s} {'ok' if c.holds else 'FAIL'}: {c.lhs} = {c.rhs}"
             for c in report.checks
         ]
-    _emit(payload, lines, args)
-    return 0 if report.ok else 1
+    payload.update(kind=args.kind, ok=report.ok, wall_time=round(time.perf_counter() - start, 6))
+    return payload, lines, 0 if report.ok else 1
 
 
-def _check_dict(check) -> dict:
-    return {"name": check.name, "lhs": check.lhs, "rhs": check.rhs, "holds": check.holds}
+def _cayley(args):
+    sys.stdout.write(suites.export_cayley_ball(group_context(args.n), args.radius, args.format))
+    return None, None, 0
 
 
-def _cmd_cayley(args) -> int:
-    ctx = group_context(args.n)
-    sys.stdout.write(suites.export_cayley_ball(ctx, args.radius, args.format))
-    return 0
+COMMANDS = {
+    "sign": ("trichotomy verdict and one-signed witness", {"word": {}}, _sign),
+    "cmp": (
+        "compare two words in a left order",
+        {
+            "u": {},
+            "v": {},
+            "--order": dict(choices=tuple(_ORDERS), default="dd"),
+            "--conj": dict(help="conjugate the order by this word"),
+        },
+        _cmp,
+    ),
+    "nf": ("central normal form prefix * delta^ell", {"word": {}}, _nf),
+    "oracle": ("matrix oracle data for a word", {"word": {}}, _oracle),
+    "ctx": ("group constants for n", {}, _ctx),
+    "b3": (
+        "3-strand braid bridge",
+        {
+            "action": dict(choices=("sign", "bridge", "cert")),
+            "word": {},
+            "--alphabet": dict(
+                choices=("sigma", "ab"),
+                default="sigma",
+                help="input alphabet for the bridge action",
+            ),
+        },
+        _b3,
+    ),
+    "converge": (
+        "conjugated-order convergence experiment",
+        {
+            "--kmax": dict(type=int, default=5),
+            "--elems": dict(help="file with one word per line"),
+        },
+        _converge,
+    ),
+    "suite": (
+        "exhaustive self-check suites",
+        {
+            "--max-len": dict(type=int, default=6),
+            "--jobs": dict(type=_jobs, default=1, help="worker processes, 1..cpu count"),
+            "--kind": dict(choices=("trichotomy", "identities"), default="trichotomy"),
+        },
+        _suite,
+    ),
+    "cayley": (
+        "Cayley ball export",
+        {
+            "--radius": dict(type=int, default=2),
+            "--format": dict(choices=("dot", "json"), default="dot"),
+        },
+        _cayley,
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,54 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact sign, order and word-problem decisions in G_n = <a,b | b a^n b = a>.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, handler):
+    for name, (help_text, arguments, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--n", type=int, default=2, help="family parameter (default 2)")
         p.add_argument("--plain", action="store_true", help="human-readable output")
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("sign", "trichotomy verdict and one-signed witness", _cmd_sign)
-    p.add_argument("word")
-
-    p = add("cmp", "compare two words in a left order", _cmd_cmp)
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("--order", choices=("dd", "ddrev", "dlike"), default="dd")
-    p.add_argument("--conj", default=None, help="conjugate the order by this word")
-
-    p = add("nf", "central normal form prefix * delta^ell", _cmd_nf)
-    p.add_argument("word")
-
-    p = add("oracle", "matrix oracle data for a word", _cmd_oracle)
-    p.add_argument("word")
-
-    add("ctx", "group constants for n", _cmd_ctx)
-
-    p = add("b3", "3-strand braid bridge", _cmd_b3)
-    p.add_argument("action", choices=("sign", "bridge", "cert"))
-    p.add_argument("word")
-    p.add_argument(
-        "--alphabet",
-        choices=("sigma", "ab"),
-        default="sigma",
-        help="input alphabet for the bridge action",
-    )
-
-    p = add("converge", "conjugated-order convergence experiment", _cmd_converge)
-    p.add_argument("--kmax", type=int, default=5)
-    p.add_argument("--elems", default=None, help="file with one word per line")
-
-    p = add("suite", "exhaustive self-check suites", _cmd_suite)
-    p.add_argument("--max-len", type=int, default=6, dest="max_len")
-    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes, 1..cpu count")
-    p.add_argument("--kind", choices=("trichotomy", "identities"), default="trichotomy")
-
-    p = add("cayley", "Cayley ball export", _cmd_cayley)
-    p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-
+        for flag, options in arguments.items():
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -386,17 +251,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse has already printed the message
         return int(exc.code or 0)
     try:
-        return args.handler(args)
-    except WordSyntaxError as exc:
+        payload, lines, status = COMMANDS[args.command][2](args)
+    except (ValueError, OSError) as exc:  # bad input, or an unreadable --elems file
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RewriteLimitError, ReductionStuck) as exc:
+    except (RewriteLimitError, ReductionStuck, braid3.CertificateError) as exc:
         error = {"error": "internal", "type": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 3
+    if payload is not None:
+        print("\n".join(lines) if args.plain else json.dumps(payload, indent=2, sort_keys=True))
+    return status
 
 
 if __name__ == "__main__":

@@ -27,6 +27,8 @@ from .words import (
     is_one_signed,
 )
 
+MAX_SUITE_LEN = 12  # the length-12 ball has 1,062,881 words
+
 _MIRROR = {
     Sign.POSITIVE.value: Sign.NEGATIVE.value,
     Sign.NEGATIVE.value: Sign.POSITIVE.value,
@@ -83,9 +85,14 @@ def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> Suit
     Per word: the trichotomy verdict must match the oracle's identity
     test, the witness must be one-signed with the verdict's sign, and
     the witness must equal the word as a group element.  Across words:
-    inverting a word must mirror its verdict.  jobs is the number of
-    worker processes, 1..os.cpu_count(); anything else is a ValueError.
+    inverting a word must mirror its verdict.  The ball holds
+    2 * 3^max_len - 1 words, so max_len is bounded to
+    0..MAX_SUITE_LEN; jobs is the number of worker processes,
+    1..os.cpu_count().  Values outside either range are a ValueError,
+    raised before any word is enumerated.
     """
+    if not 0 <= max_len <= MAX_SUITE_LEN:
+        raise ValueError(f"max_len must be in 0..{MAX_SUITE_LEN}, got {max_len!r}")
     limit = os.cpu_count() or 1
     if not 1 <= jobs <= limit:
         raise ValueError(f"jobs must be in 1..{limit}, got {jobs!r}")

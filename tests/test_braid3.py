@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heckeord import braid3
 from heckeord.braid3 import (
+    CertificateError,
     ConeRegion,
     S1,
     S2,
@@ -22,7 +24,10 @@ from heckeord.oracle import oracle_is_identity, rho
 from heckeord.orderings import DehornoyLike, is_positive
 from heckeord.algebra import proj_is_identity
 from heckeord.context import ring_of
+from heckeord.normalform import NormalForm
 from heckeord.words import (
+    GEN_A,
+    GEN_B,
     concat,
     enumerate_reduced,
     invert,
@@ -179,3 +184,28 @@ class TestConeCertificates:
                 assert not proj_is_identity(ring, rho(w, CTX2)), w
                 assert not oracle_is_identity(w, CTX2)
         assert certified > 50  # the certificate covers most of the ball
+
+
+class TestRealChecks:
+    """Each check raises CertificateError, also under python -O."""
+
+    @pytest.mark.parametrize("text", ["a", "a^2", "b^3", "b a b^2 a"])
+    def test_failed_ray_check_raises(self, monkeypatch, text):
+        monkeypatch.setattr(braid3, "_certified", lambda m, source, target: False)
+        with pytest.raises(CertificateError, match="does not map"):
+            cone_certify_b3(parse_word(text))
+
+    def test_negative_central_exponent_raises(self, monkeypatch):
+        monkeypatch.setattr(braid3, "to_normal_form", lambda word, ctx: NormalForm((), -1))
+        with pytest.raises(CertificateError, match="central exponent"):
+            cone_certify_b3(parse_word("b^3"))
+
+    def test_mixed_word_with_a_squared_raises(self, monkeypatch):
+        monkeypatch.setattr(braid3, "_cyclic_reduce", lambda blocks: [[GEN_A, 2], [GEN_B, 2]])
+        with pytest.raises(CertificateError, match="a-exponent"):
+            cone_certify_b3(parse_word("b^3"))
+
+    def test_two_signed_handle_free_word_raises(self, monkeypatch):
+        monkeypatch.setattr(braid3, "dehornoy_reduce", lambda word: parse_sigma("s1 s2 s1^-1"))
+        with pytest.raises(CertificateError, match="both signs"):
+            is_d_positive(parse_sigma("s1"))

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from heckeord import cli
+from heckeord import braid3, cli, suites
 from heckeord.cli import main
 from heckeord.cone import ReductionStuck
 from heckeord.words import RewriteLimitError
@@ -206,6 +206,34 @@ class TestExitCodes:
         code, _, err = run(capsys, "suite", "--n", "2", "--max-len", "2", f"--jobs={jobs}")
         assert code == 2
         assert "--jobs" in err
+
+    @pytest.mark.parametrize("name", ["missing.txt", "."])
+    def test_unreadable_elems_file_is_2(self, capsys, tmp_path, name):
+        code, out, err = run(capsys, "converge", "--elems", str(tmp_path / name))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: [Errno ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("max_len", ["-1", "13"])
+    def test_suite_max_len_out_of_range_is_2_before_enumerating(self, capsys, monkeypatch, max_len):
+        def no_ball(*args, **kwargs):
+            raise AssertionError("the ball was enumerated")
+
+        monkeypatch.setattr(suites, "enumerate_reduced", no_ball)
+        code, out, err = run(capsys, "suite", "--n", "2", "--max-len", max_len)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: max_len must be in 0..12, got {max_len}\n"
+
+    def test_failed_certificate_is_3_with_one_json_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(braid3, "_certified", lambda m, source, target: False)
+        code, out, err = run(capsys, "b3", "cert", "b^3")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        doc = json.loads(err)
+        assert (doc["error"], doc["type"]) == ("internal", "CertificateError")
 
     @pytest.mark.parametrize("error", [RewriteLimitError, ReductionStuck])
     def test_internal_error_is_3_with_one_json_line(self, capsys, monkeypatch, error):

@@ -1,0 +1,154 @@
+"""Golden output of the heckeord command: exact stdout, stderr and exit
+status for every subcommand, in JSON and plain form, for --help and for
+the error paths.
+
+The recorded output lives in tests/golden/cli.json.  Each case runs
+`cli.main` in-process with a fixed terminal width (argparse wraps help
+text to it).  Arguments may name files in a per-case temporary
+directory as `{tmp}/NAME`; the files of FILES are written there first,
+and the directory's path reads `{tmp}` in the recorded output.  The
+`wall_time` of `suite` is masked.
+
+To re-record after an intended change of output:
+
+    PYTHONPATH=src python3 tests/test_cli_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import re
+import sys
+import tempfile
+
+import pytest
+
+from heckeord.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.json"
+COLUMNS = "80"
+FILES = {"elems.txt": "a\nb^-1\n", "unstable.txt": "a^-1\n", "mixed.txt": "\n  a b^2 \n\nb a^-1\n"}
+_WALL_TIME = re.compile(r'"wall_time": [0-9.e+-]+')
+
+
+def _both(*argv):
+    """The case in JSON form and in --plain form."""
+    return [list(argv), [*argv, "--plain"]]
+
+
+CASES = [
+    *_both("sign", "--n", "2", "a b a^-1"),
+    *_both("sign", "--n", "3", "b a^3 b a^-1"),
+    *_both("sign", "--n", "3", "b a^-2 b a"),
+    *_both("sign", "b^-2"),
+    *_both("sign", "--n", "1", "a^2 b^-1 a^-1"),
+    *_both("sign", "--n", "7", "a b^3 a^-2 b"),
+    *_both("sign", "--n", "63", "1"),
+    *_both("cmp", "a b", "b a"),
+    *_both("cmp", "--n", "2", "--order", "dlike", "1", "b^-1"),
+    *_both("cmp", "--n", "2", "b a^2 b", "a"),
+    *_both("cmp", "--n", "3", "--order", "ddrev", "a", "b"),
+    *_both("cmp", "--n", "2", "--order", "dlike", "--conj", "b a", "1", "a^-1 b^-1 a"),
+    *_both("nf", "--n", "2", "b^-2"),
+    *_both("nf", "--n", "5", "a^-1 b a^7 b^-3"),
+    *_both("oracle", "--n", "2", "a^3"),
+    *_both("oracle", "--n", "5", "a b a^-1 b^-1"),
+    *_both("oracle", "--n", "1", "b a b"),
+    *_both("ctx", "--n", "2"),
+    *_both("ctx", "--n", "1"),
+    *_both("ctx", "--n", "63"),
+    *_both("b3", "sign", "s1 s2^-3"),
+    *_both("b3", "sign", "s1^-1 s2 s1"),
+    *_both("b3", "sign", "1"),
+    *_both("b3", "bridge", "s1 s2^-2 s1^-1"),
+    *_both("b3", "bridge", "--alphabet", "ab", "a b^-1 a^2"),
+    *_both("b3", "cert", "b^2"),
+    *_both("b3", "cert", "a"),
+    *_both("b3", "cert", "a^2"),
+    *_both("b3", "cert", "a b"),
+    *_both("b3", "cert", "b a b^2 a"),
+    *_both("converge", "--n", "2", "--kmax", "3"),
+    *_both("converge", "--kmax", "2", "--elems", "{tmp}/elems.txt"),
+    *_both("converge", "--kmax", "2", "--elems", "{tmp}/unstable.txt"),
+    *_both("converge", "--n", "3", "--kmax", "2", "--elems", "{tmp}/mixed.txt"),
+    *_both("suite", "--n", "2", "--max-len", "3"),
+    *_both("suite", "--n", "1", "--max-len", "2", "--jobs", "1"),
+    *_both("suite", "--n", "3", "--kind", "identities"),
+    ["cayley", "--n", "1", "--radius", "2"],
+    ["cayley", "--n", "2", "--radius", "1", "--format", "json"],
+    ["cayley", "--n", "2", "--radius", "1", "--format", "dot", "--plain"],
+    ["--help"],
+    *(
+        [name, "--help"]
+        for name in ("sign", "cmp", "nf", "oracle", "ctx", "b3", "converge", "suite", "cayley")
+    ),
+    # error paths
+    [],
+    ["sign", "c^2"],
+    ["sign", "--plain", "a b^0"],
+    ["sign", "--n", "0", "a"],
+    ["ctx", "--n", "64"],
+    ["sign", "--n", "two", "a"],
+    ["suite", "--n", "2", "--max-len", "2", "--jobs", "0"],
+    ["suite", "--n", "2", "--max-len", "2", "--jobs", "many"],
+    ["no-such-command"],
+    ["nf", ""],
+    ["sign", "  "],
+    ["sign"],
+    ["cmp", "--order", "lex", "a", "b"],
+    ["cmp", "--conj", "x", "a", "b"],
+    ["b3", "cert", "a^-1"],
+    ["b3", "twist", "s1"],
+    ["b3", "sign", "s3"],
+    ["cayley", "--radius", "9"],
+    ["suite", "--kind", "everything"],
+    ["converge", "--kmax", "2", "--elems", "{tmp}/missing.txt"],
+    ["converge", "--kmax", "2", "--elems", "{tmp}"],
+]
+
+
+def run_case(argv: list[str]) -> dict:
+    """Run one case and return its argv, status, stdout and stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in FILES.items():
+            pathlib.Path(tmp, name).write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main([arg.replace("{tmp}", tmp) for arg in argv])
+
+    def clean(text: str) -> str:
+        return _WALL_TIME.sub('"wall_time": "<masked>"', text.replace(tmp, "{tmp}"))
+
+    stdout, stderr = clean(out.getvalue()), clean(err.getvalue())
+    return {"argv": argv, "status": status, "stdout": stdout, "stderr": stderr}
+
+
+def _records() -> list[dict]:
+    """The recorded cases; none before the first recording."""
+    return json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else []
+
+
+@pytest.fixture(autouse=True)
+def _fixed_width(monkeypatch):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+
+
+def test_golden_file_covers_every_case():
+    assert [record["argv"] for record in _records()] == CASES
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: " ".join(r["argv"]) or "<none>")
+def test_output_matches_golden(record):
+    assert run_case(record["argv"]) == record
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = COLUMNS
+    records = [run_case(argv) for argv in CASES]
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(records, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    sys.stdout.write(f"recorded {len(records)} cases in {GOLDEN}\n")

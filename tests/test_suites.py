@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from heckeord import suites
 from heckeord.context import group_context
 from heckeord.oracle import element_key, oracle_is_identity
 from heckeord.suites import (
@@ -53,6 +54,15 @@ class TestTrichotomySuite:
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         with pytest.raises(ValueError, match="jobs"):
             run_trichotomy_suite(CTX2, 2, jobs=jobs)
+
+    @pytest.mark.parametrize("max_len", [-1, 13, 20])
+    def test_max_len_out_of_range_raises_before_enumerating(self, monkeypatch, max_len):
+        def no_ball(*args, **kwargs):
+            raise AssertionError("the ball was enumerated")
+
+        monkeypatch.setattr(suites, "enumerate_reduced", no_ball)
+        with pytest.raises(ValueError, match=r"max_len must be in 0\.\.12"):
+            run_trichotomy_suite(CTX2, max_len)
 
 
 class TestIdentitySuite:
