@@ -108,7 +108,8 @@ def min_poly_2cos_pi_over(q: int) -> IntPoly:
         raise ValueError("q must be in 2..64")
     phi = cyclotomic(2 * q)
     m = (len(phi) - 1) // 2
-    assert len(phi) - 1 == 2 * m, "Phi_2q has even degree for q >= 2"
+    if len(phi) - 1 != 2 * m:
+        raise RuntimeError("Phi_2q must have even degree for q >= 2")
     rem = list(phi) + [0] * (2 * m + 1 - len(phi))
     out = [0] * (m + 1)
     # Clear top coefficients downwards: z^{m-j} (z^2+1)^j has leading term z^{m+j}.
@@ -118,8 +119,10 @@ def min_poly_2cos_pi_over(q: int) -> IntPoly:
         if c:
             for i in range(j + 1):
                 rem[m - j + 2 * i] -= c * math.comb(j, i)
-    assert not any(rem), "palindromic factorization must be exact"
-    assert out[m] == 1, "minimal polynomial is monic"
+    if any(rem):
+        raise RuntimeError("palindromic factorization must be exact")
+    if out[m] != 1:
+        raise RuntimeError("minimal polynomial must be monic")
     return tuple(out)
 
 

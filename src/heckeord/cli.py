@@ -5,8 +5,8 @@ returns (payload, plain lines, exit status) for main to print as JSON
 or, with --plain, as text.  Exit status: 0 clean; 1 violations found or
 a witness failed its oracle check; 2 usage or parse error, also an
 unreadable --elems file or suite --max-len outside 0..12; 3 internal
-error (RewriteLimitError, ReductionStuck, CertificateError from a b3
-cone certificate): a bug, reported as one JSON line on stderr.
+error (RewriteLimitError, ReductionStuck, NormalFormError, CertificateError
+from a b3 cone certificate): a bug, reported as one JSON line on stderr.
 """
 
 import argparse
@@ -19,6 +19,7 @@ import time
 from . import algebra, braid3, normalform, orderings, suites
 from .cone import ReductionStuck, decide_sign
 from .context import group_context, ring_of
+from .normalform import NormalFormError
 from .oracle import oracle_is_identity, phi, rho
 from .words import RewriteLimitError, concat, format_word, invert, parse_word
 
@@ -94,8 +95,9 @@ def _ctx(args):
 def _b3(args):
     if args.action == "sign":
         word = braid3.parse_sigma(args.word)
-        reduced = braid3.format_sigma(braid3.dehornoy_reduce(word))
-        text, positive = braid3.format_sigma(word), braid3.is_d_positive(word)
+        reduced = braid3.dehornoy_reduce(word)
+        positive = braid3.is_d_positive(reduced)  # handle-free: only the sign is read
+        text, reduced = braid3.format_sigma(word), braid3.format_sigma(reduced)
         payload = dict(input=text, action="sign", d_positive=positive, reduced=reduced)
         return payload, [f"{text}: d-positive = {positive} (reduced: {reduced})"], 0
     if args.action == "bridge":
@@ -255,7 +257,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # bad input, or an unreadable --elems file
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RewriteLimitError, ReductionStuck, braid3.CertificateError) as exc:
+    except (RewriteLimitError, ReductionStuck, NormalFormError, braid3.CertificateError) as exc:
         error = {"error": "internal", "type": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 3

@@ -32,10 +32,10 @@ class GroupContext:
     phi_b: int  # phi(b)
 
     def __post_init__(self):
-        assert self.q == self.n + 1
-        assert self.n * self.phi_a + 2 * self.phi_b == self.phi_a, (
-            "phi must kill the relator"
-        )
+        if self.q != self.n + 1:
+            raise ValueError(f"q must be n + 1, got n = {self.n}, q = {self.q}")
+        if self.n * self.phi_a + 2 * self.phi_b != self.phi_a:
+            raise ValueError("phi must kill the relator")
 
 
 def group_context(n: int) -> GroupContext:

@@ -52,8 +52,8 @@ from .context import GroupContext
 from .words import GEN_A, GEN_B, RewriteLimitError, Syllable, Word, gen_power, concat
 
 
-class NormalFormError(ValueError):
-    """A NormalForm was built with a prefix that is not a positive word."""
+class NormalFormError(RuntimeError):
+    """A NormalForm was built with a prefix that is not a positive word (a bug)."""
 
 
 @dataclasses.dataclass(frozen=True)

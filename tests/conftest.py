@@ -2,7 +2,7 @@
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from heckeord.words import GEN_A, GEN_B, word_from_syllables
+from heckeord.words import GEN_A, GEN_B, concat, invert, word_from_syllables
 
 # Exact-arithmetic oracle calls can exceed hypothesis's default deadline
 # on cold caches; wall-clock flakiness is noise here, so disable it.
@@ -26,3 +26,24 @@ def syllable_lists(max_syllables: int = 6, max_exp: int = 4):
 def words(max_syllables: int = 6, max_exp: int = 4):
     """Freely reduced words built from random syllable lists."""
     return syllable_lists(max_syllables, max_exp).map(word_from_syllables)
+
+
+def relator(n: int):
+    """b a^n b a^-1, the defining relator of G_n: trivial in the group."""
+    return ((GEN_B, 1), (GEN_A, n), (GEN_B, 1), (GEN_A, -1))
+
+
+@st.composite
+def trivial_words(draw, n: int, conjugates: int = 2, max_syllables: int = 4):
+    """Products of conjugates x r^+-1 x^-1 of the relator r of G_n.
+
+    Each is the identity in G_n while its spelling is not, so verdicts
+    and comparisons meet the IDENTITY / EQUAL case on purpose instead of
+    by rare chance.
+    """
+    out = ()
+    for _ in range(draw(st.integers(min_value=1, max_value=conjugates))):
+        x = draw(words(max_syllables))
+        r = relator(n) if draw(st.booleans()) else invert(relator(n))
+        out = concat(out, x, r, invert(x))
+    return out

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from heckeord import algebra
 from heckeord.algebra import (
     CosRing,
     cyclotomic,
@@ -116,6 +117,30 @@ class TestPolynomials:
             min_poly_2cos_pi_over(1)
         with pytest.raises(ValueError):
             min_poly_2cos_pi_over(65)
+
+
+class TestMinPolyChecks:
+    """The factorization checks are real code, so they also hold under -O."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        min_poly_2cos_pi_over.cache_clear()
+        yield
+        min_poly_2cos_pi_over.cache_clear()
+
+    @pytest.mark.parametrize(
+        "phi, message",
+        [
+            ((1, 1, 1, 1), "even degree"),
+            ((2, 0, 0, 0, 1), "exact"),
+            ((5, 0, 0, 0, 5), "monic"),
+        ],
+        ids=["odd-degree", "not-palindromic", "not-monic"],
+    )
+    def test_forced_failure_raises(self, monkeypatch, phi, message):
+        monkeypatch.setattr(algebra, "cyclotomic", lambda n: phi)
+        with pytest.raises(RuntimeError, match=message):
+            min_poly_2cos_pi_over(5)
 
 
 def ring_elements(ring: CosRing):

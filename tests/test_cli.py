@@ -6,10 +6,10 @@ import os
 
 import pytest
 
-from heckeord import braid3, cli, suites
+from heckeord import braid3, cli, normalform, suites
 from heckeord.cli import main
 from heckeord.cone import ReductionStuck
-from heckeord.words import RewriteLimitError
+from heckeord.words import RewriteLimitError, word_from_syllables
 
 
 def run(capsys, *argv):
@@ -107,6 +107,25 @@ class TestB3:
         code, doc = run_json(capsys, "b3", "bridge", "--alphabet", "ab", "a")
         assert code == 0
         assert doc["image"] == "s1 s2"
+
+    def test_sign_reduces_handles_once(self, capsys, monkeypatch):
+        # dehornoy_reduce rebuilds the word through word_from_syllables
+        # once per handle move, so counting those calls counts the moves.
+        text = "s1 s2 s1^-1 s2^-1 s1 s2^2 s1^-2"
+        moves = []
+
+        def counting(syllables):
+            moves.append(1)
+            return word_from_syllables(syllables)
+
+        monkeypatch.setattr(braid3, "word_from_syllables", counting)
+        braid3.dehornoy_reduce(braid3.parse_sigma(text))
+        single = len(moves)
+        moves.clear()
+        code, doc = run_json(capsys, "b3", "sign", text)
+        assert code == 0
+        assert single > 0
+        assert len(moves) == single
 
     def test_cert(self, capsys):
         code, doc = run_json(capsys, "b3", "cert", "b^2")
@@ -234,6 +253,17 @@ class TestExitCodes:
         assert err.count("\n") == 1
         doc = json.loads(err)
         assert (doc["error"], doc["type"]) == ("internal", "CertificateError")
+
+    def test_broken_normal_form_invariant_is_3_with_one_json_line(self, capsys, monkeypatch):
+        def broken(word, ctx):
+            raise normalform.NormalFormError("forced")
+
+        monkeypatch.setattr(normalform, "to_normal_form", broken)
+        code, out, err = run(capsys, "nf", "--n", "2", "a b")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "internal", "type": "NormalFormError", "message": "forced"}
 
     @pytest.mark.parametrize("error", [RewriteLimitError, ReductionStuck])
     def test_internal_error_is_3_with_one_json_line(self, capsys, monkeypatch, error):

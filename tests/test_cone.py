@@ -1,9 +1,9 @@
 """Sign trichotomy: verdicts, one-signed witnesses, handle expansion."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from conftest import words
+from conftest import trivial_words, words
 from heckeord import cone
 from heckeord.cone import ReductionStuck, Sign, decide_sign, expand_handle
 from heckeord.context import group_context
@@ -20,6 +20,7 @@ from heckeord.words import (
 )
 
 CTX2 = group_context(2)
+FLIP = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE, Sign.IDENTITY: Sign.IDENTITY}
 
 
 def verdict_of(text: str, ctx=CTX2) -> str:
@@ -126,12 +127,7 @@ class TestTrichotomyProperties:
     @given(words())
     def test_verdict_mirrors_under_inverse(self, n, w):
         ctx = group_context(n)
-        flip = {
-            Sign.POSITIVE: Sign.NEGATIVE,
-            Sign.NEGATIVE: Sign.POSITIVE,
-            Sign.IDENTITY: Sign.IDENTITY,
-        }
-        assert decide_sign(invert(w), ctx).verdict is flip[decide_sign(w, ctx).verdict]
+        assert decide_sign(invert(w), ctx).verdict is FLIP[decide_sign(w, ctx).verdict]
 
     @settings(max_examples=40)
     @given(words(max_syllables=3), words(max_syllables=3))
@@ -142,3 +138,23 @@ class TestTrichotomyProperties:
             and decide_sign(v, ctx).verdict is Sign.POSITIVE
         ):
             assert decide_sign(concat(u, v), ctx).verdict is Sign.POSITIVE
+
+
+class TestTrichotomyAgainstOracleForAllN:
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_verdict_witness_and_mirror(self, data):
+        # w is a random word or a disguised central power t * delta^k, t a
+        # product of relator conjugates: the IDENTITY verdict (k = 0) and
+        # the central coordinate the projective matrix cannot see (k != 0)
+        # both come up at every n in 1..63.
+        n = data.draw(st.integers(min_value=1, max_value=63), label="n")
+        ctx = group_context(n)
+        central = st.tuples(
+            trivial_words(n, conjugates=3, max_syllables=5), st.integers(min_value=-2, max_value=2)
+        ).map(lambda tk: concat(tk[0], gen_power(GEN_A, tk[1] * ctx.q)))
+        w = data.draw(st.one_of(words(max_syllables=40), central), label="w")
+        r = decide_sign(w, ctx)
+        assert (r.verdict is Sign.IDENTITY) == oracle_is_identity(w, ctx)
+        assert oracle_is_identity(concat(invert(w), r.witness), ctx)
+        assert decide_sign(invert(w), ctx).verdict is FLIP[r.verdict]

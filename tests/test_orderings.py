@@ -3,9 +3,9 @@
 import functools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from conftest import words
+from conftest import trivial_words, words
 from heckeord.context import group_context
 from heckeord.oracle import element_key, oracle_equal, oracle_is_identity
 from heckeord.orderings import (
@@ -23,6 +23,7 @@ from heckeord.orderings import (
 from heckeord.words import concat, enumerate_reduced, format_word, invert, parse_word
 
 CTX2 = group_context(2)
+FLIP = {Cmp.LESS: Cmp.GREATER, Cmp.GREATER: Cmp.LESS, Cmp.EQUAL: Cmp.EQUAL}
 
 
 class TestPositivity:
@@ -94,12 +95,30 @@ class TestCompare:
         assert compare(parse_word("b a^2 b"), parse_word("a"), DD(), CTX2) is Cmp.EQUAL
 
     def test_antisymmetry_on_ball(self):
-        flip = {Cmp.LESS: Cmp.GREATER, Cmp.GREATER: Cmp.LESS, Cmp.EQUAL: Cmp.EQUAL}
         ball = list(enumerate_reduced(2))
         for spec in (DD(), DehornoyLike()):
             for u in ball:
                 for v in ball:
-                    assert compare(v, u, spec, CTX2) is flip[compare(u, v, spec, CTX2)]
+                    assert compare(v, u, spec, CTX2) is FLIP[compare(u, v, spec, CTX2)]
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_equal_exactly_when_oracle_equal_for_all_n(self, data):
+        # v is either unrelated to u or u times a disguised identity, so
+        # both sides of the equivalence come up at every n in 1..63.
+        n = data.draw(st.integers(min_value=1, max_value=63), label="n")
+        ctx = group_context(n)
+        u = data.draw(words(max_syllables=8), label="u")
+        v = data.draw(
+            st.one_of(words(max_syllables=8), trivial_words(n).map(lambda t: concat(u, t))),
+            label="v",
+        )
+        g = data.draw(words(max_syllables=3), label="g")
+        equal = oracle_equal(u, v, ctx)
+        for spec in (DD(), DDReversed(), DehornoyLike(), Conjugated(DehornoyLike(), g)):
+            forward = compare(u, v, spec, ctx)
+            assert (forward is Cmp.EQUAL) == equal, spec
+            assert compare(v, u, spec, ctx) is FLIP[forward], spec
 
     @pytest.mark.parametrize("spec", [DD(), DDReversed(), DehornoyLike()],
                              ids=["dd", "ddrev", "dlike"])
