@@ -36,17 +36,6 @@ def poly_trim(coeffs: list[int]) -> IntPoly:
     return tuple(coeffs)
 
 
-def poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly_trim(out)
-
-
 def poly_divmod_exact(num: IntPoly, den: IntPoly) -> IntPoly:
     """Quotient of an exact division by a monic-or-unit-leading divisor.
 
@@ -171,9 +160,6 @@ class CosRing:
     def add(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(a + b for a, b in zip(u, v))
 
-    def sub(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(a - b for a, b in zip(u, v))
-
     def neg(self, u: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(-a for a in u)
 
@@ -204,10 +190,6 @@ class CosRing:
                 for j, b in enumerate(v):
                     out[i + j] += a * b
         return self.reduce(out)
-
-    def to_float(self, u: tuple[int, ...]) -> float:
-        lam = 2.0 * math.cos(math.pi / self.q)
-        return sum(c * lam**i for i, c in enumerate(u))
 
 
 AlgInt = tuple[int, ...]
@@ -240,10 +222,6 @@ def mat_pow(ring: CosRing, x: Mat2, e: int) -> Mat2:
         base = mat_mul(ring, base, base)
         e >>= 1
     return acc
-
-
-def mat_det(ring: CosRing, x: Mat2) -> AlgInt:
-    return ring.sub(ring.mul(x[0], x[3]), ring.mul(x[1], x[2]))
 
 
 def mat_neg(ring: CosRing, x: Mat2) -> Mat2:

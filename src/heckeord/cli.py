@@ -20,7 +20,7 @@ from . import algebra, braid3, normalform, orderings, suites
 from .cone import ReductionStuck, decide_sign
 from .context import group_context, ring_of
 from .normalform import NormalFormError
-from .oracle import oracle_is_identity, phi, rho
+from .oracle import klein_pair, oracle_is_identity, phi, rho
 from .words import RewriteLimitError, concat, format_word, invert, parse_word
 
 _ORDERS = {"dd": orderings.DD(), "ddrev": orderings.DDReversed(), "dlike": orderings.DehornoyLike()}
@@ -73,9 +73,10 @@ def _nf(args):
 
 def _oracle(args):
     ctx, word = group_context(args.n), parse_word(args.word)
-    identity = oracle_is_identity(word, ctx)
     projective = algebra.proj_is_identity(ring_of(ctx), rho(word, ctx))
     value = phi(word, ctx)
+    # oracle_is_identity's rule, read off the one fold of rho; n = 1 uses the Klein pair.
+    identity = klein_pair(word) == (0, 0) if ctx.n == 1 else projective and value == 0
     payload = dict(
         input=format_word(word), n=args.n, identity=identity, rho_is_identity=projective, phi=value
     )

@@ -36,7 +36,8 @@ b-letters for good and every r1 a-letters.  b^-t adds t b-letters and
 2nt a-letters.  Once the top is a^(n-1) (n >= 2), each further (b, a^2n)
 becomes (b, a^(n-1)) plus one delta, so that steady state is appended
 in bulk.  The prefix (and the sign cascade's witness) still grow
-linearly in t; compressed words are out of scope.
+linearly in t as plain tuples; the cascade and the oracle take that
+periodic tail one run at a time instead of one syllable at a time.
 
 The resulting prefix is irreducible: alternating positive syllables,
 every a-exponent in [1, n], and no b...a^n...b factor.  A purely
@@ -49,7 +50,7 @@ import dataclasses
 from operator import itemgetter
 
 from .context import GroupContext
-from .words import GEN_A, GEN_B, RewriteLimitError, Syllable, Word, gen_power, concat
+from .words import GEN_A, GEN_B, RewriteLimitError, Syllable, Word
 
 
 class NormalFormError(RuntimeError):
@@ -159,26 +160,3 @@ def to_normal_form(word: Word, ctx: GroupContext) -> NormalForm:
     if budget < 0:
         raise RewriteLimitError("normal-form budget exhausted")
     return NormalForm(prefix=tuple(stack), ell=ell)
-
-
-def nf_to_word(nf: NormalForm, ctx: GroupContext) -> Word:
-    """The word prefix * a^((n+1) * ell), freely reduced."""
-    return concat(nf.prefix, gen_power(GEN_A, ctx.q * nf.ell))
-
-
-def is_normal_prefix(word: Word, ctx: GroupContext) -> bool:
-    """Irreducibility test for a candidate prefix.
-
-    Positive alternating syllables, a-exponents in [1, n], and no
-    b a^n b factor (so interior a-exponents are at most n - 1).
-    """
-    n = ctx.n
-    for i, (gen, exp) in enumerate(word):
-        if exp <= 0:
-            return False
-        if gen == GEN_A:
-            if exp > n:
-                return False
-            if exp == n and 0 < i < len(word) - 1:
-                return False
-    return True

@@ -12,7 +12,7 @@ import dataclasses
 import multiprocessing
 import os
 
-from .cone import Sign, decide_sign, expand_handle
+from .cone import MIRROR, Sign, decide_sign, expand_handle
 from .context import GroupContext
 from .oracle import element_key, oracle_is_identity
 from .words import (
@@ -28,13 +28,6 @@ from .words import (
 )
 
 MAX_SUITE_LEN = 12  # the length-12 ball has 1,062,881 words
-
-_MIRROR = {
-    Sign.POSITIVE.value: Sign.NEGATIVE.value,
-    Sign.NEGATIVE.value: Sign.POSITIVE.value,
-    Sign.IDENTITY.value: Sign.IDENTITY.value,
-}
-
 
 @dataclasses.dataclass(frozen=True)
 class SuiteReport:
@@ -71,7 +64,7 @@ def _examine(ctx: GroupContext, word: Word):
         violations.append(
             (format_word(word), "oracle-agreement", f"verdict {result.verdict.value} contradicts the oracle")
         )
-    return result.verdict.value, violations
+    return result.verdict, violations
 
 
 def _examine_chunk(args):
@@ -110,14 +103,14 @@ def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> Suit
     violations = []
     verdict_of = {}
     for word, verdict, word_violations in rows:
-        counts[verdict] += 1
+        counts[verdict.value] += 1
         violations.extend(word_violations)
         verdict_of[word] = verdict
     for word, verdict, _ in rows:
-        if verdict_of[invert(word)] != _MIRROR[verdict]:
-            violations.append(
-                (format_word(word), "inverse-mirror", f"{verdict} vs {verdict_of[invert(word)]} for the inverse")
-            )
+        mirrored = verdict_of[invert(word)]
+        if mirrored is not MIRROR[verdict]:
+            detail = f"{verdict.value} vs {mirrored.value} for the inverse"
+            violations.append((format_word(word), "inverse-mirror", detail))
     return SuiteReport(
         n=ctx.n,
         max_len=max_len,

@@ -25,7 +25,7 @@ alphabet only matters at the parse/format boundary.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 GEN_A = 0
 GEN_B = 1
@@ -83,21 +83,49 @@ def word_from_syllables(syllables: Iterable[Syllable]) -> Word:
 def concat(*parts: Word) -> Word:
     """Freely reduced concatenation of words.
 
+    Every part is a word, hence already freely reduced, so letters can
+    only cancel where two parts meet: each join pops or merges at the
+    boundary and then extends by the rest of the part at C speed.
+
     >>> concat(parse_word("a b"), parse_word("b^-1 a^-1"))
     ()
     """
     out: list[Syllable] = []
     for part in parts:
+        i = 0
         for gen, exp in part:
-            if out and out[-1][0] == gen:
-                merged = out[-1][1] + exp
-                if merged == 0:
-                    out.pop()
-                else:
-                    out[-1] = (gen, merged)
-            else:
-                out.append((gen, exp))
+            if not out or out[-1][0] != gen:
+                break
+            i += 1
+            merged = out[-1][1] + exp
+            if merged:
+                out[-1] = (gen, merged)
+                break
+            out.pop()
+        out.extend(part[i:])
     return tuple(out)
+
+
+def gallop(extends: Callable[[int, int], bool]) -> int:
+    """Length of a run, found by galloping over disjoint chunks.
+
+    extends(i, c) tells whether periods i .. i+c-1 of a run repeat its
+    block, given that periods 0 .. i-1 do.  The chunk size doubles while
+    the run goes on, then halves down to one: O(log k) calls whose
+    chunks add up to O(k) for a run of k periods.
+
+    >>> gallop(lambda i, c: i + c <= 13)
+    13
+    """
+    k, c = 0, 1
+    while extends(k, c):
+        k += c
+        c *= 2
+    while c > 1:
+        c //= 2
+        if extends(k, c):
+            k += c
+    return k
 
 
 def invert(word: Word) -> Word:
@@ -235,8 +263,3 @@ def is_one_signed(word: Word) -> bool:
         return True
     sign = 1 if word[0][1] > 0 else -1
     return all(exp * sign > 0 for _, exp in word)
-
-
-def is_positive_word(word: Word) -> bool:
-    """True when nonempty and every exponent is positive."""
-    return bool(word) and all(exp > 0 for _, exp in word)

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from heckeord import braid3, cli, normalform, suites
+from heckeord import braid3, cli, normalform, oracle, suites
 from heckeord.cli import main
 from heckeord.cone import ReductionStuck
 from heckeord.words import RewriteLimitError, word_from_syllables
@@ -83,6 +83,23 @@ class TestOracle:
         assert doc["identity"] is False
         assert doc["rho_is_identity"] is True
         assert doc["phi"] == 6
+
+    @pytest.mark.parametrize("n, text, identity", [(2, "b a^2 b a^-1", True), (2, "a b^2", False), (1, "b a b a^-1", True)])
+    def test_folds_rho_once(self, capsys, monkeypatch, n, text, identity):
+        # phi(w) == 0 in each case, so the identity test needs rho too.
+        calls = []
+        real_rho = oracle.rho
+
+        def counting(word, ctx):
+            calls.append(word)
+            return real_rho(word, ctx)
+
+        monkeypatch.setattr(cli, "rho", counting)
+        monkeypatch.setattr(oracle, "rho", counting)
+        code, doc = run_json(capsys, "oracle", "--n", str(n), text)
+        assert code == 0
+        assert (doc["identity"], doc["phi"]) == (identity, 0)
+        assert len(calls) == 1
 
 
 class TestCtx:

@@ -9,10 +9,21 @@ and equal SignResults, down to the number of cascade steps.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_core
+from heckeord import cone
 from heckeord.cone import decide_sign
 from heckeord.context import group_context
 from heckeord.normalform import to_normal_form
-from heckeord.words import GEN_A, GEN_B, enumerate_reduced, format_word, parse_word, word_from_syllables
+from heckeord.words import (
+    GEN_A,
+    GEN_B,
+    RewriteLimitError,
+    concat,
+    enumerate_reduced,
+    format_word,
+    parse_word,
+    word_from_syllables,
+)
 from reference_core import reference_decide_sign, reference_normal_form
 
 SMALL = st.integers(min_value=-4, max_value=4).filter(lambda e: e != 0)
@@ -85,3 +96,71 @@ def test_n1_keeps_every_pair():
     nf = to_normal_form(parse_word("b^-40"), ctx)
     assert (format_word(nf.prefix), nf.ell) == ("a b^40 a", -1)
     assert_same_core(parse_word("b^-40"), ctx)
+
+
+# u b^-t v: the normal form appends b^-t's periodic tail in bulk, and
+# the cascade takes the tail's (b a^(n-1))^k in one jump.
+SHORT = st.lists(st.tuples(st.sampled_from([GEN_A, GEN_B]), SMALL), max_size=8).map(word_from_syllables)
+T = st.one_of(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=10_000))
+
+
+@settings(max_examples=80)
+@given(st.integers(min_value=1, max_value=63), SHORT, T, SHORT)
+def test_long_b_power_matches_reference(n, u, t, v):
+    assert_same_core(concat(u, ((GEN_B, -t),), v), group_context(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 63])
+@pytest.mark.parametrize("t", [9_999, 10_000])
+@pytest.mark.parametrize(
+    "text, verdict",
+    [("a b^-{t}", "positive"), ("b^-{t} a^-1", "negative"), ("b a^-2 b^-{t} a^-1 b", "negative"),
+     ("a^2 b^-{t} a^3 b^2", "positive"), ("b^-{t} a b^{t}", "positive")],
+)
+def test_long_b_power_both_verdicts(n, t, text, verdict):
+    word = parse_word(text.format(t=t))
+    assert_same_core(word, group_context(n))
+    assert decide_sign(word, group_context(n)).verdict.value == verdict
+
+
+class TestJumpBudget:
+    """The cascade budget, forced small, must trip in the jump exactly
+    when the period-by-period loop would."""
+
+    @pytest.mark.parametrize("n", [2, 3, 63])
+    def test_raises_where_reference_raises(self, monkeypatch, n):
+        # Both budgets read 64 + 8 (letters (n + 1) - ell + n); drop the
+        # letter term so that a long periodic tail outruns it.
+        monkeypatch.setattr(cone, "_cascade_budget", lambda prefix, ell, n: 64 + 8 * (-ell + n))
+        monkeypatch.setattr(reference_core, "letter_length", lambda _word: 0)
+        ctx = group_context(n)
+        outcomes = set()
+        for t in range(1, 400):
+            word = parse_word(f"b^-{t} a^-1")
+            try:
+                expected = reference_decide_sign(word, ctx)
+            except RewriteLimitError:
+                with pytest.raises(RewriteLimitError, match="sign cascade budget"):
+                    decide_sign(word, ctx)
+                outcomes.add("raised")
+                continue
+            assert decide_sign(word, ctx) == expected
+            outcomes.add("decided")
+        assert outcomes == {"raised", "decided"}
+
+    @pytest.mark.parametrize("n", [2, 3, 63])
+    @pytest.mark.parametrize("k", [1, 2, 5, 1000])
+    def test_budget_is_checked_before_a_final_jump(self, monkeypatch, n, k):
+        # (b a^(n-1))^k a^-(n+1) has prefix (b a^(n-1))^k and ell = -1: a
+        # feed, a merge and a handle move, then one jump over the other
+        # k - 1 periods ends the cascade, so no later move could trip it.
+        ctx = group_context(n)
+        word = concat(((GEN_B, 1), (GEN_A, n - 1)) * k, ((GEN_A, -n - 1),))
+        result = decide_sign(word, ctx)
+        assert result == reference_decide_sign(word, ctx)
+        assert result.steps == 2 * k + 1
+        monkeypatch.setattr(cone, "_cascade_budget", lambda prefix, ell, n: result.steps)
+        assert decide_sign(word, ctx) == result
+        monkeypatch.setattr(cone, "_cascade_budget", lambda prefix, ell, n: result.steps - 1)
+        with pytest.raises(RewriteLimitError, match="sign cascade budget"):
+            decide_sign(word, ctx)

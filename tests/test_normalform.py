@@ -5,9 +5,33 @@ from hypothesis import given, settings
 
 from conftest import words
 from heckeord.context import group_context
-from heckeord.normalform import NormalForm, NormalFormError, is_normal_prefix, nf_to_word, to_normal_form
+from heckeord.normalform import NormalForm, NormalFormError, to_normal_form
 from heckeord.oracle import oracle_is_identity
-from heckeord.words import GEN_A, GEN_B, concat, format_word, invert, parse_word
+from heckeord.words import GEN_A, GEN_B, concat, format_word, gen_power, invert, parse_word
+
+
+def nf_to_word(nf, ctx):
+    """The word prefix * a^((n+1) * ell), freely reduced."""
+    return concat(nf.prefix, gen_power(GEN_A, ctx.q * nf.ell))
+
+
+def is_normal_prefix(word, ctx):
+    """Irreducibility test for a candidate prefix.
+
+    Positive alternating syllables, a-exponents in [1, n], and no
+    b a^n b factor (so interior a-exponents are at most n - 1).
+    """
+    n = ctx.n
+    for i, (gen, exp) in enumerate(word):
+        if exp <= 0:
+            return False
+        if gen == GEN_A:
+            if exp > n:
+                return False
+            if exp == n and 0 < i < len(word) - 1:
+                return False
+    return True
+
 
 CTX2 = group_context(2)
 CTX3 = group_context(3)

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from heckeord import suites
+from heckeord.cone import Sign, SignResult
 from heckeord.context import group_context
 from heckeord.oracle import element_key, oracle_is_identity
 from heckeord.suites import (
@@ -45,6 +46,24 @@ class TestTrichotomySuite:
         assert serial.counts == parallel.counts
         assert serial.violations == parallel.violations
         assert serial.total_words == parallel.total_words
+
+    def test_broken_mirror_is_reported(self, monkeypatch):
+        # Call a^-1 the identity: its inverse a stays positive, so the
+        # mirror check must name both words with the verdicts as text.
+        real = suites.decide_sign
+
+        def broken(word, ctx):
+            result = real(word, ctx)
+            return SignResult(Sign.IDENTITY, (), 0) if word == parse_word("a^-1") else result
+
+        monkeypatch.setattr(suites, "decide_sign", broken)
+        report = run_trichotomy_suite(CTX2, 1)
+        mirror = [v for v in report.violations if v[1] == "inverse-mirror"]
+        assert mirror == [
+            ("a", "inverse-mirror", "positive vs identity for the inverse"),
+            ("a^-1", "inverse-mirror", "identity vs positive for the inverse"),
+        ]
+        assert report.counts == {"positive": 2, "negative": 1, "identity": 2}
 
     @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
     def test_jobs_out_of_range_raises_before_any_pool(self, monkeypatch, jobs):

@@ -1,5 +1,7 @@
 """Word representation: parsing, free reduction, enumeration."""
 
+from itertools import chain
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,14 +15,19 @@ from heckeord.words import (
     conjugate,
     enumerate_reduced,
     format_word,
+    gallop,
     gen_power,
     invert,
     is_one_signed,
-    is_positive_word,
     letter_length,
     parse_word,
     word_from_syllables,
 )
+
+
+def is_positive_word(word):
+    """True when nonempty and every exponent is positive."""
+    return bool(word) and all(exp > 0 for _, exp in word)
 
 
 class TestParse:
@@ -64,6 +71,18 @@ class TestParse:
         assert issubclass(WordSyntaxError, ValueError)
 
 
+# Chains of reduced parts whose joins cancel: w, invert(w) and
+# u, w, invert(w), invert(u) cancel across whole parts.
+CHAINS = st.lists(
+    st.one_of(
+        words().map(lambda w: [w]),
+        words().map(lambda w: [w, invert(w)]),
+        st.tuples(words(), words()).map(lambda uw: [uw[0], uw[1], invert(uw[1]), invert(uw[0])]),
+    ),
+    max_size=5,
+).map(lambda groups: [part for group in groups for part in group])
+
+
 class TestAlgebraicLaws:
     def test_concat_inverse_cancels(self):
         w = parse_word("a^2 b^-1 a")
@@ -79,6 +98,16 @@ class TestAlgebraicLaws:
     def test_letter_length(self):
         assert letter_length(()) == 0
         assert letter_length(parse_word("a^2 b^-3")) == 5
+
+    @given(CHAINS)
+    def test_concat_joins_only_at_the_boundaries(self, parts):
+        assert concat(*parts) == word_from_syllables(chain(*parts))
+
+    def test_concat_cancels_through_several_parts(self):
+        u, w = parse_word("a^2 b^-1"), parse_word("b^3 a")
+        assert concat(u, w, invert(w), invert(u)) == ()
+        assert concat(u, w, invert(w), parse_word("b a^2")) == parse_word("a^2 a^2")
+        assert concat(w, parse_word("a^-1 b^-2")) == parse_word("b")
 
     @given(words(), words(), words())
     def test_concat_associative(self, u, v, w):
@@ -139,6 +168,24 @@ class TestEnumeration:
     def test_negative_max_len_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_reduced(-1))
+
+
+class TestGallop:
+    @given(st.integers(min_value=0, max_value=5000))
+    def test_log_calls_linear_work_disjoint_periods(self, k):
+        tried, accepted = [], []
+
+        def extends(i, c):
+            tried.append(c)
+            if i + c <= k:
+                accepted.extend(range(i, i + c))
+                return True
+            return False
+
+        assert gallop(extends) == k
+        assert len(tried) <= 2 * k.bit_length() + 1
+        assert sum(tried) <= 4 * k + 4
+        assert accepted == list(range(k))
 
 
 class TestSignPredicates:
