@@ -16,11 +16,11 @@ import os
 import sys
 import time
 
-from . import algebra, braid3, normalform, orderings, suites
+from . import braid3, normalform, orderings, suites
 from .cone import ReductionStuck, decide_sign
-from .context import group_context, ring_of
+from .context import group_context
 from .normalform import NormalFormError
-from .oracle import klein_pair, oracle_is_identity, phi, rho
+from .oracle import oracle_is_identity, oracle_report
 from .words import RewriteLimitError, concat, format_word, invert, parse_word
 
 _ORDERS = {"dd": orderings.DD(), "ddrev": orderings.DDReversed(), "dlike": orderings.DehornoyLike()}
@@ -73,10 +73,7 @@ def _nf(args):
 
 def _oracle(args):
     ctx, word = group_context(args.n), parse_word(args.word)
-    projective = algebra.proj_is_identity(ring_of(ctx), rho(word, ctx))
-    value = phi(word, ctx)
-    # oracle_is_identity's rule, read off the one fold of rho; n = 1 uses the Klein pair.
-    identity = klein_pair(word) == (0, 0) if ctx.n == 1 else projective and value == 0
+    identity, projective, value = oracle_report(word, ctx)
     payload = dict(
         input=format_word(word), n=args.n, identity=identity, rho_is_identity=projective, phi=value
     )

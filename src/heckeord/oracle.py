@@ -27,99 +27,28 @@ rotation with rho(a)^q = -I, so a^e is a sign times min(s, q - s) steps
 of rho(a) or rho(a)^-1, s = e mod q.  Multiplying by lam is a shift
 plus one reduction row, O(deg) for deg = deg(lam), so a b-syllable
 costs O(deg) and an a-syllable O(min(e mod q, q - e mod q) * deg).
-A two-syllable block repeated k times in a row, such as the tail
-(b a^(n-1))^k of b^-t's normal form, is raised to its power by
-repeated squaring once k reaches 16 + 4 deg: O(log k) 2x2 products of
-O(deg^2) each instead of k folds, found by a scan that compares one
-syllable pair per 2(15 + 4 deg) syllables.
 
 Everything here is computed with integer arithmetic only.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from itertools import compress
-from operator import eq, itemgetter
-
 from .algebra import (
-    CosRing,
     Mat2,
     mat_canonical_sign,
     mat_identity,
-    mat_mul,
     mat_neg,
-    mat_pow,
     proj_is_identity,
 )
 from .context import GroupContext, ring_of
-from .words import GEN_A, GEN_B, Word, gallop
-
-_EXP = itemgetter(1)
+from .words import GEN_A, GEN_B, Word
 
 
 def rho(word: Word, ctx: GroupContext) -> Mat2:
     """The matrix image of a word (an honest SL2 product, det = 1).
 
-    The word is folded syllable by syllable (see _fold), except that a
-    run of one two-syllable block repeated k >= _min_run(ring) times becomes
-    the block's matrix to the k-th power by repeated squaring, joined
-    to the fold so far by one product: O(log k) products for the run.
-    """
-    ring = ring_of(ctx)
-    q = ctx.q
-    acc, start = mat_identity(ring), 0
-    min_run = _min_run(ring)
-    if len(word) >= 2 * min_run:
-        for i, k in _block_runs(word, min_run):
-            acc = _fold(ring, q, acc, word[start:i])
-            block = _fold(ring, q, mat_identity(ring), word[i : i + 2])
-            acc = mat_mul(ring, acc, mat_pow(ring, block, k))
-            start = i + 2 * k
-    return _fold(ring, q, acc, word[start:])
-
-
-def _min_run(ring: CosRing) -> int:
-    """Fewest periods of a two-syllable block that rho raises to a power.
-
-    Folding one period costs O(deg) and a product O(deg^2), and
-    squaring needs about 2 log2(k) + 1 products.  Measured crossovers:
-    16 to 32 periods for deg <= 6, up to 64 at deg 16 and up to about
-    190 at deg 32 for blocks with dense entries.
-    """
-    return 16 + 4 * ring.deg
-
-
-def _block_runs(word: Word, min_run: int) -> Iterator[tuple[int, int]]:
-    """Runs (i, k), left to right and disjoint: word[i : i + 2k] is the
-    block word[i : i + 2] repeated k >= min_run times.
-
-    Such a run is a stretch of 2k - 2 >= stride indices x with
-    word[x] == word[x + 2], so testing every stride-th index finds it:
-    one tuple comparison per stride syllables, in C.  From each hit the
-    stretch is found by galloping both ways.
-    """
-    def periodic(lo: int, hi: int) -> bool:  # word[x] == word[x + 2] for lo <= x < hi
-        return word[lo:hi] == word[lo + 2 : hi + 2]
-
-    stride = 2 * min_run - 2
-    samples = map(eq, word[::stride], word[2::stride])
-    end = 0
-    for j in compress(range(0, len(word) - 2, stride), samples):
-        if j < end:
-            continue
-        left = gallop(lambda i, c: j - i - c >= end and periodic(j - i - c, j - i))
-        right = gallop(lambda i, c: periodic(j + 1 + i, j + 1 + i + c))
-        k = (left + right + 3) // 2  # the stretch j - left .. j + right, plus two syllables
-        if k >= min_run:
-            yield j - left, k
-            end = j - left + 2 * k
-
-
-def _fold(ring: CosRing, q: int, m: Mat2, word: Word) -> Mat2:
-    """m * rho(word), right-multiplying one syllable at a time.
-
-    The entries (x0, x1, x2, x3) of [[x0, x1], [x2, x3]] are updated:
+    The entries (x0, x1, x2, x3) of [[x0, x1], [x2, x3]] start at the
+    identity and are right-multiplied one syllable at a time:
 
       b^k   a shear: x1 += k lam x0 and x3 += k lam x2.
       a^e   a rotation: rho(a)^q = -I, so e mod 2q gives a sign and
@@ -129,8 +58,10 @@ def _fold(ring: CosRing, q: int, m: Mat2, word: Word) -> Mat2:
     Each update is one CosRing.mul_lam_add per row.  The sign is a
     scalar, so it is carried as a flag and applied once at the end.
     """
+    ring = ring_of(ctx)
+    q = ctx.q
     lam_add, neg = ring.mul_lam_add, ring.neg
-    x0, x1, x2, x3 = m
+    x0, x1, x2, x3 = mat_identity(ring)
     flip = False
     for gen, exp in word:
         if gen == GEN_B:
@@ -154,21 +85,11 @@ def _fold(ring: CosRing, q: int, m: Mat2, word: Word) -> Mat2:
 
 
 def phi(word: Word, ctx: GroupContext) -> int:
-    """The torsion-free abelianized coordinate of a word.
-
-    Generators alternate, so a long word sums the exponents of its even
-    and of its odd syllables in C; below 32 syllables the fixed cost of
-    those slices exceeds a plain loop.
-    """
-    if len(word) < 32:
-        total = 0
-        for gen, exp in word:
-            total += exp * (ctx.phi_a if gen == GEN_A else ctx.phi_b)
-        return total
-    even, odd = sum(map(_EXP, word[::2])), sum(map(_EXP, word[1::2]))
-    if word[0][0] == GEN_B:
-        even, odd = odd, even
-    return ctx.phi_a * even + ctx.phi_b * odd
+    """The torsion-free abelianized coordinate of a word."""
+    total = 0
+    for gen, exp in word:
+        total += exp * (ctx.phi_a if gen == GEN_A else ctx.phi_b)
+    return total
 
 
 def klein_pair(word: Word) -> tuple[int, int]:
@@ -207,18 +128,29 @@ def klein_sign(word: Word) -> int:
     return 0
 
 
-def oracle_is_identity(word: Word, ctx: GroupContext) -> bool:
+def oracle_is_identity(word: Word, ctx: GroupContext, folded: Mat2 | None = None) -> bool:
     """Exact word-problem test, independent of all rewriting code.
 
     n >= 2: projective matrix identity plus phi = 0.
     n == 1: Klein bottle closed form (the matrix pair is blind to b there).
+    rho is folded only when phi = 0, and not at all if folded = rho(word).
     """
     if ctx.n == 1:
         return klein_pair(word) == (0, 0)
     if phi(word, ctx) != 0:
         return False
     ring = ring_of(ctx)
-    return proj_is_identity(ring, rho(word, ctx))
+    return proj_is_identity(ring, rho(word, ctx) if folded is None else folded)
+
+
+def oracle_report(word: Word, ctx: GroupContext) -> tuple[bool, bool, int]:
+    """(identity, rho_is_identity, phi) of a word, folding rho once.
+
+    identity is oracle_is_identity's answer; rho_is_identity alone says
+    rho(word) = +-I, which for n >= 2 also holds on central powers.
+    """
+    m = rho(word, ctx)
+    return oracle_is_identity(word, ctx, m), proj_is_identity(ring_of(ctx), m), phi(word, ctx)
 
 
 def oracle_equal(u: Word, v: Word, ctx: GroupContext) -> bool:

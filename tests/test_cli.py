@@ -94,7 +94,6 @@ class TestOracle:
             calls.append(word)
             return real_rho(word, ctx)
 
-        monkeypatch.setattr(cli, "rho", counting)
         monkeypatch.setattr(oracle, "rho", counting)
         code, doc = run_json(capsys, "oracle", "--n", str(n), text)
         assert code == 0

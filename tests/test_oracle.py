@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import words
-from heckeord import algebra, oracle
+from heckeord import oracle
 from heckeord.algebra import mat_identity, mat_mul, mat_neg, proj_eq, proj_is_identity
 from heckeord.context import GroupContext, group_context, ring_of
 from heckeord.oracle import (
@@ -14,9 +14,9 @@ from heckeord.oracle import (
     klein_sign,
     oracle_equal,
     oracle_is_identity,
+    oracle_report,
     phi,
     rho,
-    _min_run,
 )
 from heckeord.words import (
     GEN_A,
@@ -90,20 +90,6 @@ class TestRepresentation:
         assert phi(delta, ctx) == ctx.q * ctx.phi_a != 0
         assert not oracle_is_identity(delta, ctx)
 
-    @settings(max_examples=60)
-    @given(
-        st.sampled_from([GEN_A, GEN_B]),
-        st.integers(min_value=0, max_value=120).flatmap(
-            lambda size: st.lists(st.integers(min_value=-9, max_value=9).filter(bool), min_size=size, max_size=size)
-        ),
-    )
-    def test_phi_sums_each_syllable(self, n, first, exps):
-        # Long words take the sliced sum, short ones the loop.
-        w = tuple(((first + i) % 2, exp) for i, exp in enumerate(exps))
-        ctx = group_context(n)
-        expected = sum(exp * (ctx.phi_a if gen == GEN_A else ctx.phi_b) for gen, exp in w)
-        assert phi(w, ctx) == expected
-
     def test_phi_is_a_homomorphism(self, n):
         ctx = group_context(n)
         u, v = parse_word("a b^-2"), parse_word("b a^3")
@@ -159,107 +145,6 @@ class TestRhoKernel:
         assert rho(w, ctx) == reference_rho(w, ctx)
 
 
-@st.composite
-def run_words(draw):
-    """(n, k, u block^k v) for a random two-syllable block, with k often
-    at the squaring threshold of n's ring."""
-    n = draw(st.one_of(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=63)))
-    threshold = _min_run(ring_of(group_context(n)))
-    k = draw(
-        st.one_of(
-            st.integers(min_value=1, max_value=300),
-            st.sampled_from([threshold - 1, threshold, threshold + 1]),
-        )
-    )
-    first = draw(st.sampled_from([GEN_A, GEN_B]))
-    exps = st.integers(min_value=-3, max_value=3).filter(bool)
-    block = ((first, draw(exps)), (1 - first, draw(exps)))
-    return n, k, concat(draw(words(4, 3)), block * k, draw(words(4, 3)))
-
-
-class TestRhoRuns:
-    """rho raises a two-syllable block repeated _min_run times or more to
-    its power by squaring; the letter-by-letter product holds it to the
-    plain fold on both sides of that threshold."""
-
-    @settings(max_examples=40)
-    @given(run_words())
-    def test_matches_letter_by_letter_product(self, case):
-        n, k, word = case
-        ctx = group_context(n)
-        assert rho(word, ctx) == reference_rho(word, ctx), (n, k, format_word(word))
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 31, 63])
-    def test_runs_at_the_threshold_and_at_the_ends(self, n):
-        # Expected values multiply the block's letter-by-letter matrix in
-        # k times, one product per period: (b a^(n-1)) has n letters.
-        ctx = group_context(n)
-        ring = ring_of(ctx)
-        threshold = _min_run(ring)
-        block = ((GEN_B, 1), (GEN_A, max(n - 1, 1)))
-        other = ((GEN_A, -1), (GEN_B, 2))
-
-        def expected(*parts):
-            acc = mat_identity(ring)
-            for part, k in parts:
-                m = reference_rho(part, ctx)
-                for _ in range(k):
-                    acc = mat_mul(ring, acc, m)
-            return acc
-
-        cases = [
-            ((block, threshold), (other, threshold)),
-            ((block, threshold), (((GEN_B, 5),), 1), (block, threshold)),
-        ]
-        for k in (threshold - 1, threshold, threshold + 1, 2 * threshold + 3):
-            cases += [((block, k),), ((block, k), (((GEN_B, 2),), 1)), ((((GEN_A, 1),), 1), (block, k))]
-        for parts in cases:
-            word = concat(*(part * k for part, k in parts))
-            assert rho(word, ctx) == expected(*parts), (n, format_word(word))
-
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_squares_exactly_the_runs_of_min_run_periods(self, monkeypatch, n):
-        # Runs start at every offset against the sampling stride.
-        ctx = group_context(n)
-        threshold = _min_run(ring_of(ctx))
-        powers = []
-        real = oracle.mat_pow
-
-        def recording(ring, x, e):
-            powers.append(e)
-            return real(ring, x, e)
-
-        monkeypatch.setattr(oracle, "mat_pow", recording)
-        block = ((GEN_B, 2), (GEN_A, 1))
-        for shift in range(2 * threshold):
-            # No period 2 in the head: its exponents all differ.
-            head = tuple((GEN_A if (shift - i) % 2 else GEN_B, 10 + i) for i in range(shift))
-            for k, want in ((threshold - 1, []), (threshold, [threshold]), (threshold + 5, [threshold + 5])):
-                powers.clear()
-                word = head + block * k + ((GEN_B, 7),)
-                assert rho(word, ctx) == oracle._fold(ring_of(ctx), ctx.q, mat_identity(ring_of(ctx)), word)
-                assert powers == want, (shift, k)
-
-    def test_a_long_run_costs_log_k_products(self, monkeypatch):
-        ctx = group_context(5)
-        ring = ring_of(ctx)
-        word = ((GEN_A, 2),) + ((GEN_B, 1), (GEN_A, 4)) * 20_000 + ((GEN_B, -1),)
-        folded = oracle._fold(ring, ctx.q, mat_identity(ring), word)
-        products = []
-        real = algebra.mat_mul
-
-        def counting(ring, x, y):
-            products.append(1)
-            return real(ring, x, y)
-
-        monkeypatch.setattr(oracle, "mat_mul", counting)
-        monkeypatch.setattr(algebra, "mat_mul", counting)
-        assert rho(word, ctx) == folded
-        # 2^14 <= 20,000 < 2^15: at most 15 squarings, 15 multiplications
-        # and one product joining the run to the fold.
-        assert 0 < len(products) <= 31
-
-
 class TestIdentityDecision:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_relator_is_identity(self, n):
@@ -268,6 +153,31 @@ class TestIdentityDecision:
             parse_word(f"b a^{n} b"), invert(parse_word("a"))
         )
         assert oracle_is_identity(relator, ctx)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_report_matches_its_parts(self, n):
+        # Each ball word, a conjugate of the relator (the identity) and a
+        # central multiple (rho-trivial part, but not 1 for n >= 2).
+        ctx = group_context(n)
+        relator = concat(parse_word(f"b a^{n} b"), parse_word("a^-1"))
+        delta = gen_power(GEN_A, ctx.q)
+        for w in enumerate_reduced(3):
+            cases = ((w, oracle_is_identity(w, ctx)), (concat(w, relator, invert(w)), True), (concat(w, delta, invert(w)), False))
+            for word, want in cases:
+                identity, projective, value = oracle_report(word, ctx)
+                assert identity is want, (n, format_word(word))
+                assert projective == proj_is_identity(ring_of(ctx), rho(word, ctx))
+                assert value == phi(word, ctx)
+
+    def test_rho_is_folded_only_when_phi_vanishes(self, monkeypatch):
+        calls = []
+        real_rho = oracle.rho
+        monkeypatch.setattr(oracle, "rho", lambda word, ctx: calls.append(word) or real_rho(word, ctx))
+        assert not oracle_is_identity(parse_word("a"), group_context(2))
+        assert oracle_is_identity(parse_word("b a b a^-1"), group_context(1))
+        assert calls == []
+        assert oracle_is_identity(parse_word("b a^2 b a^-1"), group_context(2))
+        assert len(calls) == 1
 
     def test_central_power_is_not_identity(self):
         # rho alone cannot see delta; phi must catch it.
