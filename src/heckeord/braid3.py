@@ -21,12 +21,14 @@ strictly simplifies the word (Dehornoy's termination theorem), and a
 handle-free word has all its s1 letters of one sign.
 
 The module also produces integer-matrix certificates of non-triviality
-for positive words, by ping-pong on projective cones: in PSL(2, Z)
+for positive words, by ping-pong on projective cones.  The oracle's
+rho at n = 2 (lam = 1), conjugated by J = [[0, 1], [1, 0]], which swaps
+rows and columns and so reads the entries of rho(word) backwards, gives
 
-    abar = [[0, 1], [-1, 1]]     (order 3:  abar^3 = -I)
-    bbar = [[1, 0], [1, 1]]      (infinite order, lower unipotent)
+    abar = J rho(a) J = [[0, 1], [-1, 1]]     (order 3:  abar^3 = -I)
+    bbar = J rho(b) J = [[1, 0], [1, 1]]      (infinite order, lower unipotent)
 
-satisfy bbar abar^2 bbar = abar, and with U = {x > y > 0},
+in PSL(2, Z), with bbar abar^2 bbar = abar.  With U = {x > y > 0},
 V = {0 < x < y} one gets bbar^j(closure Q) in closure(V) for the whole
 first quadrant Q, abar(closure V) in closure(U), and
 abar^2(closure U) in closure(V).  A word whose cyclic reduction
@@ -34,6 +36,13 @@ alternates suitably therefore maps one cone strictly inside another —
 impossible for +-identity, so the word is certified nontrivial.
 Every certificate is checked on exact rays before it is returned; a
 failed check raises CertificateError.
+
+The cyclic reduction (a^3 -> 1, b a^2 b -> a around the cycle) takes
+normal forms of rotations.  A word in normal form keeps a redex only
+across its ends, spanning at most 4 letters; rotated by half its length,
+a word of 6 or more letters holds it in the middle (shorter words try
+every rotation).  Each step removes at least 3 letters, so the whole
+reduction costs at most one normal form per letter removed, plus one.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ import enum
 
 from .context import group_context
 from .normalform import to_normal_form
+from .oracle import rho
 from .words import (
     ALPHABET_SIGMA,
     GEN_A,
@@ -50,6 +60,7 @@ from .words import (
     Word,
     concat,
     format_word,
+    letter_length,
     parse_word,
     word_from_syllables,
 )
@@ -69,11 +80,11 @@ def format_sigma(word: Word) -> str:
     return format_word(word, ALPHABET_SIGMA)
 
 
-def sigma_to_ab(sigma_word: Word) -> Word:
-    """Image of a braid word in G_2:  s1 -> a b,  s2 -> b^-1."""
+def _bridge(word: Word) -> Word:
+    """x -> x y, y -> y^-1: both bridge maps, as this is an involution."""
     parts: list[Word] = []
-    for gen, exp in sigma_word:
-        if gen == S1:
+    for gen, exp in word:
+        if gen == GEN_A:
             block = ((GEN_A, 1), (GEN_B, 1)) if exp > 0 else ((GEN_B, -1), (GEN_A, -1))
             parts.append(block * abs(exp))
         else:
@@ -81,16 +92,14 @@ def sigma_to_ab(sigma_word: Word) -> Word:
     return concat(*parts)
 
 
+def sigma_to_ab(sigma_word: Word) -> Word:
+    """Image of a braid word in G_2:  s1 -> a b,  s2 -> b^-1."""
+    return _bridge(sigma_word)
+
+
 def ab_to_sigma(word: Word) -> Word:
     """Image of a G_2 word in B_3:  a -> s1 s2,  b -> s2^-1."""
-    parts: list[Word] = []
-    for gen, exp in word:
-        if gen == GEN_A:
-            block = ((S1, 1), (S2, 1)) if exp > 0 else ((S2, -1), (S1, -1))
-            parts.append(block * abs(exp))
-        else:
-            parts.append(((S2, -exp),))
-    return concat(*parts)
+    return _bridge(word)
 
 
 _HANDLE_CAP = 200_000  # tripwire only; reduction provably terminates
@@ -155,24 +164,10 @@ class ConeRegion(enum.Enum):
     V = "0<x<y"
 
 
-# The PSL(2, Z) pair used for cone certificates (see module docstring).
-_ABAR = (0, 1, -1, 1)
-_ABAR2 = (-1, 1, -1, 0)
-_BBAR = (1, 0, 1, 1)
-
 _RAYS = {
     ConeRegion.U: ((1, 0), (1, 1), (2, 1)),  # two extreme rays + interior sample
     ConeRegion.V: ((0, 1), (1, 1), (1, 2)),
 }
-
-
-def _imat_mul(x, y):
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
 
 
 def _apply_ray(m, ray):
@@ -208,8 +203,10 @@ def _certified(m, source: ConeRegion, target: ConeRegion) -> bool:
     )
 
 
-def _verified(m, source: ConeRegion, target: ConeRegion) -> tuple[ConeRegion, ConeRegion]:
-    """(source, target) once m's rays confirm it, else CertificateError."""
+def _verified(word: Word, source: ConeRegion, target: ConeRegion) -> tuple[ConeRegion, ConeRegion]:
+    """(source, target) once the rays confirm it for the word's integer
+    matrix (rho at n = 2, swapped), else CertificateError."""
+    m = tuple(x for (x,) in reversed(rho(word, group_context(2))))
     if not _certified(m, source, target):
         raise CertificateError(f"{m} does not map {source.name} into {target.name}")
     return source, target
@@ -239,106 +236,65 @@ def cone_certify_b3(word: Word) -> tuple[ConeRegion, ConeRegion] | None:
     """
     if any(exp < 0 for _, exp in word):
         raise ValueError("cone certification expects a positive word")
-    ctx = group_context(2)
-    nf = to_normal_form(word, ctx)
+    nf = to_normal_form(word, group_context(2))
     if nf.ell < 0:
         raise CertificateError("a positive word got a negative central exponent")
-    blocks = [list(s) for s in nf.prefix]  # mutable [gen, exp] pairs
-
-    blocks = _cyclic_reduce(blocks)
-    if not blocks:
+    word = _cyclic_reduce(nf.prefix)
+    if not word:
         return None
 
-    if len(blocks) == 1:
-        gen, exp = blocks[0]
-        if gen == GEN_A:  # exp is 1 or 2 after the mod-3 normalization
-            if exp == 1:
-                return _verified(_ABAR, ConeRegion.V, ConeRegion.U)
-            return _verified(_ABAR2, ConeRegion.U, ConeRegion.V)
+    if len(word) == 1:
+        if word[0] == (GEN_A, 1):  # a-exponents are 1 or 2 in normal form
+            return _verified(word, ConeRegion.V, ConeRegion.U)
+        if word[0] == (GEN_A, 2):
+            return _verified(word, ConeRegion.U, ConeRegion.V)
         # b-powers absorb both cones into V; the returned pair records
         # the U face, and both halves are ray-verified so the
         # certificate means closure(U) ∪ closure(V) -> V.
-        m = (1, 0, exp, 1)  # bbar^exp, a lower shear
-        cert = _verified(m, ConeRegion.U, ConeRegion.V)
-        _verified(m, ConeRegion.V, ConeRegion.V)
+        cert = _verified(word, ConeRegion.U, ConeRegion.V)
+        _verified(word, ConeRegion.V, ConeRegion.V)
         return cert
 
-    a_exps = [e for g, e in blocks if g == GEN_A]
-    b_exps = [e for g, e in blocks if g == GEN_B]
-    if sorted((g, e) for g, e in blocks) == [(GEN_A, 2), (GEN_B, 1)]:
+    if sorted(word) == [(GEN_A, 2), (GEN_B, 1)]:
         return None  # half-twist class
-    if all(e == 1 for e in a_exps) and all(e == 1 for e in b_exps):
+    if all(e == 1 for _, e in word):
         return None  # conjugate of a power of s1 = a b
-    if any(e != 1 for e in a_exps):
+    if any(e != 1 for g, e in word if g == GEN_A):
         raise CertificateError("a reduced mixed word kept an a-exponent other than 1")
 
     # Rotate so the word starts with one letter of a thick b-block and
     # ends with the rest of it: b (ab-alternation) b^(j-1).  Every a in
     # the product then sees V-input and every b-power Q-input.
-    i = next(idx for idx, (g, e) in enumerate(blocks) if g == GEN_B and e >= 2)
-    j = blocks[i][1]
-    linear = [(GEN_B, 1)] + blocks[i + 1 :] + blocks[:i] + [(GEN_B, j - 1)]
-    m = (1, 0, 0, 1)
-    for gen, exp in linear:
-        m = _imat_mul(m, _ABAR if gen == GEN_A else (1, 0, exp, 1))  # bbar^exp
-    return _verified(m, ConeRegion.U, ConeRegion.V)
+    i = next(idx for idx, (g, e) in enumerate(word) if g == GEN_B and e >= 2)
+    linear = ((GEN_B, 1),) + word[i + 1 :] + word[:i] + ((GEN_B, word[i][1] - 1),)
+    return _verified(linear, ConeRegion.U, ConeRegion.V)
 
 
-def _cyclic_normalize(blocks: list[list[int]]) -> list[list[int]]:
-    """Canonicalize a cyclic positive word: a-exponents mod 3 (a^3 is
-    central and projectively trivial), zero blocks dropped, adjacent and
-    wrap-around same-generator blocks merged.  Afterwards the block list
-    is alternating with even length, or has at most one block.
-    """
-    stable = False
-    while not stable:
-        stable = True
-        for blk in blocks:
-            if blk[0] == GEN_A and blk[1] >= 3:
-                blk[1] %= 3
-                stable = False
-        if any(blk[1] == 0 for blk in blocks):
-            blocks[:] = [blk for blk in blocks if blk[1] != 0]
-            stable = False
-        i = 0
-        while i + 1 < len(blocks):
-            if blocks[i][0] == blocks[i + 1][0]:
-                blocks[i][1] += blocks[i + 1][1]
-                del blocks[i + 1]
-                stable = False
-            else:
-                i += 1
-        if len(blocks) >= 2 and blocks[0][0] == blocks[-1][0]:
-            blocks[0][1] += blocks[-1][1]
-            blocks.pop()
-            stable = False
-    return blocks
+def _rotated(word: Word, h: int) -> Word:
+    """A positive word rotated left by h letters, 0 <= h < its letter
+    length; the old ends may meet as two syllables of one generator."""
+    for i, (gen, exp) in enumerate(word):
+        if h < exp:
+            if not h:
+                return word[i:] + word[:i]
+            return ((gen, exp - h),) + word[i + 1 :] + word[:i] + ((gen, h),)
+        h -= exp
 
 
-def _cyclic_reduce(blocks: list[list[int]]) -> list[list[int]]:
-    """Reduce a cyclic positive word by a^3 -> 1 and b a^2 b -> a.
-
-    Every relator step removes two b letters, so this terminates
-    without a budget.
-    """
-    blocks = _cyclic_normalize(blocks)
-    while len(blocks) >= 2:
-        # find a cyclic relator redex: a^2 with b letters on both sides
-        for idx, (gen, exp) in enumerate(blocks):
-            if gen != GEN_A or exp != 2:
-                continue
-            if len(blocks) == 2:
-                other = 1 - idx  # the single b block wraps both flanks
-                if blocks[other][1] < 2:
-                    continue  # cyclic(a^2 b), the half-twist: no move
-                blocks[idx][1] = 1
-                blocks[other][1] -= 2
-            else:  # alternating even length >= 4: flanks are distinct b blocks
-                blocks[idx][1] = 1
-                blocks[(idx - 1) % len(blocks)][1] -= 1
-                blocks[(idx + 1) % len(blocks)][1] -= 1
-            blocks = _cyclic_normalize(blocks)
-            break
+def _cyclic_reduce(word: Word) -> Word:
+    """Cyclic reduction of a positive word in normal form, up to rotation
+    (see the module docstring).  Merging same-generator ends comes last,
+    so the result is one syllable or alternates with even length."""
+    ctx = group_context(2)
+    letters = letter_length(word)
+    while letters > 1:
+        for h in (letters // 2,) if letters >= 6 else range(1, letters):
+            reduced = to_normal_form(_rotated(word, h), ctx).prefix
+            if letter_length(reduced) < letters:
+                word, letters = reduced, letter_length(reduced)
+                break
         else:
             break
-    return blocks
+    if len(word) > 1 and word[0][0] == word[-1][0]:
+        word = to_normal_form(word[-1:] + word[:-1], ctx).prefix
+    return word

@@ -9,6 +9,7 @@ therefore always names a concrete word and the check it failed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import multiprocessing
 import os
 
@@ -42,8 +43,8 @@ class SuiteReport:
         return not self.violations
 
 
-def _examine(ctx: GroupContext, word: Word):
-    """One ball word: verdict plus any violations of the local checks."""
+def _examine_row(ctx: GroupContext, word: Word):
+    """One ball word: (word, verdict, violations of the local checks)."""
     violations = []
     result = decide_sign(word, ctx)
     witness = result.witness
@@ -64,12 +65,7 @@ def _examine(ctx: GroupContext, word: Word):
         violations.append(
             (format_word(word), "oracle-agreement", f"verdict {result.verdict.value} contradicts the oracle")
         )
-    return result.verdict, violations
-
-
-def _examine_chunk(args):
-    ctx, chunk = args
-    return [(word, *_examine(ctx, word)) for word in chunk]
+    return word, result.verdict, violations
 
 
 def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> SuiteReport:
@@ -91,13 +87,10 @@ def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> Suit
         raise ValueError(f"jobs must be in 1..{limit}, got {jobs!r}")
     words = list(enumerate_reduced(max_len))
     if jobs > 1:
-        chunks = [(ctx, words[i::jobs]) for i in range(jobs)]
         with multiprocessing.Pool(jobs) as pool:
-            chunk_rows = pool.map(_examine_chunk, chunks)
-        by_word = {row[0]: row for rows in chunk_rows for row in rows}
-        rows = [by_word[w] for w in words]  # restore enumeration order
+            rows = pool.map(functools.partial(_examine_row, ctx), words)
     else:
-        rows = [(w, *_examine(ctx, w)) for w in words]
+        rows = [_examine_row(ctx, w) for w in words]
 
     counts = {s.value: 0 for s in Sign}
     violations = []

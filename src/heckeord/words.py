@@ -158,7 +158,8 @@ def parse_word(text: str, alphabet: tuple[str, str] = ALPHABET_AB) -> Word:
     """Parse "a^2 b^-1 a" style text into a freely reduced word.
 
     Grammar: a word is "1" (the identity) or whitespace-separated terms,
-    each term being a generator name optionally followed by ^<nonzero int>.
+    each term being a generator name optionally followed by ^<exponent>,
+    a nonzero ASCII integer [+-]?[0-9]+.
     The result is freely reduced, so e.g. "a a^-1" parses to the identity.
 
     >>> parse_word("1")
@@ -185,6 +186,8 @@ def parse_word(text: str, alphabet: tuple[str, str] = ALPHABET_AB) -> Word:
             )
         if sep:
             try:
+                if not exp_text.isascii() or "_" in exp_text:
+                    raise ValueError  # int() also takes "1_0" and non-ASCII digits
                 exp = int(exp_text)
             except ValueError:
                 raise WordSyntaxError(f"bad exponent {exp_text!r}", offset) from None

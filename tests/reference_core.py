@@ -4,7 +4,9 @@ The leftmost-first scanner (inverse elimination into a list, then r1/r2
 with a backward rescan after every rewrite) and the sign cascade with
 its per-syllable prepends, kept verbatim apart from their names so the
 differential tests can demand identical normal forms and identical
-SignResults (verdict, witness, steps) from the package's core.
+SignResults (verdict, witness, steps) from the package's core.  The
+word helpers it needs, `concat` and `letter_length`, are local copies,
+so a fault in the package's versions cannot hit both sides alike.
 """
 
 from __future__ import annotations
@@ -20,11 +22,29 @@ from heckeord.words import (
     RewriteLimitError,
     Syllable,
     Word,
-    concat,
     gen_power,
     is_one_signed,
-    letter_length,
 )
+
+
+def concat(*parts: Word) -> Word:
+    """Freely reduced concatenation, one syllable at a time."""
+    out: list[Syllable] = []
+    for part in parts:
+        for gen, exp in part:
+            if out and out[-1][0] == gen:
+                merged = out[-1][1] + exp
+                if merged:
+                    out[-1] = (gen, merged)
+                else:
+                    out.pop()
+            else:
+                out.append((gen, exp))
+    return tuple(out)
+
+
+def letter_length(word: Word) -> int:
+    return sum(abs(exp) for _, exp in word)
 
 
 def _push(sylls: list[Syllable], gen: int, exp: int) -> None:

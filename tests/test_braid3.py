@@ -9,8 +9,6 @@ from heckeord.braid3 import (
     ConeRegion,
     S1,
     S2,
-    _ABAR,
-    _BBAR,
     ab_to_sigma,
     cone_certify_b3,
     dehornoy_reduce,
@@ -24,7 +22,7 @@ from heckeord.oracle import oracle_is_identity, rho
 from heckeord.orderings import DehornoyLike, is_positive
 from heckeord.algebra import proj_is_identity
 from heckeord.context import ring_of
-from heckeord.normalform import NormalForm
+from heckeord.normalform import NormalForm, to_normal_form
 from heckeord.words import (
     GEN_A,
     GEN_B,
@@ -35,27 +33,28 @@ from heckeord.words import (
     word_from_syllables,
 )
 
+from reference_braid3 import (
+    ABAR,
+    BBAR,
+    imat_mul,
+    integer_model,
+    reference_cone_certify_b3,
+    reference_cyclic_reduce,
+)
+
 CTX2 = group_context(2)
 U, V = ConeRegion.U, ConeRegion.V
-
-
-def imat_mul(x, y):
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
+POSITIVE_SYLLABLES = st.tuples(st.sampled_from([GEN_A, GEN_B]), st.integers(1, 4))
 
 
 class TestMatrixAnchors:
     """The same two anchor identities in both exact realizations."""
 
     def test_integer_matrices(self):
-        a3 = imat_mul(imat_mul(_ABAR, _ABAR), _ABAR)
+        a3 = imat_mul(imat_mul(ABAR, ABAR), ABAR)
         assert a3 == (-1, 0, 0, -1)  # abar^3 = -I: projective order 3
-        bab = imat_mul(imat_mul(_BBAR, imat_mul(_ABAR, _ABAR)), _BBAR)
-        assert bab == _ABAR  # bbar abar^2 bbar = abar, exactly
+        bab = imat_mul(imat_mul(BBAR, imat_mul(ABAR, ABAR)), BBAR)
+        assert bab == ABAR  # bbar abar^2 bbar = abar, exactly
 
     def test_ring_matrices(self):
         ring = ring_of(CTX2)
@@ -67,12 +66,12 @@ class TestMatrixAnchors:
         # Two different matrix models of the same group: entries differ...
         ring = ring_of(CTX2)
         rho_a = rho(parse_word("a"), CTX2)
-        assert [c[0] for c in rho_a] != list(_ABAR)
+        assert [c[0] for c in rho_a] != list(ABAR)
         # ...but both kill a^3 projectively (checked above) and both are
         # determinant-1 integer models at n = 2.
-        det = _ABAR[0] * _ABAR[3] - _ABAR[1] * _ABAR[2]
+        det = ABAR[0] * ABAR[3] - ABAR[1] * ABAR[2]
         assert det == 1
-        assert _BBAR[0] * _BBAR[3] - _BBAR[1] * _BBAR[2] == 1
+        assert BBAR[0] * BBAR[3] - BBAR[1] * BBAR[2] == 1
 
 
 class TestBridge:
@@ -186,6 +185,49 @@ class TestConeCertificates:
         assert certified > 50  # the certificate covers most of the ball
 
 
+def certificate_or_error(certify, word):
+    try:
+        return certify(word)
+    except Exception as exc:  # compared by type with the reference
+        return type(exc)
+
+
+def assert_same_cyclic_reduction(w):
+    prefix = to_normal_form(w, CTX2).prefix
+    got = braid3._cyclic_reduce(prefix)
+    expected = tuple(map(tuple, reference_cyclic_reduce([list(s) for s in prefix])))
+    assert len(got) == len(expected), w
+    assert any(expected[i:] + expected[:i] == got for i in range(max(len(got), 1))), w
+
+
+class TestAgainstReference:
+    """The certificate on rho and to_normal_form against the old integer
+    model and block-list cyclic rewriting (tests/reference_braid3.py)."""
+
+    @settings(max_examples=200)
+    @given(st.lists(POSITIVE_SYLLABLES, max_size=30).map(word_from_syllables))
+    def test_swapped_rho_is_the_integer_model(self, w):
+        assert tuple(x for (x,) in reversed(rho(w, CTX2))) == integer_model(w)
+
+    def test_same_certificate_on_every_positive_word_up_to_12_letters(self):
+        words = list(enumerate_reduced(12, signed=False))
+        assert len(words) == 8191
+        for w in words:
+            expected = certificate_or_error(reference_cone_certify_b3, w)
+            assert certificate_or_error(cone_certify_b3, w) == expected, w
+
+    @settings(max_examples=150)
+    @given(st.lists(POSITIVE_SYLLABLES, max_size=200).map(word_from_syllables))
+    def test_same_cyclic_reduction_up_to_rotation(self, w):
+        assert_same_cyclic_reduction(w)
+
+    def test_same_cyclic_reduction_on_short_words(self):
+        # Below 6 letters every rotation is tried; a^2 b^2, a^2 b a b and
+        # a^2 b^3 need that.
+        for w in enumerate_reduced(8, signed=False):
+            assert_same_cyclic_reduction(w)
+
+
 class TestRealChecks:
     """Each check raises CertificateError, also under python -O."""
 
@@ -201,7 +243,7 @@ class TestRealChecks:
             cone_certify_b3(parse_word("b^3"))
 
     def test_mixed_word_with_a_squared_raises(self, monkeypatch):
-        monkeypatch.setattr(braid3, "_cyclic_reduce", lambda blocks: [[GEN_A, 2], [GEN_B, 2]])
+        monkeypatch.setattr(braid3, "_cyclic_reduce", lambda word: ((GEN_A, 2), (GEN_B, 2)))
         with pytest.raises(CertificateError, match="a-exponent"):
             cone_certify_b3(parse_word("b^3"))
 

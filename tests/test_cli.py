@@ -216,6 +216,13 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("text", ["a^1_0", "a^\u0663", "b^\uff12"])
+    def test_non_ascii_or_underscored_exponent_is_2(self, capsys, text):
+        code, out, err = run(capsys, "sign", text)
+        assert code == 2
+        assert out == ""
+        assert "bad exponent" in err
+
     def test_bad_n_is_2(self, capsys):
         code, _, err = run(capsys, "sign", "--n", "0", "a")
         assert code == 2

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import words
 from heckeord import oracle
-from heckeord.algebra import mat_identity, mat_mul, mat_neg, proj_eq, proj_is_identity
+from heckeord.algebra import mat_identity, mat_mul, mat_neg, mat_pow, proj_eq, proj_is_identity
 from heckeord.context import GroupContext, group_context, ring_of
 from heckeord.oracle import (
     b_power_of,
@@ -97,27 +97,39 @@ class TestRepresentation:
         assert phi(invert(u), ctx) == -phi(u, ctx)
 
 
-def reference_rho(word, ctx):
-    """rho as a left fold of mat_mul over the four letter matrices, one
-    letter at a time: no exponent reduction, no shears, no rotations."""
-    ring = ring_of(ctx)
+def letter_matrices(ring):
     one, zero, lam = ring.one, ring.zero, ring.lam
-    letters = {
+    return {
         (GEN_A, 1): (lam, ring.neg(one), one, zero),
         (GEN_A, -1): (zero, one, ring.neg(one), lam),
         (GEN_B, 1): (one, lam, zero, one),
         (GEN_B, -1): (one, ring.neg(lam), zero, one),
     }
+
+
+def reference_rho(word, ctx):
+    """rho as a left fold of general 2x2 products over the four letter
+    matrices, each syllable a mat_pow of its letter: no exponent
+    reduction mod 2q, no shears, no rotations."""
+    ring = ring_of(ctx)
+    letters = letter_matrices(ring)
     acc = mat_identity(ring)
     for gen, exp in word:
-        letter = letters[(gen, 1 if exp > 0 else -1)]
-        for _ in range(abs(exp)):
-            acc = mat_mul(ring, acc, letter)
+        acc = mat_mul(ring, acc, mat_pow(ring, letters[(gen, 1 if exp > 0 else -1)], abs(exp)))
     return acc
 
 
 class TestRhoKernel:
     """rho's shear/rotation kernel against the plain product, n = 1..63."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 31])
+    def test_reference_mat_pow_is_repeated_mat_mul(self, n):
+        ring = ring_of(group_context(n))
+        for letter in letter_matrices(ring).values():
+            acc = mat_identity(ring)
+            for e in range(2 * (n + 1) + 2):
+                assert mat_pow(ring, letter, e) == acc, (n, letter, e)
+                acc = mat_mul(ring, acc, letter)
 
     @settings(max_examples=40)
     @given(st.integers(min_value=1, max_value=63), words(max_syllables=40, max_exp=300))

@@ -66,6 +66,16 @@ class TestParse:
         with pytest.raises(WordSyntaxError):
             parse_word("a^x")
 
+    @pytest.mark.parametrize("text", ["a^1_0", "a^\u0663", "b^\uff12"])
+    def test_exponent_is_ascii_digits_only(self, text):
+        # int() takes "1_0", Arabic-Indic and full-width digits; the grammar does not.
+        with pytest.raises(WordSyntaxError, match="bad exponent") as exc:
+            parse_word(f"b {text}")
+        assert exc.value.offset == 2
+
+    def test_signed_ascii_exponents_parse(self):
+        assert parse_word("a^+2 b^-10 a^007") == ((GEN_A, 2), (GEN_B, -10), (GEN_A, 7))
+
     def test_syntax_error_is_value_error(self):
         # The CLI maps ValueError to exit code 2; parse errors must qualify.
         assert issubclass(WordSyntaxError, ValueError)
