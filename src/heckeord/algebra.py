@@ -135,14 +135,11 @@ class CosRing:
         self.modulus = min_poly_2cos_pi_over(q)
         self.deg = len(self.modulus) - 1
         self.zero = (0,) * self.deg
-        self.one = self._embed(1)
+        self.one = self.from_int(1)
         self.lam = self.reduce([0, 1])
 
-    def _embed(self, c: int) -> tuple[int, ...]:
-        return (c,) + (0,) * (self.deg - 1)
-
     def from_int(self, c: int) -> tuple[int, ...]:
-        return self._embed(c)
+        return (c,) + (0,) * (self.deg - 1)
 
     def reduce(self, coeffs: list[int]) -> tuple[int, ...]:
         """Reduce an arbitrary integer polynomial mod Psi_q (monic)."""

@@ -38,6 +38,7 @@ from .algebra import (
     mat_canonical_sign,
     mat_identity,
     mat_neg,
+    proj_eq,
     proj_is_identity,
 )
 from .context import GroupContext, ring_of
@@ -163,11 +164,10 @@ def oracle_equal(u: Word, v: Word, ctx: GroupContext) -> bool:
 def b_power_of(word: Word, ctx: GroupContext) -> int | None:
     """The integer k with word = b^k in G_n, or None if there is none.
 
-    For n >= 2: rho(b) is unipotent upper-triangular, rho(b)^k =
-    I + k*N with N = [[0, lam], [0, 0]], so a candidate k is read off
-    the top-right entry by exact division by lam; membership then needs
-    the matrix to match AND phi(word) == k * phi(b), since elements of
-    the form b^k * delta^j (j != 0) have the same projective image.
+    For n >= 2, phi(b) != 0, so k = phi(word) / phi(b) is the only
+    candidate; word = b^k then holds exactly when rho(word) is the shear
+    rho(b)^k = [[1, k lam], [0, 1]] up to sign, since (rho, phi) is
+    faithful.  rho is folded only when phi(b) divides phi(word).
 
     >>> from heckeord.context import group_context
     >>> b_power_of(((GEN_B, -3),), group_context(2))
@@ -178,37 +178,15 @@ def b_power_of(word: Word, ctx: GroupContext) -> int | None:
     if ctx.n == 1:
         t, s = klein_pair(word)
         return s if t == 0 else None
+    k, rest = divmod(phi(word, ctx), ctx.phi_b)
+    if rest:
+        return None
     ring = ring_of(ctx)
     m = rho(word, ctx)
-    if m[2] != ring.zero:
+    if m[2] != ring.zero:  # cheap early exit: most non-powers fail here
         return None
-    one, neg_one = ring.one, ring.neg(ring.one)
-    if m[0] == one and m[3] == one:
-        off = m[1]
-    elif m[0] == neg_one and m[3] == neg_one:
-        off = ring.neg(m[1])
-    else:
-        return None
-    k = _exact_multiple(ring, off, ring.lam)
-    if k is None:
-        return None
-    # rho(word) is now pinned to +-(I + k N) = +-rho(b)^k, so word differs
-    # from b^k by an element of ker rho = <delta>; the central coordinate
-    # phi decides whether that central part is trivial.
-    if phi(word, ctx) != k * ctx.phi_b:
-        return None
-    return k
-
-
-def _exact_multiple(ring, u, v) -> int | None:
-    """Solve u == k * v for an integer k, exactly; None if no solution."""
-    for i, c in enumerate(v):
-        if c != 0:
-            if u[i] % c != 0:
-                return None
-            k = u[i] // c
-            return k if u == ring.scal(k, v) else None
-    return 0 if u == ring.zero else None
+    shear = (ring.one, ring.scal(k, ring.lam), ring.zero, ring.one)
+    return k if proj_eq(ring, m, shear) else None
 
 
 def element_key(word: Word, ctx: GroupContext) -> tuple:

@@ -13,11 +13,11 @@ the cone.  Four cone recipes are implemented:
   Conjugated    base order seen through conjugation by g: w > 1 iff
                 g w g^-1 > 1 in the base order (the cone g^-1 P g).
 
-b-power membership is decided by the unipotent solver b_power_of.
-Equality needs no second test: u = v iff u^-1 v is on neither side of
-the cone, i.e. decide_sign says IDENTITY (or b_power_of gives k = 0).
-The trichotomy suites and the tests (every n in 1..63) hold that
-verdict against the matrix oracle, which stays off the comparison path.
+b-power membership is decided by oracle.b_power_of: one phi pass, plus
+one rho fold when phi(b) divides phi(word).  DehornoyLike, conjugated or
+not, pays that on every comparison; comparisons in DD and DDReversed do
+not touch the oracle.  u = v iff u^-1 v is on neither side of the cone:
+decide_sign says IDENTITY (or k = 0), which the suites check by oracle.
 """
 
 from __future__ import annotations
@@ -213,7 +213,13 @@ def convergence_experiment(
     itself has cone g^-1 P g, whose least positive element is the moved
     copy g^-1 b^-1 g of the base minimum — the minima fields below use
     exactly that order for g = b a.
+
+    Cost: O(k_max^2) letters per element, as the k-th conjugator holds
+    k b-letters (n = 2, four elements, 2-vCPU Xeon: 0.3 s at k_max = 800,
+    2.1 s at 3,200).  k_max < 1, which leaves no verdicts, is a ValueError.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max!r}")
     rows = []
     for w in elements:
         verdicts = []

@@ -17,8 +17,10 @@ from .cone import MIRROR, Sign, decide_sign, expand_handle
 from .context import GroupContext
 from .oracle import element_key, oracle_is_identity
 from .words import (
+    ALPHABET_AB,
     GEN_A,
     GEN_B,
+    SIGNED_LETTERS,
     Word,
     concat,
     enumerate_reduced,
@@ -26,6 +28,7 @@ from .words import (
     gen_power,
     invert,
     is_one_signed,
+    letter_length,
 )
 
 MAX_SUITE_LEN = 12  # the length-12 ball has 1,062,881 words
@@ -196,79 +199,47 @@ def verify_family_identity(m: int, n: int) -> bool:
         gen_power(GEN_A, 1 - n),
         gen_power(GEN_B, -1),
     )
-    sylls = list(w)
     for _ in range(100):
-        hit = None
-        for i in range(len(sylls) - 2):
-            if (
-                sylls[i][0] == GEN_B
-                and sylls[i][1] <= -1
-                and sylls[i + 1] == (GEN_A, m)
-                and sylls[i + 2][0] == GEN_B
-                and sylls[i + 2][1] <= -1
-            ):
-                hit = i
-                break
-        if hit is None:
-            break
-        i = hit
-        replacement = [
-            (GEN_B, sylls[i][1] + 1),
-            (GEN_A, n),
-            (GEN_B, sylls[i + 2][1] + 1),
-        ]
-        sylls = list(
-            concat(tuple(sylls[:i]), tuple(s for s in replacement if s[1] != 0), tuple(sylls[i + 3 :]))
-        )
-    else:
-        return False  # rewrite budget exhausted without reaching a fixpoint
-    return tuple(sylls) == ((GEN_A, 1),)
+        # Syllables alternate generators, so the neighbours of a^m are b-blocks.
+        redex = (i for i in range(1, len(w) - 1) if w[i] == (GEN_A, m) and w[i - 1][1] < 0 and w[i + 1][1] < 0)
+        i = next(redex, None)
+        if i is None:
+            return w == ((GEN_A, 1),)
+        x, y = w[i - 1][1], w[i + 1][1]
+        w = concat(w[: i - 1], gen_power(GEN_B, x + 1), gen_power(GEN_A, n), gen_power(GEN_B, y + 1), w[i + 2 :])
+    return False  # rewrite budget exhausted without reaching a fixpoint
 
 
-@dataclasses.dataclass(frozen=True)
-class CayleyBall:
-    n: int
-    radius: int
-    nodes: tuple  # (word string, verdict string) in BFS discovery order
-    edges: tuple  # (source word, target word, generator name)
-
-
-_BALL_LETTERS = ((GEN_A, 1), (GEN_A, -1), (GEN_B, 1), (GEN_B, -1))
-
-
-def build_cayley_ball(ctx: GroupContext, radius: int) -> CayleyBall:
+def build_cayley_ball(ctx: GroupContext, radius: int) -> dict:
     """BFS ball of the Cayley graph (right multiplication), with one
     node per group element — deduplicated by the exact element key, so
     distinct words for the same element collapse.
-    """
-    start: Word = ()
-    node_word = {element_key(start, ctx): start}
-    order = [start]
-    frontier = [start]
-    for _ in range(radius):
-        new_frontier = []
-        for w in frontier:
-            for letter in _BALL_LETTERS:
-                nxt = concat(w, (letter,))
-                key = element_key(nxt, ctx)
-                if key not in node_word:
-                    node_word[key] = nxt
-                    order.append(nxt)
-                    new_frontier.append(nxt)
-        frontier = new_frontier
 
-    keys = set(node_word)
-    nodes = tuple(
-        (format_word(w), decide_sign(w, ctx).verdict.value) for w in order
-    )
-    edges = []
-    for w in order:
-        for gen, name in ((GEN_A, "a"), (GEN_B, "b")):
-            nxt = concat(w, ((gen, 1),))
+    One pass finds the nodes and the a- and b-edges between them: every
+    element within the radius is found before the last level is scanned,
+    and that level is scanned for a and b only.  The result is the JSON
+    document the export prints: n, radius, the nodes in BFS discovery
+    order and the edges in the order of their source nodes.
+    """
+    name_of = {element_key((), ctx): "1"}
+    words: list[Word] = [()]
+    nodes, edges = [], []
+    for w in words:  # grows while it is scanned: breadth-first order
+        source = format_word(w)
+        nodes.append({"word": source, "verdict": decide_sign(w, ctx).verdict.value})
+        inside = letter_length(w) < radius  # its letter length is its BFS depth
+        for gen, exp in SIGNED_LETTERS:
+            if exp < 0 and not inside:
+                continue
+            nxt = concat(w, ((gen, exp),))
             key = element_key(nxt, ctx)
-            if key in keys:
-                edges.append((format_word(w), format_word(node_word[key]), name))
-    return CayleyBall(n=ctx.n, radius=radius, nodes=nodes, edges=tuple(edges))
+            if inside and key not in name_of:
+                name_of[key] = format_word(nxt)
+                words.append(nxt)
+            if exp > 0 and key in name_of:
+                edge = {"from": source, "to": name_of[key], "generator": ALPHABET_AB[gen], "direction": "right"}
+                edges.append(edge)
+    return {"n": ctx.n, "radius": radius, "nodes": nodes, "edges": edges}
 
 
 _VERDICT_FILL = {
@@ -278,36 +249,25 @@ _VERDICT_FILL = {
 }
 
 
-def render_cayley_dot(ball: CayleyBall) -> str:
-    """Graphviz source; positive elements filled black, negative white,
-    the identity gray — the sign structure is visible at a glance.
+def render_cayley_dot(ball: dict) -> str:
+    """Graphviz source of a build_cayley_ball document; positive
+    elements filled black, negative white, the identity gray — the sign
+    structure is visible at a glance.
     """
     lines = [
-        f"digraph cayley_n{ball.n}_r{ball.radius} {{",
+        f"digraph cayley_n{ball['n']}_r{ball['radius']} {{",
         '  node [shape=circle fontname="monospace"];',
     ]
-    for word, verdict in ball.nodes:
-        fill, font = _VERDICT_FILL[verdict]
-        lines.append(
-            f'  "{word}" [style=filled fillcolor={fill} fontcolor={font}];'
-        )
-    for source, target, gen in ball.edges:
+    for node in ball["nodes"]:
+        word = node["word"]
+        fill, font = _VERDICT_FILL[node["verdict"]]
+        lines.append(f'  "{word}" [style=filled fillcolor={fill} fontcolor={font}];')
+    for edge in ball["edges"]:
+        source, target, gen = edge["from"], edge["to"], edge["generator"]
         color = "black" if gen == "a" else "steelblue"
         lines.append(f'  "{source}" -> "{target}" [label={gen} color={color}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def cayley_ball_dict(ball: CayleyBall) -> dict:
-    return {
-        "n": ball.n,
-        "radius": ball.radius,
-        "nodes": [{"word": w, "verdict": v} for w, v in ball.nodes],
-        "edges": [
-            {"from": s, "to": t, "generator": g, "direction": "right"}
-            for s, t, g in ball.edges
-        ],
-    }
 
 
 def export_cayley_ball(ctx: GroupContext, radius: int, fmt: str) -> str:
@@ -319,5 +279,5 @@ def export_cayley_ball(ctx: GroupContext, radius: int, fmt: str) -> str:
     if fmt == "dot":
         return render_cayley_dot(ball)
     if fmt == "json":
-        return json.dumps(cayley_ball_dict(ball), indent=2, sort_keys=True) + "\n"
+        return json.dumps(ball, indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unknown Cayley export format {fmt!r}")

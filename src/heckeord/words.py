@@ -36,8 +36,6 @@ ALPHABET_SIGMA = ("s1", "s2")
 Syllable = tuple[int, int]
 Word = tuple[Syllable, ...]
 
-IDENTITY_WORD: Word = ()
-
 
 class WordSyntaxError(ValueError):
     """Raised on malformed word text; .offset is the byte offset of the fault."""
@@ -215,16 +213,15 @@ def format_word(word: Word, alphabet: tuple[str, str] = ALPHABET_AB) -> str:
 
 
 # Letters in enumeration order: a, a^-1, b, b^-1.
-_SIGNED_LETTERS: tuple[Syllable, ...] = ((GEN_A, 1), (GEN_A, -1), (GEN_B, 1), (GEN_B, -1))
-_POSITIVE_LETTERS: tuple[Syllable, ...] = ((GEN_A, 1), (GEN_B, 1))
+SIGNED_LETTERS: tuple[Syllable, ...] = ((GEN_A, 1), (GEN_A, -1), (GEN_B, 1), (GEN_B, -1))
 
 
-def enumerate_reduced(max_len: int, signed: bool = True) -> Iterator[Word]:
+def enumerate_reduced(max_len: int) -> Iterator[Word]:
     """Yield all freely reduced words of letter length <= max_len.
 
     Order: by length, then lexicographically in the letter order
-    a < a^-1 < b < b^-1.  The identity comes first.  With signed=False
-    only positive letters are used (the free monoid on a, b).
+    a < a^-1 < b < b^-1.  The identity comes first.  Each length is
+    built as one list from the list of the length before.
 
     There are 4 * 3^(L-1) reduced words of length L >= 1, so max_len=8
     yields 1 + 4 + 12 + ... + 8748 = 13121 words.
@@ -234,30 +231,16 @@ def enumerate_reduced(max_len: int, signed: bool = True) -> Iterator[Word]:
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
+    level: list[Word] = [()]
     yield ()
-    letters = _SIGNED_LETTERS if signed else _POSITIVE_LETTERS
-
-    def extend(prefix: list[Syllable], length: int, target: int) -> Iterator[Word]:
-        for gen, exp in letters:
-            if prefix and prefix[-1][0] == gen and prefix[-1][1] * exp < 0:
-                continue  # would cancel: not freely reduced
-            if prefix and prefix[-1][0] == gen:
-                prefix[-1] = (gen, prefix[-1][1] + exp)
-                popped: Syllable | None = (gen, prefix[-1][1] - exp)
-            else:
-                prefix.append((gen, exp))
-                popped = None
-            if length + 1 == target:
-                yield tuple(prefix)
-            else:
-                yield from extend(prefix, length + 1, target)
-            if popped is None:
-                prefix.pop()
-            else:
-                prefix[-1] = popped
-
-    for target in range(1, max_len + 1):
-        yield from extend([], 0, target)
+    for _ in range(max_len):
+        level = [
+            w[:-1] + ((gen, w[-1][1] + exp),) if w and w[-1][0] == gen else w + ((gen, exp),)
+            for w in level
+            for gen, exp in SIGNED_LETTERS
+            if not w or w[-1][0] != gen or w[-1][1] * exp > 0
+        ]
+        yield from level
 
 
 def is_one_signed(word: Word) -> bool:

@@ -1,5 +1,7 @@
 """Shared test configuration: hypothesis profile and word strategies."""
 
+import itertools
+
 from hypothesis import HealthCheck, settings, strategies as st
 
 from heckeord.words import GEN_A, GEN_B, concat, invert, word_from_syllables
@@ -26,6 +28,15 @@ def syllable_lists(max_syllables: int = 6, max_exp: int = 4):
 def words(max_syllables: int = 6, max_exp: int = 4):
     """Freely reduced words built from random syllable lists."""
     return syllable_lists(max_syllables, max_exp).map(word_from_syllables)
+
+
+def positive_words(max_len: int):
+    """Every positive word of at most max_len letters (the free monoid on
+    a, b), by length, a before b."""
+    letters = ((GEN_A, 1), (GEN_B, 1))
+    for length in range(max_len + 1):
+        for spelling in itertools.product(letters, repeat=length):
+            yield word_from_syllables(spelling)
 
 
 def relator(n: int):

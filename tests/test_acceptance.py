@@ -246,11 +246,11 @@ def test_criterion_09_klein_bottle_closed_form_cross_check():
         problems.append(f"{mismatches} cascade/closed-form mismatches")
 
     ball = build_cayley_ball(ctx, 2)
-    if len(ball.nodes) != 13:
-        problems.append(f"radius-2 graph has {len(ball.nodes)} nodes, want 13")
-    positives = {word for word, verdict in ball.nodes if verdict == "positive"}
+    if len(ball["nodes"]) != 13:
+        problems.append(f"radius-2 graph has {len(ball['nodes'])} nodes, want 13")
+    positives = {node["word"] for node in ball["nodes"] if node["verdict"] == "positive"}
     cone_members = {
-        word for word, _ in ball.nodes if klein_sign(parse_word(word)) > 0
+        node["word"] for node in ball["nodes"] if klein_sign(parse_word(node["word"])) > 0
     }
     if positives != cone_members:
         problems.append(f"positives {sorted(positives)} != cone {sorted(cone_members)}")

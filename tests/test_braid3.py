@@ -33,6 +33,7 @@ from heckeord.words import (
     word_from_syllables,
 )
 
+from conftest import positive_words
 from reference_braid3 import (
     ABAR,
     BBAR,
@@ -176,7 +177,7 @@ class TestConeCertificates:
     def test_certificates_imply_projective_nontriviality(self):
         ring = ring_of(CTX2)
         certified = 0
-        for w in enumerate_reduced(6, signed=False):
+        for w in positive_words(6):
             cert = cone_certify_b3(w)
             if cert is not None:
                 certified += 1
@@ -210,7 +211,7 @@ class TestAgainstReference:
         assert tuple(x for (x,) in reversed(rho(w, CTX2))) == integer_model(w)
 
     def test_same_certificate_on_every_positive_word_up_to_12_letters(self):
-        words = list(enumerate_reduced(12, signed=False))
+        words = list(positive_words(12))
         assert len(words) == 8191
         for w in words:
             expected = certificate_or_error(reference_cone_certify_b3, w)
@@ -224,7 +225,7 @@ class TestAgainstReference:
     def test_same_cyclic_reduction_on_short_words(self):
         # Below 6 letters every rotation is tried; a^2 b^2, a^2 b a b and
         # a^2 b^3 need that.
-        for w in enumerate_reduced(8, signed=False):
+        for w in positive_words(8):
             assert_same_cyclic_reduction(w)
 
 

@@ -249,6 +249,13 @@ class TestExitCodes:
         assert code == 2
         assert "--jobs" in err
 
+    @pytest.mark.parametrize("kmax", ["0", "-3"])
+    def test_converge_kmax_below_one_is_2(self, capsys, kmax):
+        code, out, err = run(capsys, "converge", "--kmax", kmax, "--plain")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: k_max must be >= 1, got {kmax}\n"
+
     @pytest.mark.parametrize("name", ["missing.txt", "."])
     def test_unreadable_elems_file_is_2(self, capsys, tmp_path, name):
         code, out, err = run(capsys, "converge", "--elems", str(tmp_path / name))

@@ -1,9 +1,11 @@
 """Matrix/abelianization oracle and group contexts."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import words
+from conftest import relator, trivial_words, words
 from heckeord import oracle
 from heckeord.algebra import mat_identity, mat_mul, mat_neg, mat_pow, proj_eq, proj_is_identity
 from heckeord.context import GroupContext, group_context, ring_of
@@ -269,6 +271,103 @@ class TestBPower:
         ctx = group_context(2)
         w = conjugate(parse_word("a"), parse_word("b"))  # a b a^-1 = a^-1 b^-1
         assert b_power_of(w, ctx) is None
+
+
+def reference_b_power_of(word, ctx):
+    """The b-power test matrix first, kept as the reference for
+    b_power_of: k is read off the top-right entry of rho(word) by exact
+    division by lam, and phi is checked last."""
+    if ctx.n == 1:
+        t, s = klein_pair(word)
+        return s if t == 0 else None
+    ring = ring_of(ctx)
+    m = rho(word, ctx)
+    if m[2] != ring.zero:
+        return None
+    one, neg_one = ring.one, ring.neg(ring.one)
+    if m[0] == one and m[3] == one:
+        off = m[1]
+    elif m[0] == neg_one and m[3] == neg_one:
+        off = ring.neg(m[1])
+    else:
+        return None
+    k = exact_multiple(ring, off, ring.lam)
+    if k is None:
+        return None
+    if phi(word, ctx) != k * ctx.phi_b:
+        return None
+    return k
+
+
+def exact_multiple(ring, u, v):
+    """Solve u == k * v for an integer k, exactly; None if no solution."""
+    for i, c in enumerate(v):
+        if c != 0:
+            if u[i] % c != 0:
+                return None
+            k = u[i] // c
+            return k if u == ring.scal(k, v) else None
+    return 0 if u == ring.zero else None
+
+
+def b_power_probes(n, ks, gs, xs):
+    """Words for the b-power differential at G_n: b^k; g b^k g^-1, a
+    b-power when g is in <b>; b^k with a relator conjugate x r^+-1 x^-1
+    on either side; b^k delta^j, j != 0, whose matrix is +-rho(b)^k
+    while phi rules it out."""
+    for k in ks:
+        bk = gen_power(GEN_B, k)
+        yield bk
+        for g in gs:
+            yield conjugate(g, bk)
+        for x in xs:
+            for r in (relator(n), invert(relator(n))):
+                yield concat(bk, conjugate(x, r))
+                yield concat(conjugate(x, r), bk)
+        for j in (-2, -1, 1, 2):
+            yield concat(bk, gen_power(GEN_A, (n + 1) * j))
+
+
+@st.composite
+def b_power_cases(draw):
+    """(n, word): b^k, g b^k g^-1 with relator conjugates inside,
+    b^k delta^j with j != 0, or a random word."""
+    n = draw(st.integers(min_value=1, max_value=63))
+    k = draw(st.integers(min_value=-300, max_value=300))
+    bk = gen_power(GEN_B, k)
+    kind = draw(st.sampled_from(("power", "conjugate", "central", "random")))
+    if kind == "power":
+        return n, bk
+    if kind == "conjugate":
+        g = draw(st.one_of(words(3), st.integers(-9, 9).map(lambda j: gen_power(GEN_B, j))))
+        return n, conjugate(g, concat(draw(trivial_words(n)), bk, draw(trivial_words(n))))
+    if kind == "central":
+        j = draw(st.integers(min_value=-3, max_value=3).filter(bool))
+        return n, concat(bk, draw(trivial_words(n)), gen_power(GEN_A, (n + 1) * j))
+    return n, draw(words(8, 2 * n + 3))
+
+
+class TestBPowerAgainstReference:
+    """b_power_of against reference_b_power_of, n = 1..63."""
+
+    def test_sweep_of_powers_and_near_misses(self):
+        gs, xs = list(enumerate_reduced(2)), list(enumerate_reduced(1))
+        checked = powers = 0
+        for n in range(1, 64):
+            ctx = group_context(n)
+            for w in itertools.chain(enumerate_reduced(3), b_power_probes(n, range(-5, 6), gs, xs)):
+                got = b_power_of(w, ctx)
+                assert got == reference_b_power_of(w, ctx), (n, format_word(w))
+                checked += 1
+                powers += got is not None
+        assert checked >= 30000 and powers >= 10000, (checked, powers)
+
+    @settings(max_examples=150)
+    @given(b_power_cases())
+    def test_random_words(self, case):
+        n, w = case
+        ctx = group_context(n)
+        assert b_power_of(w, ctx) == reference_b_power_of(w, ctx), (n, format_word(w))
 
 
 class TestKleinClosedForm:

@@ -193,6 +193,11 @@ class TestConvergence:
         assert report.minima_distinct
         assert not oracle_equal(report.min_conjugated, report.min_dehornoy_like, CTX2)
 
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_k_max_below_one_raises(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            convergence_experiment(CTX2, (parse_word("a"),), k_max=k_max)
+
     def test_unstable_rows_are_reported_as_none(self):
         # The moved copies of a^-1 are the inverses of the moved copies of
         # a (which are positive words), so every verdict is False.

@@ -12,7 +12,6 @@ from heckeord.context import group_context
 from heckeord.oracle import element_key, oracle_is_identity
 from heckeord.suites import (
     build_cayley_ball,
-    cayley_ball_dict,
     export_cayley_ball,
     render_cayley_dot,
     run_identity_suite,
@@ -40,9 +39,20 @@ class TestTrichotomySuite:
         assert report.counts["identity"] == 1
         assert report.ok
 
-    def test_parallel_run_matches_serial(self):
+    def test_parallel_run_matches_serial(self, monkeypatch):
+        # Wrong verdicts planted on three ball words give a report whose
+        # violations follow the order of the rows the pool returns.  The
+        # workers are forked, so they inherit the patched module.
+        real = suites.decide_sign
+        planted = {parse_word("a b"), parse_word("b^-1 a"), parse_word("a^-2 b^2")}
+
+        def broken(word, ctx):
+            return SignResult(Sign.IDENTITY, (), 0) if word in planted else real(word, ctx)
+
+        monkeypatch.setattr(suites, "decide_sign", broken)
         serial = run_trichotomy_suite(CTX2, 4, jobs=1)
         parallel = run_trichotomy_suite(CTX2, 4, jobs=2)
+        assert len({word for word, _, _ in serial.violations}) >= 2
         assert serial.counts == parallel.counts
         assert serial.violations == parallel.violations
         assert serial.total_words == parallel.total_words
@@ -127,7 +137,7 @@ class TestFamilyIdentity:
 class TestCayleyBall:
     def test_radius_one_n2(self):
         ball = build_cayley_ball(CTX2, 1)
-        assert [node for node in ball.nodes] == [
+        assert [(node["word"], node["verdict"]) for node in ball["nodes"]] == [
             ("1", "identity"),
             ("a", "positive"),
             ("a^-1", "negative"),
@@ -137,17 +147,18 @@ class TestCayleyBall:
 
     def test_klein_radius_two_size(self):
         ball = build_cayley_ball(group_context(1), 2)
-        assert len(ball.nodes) == 13
-        assert sum(1 for _, v in ball.nodes if v == "positive") == 6
+        assert len(ball["nodes"]) == 13
+        assert sum(1 for node in ball["nodes"] if node["verdict"] == "positive") == 6
 
     def test_nodes_are_pairwise_distinct_elements(self):
         ball = build_cayley_ball(CTX2, 3)
-        keys = [element_key(parse_word(w), CTX2) for w, _ in ball.nodes]
+        keys = [element_key(parse_word(node["word"]), CTX2) for node in ball["nodes"]]
         assert len(set(keys)) == len(keys)
 
     def test_edges_connect_oracle_correct_neighbours(self):
         ball = build_cayley_ball(CTX2, 2)
-        for source, target, gen in ball.edges:
+        for edge in ball["edges"]:
+            source, target, gen = edge["from"], edge["to"], edge["generator"]
             step = concat(parse_word(source), parse_word(gen))
             assert oracle_is_identity(
                 concat(invert(step), parse_word(target)), CTX2
@@ -167,7 +178,7 @@ class TestCayleyBall:
         doc = json.loads(out1)
         assert doc["n"] == 2 and doc["radius"] == 2
         assert {"from", "to", "generator", "direction"} == set(doc["edges"][0])
-        assert cayley_ball_dict(build_cayley_ball(CTX2, 2)) == doc
+        assert build_cayley_ball(CTX2, 2) == doc
 
     def test_bad_format_and_radius(self):
         with pytest.raises(ValueError):

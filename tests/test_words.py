@@ -169,12 +169,6 @@ class TestEnumeration:
         names = [format_word(w) for w in enumerate_reduced(1)]
         assert names == ["1", "a", "a^-1", "b", "b^-1"]
 
-    def test_positive_only_enumeration(self):
-        ball = list(enumerate_reduced(3, signed=False))
-        assert all(w == () or is_positive_word(w) for w in ball)
-        # 2^L positive words of length L: 1 + 2 + 4 + 8.
-        assert len(ball) == 15
-
     def test_negative_max_len_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_reduced(-1))
