@@ -58,6 +58,9 @@ CASES = [
     *_both("oracle", "--n", "2", "a^3"),
     *_both("oracle", "--n", "5", "a b a^-1 b^-1"),
     *_both("oracle", "--n", "1", "b a b"),
+    *_both("oracle", "--n", "2", "b a^2 b a^-1"),
+    *_both("oracle", "--n", "3", "a^8"),
+    *_both("oracle", "--n", "63", "a^64"),
     *_both("ctx", "--n", "2"),
     *_both("ctx", "--n", "1"),
     *_both("ctx", "--n", "63"),
@@ -81,6 +84,7 @@ CASES = [
     ["cayley", "--n", "1", "--radius", "2"],
     ["cayley", "--n", "2", "--radius", "1", "--format", "json"],
     ["cayley", "--n", "2", "--radius", "1", "--format", "dot", "--plain"],
+    ["cayley", "--n", "5", "--radius", "3", "--format", "json"],
     ["--help"],
     *(
         [name, "--help"]
