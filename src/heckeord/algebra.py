@@ -224,25 +224,3 @@ def mat_pow(ring: CosRing, x: Mat2, e: int) -> Mat2:
 def mat_neg(ring: CosRing, x: Mat2) -> Mat2:
     return (ring.neg(x[0]), ring.neg(x[1]), ring.neg(x[2]), ring.neg(x[3]))
 
-
-def proj_eq(ring: CosRing, x: Mat2, y: Mat2) -> bool:
-    """Equality in PGL2: x == y or x == -y, entrywise exactly."""
-    return x == y or x == mat_neg(ring, y)
-
-
-def proj_is_identity(ring: CosRing, x: Mat2) -> bool:
-    return proj_eq(ring, x, mat_identity(ring))
-
-
-def mat_canonical_sign(ring: CosRing, x: Mat2) -> Mat2:
-    """The canonical representative of {x, -x}: first nonzero coeff > 0.
-
-    Used to key group elements by their projective image.
-    """
-    for entry in x:
-        for c in entry:
-            if c > 0:
-                return x
-            if c < 0:
-                return mat_neg(ring, x)
-    return x

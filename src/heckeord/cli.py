@@ -4,9 +4,10 @@ COMMANDS maps each subcommand to (help text, own arguments, run); run
 returns (payload, plain lines, exit status) for main to print as JSON
 or, with --plain, as text.  Exit status: 0 clean; 1 violations found or
 a witness failed its oracle check; 2 usage or parse error, also an
-unreadable --elems file or suite --max-len outside 0..12; 3 internal
-error (RewriteLimitError, ReductionStuck, NormalFormError, CertificateError
-from a b3 cone certificate): a bug, reported as one JSON line on stderr.
+unreadable --elems file, suite --max-len outside 0..12 or converge
+--kmax outside 1..1000; 3 internal error (RewriteLimitError,
+ReductionStuck, NormalFormError, CertificateError from a b3 cone
+certificate): a bug, reported as one JSON line on stderr.
 """
 
 import argparse

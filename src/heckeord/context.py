@@ -2,14 +2,14 @@
 
 Each n >= 1 gives a one-relator group G_n with infinite cyclic center
 generated by delta = a^(n+1).  The quotient G_n / <delta> is the Hecke
-triangle group of the (n+1)-gon, which is where the 2x2 matrices over
-Z[2cos(pi/(n+1))] in `oracle` live.
+triangle group of the (n+1)-gon.  The 2x2 matrices over
+Z[2cos(pi/(n+1))] in `oracle` represent G_n itself in SL2, with
+rho(delta) = -I, so they see delta only mod 2.
 
 The abelianization of G_n is Z^2 / (a^(n-1) b^2): a surjection
 phi: G_n -> Z picks out the quotient by the torsion part, with
 phi(a) = 2/d and phi(b) = -(n-1)/d for d = gcd(n-1, 2).  phi(delta) =
-(n+1) phi(a) != 0, so phi separates central powers — exactly the
-coordinate the projective matrices cannot see.
+(n+1) phi(a) != 0, so phi separates all central powers delta^j.
 """
 
 from __future__ import annotations

@@ -5,13 +5,17 @@ G_n = < a, b | b a^n b = a > maps onto the Hecke group of the q-gon
 
     rho(a) = [[lam, -1], [1, 0]],    rho(b) = [[1, lam], [0, 1]],
 
-with lam = 2cos(pi/q).  One checks rho(b a^n b) = +-rho(a) projectively
-and rho(a)^q = +-identity, so rho kills exactly the central subgroup
-<delta>, delta = a^q, when n >= 2.  Pairing rho with the abelianized
-coordinate phi (which does see delta: phi(delta) = q * phi(a) != 0)
-yields an exact identity test:
+with lam = 2cos(pi/q).  rho is an honest homomorphism into SL2: the
+relator goes exactly to the identity, rho(b a^n b a^-1) = I, and rho(a)
+is a rotation with rho(a)^q = -I, so the central element delta = a^q
+has rho(delta) = -I.  Up to sign rho kills exactly <delta> (n >= 2), so
+rho itself sees delta only mod 2.  Pairing rho with the abelianized
+coordinate phi (which separates central powers: phi(delta) = q * phi(a)
+!= 0) yields an exact identity test:
 
-    w = 1 in G_n   <=>   rho(w) == +-I  and  phi(w) == 0     (n >= 2).
+    w = 1 in G_n   <=>   phi(w) == 0  and  rho(w) == I     (n >= 2),
+
+and two words are the same element exactly when their (rho, phi) agree.
 
 For n = 1 the matrix side degenerates: q = 2 gives lam = 0, so rho(b)
 is the identity matrix, and phi(b) = 0 too — the pair is blind to b.
@@ -33,14 +37,7 @@ Everything here is computed with integer arithmetic only.
 
 from __future__ import annotations
 
-from .algebra import (
-    Mat2,
-    mat_canonical_sign,
-    mat_identity,
-    mat_neg,
-    proj_eq,
-    proj_is_identity,
-)
+from .algebra import Mat2, mat_identity, mat_neg
 from .context import GroupContext, ring_of
 from .words import GEN_A, GEN_B, Word
 
@@ -129,29 +126,28 @@ def klein_sign(word: Word) -> int:
     return 0
 
 
-def oracle_is_identity(word: Word, ctx: GroupContext, folded: Mat2 | None = None) -> bool:
+def oracle_is_identity(word: Word, ctx: GroupContext) -> bool:
     """Exact word-problem test, independent of all rewriting code.
 
-    n >= 2: projective matrix identity plus phi = 0.
+    n >= 2: phi = 0, then rho(word) == I (rho runs only when phi = 0).
     n == 1: Klein bottle closed form (the matrix pair is blind to b there).
-    rho is folded only when phi = 0, and not at all if folded = rho(word).
     """
     if ctx.n == 1:
         return klein_pair(word) == (0, 0)
-    if phi(word, ctx) != 0:
-        return False
-    ring = ring_of(ctx)
-    return proj_is_identity(ring, rho(word, ctx) if folded is None else folded)
+    return phi(word, ctx) == 0 and rho(word, ctx) == mat_identity(ring_of(ctx))
 
 
 def oracle_report(word: Word, ctx: GroupContext) -> tuple[bool, bool, int]:
     """(identity, rho_is_identity, phi) of a word, folding rho once.
 
-    identity is oracle_is_identity's answer; rho_is_identity alone says
-    rho(word) = +-I, which for n >= 2 also holds on central powers.
+    identity is oracle_is_identity's answer; rho_is_identity says
+    rho(word) = +-I, the projective identity, which for n >= 2 also
+    holds on every central power delta^j.
     """
-    m = rho(word, ctx)
-    return oracle_is_identity(word, ctx, m), proj_is_identity(ring_of(ctx), m), phi(word, ctx)
+    ring, m, value = ring_of(ctx), rho(word, ctx), phi(word, ctx)
+    ident = mat_identity(ring)
+    identity = klein_pair(word) == (0, 0) if ctx.n == 1 else (value == 0 and m == ident)
+    return identity, m in (ident, mat_neg(ring, ident)), value
 
 
 def oracle_equal(u: Word, v: Word, ctx: GroupContext) -> bool:
@@ -166,8 +162,8 @@ def b_power_of(word: Word, ctx: GroupContext) -> int | None:
 
     For n >= 2, phi(b) != 0, so k = phi(word) / phi(b) is the only
     candidate; word = b^k then holds exactly when rho(word) is the shear
-    rho(b)^k = [[1, k lam], [0, 1]] up to sign, since (rho, phi) is
-    faithful.  rho is folded only when phi(b) divides phi(word).
+    rho(b)^k = [[1, k lam], [0, 1]], since (rho, phi) is faithful.  rho
+    runs only when phi(b) divides phi(word).
 
     >>> from heckeord.context import group_context
     >>> b_power_of(((GEN_B, -3),), group_context(2))
@@ -182,21 +178,17 @@ def b_power_of(word: Word, ctx: GroupContext) -> int | None:
     if rest:
         return None
     ring = ring_of(ctx)
-    m = rho(word, ctx)
-    if m[2] != ring.zero:  # cheap early exit: most non-powers fail here
-        return None
     shear = (ring.one, ring.scal(k, ring.lam), ring.zero, ring.one)
-    return k if proj_eq(ring, m, shear) else None
+    return k if rho(word, ctx) == shear else None
 
 
 def element_key(word: Word, ctx: GroupContext) -> tuple:
     """A perfect invariant of the group element represented by word.
 
-    n >= 2: sign-canonicalized projective matrix plus phi (faithful,
-    since ker rho = <delta> and phi separates central powers).
+    n >= 2: the matrix plus phi (faithful, since rho is a homomorphism
+    whose kernel lies in <delta> and phi separates central powers).
     n == 1: the Klein pair.
     """
     if ctx.n == 1:
         return klein_pair(word)
-    ring = ring_of(ctx)
-    return (mat_canonical_sign(ring, rho(word, ctx)), phi(word, ctx))
+    return (rho(word, ctx), phi(word, ctx))

@@ -214,12 +214,15 @@ def convergence_experiment(
     copy g^-1 b^-1 g of the base minimum — the minima fields below use
     exactly that order for g = b a.
 
-    Cost: O(k_max^2) letters per element, as the k-th conjugator holds
+    Cost: O(elements * k_max^2) letters, as the k-th conjugator holds
     k b-letters (n = 2, four elements, 2-vCPU Xeon: 0.3 s at k_max = 800,
-    2.1 s at 3,200).  k_max < 1, which leaves no verdicts, is a ValueError.
+    2.1 s at 3,200).  k_max < 1, which leaves no verdicts, and k_max >
+    1000, which would run for minutes, are a ValueError.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max!r}")
+    if k_max > 1000:
+        raise ValueError(f"k_max must be <= 1000, got {k_max!r}")
     rows = []
     for w in elements:
         verdicts = []

@@ -9,16 +9,12 @@ from heckeord import algebra
 from heckeord.algebra import (
     CosRing,
     cyclotomic,
-    mat_canonical_sign,
     mat_identity,
     mat_mul,
-    mat_neg,
     mat_pow,
     min_poly_2cos_pi_over,
     poly_divmod_exact,
     poly_trim,
-    proj_eq,
-    proj_is_identity,
 )
 
 # Small-degree cyclotomic polynomials, low degree first (classical table).
@@ -252,20 +248,3 @@ class TestMatrices:
 
         check()
 
-    def test_projective_equality(self):
-        ring = self.ring
-        x = (ring.lam, ring.one, ring.zero, ring.one)
-        assert proj_eq(ring, x, mat_neg(ring, x))
-        assert proj_is_identity(ring, mat_neg(ring, mat_identity(ring)))
-        assert not proj_is_identity(ring, x)
-
-    def test_canonical_sign(self):
-        ring = self.ring
-
-        @given(self.mats())
-        def check(x):
-            canon = mat_canonical_sign(ring, x)
-            assert canon in (x, mat_neg(ring, x))
-            assert mat_canonical_sign(ring, mat_neg(ring, x)) == canon
-
-        check()

@@ -20,7 +20,7 @@ from heckeord.braid3 import (
 from heckeord.context import group_context
 from heckeord.oracle import oracle_is_identity, rho
 from heckeord.orderings import DehornoyLike, is_positive
-from heckeord.algebra import proj_is_identity
+from heckeord.algebra import mat_identity, mat_neg
 from heckeord.context import ring_of
 from heckeord.normalform import NormalForm, to_normal_form
 from heckeord.words import (
@@ -59,9 +59,9 @@ class TestMatrixAnchors:
 
     def test_ring_matrices(self):
         ring = ring_of(CTX2)
-        assert proj_is_identity(ring, rho(parse_word("a^3"), CTX2))
-        lhs = rho(parse_word("b a^2 b"), CTX2)
-        assert lhs == rho(parse_word("a"), CTX2)  # exact, not just projective
+        ident = mat_identity(ring)
+        assert rho(parse_word("a^3"), CTX2) == mat_neg(ring, ident)  # like abar^3
+        assert rho(parse_word("b a^2 b a^-1"), CTX2) == ident  # exact, not just projective
 
     def test_realizations_are_distinct_but_agree_projectively_on_the_relator(self):
         # Two different matrix models of the same group: entries differ...
@@ -176,12 +176,13 @@ class TestConeCertificates:
 
     def test_certificates_imply_projective_nontriviality(self):
         ring = ring_of(CTX2)
+        plus_minus_identity = (mat_identity(ring), mat_neg(ring, mat_identity(ring)))
         certified = 0
         for w in positive_words(6):
             cert = cone_certify_b3(w)
             if cert is not None:
                 certified += 1
-                assert not proj_is_identity(ring, rho(w, CTX2)), w
+                assert rho(w, CTX2) not in plus_minus_identity, w
                 assert not oracle_is_identity(w, CTX2)
         assert certified > 50  # the certificate covers most of the ball
 

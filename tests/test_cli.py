@@ -256,6 +256,12 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: k_max must be >= 1, got {kmax}\n"
 
+    def test_converge_kmax_above_1000_is_2(self, capsys):
+        code, out, err = run(capsys, "converge", "--kmax", "1001", "--plain")
+        assert code == 2
+        assert out == ""
+        assert err == "error: k_max must be <= 1000, got 1001\n"
+
     @pytest.mark.parametrize("name", ["missing.txt", "."])
     def test_unreadable_elems_file_is_2(self, capsys, tmp_path, name):
         code, out, err = run(capsys, "converge", "--elems", str(tmp_path / name))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import relator, trivial_words, words
 from heckeord import oracle
-from heckeord.algebra import mat_identity, mat_mul, mat_neg, mat_pow, proj_eq, proj_is_identity
+from heckeord.algebra import mat_identity, mat_mul, mat_neg, mat_pow
 from heckeord.context import GroupContext, group_context, ring_of
 from heckeord.oracle import (
     b_power_of,
@@ -62,20 +62,38 @@ class TestContext:
         assert ring_of(group_context(4)) is ring_of(group_context(4))
 
 
+def proj_eq(ring, x, y):
+    """Equality in PGL2: x == y or x == -y.  The oracle compares rho
+    exactly; this test-only helper states what holds only up to sign."""
+    return x == y or x == mat_neg(ring, y)
+
+
+def test_rho_is_an_sl2_representation_for_every_n():
+    # Exact, not projective: the relator goes to +I and delta = a^(n+1)
+    # to -I, so (rho, phi) keys need no sign canonicalisation.
+    for n in range(1, 64):
+        ctx = group_context(n)
+        ring = ring_of(ctx)
+        ident = mat_identity(ring)
+        assert rho(relator(n), ctx) == ident, n
+        assert rho(gen_power(GEN_A, n + 1), ctx) == mat_neg(ring, ident), n
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 class TestRepresentation:
     def test_relator_projectively(self, n):
+        # Projectively and exactly: rho(b a^n b) == rho(a).
         ctx = group_context(n)
-        ring = ring_of(ctx)
         lhs = rho(parse_word(f"b a^{n} b"), ctx)
-        assert proj_eq(ring, lhs, rho(parse_word("a"), ctx))
+        assert lhs == rho(parse_word("a"), ctx)
 
     def test_a_has_projective_order_q(self, n):
         ctx = group_context(n)
         ring = ring_of(ctx)
-        assert proj_is_identity(ring, rho(gen_power(GEN_A, ctx.q), ctx))
-        if n >= 2:
-            assert not proj_is_identity(ring, rho(gen_power(GEN_A, 1), ctx))
+        ident = mat_identity(ring)
+        assert rho(gen_power(GEN_A, ctx.q), ctx) == mat_neg(ring, ident)
+        for e in range(1, ctx.q):
+            assert not proj_eq(ring, rho(gen_power(GEN_A, e), ctx), ident), e
 
     def test_b_is_parabolic(self, n):
         ctx = group_context(n)
@@ -88,9 +106,12 @@ class TestRepresentation:
         ctx = group_context(n)
         ring = ring_of(ctx)
         delta = gen_power(GEN_A, ctx.q)
-        assert proj_is_identity(ring, rho(delta, ctx))
+        # rho sees delta only mod 2: rho(delta) = -I, rho(delta^2) = +I.
+        assert rho(delta, ctx) == mat_neg(ring, mat_identity(ring))
+        assert rho(concat(delta, delta), ctx) == mat_identity(ring)
         assert phi(delta, ctx) == ctx.q * ctx.phi_a != 0
         assert not oracle_is_identity(delta, ctx)
+        assert not oracle_is_identity(concat(delta, delta), ctx)
 
     def test_phi_is_a_homomorphism(self, n):
         ctx = group_context(n)
@@ -173,6 +194,7 @@ class TestIdentityDecision:
         # Each ball word, a conjugate of the relator (the identity) and a
         # central multiple (rho-trivial part, but not 1 for n >= 2).
         ctx = group_context(n)
+        ring = ring_of(ctx)
         relator = concat(parse_word(f"b a^{n} b"), parse_word("a^-1"))
         delta = gen_power(GEN_A, ctx.q)
         for w in enumerate_reduced(3):
@@ -180,7 +202,7 @@ class TestIdentityDecision:
             for word, want in cases:
                 identity, projective, value = oracle_report(word, ctx)
                 assert identity is want, (n, format_word(word))
-                assert projective == proj_is_identity(ring_of(ctx), rho(word, ctx))
+                assert projective == proj_eq(ring, rho(word, ctx), mat_identity(ring))
                 assert value == phi(word, ctx)
 
     def test_rho_is_folded_only_when_phi_vanishes(self, monkeypatch):
@@ -194,11 +216,14 @@ class TestIdentityDecision:
         assert len(calls) == 1
 
     def test_central_power_is_not_identity(self):
-        # rho alone cannot see delta; phi must catch it.
+        # rho sees delta only mod 2; phi must catch delta^2.
         ctx = group_context(2)
-        assert proj_is_identity(ring_of(ctx), rho(parse_word("a^3"), ctx))
+        ring = ring_of(ctx)
+        assert rho(parse_word("a^3"), ctx) == mat_neg(ring, mat_identity(ring))
         assert phi(parse_word("a^3"), ctx) == 6
         assert not oracle_is_identity(parse_word("a^3"), ctx)
+        assert rho(parse_word("a^6"), ctx) == mat_identity(ring)
+        assert not oracle_is_identity(parse_word("a^6"), ctx)
 
     def test_empty_word(self):
         for n in (1, 2, 3):
@@ -274,25 +299,17 @@ class TestBPower:
 
 
 def reference_b_power_of(word, ctx):
-    """The b-power test matrix first, kept as the reference for
-    b_power_of: k is read off the top-right entry of rho(word) by exact
-    division by lam, and phi is checked last."""
+    """The b-power test matrix first and projective, kept as the
+    reference for the exact b_power_of: k is read off the top-right
+    entry of +-rho(word) by exact division by lam, rho(word) must be
+    the shear rho(b)^k up to sign, and phi is checked last."""
     if ctx.n == 1:
         t, s = klein_pair(word)
         return s if t == 0 else None
     ring = ring_of(ctx)
     m = rho(word, ctx)
-    if m[2] != ring.zero:
-        return None
-    one, neg_one = ring.one, ring.neg(ring.one)
-    if m[0] == one and m[3] == one:
-        off = m[1]
-    elif m[0] == neg_one and m[3] == neg_one:
-        off = ring.neg(m[1])
-    else:
-        return None
-    k = exact_multiple(ring, off, ring.lam)
-    if k is None:
+    k = exact_multiple(ring, m[1] if m[0] == ring.one else ring.neg(m[1]), ring.lam)
+    if k is None or not proj_eq(ring, m, (ring.one, ring.scal(k, ring.lam), ring.zero, ring.one)):
         return None
     if phi(word, ctx) != k * ctx.phi_b:
         return None
@@ -398,6 +415,14 @@ class TestKleinClosedForm:
         assert klein_pair(concat(u, v)) == (tu + tv, sv + (su if tv % 2 == 0 else -su))
 
 
+def projective_key(word, ctx):
+    """Test-only projective element key: rho up to sign, made canonical
+    by a positive first nonzero coefficient, paired with phi."""
+    m = rho(word, ctx)
+    first = next(c for entry in m for c in entry if c)
+    return (m if first > 0 else mat_neg(ring_of(ctx), m), phi(word, ctx))
+
+
 class TestElementKey:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_key_constant_on_equal_words(self, n):
@@ -421,3 +446,18 @@ class TestElementKey:
                 same_key = keys[i] == keys[j]
                 same_elt = oracle_is_identity(concat(invert(u), ball[j]), ctx)
                 assert same_key == same_elt, (format_word(u), format_word(ball[j]))
+
+    @pytest.mark.parametrize(
+        ("n", "radius", "classes"),
+        [(2, 7, 711), (3, 7, 1379), (5, 7, 2449), (7, 7, 2829), (63, 6, 1129)],
+    )
+    def test_exact_key_classes_match_projective_key(self, n, radius, classes):
+        # The exact (rho, phi) key and the sign-canonical projective key
+        # split the ball into the same classes, first representative
+        # for first representative.
+        ctx = group_context(n)
+        exact, projective = {}, {}
+        for w in enumerate_reduced(radius):
+            first = exact.setdefault(element_key(w, ctx), w)
+            assert first == projective.setdefault(projective_key(w, ctx), w), (n, format_word(w))
+        assert len(exact) == len(projective) == classes

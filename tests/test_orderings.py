@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import trivial_words, words
+from heckeord import orderings
 from heckeord.context import group_context
 from heckeord.oracle import element_key, oracle_equal, oracle_is_identity
 from heckeord.orderings import (
@@ -197,6 +198,15 @@ class TestConvergence:
     def test_k_max_below_one_raises(self, k_max):
         with pytest.raises(ValueError, match="k_max must be >= 1"):
             convergence_experiment(CTX2, (parse_word("a"),), k_max=k_max)
+
+    def test_k_max_above_1000_raises_before_any_verdict(self, monkeypatch):
+        # The experiment costs O(elements * k_max^2) letters.
+        def no_verdicts(*args):
+            raise AssertionError("a verdict was computed")
+
+        monkeypatch.setattr(orderings, "is_positive", no_verdicts)
+        with pytest.raises(ValueError, match="^k_max must be <= 1000, got 1001$"):
+            convergence_experiment(CTX2, (parse_word("a"),), k_max=1001)
 
     def test_unstable_rows_are_reported_as_none(self):
         # The moved copies of a^-1 are the inverses of the moved copies of
