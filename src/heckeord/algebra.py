@@ -160,24 +160,6 @@ class CosRing:
     def neg(self, u: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(-a for a in u)
 
-    def scal(self, c: int, u: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(c * a for a in u)
-
-    def mul_lam_add(self, u: tuple[int, ...], v: tuple[int, ...], k: int = 1) -> tuple[int, ...]:
-        """v + k*lam*u in O(deg): a shift of u plus one reduction row.
-
-        lam*u moves every coefficient up one place; the one that leaves
-        the top, c, comes back as -c times the monic modulus below x^deg.
-
-        >>> R = CosRing(5)            # lam^2 = lam + 1
-        >>> R.mul_lam_add(R.lam, R.one, 2)   # 1 + 2 lam^2
-        (3, 2)
-        """
-        top = k * u[-1]
-        return tuple(
-            c + k * s - top * m for c, s, m in zip(v, (0,) + u, self.modulus)
-        )
-
     def mul(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
         if self.deg == 1:
             return self.reduce([u[0] * v[0]])

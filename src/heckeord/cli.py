@@ -76,7 +76,7 @@ def _oracle(args):
     ctx, word = group_context(args.n), parse_word(args.word)
     identity, projective, value = oracle_report(word, ctx)
     payload = dict(
-        input=format_word(word), n=args.n, identity=identity, rho_is_identity=projective, phi=value
+        input=format_word(word), n=args.n, identity=identity, rho_projectively_trivial=projective, phi=value
     )
     lines = [f"identity: {identity}", f"rho projectively trivial: {projective},  phi: {value}"]
     return payload, lines, 0

@@ -1,6 +1,7 @@
-"""Shared test configuration: hypothesis profile and word strategies."""
+"""Shared test configuration: hypothesis profiles and word strategies."""
 
 import itertools
+import os
 
 from hypothesis import HealthCheck, settings, strategies as st
 
@@ -13,7 +14,11 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("heckeord")
+# HYPOTHESIS_PROFILE=ci-deep runs every property that does not pin its
+# own max_examples (the packed fold against the tuple fold among them)
+# on 500 examples instead of Hypothesis's default 100.
+settings.register_profile("ci-deep", settings.get_profile("heckeord"), max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "heckeord"))
 
 
 def syllable_lists(max_syllables: int = 6, max_exp: int = 4):

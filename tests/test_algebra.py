@@ -174,7 +174,7 @@ class TestCosRing:
         acc = ring.zero
         power = ring.one
         for c in ring.modulus:
-            acc = ring.add(acc, ring.scal(c, power))
+            acc = ring.add(acc, tuple(c * x for x in power))
             power = ring.mul(power, ring.lam)
         assert acc == ring.zero
 

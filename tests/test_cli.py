@@ -81,20 +81,20 @@ class TestOracle:
         code, doc = run_json(capsys, "oracle", "--n", "2", "a^3")
         assert code == 0
         assert doc["identity"] is False
-        assert doc["rho_is_identity"] is True
+        assert doc["rho_projectively_trivial"] is True
         assert doc["phi"] == 6
 
     @pytest.mark.parametrize("n, text, identity", [(2, "b a^2 b a^-1", True), (2, "a b^2", False), (1, "b a b a^-1", True)])
     def test_folds_rho_once(self, capsys, monkeypatch, n, text, identity):
-        # phi(w) == 0 in each case, so the identity test needs rho too.
+        # phi(w) == 0 in each case, so the identity test needs the fold too.
         calls = []
-        real_rho = oracle.rho
+        real_fold = oracle._fold
 
         def counting(word, ctx):
             calls.append(word)
-            return real_rho(word, ctx)
+            return real_fold(word, ctx)
 
-        monkeypatch.setattr(oracle, "rho", counting)
+        monkeypatch.setattr(oracle, "_fold", counting)
         code, doc = run_json(capsys, "oracle", "--n", str(n), text)
         assert code == 0
         assert (doc["identity"], doc["phi"]) == (identity, 0)

@@ -1,11 +1,13 @@
 """Matrix/abelianization oracle and group contexts."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import relator, trivial_words, words
+from reference_oracle import tuple_rho
 from heckeord import oracle
 from heckeord.algebra import mat_identity, mat_mul, mat_neg, mat_pow
 from heckeord.context import GroupContext, group_context, ring_of
@@ -30,6 +32,7 @@ from heckeord.words import (
     gen_power,
     invert,
     parse_word,
+    word_from_syllables,
 )
 
 
@@ -207,8 +210,8 @@ class TestIdentityDecision:
 
     def test_rho_is_folded_only_when_phi_vanishes(self, monkeypatch):
         calls = []
-        real_rho = oracle.rho
-        monkeypatch.setattr(oracle, "rho", lambda word, ctx: calls.append(word) or real_rho(word, ctx))
+        real_fold = oracle._fold
+        monkeypatch.setattr(oracle, "_fold", lambda word, ctx: calls.append(word) or real_fold(word, ctx))
         assert not oracle_is_identity(parse_word("a"), group_context(2))
         assert oracle_is_identity(parse_word("b a b a^-1"), group_context(1))
         assert calls == []
@@ -309,7 +312,7 @@ def reference_b_power_of(word, ctx):
     ring = ring_of(ctx)
     m = rho(word, ctx)
     k = exact_multiple(ring, m[1] if m[0] == ring.one else ring.neg(m[1]), ring.lam)
-    if k is None or not proj_eq(ring, m, (ring.one, ring.scal(k, ring.lam), ring.zero, ring.one)):
+    if k is None or not proj_eq(ring, m, (ring.one, scal(k, ring.lam), ring.zero, ring.one)):
         return None
     if phi(word, ctx) != k * ctx.phi_b:
         return None
@@ -323,8 +326,12 @@ def exact_multiple(ring, u, v):
             if u[i] % c != 0:
                 return None
             k = u[i] // c
-            return k if u == ring.scal(k, v) else None
+            return k if u == scal(k, v) else None
     return 0 if u == ring.zero else None
+
+
+def scal(c, u):
+    return tuple(c * x for x in u)
 
 
 def b_power_probes(n, ks, gs, xs):
@@ -461,3 +468,181 @@ class TestElementKey:
             first = exact.setdefault(element_key(w, ctx), w)
             assert first == projective.setdefault(projective_key(w, ctx), w), (n, format_word(w))
         assert len(exact) == len(projective) == classes
+
+
+def random_word(rng, syllables, max_exp=3):
+    """Alternating generators, exponents in +-1..max_exp."""
+    gen = rng.randrange(2)
+    out = []
+    for _ in range(syllables):
+        out.append((gen, rng.choice((-1, 1)) * rng.randint(1, max_exp)))
+        gen ^= 1
+    return tuple(out)
+
+
+def exact_rotation_factors(q):
+    """For j = 1..q//2, the largest over i <= j of the exact row-sum norm
+    of (x0, x1) -> (x0, x1) rho(a)^(+-i) on digit vectors, whose entries
+    are x0 U_i + x1 U_(i-1) and x0 U_(i-1) + x1 U_(i-2) up to sign and
+    order: the growth factor that oracle._plan bounds through the
+    triangle inequality."""
+    ring = ring_of(group_context(q - 1))
+
+    def rows(r):  # |digits| of r lam^j, j < deg, summed per output digit
+        cols = [r]
+        for _ in range(ring.deg - 1):
+            cols.append(ring.mul(cols[-1], ring.lam))
+        return [sum(map(abs, row)) for row in zip(*cols)]
+
+    chebyshev = [ring.zero, ring.one]  # U_-1, U_0
+    for _ in range(q // 2):
+        chebyshev.append(ring.add(ring.mul(ring.lam, chebyshev[-1]), ring.neg(chebyshev[-2])))
+    sums = [rows(u) for u in chebyshev]
+    out, best = [], 0
+    for i in range(2, len(sums)):
+        for hi, lo in ((sums[i], sums[i - 1]), (sums[i - 1], sums[i - 2])):
+            best = max(best, max(map(sum, zip(hi, lo))))
+        out.append(best)
+    return out
+
+
+def reference_report(word, ctx):
+    """oracle_report from the tuple fold."""
+    ring = ring_of(ctx)
+    m, value = tuple_rho(word, ctx), phi(word, ctx)
+    ident = mat_identity(ring)
+    identity = klein_pair(word) == (0, 0) if ctx.n == 1 else (value == 0 and m == ident)
+    return identity, proj_eq(ring, m, ident), value
+
+
+class TestPackedFold:
+    """oracle._fold (one packed int per entry, width by certificate)
+    against the test-only tuple fold, n = 1..63."""
+
+    @given(st.integers(min_value=1, max_value=63), words(max_syllables=40, max_exp=300))
+    def test_matches_tuple_fold(self, n, w):
+        # Examples come from the Hypothesis profile: 100 by default, 500
+        # under HYPOTHESIS_PROFILE=ci-deep.
+        ctx = group_context(n)
+        want = tuple_rho(w, ctx)
+        assert rho(w, ctx) == want, (n, format_word(w))
+        assert oracle_report(w, ctx) == reference_report(w, ctx), (n, format_word(w))
+        if n > 1:
+            assert element_key(w, ctx) == (want, phi(w, ctx)), (n, format_word(w))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 31, 63])
+    def test_million_shear_in_one_syllable(self, n):
+        ctx = group_context(n)
+        for text in ("b^1000000", "b^-1000000", "a b^1000000 a^-1", "a^2 b^-1000000 a b^1000000 a^-3 b^999999"):
+            w = parse_word(text)
+            assert rho(w, ctx) == tuple_rho(w, ctx), (n, text)
+
+    @pytest.mark.parametrize("half", [-32, -31, 31, 32, 33])
+    def test_runs_of_half_turns_at_n63(self, half):
+        # a^(q//2) at n = 63 is the largest rotation: 32 steps, each one
+        # multiplying by lam, between shears of either sign.
+        ctx = group_context(63)
+        for k in (1, -1, 2, 300):
+            w = word_from_syllables([(GEN_A, half), (GEN_B, k), (GEN_A, half), (GEN_B, -k)] * 12)
+            assert rho(w, ctx) == tuple_rho(w, ctx), (half, k)
+
+    @pytest.mark.parametrize("n", [3, 7, 31, 63])
+    @pytest.mark.parametrize("name", ["_fits", "_widen"])
+    def test_prefixes_around_the_first_certificate_and_widening(self, monkeypatch, n, name):
+        # K is the shortest prefix whose fold calls the certificate (or
+        # widens); the prefixes of K - 1, K and K + 1 syllables still fold
+        # to the tuple fold's matrix.
+        ctx = group_context(n)
+        word = random_word(random.Random(f"prefix:{n}"), 400)
+        calls = []
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *args: calls.append(1) or real(*args))
+
+        def calls_it(k):
+            calls.clear()
+            oracle._fold(word[:k], ctx)
+            return bool(calls)
+
+        assert calls_it(len(word)), (n, name)
+        lo, hi = 0, len(word)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if calls_it(mid) else (mid, hi)
+        assert not calls_it(hi - 1) and calls_it(hi)
+        for k in (hi - 1, hi, hi + 1):
+            assert rho(word[:k], ctx) == tuple_rho(word[:k], ctx), (n, name, k)
+
+    def test_digits_growing_almost_as_fast_as_the_bound(self):
+        # At small deg the shear factor 1 + |k| (1 + max|m_i|) is nearly
+        # what a huge b^k does to the digits, so words mixing shears of
+        # 10 to 56 bits with short syllables reach the width with little
+        # to spare: a certificate that claimed more headroom than it
+        # proves would overflow here, where exponents up to 300 leave a
+        # margin of many bits.
+        rng = random.Random("near the bound")
+        for _ in range(250):
+            ctx = group_context(rng.randint(3, 13))
+            gen, syllables = rng.randrange(2), []
+            for _ in range(rng.randint(10, 80)):
+                huge = gen == GEN_B and rng.random() < 0.3
+                exp = rng.getrandbits(rng.randint(10, 56)) | 1 if huge else rng.randint(1, 3)
+                syllables.append((gen, rng.choice((1, -1)) * exp))
+                gen ^= 1
+            w = tuple(syllables)
+            assert rho(w, ctx) == tuple_rho(w, ctx), (ctx.n, format_word(w))
+
+    def test_minimum_start_width_widens_every_word(self, monkeypatch):
+        # Width 3 holds the identity and nothing more, and no certificate
+        # fits in it: every word that takes a step (a shear, or a rotation
+        # that is not a multiple of a half turn) widens.
+        monkeypatch.setattr(oracle, "_START_WIDTH", 3)
+        widened = []
+        real = oracle._widen
+        monkeypatch.setattr(oracle, "_widen", lambda *args: widened.append(1) or real(*args))
+        rng = random.Random("minimum width")
+        for n in (3, 4, 5, 7, 12, 31, 62, 63):
+            ctx = group_context(n)
+            for syllables in (1, 2, 5, 40, 160):
+                for max_exp in (3, 300):
+                    w = random_word(rng, syllables, max_exp)
+                    widened.clear()
+                    assert rho(w, ctx) == tuple_rho(w, ctx), (n, format_word(w))
+                    steps = any(gen == GEN_B or exp % ctx.q for gen, exp in w)
+                    assert bool(widened) == steps, (n, format_word(w))
+
+    @pytest.mark.parametrize("n", [7, 31, 63])
+    def test_a_certificate_that_always_passes_gives_a_wrong_matrix(self, monkeypatch, n):
+        # (a b^3)^40 needs over 110 bits per digit at these n, more than
+        # the start width; trusting the bound without a real certificate
+        # lets the digits overflow, which the suite must see.
+        ctx = group_context(n)
+        w = parse_word(" ".join(["a b^3"] * 40))
+        want = tuple_rho(w, ctx)
+        assert rho(w, ctx) == want
+        monkeypatch.setattr(oracle, "_fits", lambda entries, certificate: True)
+        assert rho(w, ctx) != want
+
+    @settings(max_examples=200)
+    @given(st.sampled_from([4, 8, 12, 64]), st.integers(min_value=80, max_value=200), st.data())
+    def test_certificate_passes_exactly_when_digits_are_small(self, q, width, data):
+        # Digits near +-2^(B - g), inside the loose bound 2^(B - 2).
+        deg, guard = oracle._plan(q)[0], oracle._plan(q)[4]
+        edge = 1 << (width - guard)
+        near = st.sampled_from([0, 1, -1, edge - 1, edge, edge + 1, -edge, -edge - 1, (1 << (width - 2)) - 1])
+        digits = data.draw(st.lists(near | st.integers(-(1 << (width - 2)) + 1, (1 << (width - 2)) - 1), min_size=deg, max_size=deg))
+        certificate = oracle._layout(q, width)[3:]
+        fits = oracle._fits((oracle._pack(digits, width),), certificate)
+        assert fits == all(-edge <= c < edge for c in digits), digits
+        assert oracle._unpack(oracle._pack(digits, width), width, deg) == tuple(digits)
+
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 12, 32, 64])
+    def test_growth_bounds_cover_the_exact_factors(self, q):
+        deg, modulus, shear_bits, rotation_bits, guard = oracle._plan(q)
+        exact = exact_rotation_factors(q)
+        assert len(rotation_bits) == len(exact) + 1 == q // 2 + 1
+        for steps, factor in enumerate(exact, start=1):
+            assert factor < 1 << rotation_bits[steps], (q, steps)
+        ring = ring_of(group_context(q - 1))
+        assert max(map(abs, ring.mul(ring.lam, (0,) * (deg - 1) + (1,)))) + 1 < 1 << shear_bits
+        # Every rotation fits under one certificate, so none forces a widening.
+        assert max(rotation_bits) <= guard - 3
