@@ -6,34 +6,42 @@ arbitrary word falls in and returns a ONE-SIGNED witness word equal to
 the input in the group — the certificate that makes the verdict
 checkable by the independent matrix oracle.
 
-The decision runs on the normal form w = u * delta^ell:
+The decision runs on the normal form w = u * delta^ell.  For ell >= 0,
+w is the positive word u * a^((n+1) ell) (the identity when that is
+empty); for u empty and ell < 0 it is the negative a^((n+1) ell).
+Otherwise a cascade peels u from the right into a negative word N,
+keeping w = P * N * delta^ell with P the part of u not yet peeled.  It
+feeds once, spending a central factor (N = a^-(n+1), ell + 1), then
+makes one move per syllable of P, last syllable first:
 
-  * u empty: w = delta^ell, sign of ell, witness a^((n+1) ell).
-  * ell >= 0: w is the positive word u * a^((n+1) ell).
-  * ell < 0: a cascade peels u from the right into a growing negative
-    word, spending the central power one delta^-1 = a^-(n+1) at a time.
-    Writing w = P * N * delta^ell (P positive prefix syllables, N a
-    negative word), the moves, in priority order:
+  merge   P ends a^i, N starts a^-j, i <= j: cancel a^i.
+  handle  P ends b^j, N starts a^-e: the identity
+              a b^j a^-1 = (a^-(n-1) b^-1)^j
+          lets b^j jump the leading a^-1 and come out negative:
+              b^j a^-1 = a^-1 (a^-(n-1) b^-1)^j.
 
-      merge   P ends g^i, N starts g^-j: cancel min(i, j) letters.
-      handle  P ends b^j, N starts a^-e: the identity
-                  a b^j a^-1 = (a^-(n-1) b^-1)^j
-              lets the b-block jump the leading a^-1 and come out
-              negative:  b^j a^-1 = a^-1 (a^-(n-1) b^-1)^j.
-      feed    otherwise spend a central factor: N gets a^-(n+1)
-              prepended and ell increases by one (only while ell < 0).
+It ends with w = N * delta^ell, all negative, after steps = 1 + (syllables
+of u).  So ell < 0 with u nonempty is always NEGATIVE.
 
-    Each move keeps the invariant w = P * N * delta^ell; P only ever
-    shrinks, so the loop ends with w = N * delta^ell, all negative.
+Why each syllable takes exactly one move.  u is irreducible (normalform):
+its syllables alternate, every a-exponent is in 1..n and there is no
+b a^n b factor, so an a^i with a b on each side has i <= n - 1.  N
+starts with an a-block a^-j, and P's last a^i has i <= j, with equality
+only when a^i is the first syllable of u: after the feed j = n + 1; after
+a handle move j = n and P's new last a^i had a b after it; after a merge
+P ends with b or is empty.  So an a-syllable always merges whole, a
+b-syllable always meets an a-block, and N never empties before P: no
+second feed, no b-merge and no stuck state.  A broken invariant raises
+ReductionStuck.
 
 Cost: one step per move, except on a periodic run.  When P ends
 (b a^(n-1))^k, as the normal form of b^-t does, and N starts a^-n b^-m,
 each period is one merge and one handle move and leaves a^-n b^-(m+1),
 so the cascade jumps all k >= 2 periods at once: steps += 2k, the run
 is cut off P, and N's b-block becomes b^-(m+k).  Finding k gallops over
-disjoint slices of P, O(k) work in C and O(log k) Python steps, so a
-run costs O(1) moves however long it is.  The printed steps, the
-witness and the budget's trip point are those of the move-by-move loop.
+disjoint slices of P, O(k) work in C and O(log k) Python steps.  The
+steps, the witness and the budget's trip point are those of the
+move-by-move loop.
 
 The verdicts are cross-validated exhaustively against the matrix
 oracle in the test suite; nothing here trusts normal-form uniqueness.
@@ -72,8 +80,8 @@ MIRROR = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE, Sign.IDENT
 
 
 class ReductionStuck(RuntimeError):
-    """The cascade ran out of moves or ended with a witness that is not
-    all-negative; indicates a bug, never expected."""
+    """The cascade met a state its proof rules out, or ended with a
+    witness that is not all-negative; indicates a bug, never expected."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,7 +90,7 @@ class SignResult:
 
     verdict: Sign
     witness: Word  # empty iff verdict is IDENTITY
-    steps: int  # cascade moves spent (0 when no cascade was needed)
+    steps: int  # cascade moves: 1 + syllables of the normal-form prefix, or 0 with no cascade
 
 
 def expand_handle(j: int, ctx: GroupContext) -> Word:
@@ -115,98 +123,70 @@ def decide_sign(word: Word, ctx: GroupContext) -> SignResult:
     ('negative', 'b^-2')
     """
     nf = to_normal_form(word, ctx)
-    q = ctx.q
-    if not nf.prefix:
-        if nf.ell == 0:
-            return SignResult(Sign.IDENTITY, (), 0)
-        witness = gen_power(GEN_A, q * nf.ell)
-        verdict = Sign.POSITIVE if nf.ell > 0 else Sign.NEGATIVE
-        return SignResult(verdict, witness, 0)
-    if nf.ell >= 0:
-        witness = concat(nf.prefix, gen_power(GEN_A, q * nf.ell))
-        return SignResult(Sign.POSITIVE, witness, 0)
+    prefix, ell = nf.prefix, nf.ell
+    n, q = ctx.n, ctx.q
+    if ell >= 0:
+        witness = concat(prefix, gen_power(GEN_A, q * ell))
+        return SignResult(Sign.POSITIVE if witness else Sign.IDENTITY, witness, 0)
+    if not prefix:
+        return SignResult(Sign.NEGATIVE, gen_power(GEN_A, q * ell), 0)
 
-    n = ctx.n
-    positive = list(nf.prefix)
-    negative: deque[Syllable] = deque()
+    budget = _cascade_budget(prefix, ell, n)
+    negative: deque[Syllable] = deque([(GEN_A, -q)])  # the feed: one central factor
+    ell += 1
+    steps = 1
     # (a^-(n-1) b^-1) reversed, as extendleft prepends item by item.
     unit = ((GEN_B, -1), (GEN_A, -(n - 1)))
-    period = [(GEN_B, 1), (GEN_A, n - 1)]
+    period = ((GEN_B, 1), (GEN_A, n - 1))
     two_periods = period * 2
-    ell = nf.ell
-    steps = 0
-    budget = _cascade_budget(nf.prefix, ell, n)
-
-    while positive:
+    end = len(prefix)  # P is prefix[:end]
+    while end:
         steps += 1
         if steps > budget:
             raise RewriteLimitError("sign cascade budget exhausted")
-        p_gen, p_exp = positive[-1]
-        if negative:
-            n_gen, n_exp = negative[0]
-            if n_gen == p_gen:
-                cancel = min(p_exp, -n_exp)
-                if p_exp == cancel:
-                    positive.pop()
-                else:
-                    positive[-1] = (p_gen, p_exp - cancel)
-                if -n_exp == cancel:
-                    negative.popleft()
-                else:
-                    negative[0] = (n_gen, n_exp + cancel)
-                continue
-            if p_gen == GEN_B:
-                # handle move: b^j a^-1 = a^-1 (a^-(n-1) b^-1)^j
-                j = p_exp
-                positive.pop()
-                if n_exp == -1:
-                    negative.popleft()
-                else:
-                    negative[0] = (GEN_A, n_exp + 1)
-                if n == 1:
-                    # The handle is b^-j.  A normal prefix at n = 1 has one
-                    # b-block at most (b a b is a redex), so N holds only
-                    # a-letters here and nothing merges.
-                    negative.extendleft(((GEN_B, -j), (GEN_A, -1)))
-                    continue
-                if negative and negative[0][0] == GEN_B:
-                    # The handle's last b^-1 merges into N.
-                    negative[0] = (GEN_B, negative[0][1] - 1)
-                    negative.appendleft((GEN_A, 1 - n))
-                    j -= 1
-                negative.extendleft(unit * j)
-                negative[0] = (GEN_A, -n)  # a^-1 merged into the first a^-(n-1)
-                if positive[-4:] == two_periods:
-                    # P = P' (b a^(n-1))^k and N = a^-n b^-m N': each period
-                    # is one merge and one handle move and leaves
-                    # a^-n b^-(m+1), so all k periods go at once.  Only a
-                    # handle move leaves N starting a^-n with P ending a^(n-1).
-                    # For k = 1 the two moves are cheaper than the jump.
-                    end = len(positive)
-                    k = gallop(
-                        lambda i, c: 2 * (i + c) <= end
-                        and positive[end - 2 * (i + c) : end - 2 * i] == period * c
-                    )
-                    steps += 2 * k
-                    if steps > budget:
-                        raise RewriteLimitError("sign cascade budget exhausted")
-                    del positive[-2 * k :]
-                    negative[1] = (GEN_B, negative[1][1] - k)
-                continue
-        if ell < 0:
-            if negative and negative[0][0] == GEN_A:
-                negative[0] = (GEN_A, negative[0][1] - q)
+        end -= 1
+        gen, exp = prefix[end]
+        if not negative or negative[0][0] != GEN_A:
+            head = f"starts {negative[0]}" if negative else "is empty"
+            raise ReductionStuck(f"no a-block in N to meet {prefix[end]}: N {head}")
+        j = -negative[0][1]  # N starts a^-j
+        if gen == GEN_A:
+            if exp > j:
+                raise ReductionStuck(f"merge of a^{exp} into a^-{j} does not fit")
+            if exp == j:
+                negative.popleft()
             else:
-                negative.appendleft((GEN_A, -q))
-            ell += 1
+                negative[0] = (GEN_A, exp - j)
             continue
-        if not negative:
-            # Out of central factors with nothing left to cancel: the
-            # remaining prefix is the whole element, hence positive.
-            return SignResult(Sign.POSITIVE, tuple(positive), steps)
-        raise ReductionStuck(
-            f"no move from P ending {positive[-1]}, N starting {negative[0]}, ell=0"
-        )
+        # handle move: b^exp a^-1 = a^-1 (a^-(n-1) b^-1)^exp
+        if j == 1:
+            negative.popleft()
+        else:
+            negative[0] = (GEN_A, 1 - j)
+        if n == 1:
+            # The handle is b^-exp.  A normal prefix at n = 1 has one b-block
+            # at most (b a b is a redex), so N holds only a-letters here.
+            negative.extendleft(((GEN_B, -exp), (GEN_A, -1)))
+            continue
+        if negative and negative[0][0] == GEN_B:
+            # The handle's last b^-1 merges into N.
+            negative[0] = (GEN_B, negative[0][1] - 1)
+            negative.appendleft((GEN_A, 1 - n))
+            exp -= 1
+        negative.extendleft(unit * exp)
+        negative[0] = (GEN_A, -n)  # a^-1 merged into the first a^-(n-1)
+        if end >= 4 and prefix[end - 4 : end] == two_periods:
+            # P ends (b a^(n-1))^k and N starts a^-n b^-m: jump the run.
+            # For k = 1 the two moves are cheaper than the jump.
+            k = gallop(
+                lambda i, c: 2 * (i + c) <= end
+                and prefix[end - 2 * (i + c) : end - 2 * i] == period * c
+            )
+            steps += 2 * k
+            if steps > budget:
+                raise RewriteLimitError("sign cascade budget exhausted")
+            end -= 2 * k
+            negative[1] = (GEN_B, negative[1][1] - k)
 
     witness = concat(tuple(negative), gen_power(GEN_A, q * ell))
     if not (witness and is_one_signed(witness) and witness[0][1] < 0):

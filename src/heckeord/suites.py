@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import multiprocessing
 import os
 
 from .cone import MIRROR, Sign, decide_sign, expand_handle
@@ -90,6 +89,7 @@ def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> Suit
         raise ValueError(f"jobs must be in 1..{limit}, got {jobs!r}")
     words = list(enumerate_reduced(max_len))
     if jobs > 1:
+        import multiprocessing  # here, not at module load: only jobs > 1 needs it
         with multiprocessing.Pool(jobs) as pool:
             rows = pool.map(functools.partial(_examine_row, ctx), words)
     else:

@@ -25,7 +25,10 @@ alphabet only matters at the parse/format boundary.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable, Iterable, Iterator
+from itertools import accumulate
+from operator import itemgetter
 
 GEN_A = 0
 GEN_B = 1
@@ -35,6 +38,7 @@ ALPHABET_SIGMA = ("s1", "s2")
 
 Syllable = tuple[int, int]
 Word = tuple[Syllable, ...]
+MAX_LETTERS = 2**22  # parse_word refuses longer words: the work is linear in the letters
 
 
 class WordSyntaxError(ValueError):
@@ -157,7 +161,9 @@ def parse_word(text: str, alphabet: tuple[str, str] = ALPHABET_AB) -> Word:
 
     Grammar: a word is "1" (the identity) or whitespace-separated terms,
     each term being a generator name optionally followed by ^<exponent>,
-    a nonzero ASCII integer [+-]?[0-9]+.
+    a nonzero ASCII integer [+-]?[0-9]+.  A word of more than
+    MAX_LETTERS letters (the sum of |exponent| over its terms) is
+    refused at the term that crosses the limit.
     The result is freely reduced, so e.g. "a a^-1" parses to the identity.
 
     >>> parse_word("1")
@@ -194,6 +200,11 @@ def parse_word(text: str, alphabet: tuple[str, str] = ALPHABET_AB) -> Word:
         else:
             exp = 1
         syllables.append((gen_of[name], exp))
+    if sum(map(abs, map(itemgetter(1), syllables))) > MAX_LETTERS:
+        totals = accumulate(map(abs, map(itemgetter(1), syllables)))
+        last = next(i for i, total in enumerate(totals) if total > MAX_LETTERS)
+        offset = [token.start() for token in re.finditer(r"\S+", text)][last]
+        raise WordSyntaxError(f"word has more than {MAX_LETTERS} letters", offset)
     return word_from_syllables(syllables)
 
 

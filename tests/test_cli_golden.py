@@ -112,6 +112,11 @@ CASES = [
     ["suite", "--kind", "everything"],
     ["converge", "--kmax", "2", "--elems", "{tmp}/missing.txt"],
     ["converge", "--kmax", "2", "--elems", "{tmp}"],
+    # words over the letter limit are refused by the parser
+    ["sign", "--n", "2", "b^-1000000000000"],
+    ["nf", "--n", "2", "b^-1000000000000"],
+    ["sign", "--n", "2", "b^1000000000000 a^-1"],
+    ["b3", "bridge", "--alphabet", "ab", "a^1000000000000"],
 ]
 
 

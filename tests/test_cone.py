@@ -7,6 +7,7 @@ from conftest import trivial_words, words
 from heckeord import cone
 from heckeord.cone import ReductionStuck, Sign, decide_sign, expand_handle
 from heckeord.context import group_context
+from heckeord.normalform import NormalForm, to_normal_form
 from heckeord.oracle import oracle_is_identity
 from heckeord.words import (
     GEN_A,
@@ -17,6 +18,7 @@ from heckeord.words import (
     invert,
     is_one_signed,
     parse_word,
+    word_from_syllables,
 )
 
 CTX2 = group_context(2)
@@ -84,6 +86,60 @@ class TestCascadeCheck:
         monkeypatch.setattr(cone, "is_one_signed", lambda word: False)
         with pytest.raises(ReductionStuck, match="not all-negative"):
             decide_sign(parse_word("a b a^-1"), CTX2)
+
+
+def sigma(prefix, n):
+    """The prefix with every b^k spelled a^-1 (a^-(n-1) b^-1)^k a, which is
+    b^k by the identity a b^k a^-1 = (a^-(n-1) b^-1)^k."""
+    parts = []
+    for gen, exp in prefix:
+        if gen == GEN_A:
+            parts.append(((GEN_A, exp),))
+        else:
+            spelled = [(GEN_A, -1), *[(GEN_A, 1 - n), (GEN_B, -1)] * exp, (GEN_A, 1)]
+            parts.append(word_from_syllables(spelled))
+    return concat(*parts)
+
+
+class TestForcedMoves:
+    """The cascade feeds once and then makes one move per prefix syllable,
+    so its steps and its witness have closed forms."""
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_steps_and_witness_closed_forms(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=63), label="n")
+        ctx = group_context(n)
+        u, v = data.draw(words(max_syllables=8), label="u"), data.draw(words(max_syllables=8), label="v")
+        t = data.draw(st.integers(min_value=1, max_value=300), label="t")
+        trivial = data.draw(st.one_of(st.just(()), trivial_words(n)), label="trivial")
+        w = concat(u, trivial, ((GEN_B, -t),), v)
+        if data.draw(st.booleans(), label="inverted"):
+            w = invert(w)
+        nf = to_normal_form(w, ctx)
+        r = decide_sign(w, ctx)
+        if r.steps == 0:
+            assert nf.ell >= 0 or not nf.prefix
+            return
+        assert r.verdict is Sign.NEGATIVE
+        assert r.steps == 1 + len(nf.prefix)
+        assert r.witness == concat(sigma(nf.prefix, n), gen_power(GEN_A, ctx.q * nf.ell))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 63])
+    @pytest.mark.parametrize(
+        "prefix",
+        [
+            pytest.param(lambda n: ((GEN_B, 1), (GEN_A, n), (GEN_B, 1)), id="b-a^n-b"),
+            pytest.param(lambda n: ((GEN_A, n + 2),), id="a^(n+2)"),
+            pytest.param(lambda n: ((GEN_B, 1), (GEN_A, n + 1)), id="b-a^(n+1)"),
+        ],
+    )
+    def test_reducible_prefix_raises(self, monkeypatch, n, prefix):
+        # A prefix the normal form never returns breaks the forced-move
+        # invariant: the cascade must refuse it, not guess a witness.
+        monkeypatch.setattr(cone, "to_normal_form", lambda word, ctx: NormalForm(prefix(n), -1))
+        with pytest.raises(ReductionStuck):
+            decide_sign(parse_word("a"), group_context(n))
 
 
 class TestExpandHandle:

@@ -10,6 +10,7 @@ from heckeord.words import (
     ALPHABET_SIGMA,
     GEN_A,
     GEN_B,
+    MAX_LETTERS,
     WordSyntaxError,
     concat,
     conjugate,
@@ -75,6 +76,32 @@ class TestParse:
 
     def test_signed_ascii_exponents_parse(self):
         assert parse_word("a^+2 b^-10 a^007") == ((GEN_A, 2), (GEN_B, -10), (GEN_A, 7))
+
+    def test_word_at_the_letter_limit_parses(self):
+        assert parse_word(f"a b^-{MAX_LETTERS - 1}") == ((GEN_A, 1), (GEN_B, 1 - MAX_LETTERS))
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("b^-1000000000000", 0),
+            (f"a^{MAX_LETTERS + 1}", 0),
+            (f"a b^-{MAX_LETTERS}", 2),
+            (f"a^2 b^-{MAX_LETTERS - 1} a^-1", 4),
+            (f"b^{MAX_LETTERS}  a  b^-5", 11),
+            (f"a\u2003\x1fb^{MAX_LETTERS}", 3),  # Unicode whitespace separates terms too
+        ],
+    )
+    def test_longer_word_refused_at_the_crossing_term(self, text, offset):
+        with pytest.raises(WordSyntaxError, match=f"more than {MAX_LETTERS} letters") as exc:
+            parse_word(text)
+        assert exc.value.offset == offset
+
+    def test_letter_limit_counts_cancelled_letters(self):
+        # Letters count before free reduction: "a a^-1" is two letters.
+        half = MAX_LETTERS // 2
+        assert parse_word(f"a^{half} a^-{half}") == ()
+        with pytest.raises(WordSyntaxError):
+            parse_word(f"a^{half} a^-{half} b")
 
     def test_syntax_error_is_value_error(self):
         # The CLI maps ValueError to exit code 2; parse errors must qualify.
