@@ -4,10 +4,16 @@ COMMANDS maps each subcommand to (help text, own arguments, run); run
 returns (payload, plain lines, exit status) for main to print as JSON
 or, with --plain, as text.  Exit status: 0 clean; 1 violations found or
 a witness failed its oracle check; 2 usage or parse error, also an
-unreadable --elems file, suite --max-len outside 0..12 or converge
---kmax outside 1..1000; 3 internal error (RewriteLimitError,
-ReductionStuck, NormalFormError, CertificateError from a b3 cone
-certificate): a bug, reported as one JSON line on stderr.
+--elems file that is unreadable or holds no words, suite --max-len
+outside 0..12 or converge --kmax outside 1..1000; 3 internal error
+(RewriteLimitError, ReductionStuck, NormalFormError, CertificateError
+from a b3 cone certificate): a bug, reported as one JSON line on stderr.
+
+When argv starts with a command name, main builds that command's parser
+only (the full tree of nine costs more than deciding a short word);
+every other argv (none, --help, an unknown command, an option or `--`
+before the command) goes to the full tree of build_parser.  Both paths
+print the same bytes.
 """
 
 import argparse
@@ -230,25 +236,44 @@ COMMANDS = {
 }
 
 
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    """Give PARSER the options every command shares and command NAME's own."""
+    parser.add_argument("--n", type=int, default=2, help="family parameter (default 2)")
+    parser.add_argument("--plain", action="store_true", help="human-readable output")
+    for flag, options in COMMANDS[name][1].items():
+        parser.add_argument(flag, **options)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heckeord",
         description="Exact sign, order and word-problem decisions in G_n = <a,b | b a^n b = a>.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, arguments, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=int, default=2, help="family parameter (default 2)")
-        p.add_argument("--plain", action="store_true", help="human-readable output")
-        for flag, options in arguments.items():
-            p.add_argument(flag, **options)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ARGV; argparse prints its message and raises SystemExit on a usage error."""
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    name = argv[0]
+    # add_parser(name) makes exactly ArgumentParser(prog="heckeord NAME"),
+    # so usage, help and error text match the full tree's.
+    parser = argparse.ArgumentParser(prog=f"heckeord {name}")
+    _add_arguments(parser, name)
+    args, extra = parser.parse_known_args(argv[1:])
+    if extra:  # the full tree reports these from the top-level parser
+        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = name
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:  # argparse has already printed the message
         return int(exc.code or 0)
     try:

@@ -216,9 +216,11 @@ def convergence_experiment(
 
     Cost: O(elements * k_max^2) letters, as the k-th conjugator holds
     k b-letters (n = 2, four elements, 2-vCPU Xeon: 0.3 s at k_max = 800,
-    2.1 s at 3,200).  k_max < 1, which leaves no verdicts, and k_max >
-    1000, which would run for minutes, are a ValueError.
+    2.1 s at 3,200).  k_max < 1 or no elements, which leave no verdicts,
+    and k_max > 1000, which would run for minutes, are a ValueError.
     """
+    if not elements:
+        raise ValueError("no elements to track")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max!r}")
     if k_max > 1000:

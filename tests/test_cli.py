@@ -1,8 +1,10 @@
 """End-to-end CLI: JSON contracts, plain mode, exit codes."""
 
+import argparse
 import json
 import multiprocessing
 import os
+import re
 
 import pytest
 
@@ -270,6 +272,15 @@ class TestExitCodes:
         assert err.startswith("error: [Errno ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
+    def test_elems_file_of_no_words_is_2(self, capsys, tmp_path, text):
+        elems = tmp_path / "elems.txt"
+        elems.write_text(text)
+        code, out, err = run(capsys, "converge", "--kmax", "2", "--elems", str(elems))
+        assert code == 2
+        assert out == ""
+        assert err == "error: no elements to track\n"
+
     @pytest.mark.parametrize("max_len", ["-1", "13"])
     def test_suite_max_len_out_of_range_is_2_before_enumerating(self, capsys, monkeypatch, max_len):
         def no_ball(*args, **kwargs):
@@ -328,3 +339,113 @@ class TestDeterminism:
             )
 
         assert snapshot() == snapshot()
+
+
+# argv the one-command fast path of cli.main must parse exactly as the
+# full nine-subparser tree does, usage errors and --help included.
+ARGV_CORPUS = [
+    ["sign", "a"],
+    ["sign", "--n", "7", "--plain", "a b^-2"],
+    ["sign", "--n=5", "a"],
+    ["sign", "--n", "2", "--n", "3", "b a^-2 b a"],
+    ["sign", "--plain", "--plain", "a"],
+    ["-h", "sign"],
+    ["--help"],
+    ["sign", "-h"],
+    ["sign", "--he"],
+    ["sign", "--help", "a"],
+    ["sign", "a", "--help"],
+    ["--plain", "sign", "a"],
+    ["--n", "2", "sign", "a"],
+    ["--", "sign", "a"],
+    ["sign", "--", "-a"],
+    ["sign", "--", "a"],
+    ["sign", "a", "--"],
+    ["sign", "--", "--", "a"],
+    ["sign", "--bogus", "a"],
+    ["sign", "a", "--bogus"],
+    ["sign", "a", "--bogus", "--other"],
+    ["sign", "-x", "a"],
+    ["sign", "--pl", "a"],
+    ["sign", "--n"],
+    ["sign", "a", "--n"],
+    ["sign", "--plain=yes", "a"],
+    ["sign", "a", "b"],
+    ["sign"],
+    ["sign", "--"],
+    ["SIGN", "a"],
+    ["sig", "a"],
+    [""],
+    [],
+    ["-x"],
+    ["cmp", "a"],
+    ["cmp", "--order", "lex", "a", "b"],
+    ["cmp", "--ord", "dlike", "1", "b^-1"],
+    ["cmp", "--order=ddrev", "--conj", "b a", "a", "b"],
+    ["nf", "--n", "3", "b^-2", "--plain"],
+    ["oracle", "--n", "2", "a^3"],
+    ["ctx"],
+    ["ctx", "extra"],
+    ["b3"],
+    ["b3", "twist", "s1"],
+    ["b3", "bridge", "--alph", "ab", "a b^-1"],
+    ["b3", "bridge", "--alphabet=ab", "a"],
+    ["converge", "--kmax", "x"],
+    ["converge", "--km", "2", "--plain"],
+    ["suite", "--n", "2", "--max-len", "1"],
+    ["suite", "--jobs", "0"],
+    ["suite", "--kind", "everything"],
+    ["cayley", "--radius", "1", "--format", "json", "--plain"],
+    ["cayley", "--format", "svg"],
+]
+_WALL_TIME = re.compile(r'"wall_time": [0-9.e+-]+')
+
+
+def _outcome(capsys, argv):
+    status = main(argv)
+    out = capsys.readouterr()
+    return status, _WALL_TIME.sub("<masked>", out.out), _WALL_TIME.sub("<masked>", out.err)
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=lambda argv: " ".join(argv) or "<none>")
+def test_fast_path_matches_full_tree(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with monkeypatch.context() as full_tree:
+        full_tree.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+        expected = _outcome(capsys, argv)
+    assert _outcome(capsys, argv) == expected
+
+
+@pytest.fixture
+def parsers_made(monkeypatch):
+    """The prog of every ArgumentParser built, subparsers included."""
+    made = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return made
+
+
+class TestParsersBuilt:
+    def test_a_command_builds_its_own_parser_on_every_call(self, capsys, parsers_made):
+        for _ in range(2):
+            parsers_made.clear()
+            assert main(["sign", "a"]) == 0
+            assert parsers_made == ["heckeord sign"]
+        capsys.readouterr()
+
+    def test_help_builds_the_full_tree(self, capsys, parsers_made):
+        assert main(["--help"]) == 0
+        assert parsers_made == ["heckeord"] + [f"heckeord {name}" for name in cli.COMMANDS]
+        assert capsys.readouterr().out.startswith("usage: heckeord [-h]")
+
+    def test_left_over_argument_is_reported_by_the_top_level_parser(self, capsys, parsers_made):
+        assert main(["sign", "a", "--bogus"]) == 2
+        assert parsers_made[:2] == ["heckeord sign", "heckeord"]
+        err = capsys.readouterr().err
+        assert err.startswith("usage: heckeord [-h]")
+        assert err.endswith("heckeord: error: unrecognized arguments: --bogus\n")

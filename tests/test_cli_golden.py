@@ -4,10 +4,11 @@ the error paths.
 
 The recorded output lives in tests/golden/cli.json.  Each case runs
 `cli.main` in-process with a fixed terminal width (argparse wraps help
-text to it).  Arguments may name files in a per-case temporary
-directory as `{tmp}/NAME`; the files of FILES are written there first,
-and the directory's path reads `{tmp}` in the recorded output.  The
-`wall_time` of `suite` is masked.
+text to it); three also run as `python -m heckeord.cli`, where main
+reads its arguments from sys.argv.  Arguments may name files in a
+per-case temporary directory as `{tmp}/NAME`; the files of FILES are
+written there first, and the directory's path reads `{tmp}` in the
+recorded output.  The `wall_time` of `suite` is masked.
 
 To re-record after an intended change of output:
 
@@ -22,6 +23,7 @@ import json
 import os
 import pathlib
 import re
+import subprocess
 import sys
 import tempfile
 
@@ -30,8 +32,14 @@ import pytest
 from heckeord.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.json"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 COLUMNS = "80"
-FILES = {"elems.txt": "a\nb^-1\n", "unstable.txt": "a^-1\n", "mixed.txt": "\n  a b^2 \n\nb a^-1\n"}
+FILES = {
+    "elems.txt": "a\nb^-1\n",
+    "unstable.txt": "a^-1\n",
+    "mixed.txt": "\n  a b^2 \n\nb a^-1\n",
+    "empty.txt": "",
+}
 _WALL_TIME = re.compile(r'"wall_time": [0-9.e+-]+')
 
 
@@ -117,6 +125,8 @@ CASES = [
     ["nf", "--n", "2", "b^-1000000000000"],
     ["sign", "--n", "2", "b^1000000000000 a^-1"],
     ["b3", "bridge", "--alphabet", "ab", "a^1000000000000"],
+    # an --elems file of no words leaves no verdicts
+    *_both("converge", "--kmax", "2", "--elems", "{tmp}/empty.txt"),
 ]
 
 
@@ -153,6 +163,20 @@ def test_golden_file_covers_every_case():
 @pytest.mark.parametrize("record", _records(), ids=lambda r: " ".join(r["argv"]) or "<none>")
 def test_output_matches_golden(record):
     assert run_case(record["argv"]) == record
+
+
+@pytest.mark.parametrize("argv", [["sign", "--n", "2", "a b a^-1"], ["--help"], ["no-such-command"]])
+def test_process_matches_golden(argv, tmp_path):
+    (record,) = [record for record in _records() if record["argv"] == argv]
+    env = dict(os.environ, COLUMNS=COLUMNS, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckeord.cli", *argv], cwd=tmp_path, env=env, capture_output=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+        record["status"],
+        record["stdout"],
+        record["stderr"],
+    )
 
 
 if __name__ == "__main__":

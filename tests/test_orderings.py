@@ -208,6 +208,14 @@ class TestConvergence:
         with pytest.raises(ValueError, match="^k_max must be <= 1000, got 1001$"):
             convergence_experiment(CTX2, (parse_word("a"),), k_max=1001)
 
+    def test_no_elements_raises_before_the_minima(self, monkeypatch):
+        def no_minima(*args):
+            raise AssertionError("a ball minimum was searched")
+
+        monkeypatch.setattr(orderings, "smallest_positive_in_ball", no_minima)
+        with pytest.raises(ValueError, match="^no elements to track$"):
+            convergence_experiment(CTX2, (), k_max=2)
+
     def test_unstable_rows_are_reported_as_none(self):
         # The moved copies of a^-1 are the inverses of the moved copies of
         # a (which are positive words), so every verdict is False.
