@@ -9,39 +9,51 @@ checkable by the independent matrix oracle.
 The decision runs on the normal form w = u * delta^ell.  For ell >= 0,
 w is the positive word u * a^((n+1) ell) (the identity when that is
 empty); for u empty and ell < 0 it is the negative a^((n+1) ell).
-Otherwise a cascade peels u from the right into a negative word N,
-keeping w = P * N * delta^ell with P the part of u not yet peeled.  It
-feeds once, spending a central factor (N = a^-(n+1), ell + 1), then
-makes one move per syllable of P, last syllable first:
+Otherwise one left-to-right pass over u writes the negative witness
+directly.  Every b^k of u is spelled by the handle identity
 
-  merge   P ends a^i, N starts a^-j, i <= j: cancel a^i.
-  handle  P ends b^j, N starts a^-e: the identity
-              a b^j a^-1 = (a^-(n-1) b^-1)^j
-          lets b^j jump the leading a^-1 and come out negative:
-              b^j a^-1 = a^-1 (a^-(n-1) b^-1)^j.
+    a b^k a^-1 = (a^-(n-1) b^-1)^k,   so   b^k = a^-1 (a^-(n-1) b^-1)^k a,
 
-It ends with w = N * delta^ell, all negative, after steps = 1 + (syllables
-of u).  So ell < 0 with u nonempty is always NEGATIVE.
+and the a-letters between two b-blocks telescope into one integer, the
+pending a-exponent carry (0 at the start).  The pass makes one move per
+syllable of u, after one feed:
 
-Why each syllable takes exactly one move.  u is irreducible (normalform):
-its syllables alternate, every a-exponent is in 1..n and there is no
-b a^n b factor, so an a^i with a b on each side has i <= n - 1.  N
-starts with an a-block a^-j, and P's last a^i has i <= j, with equality
-only when a^i is the first syllable of u: after the feed j = n + 1; after
-a handle move j = n and P's new last a^i had a b after it; after a merge
-P ends with b or is empty.  So an a-syllable always merges whole, a
-b-syllable always meets an a-block, and N never empties before P: no
-second feed, no b-merge and no stuck state.  A broken invariant raises
-ReductionStuck.
+  feed     delta^ell = a^((n+1) ell), held back until the end.
+  merge    a^i: carry += i.
+  handle   b^k: carry -= n (the a^-1 and the first a^-(n-1)); write
+           a^carry unless it is 0, then b^-1, which merges into the last
+           b-block when carry is 0; then (a^-(n-1) b^-1)^(k-1), which
+           at n = 1 is b^-(k-1) in the same block; then carry = 1 (the
+           trailing a).
+  jump     a run (b a^(n-1))^k with k >= 2: after the first period
+           carry = n, so each further period's handle move writes no
+           a-letter and adds one b^-1 to the same block, and its
+           a^(n-1) brings carry back to n.  The run goes at once: k - 1
+           more b^-1, and carry = n.
 
-Cost: one step per move, except on a periodic run.  When P ends
-(b a^(n-1))^k, as the normal form of b^-t does, and N starts a^-n b^-m,
-each period is one merge and one handle move and leaves a^-n b^-(m+1),
-so the cascade jumps all k >= 2 periods at once: steps += 2k, the run
-is cut off P, and N's b-block becomes b^-(m+k).  Finding k gallops over
-disjoint slices of P, O(k) work in C and O(log k) Python steps.  The
-steps, the witness and the budget's trip point are those of the
-move-by-move loop.
+At the end it writes a^(carry + (n+1) ell).  steps = 1 + (syllables of
+u): the feed and one move per syllable, a jump standing for the moves
+of the syllables it skips.  So ell < 0 with u nonempty is always
+NEGATIVE.
+
+Why the witness is right.  It equals w, because u * delta^ell = w and
+each b^k was replaced by a^-1 (a^-(n-1) b^-1)^k a, the same element.
+It is all-negative once every a-exponent written is <= 0.  u is
+irreducible (normalform): its syllables alternate, every a-exponent is
+in 1..n and there is no b a^n b factor, so an a^i with a b on each
+side has i <= n - 1.  Hence carry <= n before every b-block: the first
+a-syllable adds at most n to 0, a handle move leaves 1 and the next
+a^i adds at most n - 1, and a jump leaves n.  So the exponent carry - n
+that a handle move writes is <= 0.  At the end carry <= n + 1 (1 + i
+when u ends a^i after a b-block), so the last exponent
+carry + (n+1) ell is <= 0; when u = a^i it is i + (n+1) ell < 0, so the
+witness is never empty.  A reducible prefix can break these bounds, and
+the final check that the witness is nonempty and all-negative then
+raises ReductionStuck.
+
+Cost: O(1) per syllable plus the letters written, except on a run,
+which costs one jump: its length k is found by galloping over disjoint
+slices of u, O(k) work in C and O(log k) Python steps.
 
 The verdicts are cross-validated exhaustively against the matrix
 oracle in the test suite; nothing here trusts normal-form uniqueness.
@@ -51,15 +63,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from collections import deque
-from operator import itemgetter
 
 from .context import GroupContext
 from .normalform import to_normal_form
 from .words import (
     GEN_A,
     GEN_B,
-    RewriteLimitError,
     Syllable,
     Word,
     concat,
@@ -80,8 +89,8 @@ MIRROR = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE, Sign.IDENT
 
 
 class ReductionStuck(RuntimeError):
-    """The cascade met a state its proof rules out, or ended with a
-    witness that is not all-negative; indicates a bug, never expected."""
+    """The sign pass wrote a witness that is empty or not all-negative,
+    which an irreducible prefix rules out; indicates a bug, never expected."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,7 +99,7 @@ class SignResult:
 
     verdict: Sign
     witness: Word  # empty iff verdict is IDENTITY
-    steps: int  # cascade moves: 1 + syllables of the normal-form prefix, or 0 with no cascade
+    steps: int  # the feed and one move per normal-form prefix syllable, or 0 with no pass
 
 
 def expand_handle(j: int, ctx: GroupContext) -> Word:
@@ -106,11 +115,6 @@ def expand_handle(j: int, ctx: GroupContext) -> Word:
     if n == 1:
         return ((GEN_B, -j),)
     return ((GEN_A, -(n - 1)), (GEN_B, -1)) * j
-
-
-def _cascade_budget(prefix: Word, ell: int, n: int) -> int:
-    """Moves the cascade may make: a tripwire, far above what it needs."""
-    return 64 + 8 * (sum(map(itemgetter(1), prefix)) * (n + 1) + (-ell) + n)
 
 
 def decide_sign(word: Word, ctx: GroupContext) -> SignResult:
@@ -131,64 +135,43 @@ def decide_sign(word: Word, ctx: GroupContext) -> SignResult:
     if not prefix:
         return SignResult(Sign.NEGATIVE, gen_power(GEN_A, q * ell), 0)
 
-    budget = _cascade_budget(prefix, ell, n)
-    negative: deque[Syllable] = deque([(GEN_A, -q)])  # the feed: one central factor
-    ell += 1
-    steps = 1
-    # (a^-(n-1) b^-1) reversed, as extendleft prepends item by item.
-    unit = ((GEN_B, -1), (GEN_A, -(n - 1)))
-    period = ((GEN_B, 1), (GEN_A, n - 1))
-    two_periods = period * 2
-    end = len(prefix)  # P is prefix[:end]
-    while end:
-        steps += 1
-        if steps > budget:
-            raise RewriteLimitError("sign cascade budget exhausted")
-        end -= 1
-        gen, exp = prefix[end]
-        if not negative or negative[0][0] != GEN_A:
-            head = f"starts {negative[0]}" if negative else "is empty"
-            raise ReductionStuck(f"no a-block in N to meet {prefix[end]}: N {head}")
-        j = -negative[0][1]  # N starts a^-j
-        if gen == GEN_A:
-            if exp > j:
-                raise ReductionStuck(f"merge of a^{exp} into a^-{j} does not fit")
-            if exp == j:
-                negative.popleft()
-            else:
-                negative[0] = (GEN_A, exp - j)
+    out: list[Syllable] = []
+    carry = 0  # the pending a-exponent
+    handle = ((GEN_A, 1 - n), (GEN_B, -1))
+    two_periods = ((GEN_B, 1), (GEN_A, n - 1)) * 2
+    i, end = 0, len(prefix)
+    while i < end:
+        gen, exp = prefix[i]
+        if gen == GEN_A:  # merge
+            carry += exp
+            i += 1
             continue
-        # handle move: b^exp a^-1 = a^-1 (a^-(n-1) b^-1)^exp
-        if j == 1:
-            negative.popleft()
+        # handle: b^exp = a^-1 (a^-(n-1) b^-1)^exp a
+        carry -= n
+        lead = exp if n == 1 else 1  # the b^-1, with the whole handle at n = 1
+        if carry:
+            out += ((GEN_A, carry), (GEN_B, -lead))
+        elif out:
+            out[-1] = (GEN_B, out[-1][1] - lead)
         else:
-            negative[0] = (GEN_A, 1 - j)
-        if n == 1:
-            # The handle is b^-exp.  A normal prefix at n = 1 has one b-block
-            # at most (b a b is a redex), so N holds only a-letters here.
-            negative.extendleft(((GEN_B, -exp), (GEN_A, -1)))
-            continue
-        if negative and negative[0][0] == GEN_B:
-            # The handle's last b^-1 merges into N.
-            negative[0] = (GEN_B, negative[0][1] - 1)
-            negative.appendleft((GEN_A, 1 - n))
-            exp -= 1
-        negative.extendleft(unit * exp)
-        negative[0] = (GEN_A, -n)  # a^-1 merged into the first a^-(n-1)
-        if end >= 4 and prefix[end - 4 : end] == two_periods:
-            # P ends (b a^(n-1))^k and N starts a^-n b^-m: jump the run.
-            # For k = 1 the two moves are cheaper than the jump.
-            k = gallop(
-                lambda i, c: 2 * (i + c) <= end
-                and prefix[end - 2 * (i + c) : end - 2 * i] == period * c
-            )
-            steps += 2 * k
-            if steps > budget:
-                raise RewriteLimitError("sign cascade budget exhausted")
-            end -= 2 * k
-            negative[1] = (GEN_B, negative[1][1] - k)
+            out.append((GEN_B, -lead))
+        if n > 1:
+            out += handle * (exp - 1)
+        carry = 1
+        if prefix[i : i + 4] == two_periods:
+            # jump: u goes on (b a^(n-1))^k from here, k >= 2.  The period is
+            # read from u: the normal form appends a long run as one pair of
+            # syllable objects repeated, so most comparisons are identities.
+            period = prefix[i + 2 : i + 4]
+            k = gallop(lambda j, c: prefix[i + 2 * j : i + 2 * (j + c)] == period * c)
+            out[-1] = (GEN_B, out[-1][1] - (k - 1))
+            carry = n
+            i += 2 * k
+        else:
+            i += 1
 
-    witness = concat(tuple(negative), gen_power(GEN_A, q * ell))
+    out += gen_power(GEN_A, carry + q * ell)  # the fed delta^ell
+    witness = tuple(out)
     if not (witness and is_one_signed(witness) and witness[0][1] < 0):
         raise ReductionStuck(f"cascade ended with a witness that is not all-negative: {witness}")
-    return SignResult(Sign.NEGATIVE, witness, steps)
+    return SignResult(Sign.NEGATIVE, witness, 1 + len(prefix))

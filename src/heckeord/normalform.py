@@ -36,8 +36,8 @@ b-letters for good and every r1 a-letters.  b^-t adds t b-letters and
 2nt a-letters.  Once the top is a^(n-1) (n >= 2), each further (b, a^2n)
 becomes (b, a^(n-1)) plus one delta, so that steady state is appended
 in bulk.  The prefix (and the sign cascade's witness) still grow
-linearly in t as plain tuples; the cascade and the oracle take that
-periodic tail one run at a time instead of one syllable at a time.
+linearly in t as plain tuples; the cascade takes that periodic tail
+one run at a time, while the oracle folds it one syllable at a time.
 
 The resulting prefix is irreducible: alternating positive syllables,
 every a-exponent in [1, n], and no b...a^n...b factor.  A purely

@@ -197,12 +197,10 @@ class ConvergenceReport:
     minima_ball: int
 
 
-def convergence_experiment(
-    ctx: GroupContext,
-    elements: tuple[Word, ...],
-    k_max: int,
-    minima_ball: int = 5,
-) -> ConvergenceReport:
+MINIMA_BALL = 5  # radius of the ball the convergence minima are taken over
+
+
+def convergence_experiment(ctx: GroupContext, elements: tuple[Word, ...], k_max: int) -> ConvergenceReport:
     """Track each element's positivity in the order with cone g_k P g_k^-1,
     g_k = b^k a, P the DehornoyLike cone — i.e. positivity of the moved
     element g_k^-1 w g_k in the base order.  For a flipped-subgroup-
@@ -239,8 +237,8 @@ def convergence_experiment(
         rows.append(ConvergenceRow(w, tuple(verdicts), stabilized))
 
     g1 = concat(gen_power(GEN_B, 1), gen_power(GEN_A, 1))
-    min_dlike = smallest_positive_in_ball(DehornoyLike(), ctx, minima_ball)
-    min_conj = smallest_positive_in_ball(Conjugated(DehornoyLike(), g1), ctx, minima_ball)
+    min_dlike = smallest_positive_in_ball(DehornoyLike(), ctx, MINIMA_BALL)
+    min_conj = smallest_positive_in_ball(Conjugated(DehornoyLike(), g1), ctx, MINIMA_BALL)
     distinct = (
         min_dlike is not None
         and min_conj is not None
@@ -253,5 +251,5 @@ def convergence_experiment(
         min_dehornoy_like=min_dlike,
         min_conjugated=min_conj,
         minima_distinct=distinct,
-        minima_ball=minima_ball,
+        minima_ball=MINIMA_BALL,
     )

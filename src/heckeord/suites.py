@@ -87,22 +87,22 @@ def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> Suit
     limit = os.cpu_count() or 1
     if not 1 <= jobs <= limit:
         raise ValueError(f"jobs must be in 1..{limit}, got {jobs!r}")
-    words = list(enumerate_reduced(max_len))
+    examine = functools.partial(_examine_row, ctx)
     if jobs > 1:
         import multiprocessing  # here, not at module load: only jobs > 1 needs it
         with multiprocessing.Pool(jobs) as pool:
-            rows = pool.map(functools.partial(_examine_row, ctx), words)
+            rows = pool.map(examine, enumerate_reduced(max_len))
     else:
-        rows = [_examine_row(ctx, w) for w in words]
+        rows = map(examine, enumerate_reduced(max_len))  # streamed: no list of the ball
 
     counts = {s.value: 0 for s in Sign}
     violations = []
-    verdict_of = {}
+    verdict_of = {}  # in ball order
     for word, verdict, word_violations in rows:
         counts[verdict.value] += 1
         violations.extend(word_violations)
         verdict_of[word] = verdict
-    for word, verdict, _ in rows:
+    for word, verdict in verdict_of.items():
         mirrored = verdict_of[invert(word)]
         if mirrored is not MIRROR[verdict]:
             detail = f"{verdict.value} vs {mirrored.value} for the inverse"
@@ -110,7 +110,7 @@ def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> Suit
     return SuiteReport(
         n=ctx.n,
         max_len=max_len,
-        total_words=len(words),
+        total_words=len(verdict_of),
         counts=counts,
         violations=tuple(violations),
     )

@@ -17,6 +17,7 @@ from heckeord.braid3 import (
     parse_sigma,
     sigma_to_ab,
 )
+from heckeord.cone import Sign, decide_sign
 from heckeord.context import group_context
 from heckeord.oracle import oracle_is_identity, rho
 from heckeord.orderings import DehornoyLike, is_positive
@@ -26,6 +27,7 @@ from heckeord.normalform import NormalForm, to_normal_form
 from heckeord.words import (
     GEN_A,
     GEN_B,
+    SIGNED_LETTERS,
     concat,
     enumerate_reduced,
     invert,
@@ -33,7 +35,7 @@ from heckeord.words import (
     word_from_syllables,
 )
 
-from conftest import positive_words
+from conftest import positive_words, trivial_words
 from reference_braid3 import (
     ABAR,
     BBAR,
@@ -146,6 +148,39 @@ class TestDPositivity:
         for sw in enumerate_reduced(4):
             expected = is_positive(sigma_to_ab(sw), DehornoyLike(), CTX2)
             assert is_d_positive(sw) == expected, format_sigma(sw)
+
+
+@st.composite
+def reduced_words(draw, min_letters, max_letters):
+    """A freely reduced word of min_letters..max_letters letters: each
+    letter after the first is one of the three that do not cancel."""
+    size = draw(st.integers(min_letters, max_letters))
+    letters = [draw(st.sampled_from(SIGNED_LETTERS))]
+    for byte in draw(st.binary(min_size=size - 1, max_size=size - 1)):
+        gen, exp = letters[-1]
+        letters.append([x for x in SIGNED_LETTERS if x != (gen, -exp)][byte % 3])
+    return word_from_syllables(letters)
+
+
+# 20-300 letters; the last two kinds hold a product of relator
+# conjugates, and the last one is the identity.
+LONG_WORDS = st.one_of(
+    reduced_words(20, 300),
+    st.tuples(reduced_words(10, 140), trivial_words(2), reduced_words(10, 140)).map(lambda t: concat(*t)),
+    st.tuples(reduced_words(10, 140), trivial_words(2)).map(lambda t: concat(t[0], t[1], invert(t[0]))),
+)
+
+
+class TestThreeWayOnLongWords:
+    """G_2 is B_3: the dlike order, handle reduction and the sign pass
+    must agree, and handle reduction shares no code with the other two."""
+
+    @settings(max_examples=100)
+    @given(LONG_WORDS)
+    def test_dlike_handle_reduction_and_sign_agree(self, w):
+        sigma_word = ab_to_sigma(w)
+        assert is_positive(w, DehornoyLike(), CTX2) == is_d_positive(sigma_word)
+        assert (dehornoy_reduce(sigma_word) == ()) == (decide_sign(w, CTX2).verdict is Sign.IDENTITY)
 
 
 class TestConeCertificates:

@@ -102,8 +102,9 @@ def sigma(prefix, n):
 
 
 class TestForcedMoves:
-    """The cascade feeds once and then makes one move per prefix syllable,
-    so its steps and its witness have closed forms."""
+    """The sign pass feeds once and then makes one move per prefix
+    syllable; its steps and its witness match closed forms built here
+    with concat, apart from the pass."""
 
     @settings(max_examples=150)
     @given(st.data())
@@ -135,8 +136,9 @@ class TestForcedMoves:
         ],
     )
     def test_reducible_prefix_raises(self, monkeypatch, n, prefix):
-        # A prefix the normal form never returns breaks the forced-move
-        # invariant: the cascade must refuse it, not guess a witness.
+        # A prefix the normal form never returns lets the pending
+        # a-exponent exceed n, so the pass writes a positive a-block: the
+        # final check must refuse it, not return a mixed witness.
         monkeypatch.setattr(cone, "to_normal_form", lambda word, ctx: NormalForm(prefix(n), -1))
         with pytest.raises(ReductionStuck):
             decide_sign(parse_word("a"), group_context(n))

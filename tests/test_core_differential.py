@@ -1,23 +1,21 @@
 """The one-pass decision core against the leftmost-first reference.
 
-reference_core.py keeps the earlier scanner and cascade verbatim.  The
-normal form is unique (the rewriting system is confluent), and the
-cascade's moves are fixed, so both cores must give equal NormalForms
-and equal SignResults, down to the number of cascade steps.
+reference_core.py keeps the earlier scanner and the move-by-move
+cascade verbatim.  The normal form is unique (the rewriting system is
+confluent), and the one-pass witness is the word the cascade's forced
+moves build, so both cores must give equal NormalForms and equal
+SignResults, down to the number of cascade steps.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import reference_core
-from heckeord import cone
 from heckeord.cone import decide_sign
 from heckeord.context import group_context
 from heckeord.normalform import to_normal_form
 from heckeord.words import (
     GEN_A,
     GEN_B,
-    RewriteLimitError,
     concat,
     enumerate_reduced,
     format_word,
@@ -123,44 +121,33 @@ def test_long_b_power_both_verdicts(n, t, text, verdict):
     assert decide_sign(word, group_context(n)).verdict.value == verdict
 
 
-class TestJumpBudget:
-    """The cascade budget, forced small, must trip in the jump exactly
-    when the period-by-period loop would."""
+# k around the chunk sizes words.gallop tries: 1, 2, 4, ... and back down.
+RUN_LENGTHS = sorted({2**j + d for j in range(11) for d in (-1, 0, 1)} - {0})
 
-    @pytest.mark.parametrize("n", [2, 3, 63])
-    def test_raises_where_reference_raises(self, monkeypatch, n):
-        # Both budgets read 64 + 8 (letters (n + 1) - ell + n); drop the
-        # letter term so that a long periodic tail outruns it.
-        monkeypatch.setattr(cone, "_cascade_budget", lambda prefix, ell, n: 64 + 8 * (-ell + n))
-        monkeypatch.setattr(reference_core, "letter_length", lambda _word: 0)
-        ctx = group_context(n)
-        outcomes = set()
-        for t in range(1, 400):
-            word = parse_word(f"b^-{t} a^-1")
-            try:
-                expected = reference_decide_sign(word, ctx)
-            except RewriteLimitError:
-                with pytest.raises(RewriteLimitError, match="sign cascade budget"):
-                    decide_sign(word, ctx)
-                outcomes.add("raised")
-                continue
-            assert decide_sign(word, ctx) == expected
-            outcomes.add("decided")
-        assert outcomes == {"raised", "decided"}
+
+class TestRunJumps:
+    """The sign pass skips a run (b a^(n-1))^k, k >= 2, in one jump; the
+    reference takes it one move per syllable."""
 
     @pytest.mark.parametrize("n", [2, 3, 63])
     @pytest.mark.parametrize("k", [1, 2, 5, 1000])
-    def test_budget_is_checked_before_a_final_jump(self, monkeypatch, n, k):
-        # (b a^(n-1))^k a^-(n+1) has prefix (b a^(n-1))^k and ell = -1: a
-        # feed, a merge and a handle move, then one jump over the other
-        # k - 1 periods ends the cascade, so no later move could trip it.
+    def test_trailing_run(self, n, k):
+        # Prefix (b a^(n-1))^k and ell = -1: the feed and 2k moves.
         ctx = group_context(n)
         word = concat(((GEN_B, 1), (GEN_A, n - 1)) * k, ((GEN_A, -n - 1),))
         result = decide_sign(word, ctx)
         assert result == reference_decide_sign(word, ctx)
         assert result.steps == 2 * k + 1
-        monkeypatch.setattr(cone, "_cascade_budget", lambda prefix, ell, n: result.steps)
-        assert decide_sign(word, ctx) == result
-        monkeypatch.setattr(cone, "_cascade_budget", lambda prefix, ell, n: result.steps - 1)
-        with pytest.raises(RewriteLimitError, match="sign cascade budget"):
-            decide_sign(word, ctx)
+
+    @pytest.mark.parametrize("n", [2, 3, 63])
+    @pytest.mark.parametrize("k", RUN_LENGTHS)
+    def test_run_inside_the_prefix(self, n, k):
+        ctx = group_context(n)
+        run = ((GEN_B, 1), (GEN_A, n - 1)) * k
+        # v stops the run at a b^3, at an a^n, or extends it by one period.
+        for u in ((), parse_word("a b^2 a")):
+            for v in ("b^3 a^2", f"b a^{n}", f"b a^{n - 1} b^2 a"):
+                word = concat(u, run, parse_word(v), ((GEN_A, -n - 1),))
+                nf = to_normal_form(word, ctx)
+                assert nf.ell < 0 and nf.prefix[len(u) : len(u) + 2 * k] == run
+                assert_same_core(word, ctx)

@@ -1,6 +1,7 @@
 """Every usage example embedded in the library must execute as shown."""
 
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +42,22 @@ def test_module_examples(module):
 def test_examples_clean_if_present(module):
     results = doctest.testmod(module, verbose=False)
     assert results.failed == 0
+
+
+def test_readme_library_quick_start():
+    # The README's library example runs line by line; a line whose
+    # comment is a quoted value must evaluate to exactly that value.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (library)", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    shown, got = [], []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if comment.strip().startswith("'"):
+            shown.append(comment.strip())
+            got.append(repr(eval(code, namespace)))
+        else:
+            exec(line, namespace)
+    assert shown == ["'negative'", "'a^-1 b^-1'", "'less'"]
+    assert got == shown

@@ -15,6 +15,7 @@ from heckeord.orderings import (
     DD,
     DDReversed,
     DehornoyLike,
+    MINIMA_BALL,
     compare,
     convergence_experiment,
     convexity_check,
@@ -188,8 +189,8 @@ class TestConvergence:
 
     def test_minima_are_distinct_elements(self):
         elements = (parse_word("b^-1"),)
-        report = convergence_experiment(CTX2, elements, k_max=2, minima_ball=4)
-        assert report.minima_ball == 4
+        report = convergence_experiment(CTX2, elements, k_max=2)
+        assert report.minima_ball == MINIMA_BALL
         assert oracle_equal(report.min_dehornoy_like, parse_word("b^-1"), CTX2)
         assert report.minima_distinct
         assert not oracle_equal(report.min_conjugated, report.min_dehornoy_like, CTX2)
