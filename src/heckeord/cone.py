@@ -6,11 +6,14 @@ arbitrary word falls in and returns a ONE-SIGNED witness word equal to
 the input in the group — the certificate that makes the verdict
 checkable by the independent matrix oracle.
 
-The decision runs on the normal form w = u * delta^ell.  For ell >= 0,
-w is the positive word u * a^((n+1) ell) (the identity when that is
-empty); for u empty and ell < 0 it is the negative a^((n+1) ell).
-Otherwise one left-to-right pass over u writes the negative witness
-directly.  Every b^k of u is spelled by the handle identity
+The decision runs on the normal form w = u * delta^ell: decide_sign is
+to_normal_form followed by sign_pass, which takes a NormalForm, so a
+caller that already holds the normal form skips the rewrite.  For
+ell >= 0, w is the positive word u * a^((n+1) ell) (the identity when
+that is empty); for u empty and ell < 0 it is the negative
+a^((n+1) ell).  Otherwise one left-to-right pass over u writes the
+negative witness directly.  Every b^k of u is spelled by the handle
+identity
 
     a b^k a^-1 = (a^-(n-1) b^-1)^k,   so   b^k = a^-1 (a^-(n-1) b^-1)^k a,
 
@@ -65,7 +68,7 @@ import dataclasses
 import enum
 
 from .context import GroupContext
-from .normalform import to_normal_form
+from .normalform import NormalForm, to_normal_form
 from .words import (
     GEN_A,
     GEN_B,
@@ -126,7 +129,12 @@ def decide_sign(word: Word, ctx: GroupContext) -> SignResult:
     >>> r.verdict.value, format_word(r.witness)
     ('negative', 'b^-2')
     """
-    nf = to_normal_form(word, ctx)
+    return sign_pass(to_normal_form(word, ctx), ctx)
+
+
+def sign_pass(nf: NormalForm, ctx: GroupContext) -> SignResult:
+    """The verdict and witness of the element nf: the feed, then one
+    left-to-right pass over its prefix (see the module docstring)."""
     prefix, ell = nf.prefix, nf.ell
     n, q = ctx.n, ctx.q
     if ell >= 0:

@@ -42,6 +42,13 @@ one run at a time, while the oracle folds it one syllable at a time.
 The resulting prefix is irreducible: alternating positive syllables,
 every a-exponent in [1, n], and no b...a^n...b factor.  A purely
 positive input never decrements ell, so it ends with ell >= 0.
+
+The pass is a left fold, and stack_pass exposes it as one: its state
+is (stack, ell, remaining budget), START is the state of the empty
+word, and the state of u resumed over v is the state of u v.  So the
+stack and ell of w x come from those of w in the work of the letter x,
+which is how the trichotomy suite walks a ball of words; to_normal_form
+is the fold from START plus the budget check.
 """
 
 from __future__ import annotations
@@ -69,36 +76,46 @@ class NormalForm:
             raise NormalFormError(f"prefix is not a positive word: {self.prefix}")
 
 
-def to_normal_form(word: Word, ctx: GroupContext) -> NormalForm:
-    """Rewrite any word of G_n to NormalForm(prefix, ell).
+# The pass's state before any letter: empty stack, ell = 0, and the
+# budget's slack (see stack_pass).
+START = ((), 0, 16)
 
-    >>> from heckeord.context import group_context
-    >>> from heckeord.words import parse_word, format_word
-    >>> nf = to_normal_form(parse_word("b^-2"), group_context(2))
-    >>> format_word(nf.prefix), nf.ell
-    ('a^2 b a b a^2', -1)
+
+def stack_pass(state: tuple, word: Word, ctx: GroupContext) -> tuple[list[Syllable], int, int]:
+    """Resume the stack pass from state = (stack, ell, budget) over word.
+
+    stack is an irreducible positive word (any sequence of syllables; it
+    is copied, never changed), ell the central exponent so far and
+    budget the rule firings still allowed.  Returns the state after
+    word, with the stack as a new list.  Resuming from the state of u
+    over v gives the stack and ell of u v wherever the split falls (the
+    same positive letters are pushed), and a split between syllables
+    also gives the same budget: the same rules fire.
+
+    Each syllable adds its letters after inverse elimination to the
+    budget (a^-m gives n m of them, b^-t gives (2n+1) t) and every rule
+    firing takes one; START holds a slack of 16.  Every loop below ends
+    by construction, so the caller checks the budget once, at the end,
+    as a tripwire: negative means more firings than letters, a bug.
     """
     n, q = ctx.n, ctx.q
     top_a_n = (GEN_A, n)
     steady = (GEN_A, n - 1)  # never on the stack for n = 1
-    # Rule firings may not exceed the letters after inverse elimination
-    # (a^-m gives n m of them, b^-t gives (2n+1) t) plus 16.  Every loop
-    # below ends by construction, so one check at the end is the tripwire.
-    budget = 16
-    for gen, exp in word:
-        budget += exp if exp > 0 else -exp * (n if gen == GEN_A else 2 * n + 1)
-
-    stack: list[Syllable] = []
-    ell = 0
+    stack, ell, budget = state
+    stack = list(stack)
     for gen, exp in word:
         pairs = 0  # (b, a^2n) / (b, a^n) pairs still to push for b^-t
         if exp < 0:
             ell += exp
             if gen == GEN_A:
+                budget -= n * exp
                 exp = -n * exp  # a^-m = a^(n m) delta^-m
             else:
+                budget -= (2 * n + 1) * exp
                 pairs = -exp  # b^-t = delta^-t a^n (b a^2n)^(t-1) b a^n
                 gen, exp = GEN_A, n
+        else:
+            budget += exp
         while True:
             if gen == GEN_A:
                 merge = bool(stack) and stack[-1][0] == GEN_A
@@ -157,6 +174,19 @@ def to_normal_form(word: Word, ctx: GroupContext) -> NormalForm:
                 break
             pairs -= 1
             gen, exp = GEN_A, 2 * n if pairs else n
+    return stack, ell, budget
+
+
+def to_normal_form(word: Word, ctx: GroupContext) -> NormalForm:
+    """Rewrite any word of G_n to NormalForm(prefix, ell).
+
+    >>> from heckeord.context import group_context
+    >>> from heckeord.words import parse_word, format_word
+    >>> nf = to_normal_form(parse_word("b^-2"), group_context(2))
+    >>> format_word(nf.prefix), nf.ell
+    ('a^2 b a b a^2', -1)
+    """
+    stack, ell, budget = stack_pass(START, word, ctx)
     if budget < 0:
         raise RewriteLimitError("normal-form budget exhausted")
     return NormalForm(prefix=tuple(stack), ell=ell)

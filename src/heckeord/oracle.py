@@ -74,6 +74,8 @@ _START_WIDTH = 96
 _GUARD = 64
 _SLACK = 32
 
+_IDENTITY = (1, 0, 0, 1)  # packed the same at every width
+
 
 @functools.lru_cache(maxsize=None)
 def _plan(q: int) -> tuple:
@@ -186,10 +188,16 @@ def _widen(entries, deg: int, width: int, grow: int, guard: int) -> tuple[list[i
     return [_pack(entry, width) for entry in digits], width, bits
 
 
-def _fold(word: Word, ctx: GroupContext) -> tuple[tuple[int, int, int, int], int]:
-    """rho(word) as packed entries, and lam packed at their width.
+def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
+    """The fold's state after word, resumed from start (the identity when None).
 
-    At deg 1 the entries are plain ints and lam is an int.  Otherwise an
+    The state is (entries, flip, width, bits): rho of the letters folded
+    so far is (-1)^flip times the packed entries at digit width B =
+    width, and 2^bits bounds their digits.  Folding v from the state of
+    u gives the state of u v, so rho(w x) costs the letter x once rho(w)
+    is known; _matrix reads rho and lam off a state.
+
+    At deg 1 the entries are plain ints, and width and bits are 0.  Otherwise an
     entry sum c_i lam^i is the int sum c_i 2^(B i) with balanced digits,
     lam is 2^B, and lam u = (u << B) - t M with t = (u + 2^(S-1)) >> S its
     top digit, which is exact while every digit stays below 2^(B - 2).
@@ -206,12 +214,13 @@ def _fold(word: Word, ctx: GroupContext) -> tuple[tuple[int, int, int, int], int
             s = e mod q; then min(s, q - s) steps of rho(a) or of
             rho(a)^-1 = [[0, 1], [-1, lam]] (a^s = -a^-(q-s)).
 
-    The sign is a scalar, so it is carried as a flag and applied at the end.
+    The sign is a scalar, so it is carried as a flag and applied by _matrix.
     """
     q = ctx.q
     deg, modulus, shear_bits, rotation_bits, guard = _plan(q)
-    x0, x1, x2, x3 = 1, 0, 0, 1
-    flip = False
+    if start is None:
+        start = (_IDENTITY, False, 0, 0) if deg == 1 else (_IDENTITY, False, _START_WIDTH, 1)
+    (x0, x1, x2, x3), flip, width, bits = start
     if deg == 1:
         lam = -modulus[0]
         for gen, exp in word:
@@ -232,10 +241,8 @@ def _fold(word: Word, ctx: GroupContext) -> tuple[tuple[int, int, int, int], int
                 for _ in range(q - s):
                     x0, x1 = -x1, lam * x1 + x0
                     x2, x3 = -x3, lam * x3 + x2
-        return ((-x0, -x1, -x2, -x3) if flip else (x0, x1, x2, x3)), lam
-    width = _START_WIDTH
+        return (x0, x1, x2, x3), flip, 0, 0
     mod, place, half, *certificate = _layout(q, width)
-    bits = 1
     for gen, exp in word:
         if gen == GEN_B:
             grow = exp.bit_length() + shear_bits
@@ -263,13 +270,23 @@ def _fold(word: Word, ctx: GroupContext) -> tuple[tuple[int, int, int, int], int
             for _ in range(q - s):
                 x0, x1 = -x1, x0 + (x1 << width) - ((x1 + half) >> place) * mod
                 x2, x3 = -x3, x2 + (x3 << width) - ((x3 + half) >> place) * mod
-    return ((-x0, -x1, -x2, -x3) if flip else (x0, x1, x2, x3)), 1 << width
+    return (x0, x1, x2, x3), flip, width, bits
+
+
+def _matrix(state: tuple, ctx: GroupContext) -> tuple[tuple[int, int, int, int], int]:
+    """rho as packed entries, and lam packed at their width, from a _fold state.
+
+    At deg 1 the entries are plain ints and lam is an int.
+    """
+    (x0, x1, x2, x3), flip, width, _ = state
+    lam = 1 << width if width else -_plan(ctx.q)[1][0]
+    return ((-x0, -x1, -x2, -x3) if flip else (x0, x1, x2, x3)), lam
 
 
 def rho(word: Word, ctx: GroupContext) -> Mat2:
     """The matrix image of a word (an honest SL2 product, det = 1): the
     packed fold, unpacked into coefficient tuples in the power basis of lam."""
-    m, lam = _fold(word, ctx)
+    m, lam = _matrix(_fold(word, ctx), ctx)
     deg = len(ctx.min_poly) - 1
     if deg == 1:
         return tuple((x,) for x in m)
@@ -284,18 +301,20 @@ def phi(word: Word, ctx: GroupContext) -> int:
     return total
 
 
-def klein_pair(word: Word) -> tuple[int, int]:
-    """Normal coordinates (t, s) of a word in the Klein bottle group G_1.
+def klein_pair(word: Word, start: tuple[int, int] = (0, 0)) -> tuple[int, int]:
+    """Normal coordinates (t, s) of start times word in the Klein bottle group G_1.
 
     Every element of < a, b | b a b = a > equals a^t b^s for unique
     integers (t, s); right multiplication acts by
 
         (t, s) * a^e = (t + e, (-1)^e s),      (t, s) * b^e = (t, s + e).
 
+    So the pair of u v is the pair of v folded from start = the pair of u.
+
     >>> klein_pair(((GEN_B, 1), (GEN_A, 1), (GEN_B, 1)))   # b a b = a
     (1, 0)
     """
-    t, s = 0, 0
+    t, s = start
     for gen, exp in word:
         if gen == GEN_A:
             t += exp
@@ -329,7 +348,7 @@ def oracle_is_identity(word: Word, ctx: GroupContext) -> bool:
     """
     if ctx.n == 1:
         return klein_pair(word) == (0, 0)
-    return phi(word, ctx) == 0 and _fold(word, ctx)[0] == (1, 0, 0, 1)
+    return phi(word, ctx) == 0 and _matrix(_fold(word, ctx), ctx)[0] == _IDENTITY
 
 
 def oracle_report(word: Word, ctx: GroupContext) -> tuple[bool, bool, int]:
@@ -339,9 +358,9 @@ def oracle_report(word: Word, ctx: GroupContext) -> tuple[bool, bool, int]:
     rho(word) = +-I, which for n >= 2 also holds on every central power
     delta^j.
     """
-    m, value = _fold(word, ctx)[0], phi(word, ctx)
-    identity = klein_pair(word) == (0, 0) if ctx.n == 1 else (value == 0 and m == (1, 0, 0, 1))
-    return identity, m in ((1, 0, 0, 1), (-1, 0, 0, -1)), value
+    m, value = _matrix(_fold(word, ctx), ctx)[0], phi(word, ctx)
+    identity = klein_pair(word) == (0, 0) if ctx.n == 1 else (value == 0 and m == _IDENTITY)
+    return identity, m in (_IDENTITY, (-1, 0, 0, -1)), value
 
 
 def oracle_equal(u: Word, v: Word, ctx: GroupContext) -> bool:
@@ -372,7 +391,7 @@ def b_power_of(word: Word, ctx: GroupContext) -> int | None:
     k, rest = divmod(phi(word, ctx), ctx.phi_b)
     if rest:
         return None
-    m, lam = _fold(word, ctx)
+    m, lam = _matrix(_fold(word, ctx), ctx)
     return k if m == (1, k * lam, 0, 1) else None
 
 

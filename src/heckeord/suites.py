@@ -10,19 +10,21 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 import os
 
-from .cone import MIRROR, Sign, decide_sign, expand_handle
+from .cone import MIRROR, Sign, decide_sign, expand_handle, sign_pass
 from .context import GroupContext
-from .oracle import element_key, oracle_is_identity
+from .normalform import START, NormalForm, stack_pass
+from .oracle import _IDENTITY, _fold, _matrix, element_key, klein_pair, oracle_is_identity, phi
 from .words import (
     ALPHABET_AB,
     GEN_A,
     GEN_B,
     SIGNED_LETTERS,
+    RewriteLimitError,
     Word,
     concat,
-    enumerate_reduced,
     format_word,
     gen_power,
     invert,
@@ -45,29 +47,128 @@ class SuiteReport:
         return not self.violations
 
 
-def _examine_row(ctx: GroupContext, word: Word):
-    """One ball word: (word, verdict, violations of the local checks)."""
+# Verdict codes of the mirror check: a word's own verdict sits in bits
+# 0-1 of its byte, and the verdict its inverse implies for it, the
+# MIRROR of the inverse's verdict, in bits 2-3.  A byte whose two
+# halves differ marks a word whose inverse does not mirror it.
+_SIGN_OF = (None, Sign.POSITIVE, Sign.NEGATIVE, Sign.IDENTITY)
+_MIRROR_CODE = (0, 2, 1, 3)
+_MISMATCH = bytes((x & 3) != (x >> 2) for x in range(256))
+
+
+def _ball_tree(max_len: int, first: int | None):
+    """Depth-first walk of one part of the ball's tree.
+
+    The reduced words of letter length <= max_len form a tree: a word's
+    children append one letter, visited in the order of SIGNED_LETTERS
+    (a, a^-1, b, b^-1), and first is the index of the letter every word
+    of this part starts with, or None for the identity alone.  Yields
+    (word, letter, depth, rank, inverse rank), where letter indexes the
+    last letter, depth is the letter length, and rank is the word's
+    position in enumerate_reduced(max_len), inverse rank its inverse's.
+
+    A word of length L >= 1 has rank 2 * 3^(L-1) - 1 + i, with i its
+    index among the 4 * 3^(L-1) words of its length: its first letter's
+    index times 3^(L-1), plus each later letter's position among the
+    three allowed after the one before, in base 3.  So a child's index
+    is 3 i + (its letter's position), and its inverse x^-1 w^-1 has the
+    index of w^-1 with the leading digit of x^-1 put in front and that
+    of w^-1's first letter made relative to x^-1: both O(1).  Letter
+    index ^ 1 is the inverse letter.
+    """
+    if first is None:
+        yield (), None, 0, 0, 0
+        return
+    third = [3**k for k in range(max_len)]  # 3^(L-1) at depth L
+    todo = [(SIGNED_LETTERS[first:first + 1], first, 1, first, first ^ 1)]
+    while todo:
+        word, letter, depth, index, inverse_index = todo.pop()
+        base = 2 * third[depth - 1] - 1
+        yield word, letter, depth, base + index, base + inverse_index
+        if depth == max_len:
+            continue
+        back = letter ^ 1  # the letter that would cancel; first letter of w^-1
+        gen, exp = word[-1]
+        for x in (3, 2, 1, 0):  # pushed in reverse, so popped in order
+            if x == back:
+                continue
+            x_gen, x_exp = SIGNED_LETTERS[x]
+            child = word[:-1] + ((gen, exp + x_exp),) if x_gen == gen else word + ((x_gen, x_exp),)
+            todo.append((
+                child,
+                x,
+                depth + 1,
+                3 * index + x - (x > back),
+                (x ^ 1) * third[depth] + inverse_index - (third[depth - 1] if back > x else 0),
+            ))
+
+
+def _walk(ctx: GroupContext, max_len: int, first: int | None):
+    """Examine one part of the ball (see _ball_tree) word by word.
+
+    Each word resumes its parent's state, kept per depth: the normal
+    form's stack pass, and the oracle's fold (rho and phi, or the Klein
+    pair at n = 1).  So a word costs the work of its last letter plus
+    its sign pass and checks.  Returns (counts by verdict code, the
+    violations as (rank, triple) pairs, the mirror bytes of the whole
+    ball with this part's entries set).
+    """
+    if ctx.n == 1:  # the Klein pair: rho and phi are blind to b there
+        step = klein_pair
+
+        def is_one(key):
+            return key == (0, 0)
+
+        start = (0, 0)
+    else:  # (phi, the fold's state)
+
+        def step(word, key):
+            return key[0] + phi(word, ctx), _fold(word, ctx, key[1])
+
+        def is_one(key):
+            return key[0] == 0 and _matrix(key[1], ctx)[0] == _IDENTITY
+
+        start = (0, _fold((), ctx))
+    nf_state = [START] * (max_len + 1)
+    key = [start] * (max_len + 1)  # the oracle's state of each word on the path
+    counts = [0, 0, 0, 0]
     violations = []
-    result = decide_sign(word, ctx)
-    witness = result.witness
-    if result.verdict is Sign.IDENTITY:
-        if witness != ():
-            violations.append((format_word(word), "witness-shape", "identity verdict with nonempty witness"))
-    else:
-        want_positive = result.verdict is Sign.POSITIVE
-        if not witness or not is_one_signed(witness) or (witness[0][1] > 0) != want_positive:
-            violations.append(
-                (format_word(word), "witness-shape", f"not one-signed for {result.verdict.value}: {format_word(witness)}")
-            )
-    if not oracle_is_identity(concat(invert(word), witness), ctx):
-        violations.append(
-            (format_word(word), "witness-equality", f"witness {format_word(witness)} is not the same element")
-        )
-    if (result.verdict is Sign.IDENTITY) != oracle_is_identity(word, ctx):
-        violations.append(
-            (format_word(word), "oracle-agreement", f"verdict {result.verdict.value} contradicts the oracle")
-        )
-    return word, result.verdict, violations
+    verdicts = bytearray(2 * 3**max_len - 1)
+    for word, letter, depth, rank, inverse_rank in _ball_tree(max_len, first):
+        if depth:
+            last = SIGNED_LETTERS[letter : letter + 1]
+            stack, ell, budget = stack_pass(nf_state[depth - 1], last, ctx)
+            if budget < 0:
+                raise RewriteLimitError("normal-form budget exhausted")
+            prefix = tuple(stack)
+            nf_state[depth] = prefix, ell, budget
+            key[depth] = step(last, key[depth - 1])
+        else:
+            prefix, ell = (), 0
+        result = sign_pass(NormalForm(prefix, ell), ctx)
+        verdict, witness = result.verdict, result.witness
+        if verdict is Sign.IDENTITY:
+            code = 3
+            if witness != ():
+                detail = "identity verdict with nonempty witness"
+                violations.append((rank, (format_word(word), "witness-shape", detail)))
+        else:
+            code = 1 if verdict is Sign.POSITIVE else 2
+            if not witness or not is_one_signed(witness) or (witness[0][1] > 0) != (code == 1):
+                detail = f"not one-signed for {verdict.value}: {format_word(witness)}"
+                violations.append((rank, (format_word(word), "witness-shape", detail)))
+        # witness-equality: w witness^-1 = 1, which is w^-1 witness = 1
+        # conjugated, folded on from w's state; trivial when witness is w.
+        if witness != word and not is_one(step(invert(witness), key[depth])):
+            detail = f"witness {format_word(witness)} is not the same element"
+            violations.append((rank, (format_word(word), "witness-equality", detail)))
+        if (code == 3) != is_one(key[depth]):
+            detail = f"verdict {verdict.value} contradicts the oracle"
+            violations.append((rank, (format_word(word), "oracle-agreement", detail)))
+        counts[code] += 1
+        verdicts[rank] |= code
+        verdicts[inverse_rank] |= _MIRROR_CODE[code] << 2
+    return counts, violations, verdicts
 
 
 def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> SuiteReport:
@@ -80,38 +181,60 @@ def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> Suit
     2 * 3^max_len - 1 words, so max_len is bounded to
     0..MAX_SUITE_LEN; jobs is the number of worker processes,
     1..os.cpu_count().  Values outside either range are a ValueError,
-    raised before any word is enumerated.
+    raised before any word is examined.
+
+    The ball is walked depth first as a tree (_ball_tree), in five
+    parts: the identity, and the words starting with a, a^-1, b, b^-1;
+    jobs > 1 hands the parts to a worker pool.  Every word resumes the
+    normal form and the oracle's fold from its parent, so the work per
+    word is one letter of each fold plus its sign pass and checks.  The
+    mirror check keeps 1 byte per word (its verdict and the one its
+    inverse implies), in one bytearray per part, merged at the end; the
+    walk itself holds O(max_len) state.  Violations come out as from a
+    pass in ball order: the per-word ones by rank, then the mirror ones
+    by rank.
     """
     if not 0 <= max_len <= MAX_SUITE_LEN:
         raise ValueError(f"max_len must be in 0..{MAX_SUITE_LEN}, got {max_len!r}")
     limit = os.cpu_count() or 1
     if not 1 <= jobs <= limit:
         raise ValueError(f"jobs must be in 1..{limit}, got {jobs!r}")
-    examine = functools.partial(_examine_row, ctx)
+    walk = functools.partial(_walk, ctx, max_len)
+    parts = [None, 0, 1, 2, 3] if max_len else [None]
     if jobs > 1:
         import multiprocessing  # here, not at module load: only jobs > 1 needs it
         with multiprocessing.Pool(jobs) as pool:
-            rows = pool.map(examine, enumerate_reduced(max_len))
+            results = pool.map(walk, parts)
     else:
-        rows = map(examine, enumerate_reduced(max_len))  # streamed: no list of the ball
+        results = map(walk, parts)
 
-    counts = {s.value: 0 for s in Sign}
-    violations = []
-    verdict_of = {}  # in ball order
-    for word, verdict, word_violations in rows:
-        counts[verdict.value] += 1
-        violations.extend(word_violations)
-        verdict_of[word] = verdict
-    for word, verdict in verdict_of.items():
-        mirrored = verdict_of[invert(word)]
-        if mirrored is not MIRROR[verdict]:
+    counts = [0, 0, 0, 0]
+    ranked = []
+    merged = 0
+    for part_counts, part_violations, part_verdicts in results:
+        counts = list(map(operator.add, counts, part_counts))
+        ranked += part_violations
+        merged |= int.from_bytes(part_verdicts, "little")
+    ranked.sort(key=operator.itemgetter(0))  # stable: a word's checks keep their order
+    violations = [v for _, v in ranked]
+    verdicts = merged.to_bytes(2 * 3**max_len - 1, "little")
+    if 1 in verdicts.translate(_MISMATCH):
+        # Rare: walk the tree once more for the words of the marked ranks.
+        marked = {}
+        for part in parts:
+            for word, _, _, rank, _ in _ball_tree(max_len, part):
+                if _MISMATCH[verdicts[rank]]:
+                    marked[rank] = word
+        for rank, word in sorted(marked.items()):
+            code = verdicts[rank]
+            verdict, mirrored = _SIGN_OF[code & 3], MIRROR[_SIGN_OF[code >> 2]]
             detail = f"{verdict.value} vs {mirrored.value} for the inverse"
             violations.append((format_word(word), "inverse-mirror", detail))
     return SuiteReport(
         n=ctx.n,
         max_len=max_len,
-        total_words=len(verdict_of),
-        counts=counts,
+        total_words=sum(counts),
+        counts={s.value: counts[code] for code, s in enumerate(_SIGN_OF) if s},
         violations=tuple(violations),
     )
 

@@ -258,5 +258,6 @@ def is_one_signed(word: Word) -> bool:
     """True when every exponent has the same sign (vacuously for the identity)."""
     if not word:
         return True
-    sign = 1 if word[0][1] > 0 else -1
-    return all(exp * sign > 0 for _, exp in word)
+    if word[0][1] > 0:
+        return min(map(itemgetter(1), word)) > 0
+    return max(map(itemgetter(1), word)) < 0

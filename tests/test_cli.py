@@ -284,9 +284,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("max_len", ["-1", "13"])
     def test_suite_max_len_out_of_range_is_2_before_enumerating(self, capsys, monkeypatch, max_len):
         def no_ball(*args, **kwargs):
-            raise AssertionError("the ball was enumerated")
+            raise AssertionError("the ball was walked")
 
-        monkeypatch.setattr(suites, "enumerate_reduced", no_ball)
+        monkeypatch.setattr(suites, "_walk", no_ball)
         code, out, err = run(capsys, "suite", "--n", "2", "--max-len", max_len)
         assert code == 2
         assert out == ""

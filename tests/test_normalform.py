@@ -1,13 +1,14 @@
 """Central normal form prefix * delta^ell: anchors and oracle soundness."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import words
+from heckeord import normalform
 from heckeord.context import group_context
-from heckeord.normalform import NormalForm, NormalFormError, to_normal_form
+from heckeord.normalform import START, NormalForm, NormalFormError, stack_pass, to_normal_form
 from heckeord.oracle import oracle_is_identity
-from heckeord.words import GEN_A, GEN_B, concat, format_word, gen_power, invert, parse_word
+from heckeord.words import GEN_A, GEN_B, RewriteLimitError, concat, format_word, gen_power, invert, parse_word
 
 
 def nf_to_word(nf, ctx):
@@ -146,3 +147,80 @@ class TestInvariant:
     def test_positive_prefix_is_accepted(self):
         assert NormalForm(prefix=((GEN_A, 2), (GEN_B, 1)), ell=-3).ell == -3
         assert NormalForm(prefix=(), ell=0).prefix == ()
+
+
+def by_syllable(word, ctx, state=START):
+    """The stack pass resumed one syllable at a time."""
+    for syllable in word:
+        state = stack_pass(state, (syllable,), ctx)
+    return state
+
+
+# Words that reach every branch of the pass: a^-m, b^-t up to t = 300
+# (t >= 3 appends the steady state (b a^(n-1))^k in bulk), and mixtures.
+RESUME_CASES = [
+    "a^-1", "a^-7", "a^-40", "b^-1", "b^-2", "b^-3", "b^-300",
+    "a b^-300 a", "b^-5 a^-1 b a^2", "a^3 b^-17 a^-2 b^4 a^-9 b^-300",
+    "b a^2 b a^2 b", "b^-150 b^-150", "a^-2 b^-2 a^-2 b^-2",
+]
+
+
+class TestResume:
+    """stack_pass is a left fold: resumed from the state of u over v it
+    gives the state of u v."""
+
+    @given(
+        st.integers(min_value=1, max_value=63),
+        words(max_syllables=8, max_exp=300),
+        st.integers(min_value=-50, max_value=16),
+    )
+    def test_by_syllable_matches_the_whole_word(self, n, w, slack):
+        # Same stack, ell and budget left, from any starting budget: so
+        # the tripwire fires at the same point either way.
+        ctx = group_context(n)
+        start = ((), 0, slack)
+        stack, ell, budget = stack_pass(start, w, ctx)
+        resumed = by_syllable(w, ctx, start)
+        assert (list(resumed[0]), resumed[1], resumed[2]) == (stack, ell, budget)
+        nf = to_normal_form(w, ctx)
+        assert (tuple(stack), ell) == (nf.prefix, nf.ell)
+
+    @given(st.integers(min_value=1, max_value=63), words(max_syllables=8, max_exp=6))
+    def test_by_letter_gives_the_same_normal_form(self, n, w):
+        # Letter by letter, as the trichotomy suite walks the ball: the
+        # same normal form, and the budget never runs out.
+        ctx = group_context(n)
+        state = START
+        for gen, exp in w:
+            letter = ((gen, 1 if exp > 0 else -1),)
+            for _ in range(abs(exp)):
+                state = stack_pass(state, letter, ctx)
+                assert state[2] >= 0
+        nf = to_normal_form(w, ctx)
+        assert (tuple(state[0]), state[1]) == (nf.prefix, nf.ell)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 63])
+    @pytest.mark.parametrize("text", RESUME_CASES)
+    def test_budget_trips_where_the_resumed_pass_runs_out(self, monkeypatch, n, text):
+        # With no slack the resumed pass leaves spare = letters - firings;
+        # to_normal_form raises from a START slack of -spare - 1 down and
+        # not from -spare up.
+        ctx = group_context(n)
+        w = parse_word(text)
+        spare = by_syllable(w, ctx, ((), 0, 0))[2]
+        assert spare >= 0
+        monkeypatch.setattr(normalform, "START", ((), 0, -spare))
+        nf = to_normal_form(w, ctx)
+        monkeypatch.setattr(normalform, "START", ((), 0, -spare - 1))
+        with pytest.raises(RewriteLimitError):
+            to_normal_form(w, ctx)
+        monkeypatch.undo()
+        assert nf == to_normal_form(w, ctx)
+
+    def test_input_state_is_not_changed(self):
+        ctx = CTX2
+        stack = [(GEN_A, 2), (GEN_B, 1)]
+        state = (stack, -1, 16)
+        out = stack_pass(state, parse_word("a^2 b"), ctx)
+        assert stack == [(GEN_A, 2), (GEN_B, 1)]
+        assert out[0] is not stack

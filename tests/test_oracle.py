@@ -646,3 +646,59 @@ class TestPackedFold:
         assert max(map(abs, ring.mul(ring.lam, (0,) * (deg - 1) + (1,)))) + 1 < 1 << shear_bits
         # Every rotation fits under one certificate, so none forces a widening.
         assert max(rotation_bits) <= guard - 3
+
+
+def unpacked(state, ctx):
+    """rho as coefficient tuples, read off a _fold state."""
+    m, lam = oracle._matrix(state, ctx)
+    deg = len(ctx.min_poly) - 1
+    if deg == 1:
+        return tuple((x,) for x in m)
+    return tuple(oracle._unpack(x, lam.bit_length() - 1, deg) for x in m)
+
+
+class TestResumedFold:
+    """_fold from the state of u over v is the fold of u v, the same state
+    and the same matrix as the tuple fold's; klein_pair likewise at n = 1."""
+
+    @given(
+        st.integers(min_value=1, max_value=63),
+        words(max_syllables=20, max_exp=300),
+        words(max_syllables=20, max_exp=300),
+    )
+    def test_resumed_matches_whole(self, n, u, v):
+        # u + v is the syllables one after the other, as the fold reads
+        # them; the tuple fold reads them the same way.
+        ctx = group_context(n)
+        whole = oracle._fold(u + v, ctx)
+        assert oracle._fold(v, ctx, oracle._fold(u, ctx)) == whole
+        assert unpacked(whole, ctx) == tuple_rho(u + v, ctx)
+
+    @pytest.mark.parametrize("n", [7, 31, 63])
+    def test_widening_inside_the_resumed_part(self, monkeypatch, n):
+        # (a b^3)^40 outgrows the start width at these n: resumed after a
+        # short u, the widening happens in the resumed part.
+        ctx = group_context(n)
+        u, v = parse_word("a^5 b^-2"), parse_word(" ".join(["a b^3"] * 40))
+        state = oracle._fold(u, ctx)
+        widened = []
+        real = oracle._widen
+        monkeypatch.setattr(oracle, "_widen", lambda *args: widened.append(1) or real(*args))
+        resumed = oracle._fold(v, ctx, state)
+        assert widened and resumed[2] > state[2]
+        assert resumed == oracle._fold(u + v, ctx)
+        assert unpacked(resumed, ctx) == tuple_rho(u + v, ctx)
+
+    def test_letter_by_letter(self):
+        # The trichotomy suite folds the ball one letter at a time.
+        ctx = group_context(5)
+        w = parse_word("a^3 b^-2 a^-4 b a^7")
+        state = oracle._fold((), ctx)
+        for gen, exp in w:
+            for _ in range(abs(exp)):
+                state = oracle._fold(((gen, 1 if exp > 0 else -1),), ctx, state)
+        assert unpacked(state, ctx) == tuple_rho(w, ctx) == rho(w, ctx)
+
+    @given(words(max_syllables=12, max_exp=9), words(max_syllables=12, max_exp=9))
+    def test_klein_pair_resumed(self, u, v):
+        assert klein_pair(v, klein_pair(u)) == klein_pair(u + v)

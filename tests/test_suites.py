@@ -1,14 +1,18 @@
 """Verification suites, the two-parameter family check, Cayley export."""
 
+import functools
 import json
 import multiprocessing
 import os
 
 import pytest
+from hypothesis import given, strategies as st
 
-from heckeord import suites
+from conftest import relator
+from heckeord import cone, suites
 from heckeord.cone import Sign, SignResult
 from heckeord.context import group_context
+from heckeord.normalform import to_normal_form
 from heckeord.oracle import element_key, oracle_is_identity
 from heckeord.suites import (
     build_cayley_ball,
@@ -18,7 +22,8 @@ from heckeord.suites import (
     run_trichotomy_suite,
     verify_family_identity,
 )
-from heckeord.words import concat, enumerate_reduced, invert, parse_word
+from heckeord.words import GEN_A, RewriteLimitError, concat, enumerate_reduced, invert, parse_word
+from reference_suites import reference_trichotomy_suite
 
 CTX2 = group_context(2)
 
@@ -40,16 +45,17 @@ class TestTrichotomySuite:
         assert report.ok
 
     def test_parallel_run_matches_serial(self, monkeypatch):
-        # Wrong verdicts planted on three ball words give a report whose
-        # violations follow the order of the rows the pool returns.  The
-        # workers are forked, so they inherit the patched module.
-        real = suites.decide_sign
-        planted = {parse_word("a b"), parse_word("b^-1 a"), parse_word("a^-2 b^2")}
+        # Wrong verdicts planted on three ball words (on their normal
+        # forms, which the walk hands to the sign pass) give a report whose
+        # violations are in ball order either way.  The workers are
+        # forked, so they inherit the patched module.
+        real = suites.sign_pass
+        planted = {to_normal_form(parse_word(text), CTX2) for text in ("a b", "b^-1 a", "a^-2 b^2")}
 
-        def broken(word, ctx):
-            return SignResult(Sign.IDENTITY, (), 0) if word in planted else real(word, ctx)
+        def broken(nf, ctx):
+            return SignResult(Sign.IDENTITY, (), 0) if nf in planted else real(nf, ctx)
 
-        monkeypatch.setattr(suites, "decide_sign", broken)
+        monkeypatch.setattr(suites, "sign_pass", broken)
         serial = run_trichotomy_suite(CTX2, 4, jobs=1)
         parallel = run_trichotomy_suite(CTX2, 4, jobs=2)
         assert len({word for word, _, _ in serial.violations}) >= 2
@@ -60,13 +66,14 @@ class TestTrichotomySuite:
     def test_broken_mirror_is_reported(self, monkeypatch):
         # Call a^-1 the identity: its inverse a stays positive, so the
         # mirror check must name both words with the verdicts as text.
-        real = suites.decide_sign
+        real = suites.sign_pass
+        planted = to_normal_form(parse_word("a^-1"), CTX2)
 
-        def broken(word, ctx):
-            result = real(word, ctx)
-            return SignResult(Sign.IDENTITY, (), 0) if word == parse_word("a^-1") else result
+        def broken(nf, ctx):
+            result = real(nf, ctx)
+            return SignResult(Sign.IDENTITY, (), 0) if nf == planted else result
 
-        monkeypatch.setattr(suites, "decide_sign", broken)
+        monkeypatch.setattr(suites, "sign_pass", broken)
         report = run_trichotomy_suite(CTX2, 1)
         mirror = [v for v in report.violations if v[1] == "inverse-mirror"]
         assert mirror == [
@@ -87,11 +94,137 @@ class TestTrichotomySuite:
     @pytest.mark.parametrize("max_len", [-1, 13, 20])
     def test_max_len_out_of_range_raises_before_enumerating(self, monkeypatch, max_len):
         def no_ball(*args, **kwargs):
-            raise AssertionError("the ball was enumerated")
+            raise AssertionError("the ball was walked")
 
-        monkeypatch.setattr(suites, "enumerate_reduced", no_ball)
+        monkeypatch.setattr(suites, "_walk", no_ball)
         with pytest.raises(ValueError, match=r"max_len must be in 0\.\.12"):
             run_trichotomy_suite(CTX2, max_len)
+
+
+@functools.cache
+def clean_reference(n, max_len):
+    return reference_trichotomy_suite(group_context(n), max_len)
+
+
+FLIPPED = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE, Sign.IDENTITY: Sign.POSITIVE}
+
+
+def faulty(fault, every):
+    """A sign pass that plants fault on every normal form nf with
+    hash(nf) % every == 0: "flip" (a wrong verdict, the witness kept),
+    "other" (a one-signed witness that is another element: one more a
+    or a^-1) or "mixed" (the same element, not one-signed: the witness
+    with the relator appended as it is)."""
+    real = cone.sign_pass
+
+    def sign_pass(nf, ctx):
+        result = real(nf, ctx)
+        if hash(nf) % every:
+            return result
+        verdict, witness, steps = result.verdict, result.witness, result.steps
+        if fault == "flip":
+            return SignResult(FLIPPED[verdict], witness, steps)
+        if fault == "other":
+            extra = -1 if verdict is Sign.NEGATIVE else 1
+            return SignResult(verdict, concat(witness, ((GEN_A, extra),)), steps)
+        return SignResult(verdict, witness + relator(ctx.n), steps)
+
+    return sign_pass
+
+
+# The checks each planted fault must trip somewhere in the length-4 ball.
+PLANTED_CHECKS = {
+    "flip": {"witness-shape", "inverse-mirror"},
+    "other": {"witness-equality"},
+    "mixed": {"witness-shape"},
+}
+
+
+def plant(monkeypatch, fault, every):
+    """The same fault in the walk's sign pass and in decide_sign's, which
+    the reference calls."""
+    broken = faulty(fault, every)
+    monkeypatch.setattr(suites, "sign_pass", broken)
+    monkeypatch.setattr(cone, "sign_pass", broken)
+
+
+class TestAgainstReference:
+    """The walk's SuiteReport equals the from-scratch suite's in
+    tests/reference_suites.py: counts, total_words, violations in order."""
+
+    @pytest.mark.parametrize("n", range(1, 64))
+    def test_every_n_up_to_length_4(self, n):
+        ctx = group_context(n)
+        for max_len in range(5):
+            assert run_trichotomy_suite(ctx, max_len) == reference_trichotomy_suite(ctx, max_len), (n, max_len)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_length_7(self, n, jobs):
+        report = run_trichotomy_suite(group_context(n), 7, jobs=jobs)
+        assert report == clean_reference(n, 7)
+        assert report.ok and report.total_words == 4373
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("fault", ["flip", "other", "mixed"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 63])
+    def test_planted_faults(self, monkeypatch, n, fault, jobs):
+        ctx = group_context(n)
+        plant(monkeypatch, fault, 3)
+        report = run_trichotomy_suite(ctx, 4, jobs=jobs)
+        assert report == reference_trichotomy_suite(ctx, 4)
+        checks = {check for _, check, _ in report.violations}
+        assert checks >= PLANTED_CHECKS[fault]
+
+    @given(
+        st.integers(min_value=1, max_value=63),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([None, "flip", "other", "mixed"]),
+        st.integers(min_value=1, max_value=7),
+    )
+    def test_random_n_length_and_fault(self, n, max_len, fault, every):
+        # No monkeypatch fixture under @given: the fault is planted by hand.
+        ctx = group_context(n)
+        saved = suites.sign_pass, cone.sign_pass
+        if fault:
+            suites.sign_pass = cone.sign_pass = faulty(fault, every)
+        try:
+            assert run_trichotomy_suite(ctx, max_len) == reference_trichotomy_suite(ctx, max_len)
+        finally:
+            suites.sign_pass, cone.sign_pass = saved
+
+
+class TestBallTree:
+    def test_ranks_are_ball_positions(self):
+        # Every word of the length-8 ball, walked in its five parts, has
+        # the rank and inverse rank of enumerate_reduced.
+        position = {w: i for i, w in enumerate(enumerate_reduced(8))}
+        seen = []
+        for first in (None, 0, 1, 2, 3):
+            for word, _, depth, rank, inverse_rank in suites._ball_tree(8, first):
+                assert (rank, inverse_rank) == (position[word], position[invert(word)])
+                assert depth == sum(abs(exp) for _, exp in word)
+                seen.append(rank)
+        assert sorted(seen) == list(range(len(position)))
+
+    def test_depth_first_in_letter_order(self):
+        walked = [word for word, *_ in suites._ball_tree(2, 0)]
+        assert walked == [parse_word(t) for t in ("a", "a^2", "a b", "a b^-1")]
+
+    @pytest.mark.parametrize("n", [1, 2, 63])
+    def test_budget_tripwire_is_checked_per_word(self, monkeypatch, n):
+        # A start state 100 firings in debt leaves every word's budget
+        # negative: the walk must raise at the first word after the
+        # identity, not report verdicts.  Real code, so also under -O.
+        monkeypatch.setattr(suites, "START", ((), 0, -100))
+        with pytest.raises(RewriteLimitError):
+            run_trichotomy_suite(group_context(n), 2)
+
+    @pytest.mark.parametrize("max_len", [0, 1])
+    def test_smallest_balls_with_two_jobs(self, max_len):
+        serial = run_trichotomy_suite(CTX2, max_len, jobs=1)
+        assert run_trichotomy_suite(CTX2, max_len, jobs=2) == serial
+        assert serial == reference_trichotomy_suite(CTX2, max_len)
 
 
 class TestIdentitySuite:
