@@ -22,6 +22,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -46,6 +47,28 @@ _WALL_TIME = re.compile(r'"wall_time": [0-9.e+-]+')
 def _both(*argv):
     """The case in JSON form and in --plain form."""
     return [list(argv), [*argv, "--plain"]]
+
+
+def _long_word(seed: int, syllables: int) -> list[tuple[str, int]]:
+    """A fixed mixed-sign word: a, b alternating from a, exponents +-1..3."""
+    rng = random.Random(f"golden:{seed}")
+    return [("ab"[i % 2], rng.choice((-3, -2, -1, 1, 2, 3))) for i in range(syllables)]
+
+
+def _text(*parts: list[tuple[str, int]]) -> str:
+    return " ".join(gen if exp == 1 else f"{gen}^{exp}" for part in parts for gen, exp in part)
+
+
+def _inverse(word: list[tuple[str, int]]) -> list[tuple[str, int]]:
+    return [(gen, -exp) for gen, exp in reversed(word)]
+
+
+def _long_oracle_cases(n: int, seed: int) -> list[list[str]]:
+    """oracle on a 320-syllable word w, on w delta w^-1 (rho = -I, not 1)
+    and on w r w^-1 for the relator r (the identity)."""
+    w = _long_word(seed, 320)
+    delta, relator = [("a", n + 1)], [("a", -1), ("b", 1), ("a", n), ("b", 1)]
+    return [["oracle", "--n", str(n), _text(*parts)] for parts in ((w,), (w, delta, _inverse(w)), (w, relator, _inverse(w)))]
 
 
 CASES = [
@@ -127,6 +150,10 @@ CASES = [
     ["b3", "bridge", "--alphabet", "ab", "a^1000000000000"],
     # an --elems file of no words leaves no verdicts
     *_both("converge", "--kmax", "2", "--elems", "{tmp}/empty.txt"),
+    # long words at odd n, where the oracle's modulus is even
+    *(["sign", "--n", str(n), _text(_long_word(n + size, size))] for n in (7, 31, 63) for size in (80, 320)),
+    *_long_oracle_cases(31, 1),
+    *_long_oracle_cases(63, 2),
 ]
 
 
