@@ -29,27 +29,44 @@ rho is evaluated without general 2x2 products: rho(b)^k is a shear,
 which adds k*lam times the first column to the second, and rho(a) is a
 rotation with rho(a)^q = -I, so a^e is a sign times min(s, q - s) steps
 of rho(a) or rho(a)^-1, s = e mod q.  Each step multiplies an entry by
-lam.  At deg = deg(lam) = 1 (n = 1, 2) the entries are plain ints.
-Otherwise each entry sum c_i lam^i is packed into one int sum c_i 2^(B i)
-with balanced digits (Kronecker substitution), so lam * u is one shift,
-one top-digit extraction and one product with the packed modulus: a
-handful of C-level big-int operations on deg * B bits instead of deg
-Python-level ones.
+lam.  Each entry sum c_i lam^i is packed into ints
+sum c_i 2^(B i) with balanced digits (Kronecker substitution), so
+lam * u is one shift, one top-digit extraction and one product with the
+packed modulus: a handful of C-level big-int operations on deg * B bits
+instead of deg Python-level ones.
 
-The digit width B comes from a proof, not a guess.  Each syllable's
-growth factor bounds the digits; before that bound could reach
-2^(B - 2), a guard-bit certificate (two big-int operations per entry)
-proves them at most 2^(B - g), with g = 64 guard bits (up to 76 for
-n >= 57, so that every rotation fits under one certificate).  Only a
-failed certificate unpacks the entries and repacks them wider.
+How an entry is packed depends on the modulus M, the minimal polynomial
+of lam (deg = deg M):
 
-The identity is (1, 0, 0, 1) and rho(b)^k is (1, k * 2^B, 0, 1) at
-every width, so the identity test and b_power_of compare packed entries
-as they are; rho and element_key unpack once, at the end.  A b-syllable
-costs O(1) and an a-syllable O(min(e mod q, q - e mod q)) big-int
-operations, each linear in deg * B except the product of the top digit
-with the modulus, which costs deg * B^2 and is most of the time at
-n = 63.
+  odd q     one int per entry, the deg digits c_0, c_1, ...; lam u =
+            (u << B) - t M with t the top digit.
+  even q    M is even, M(x) = N(x^2), so half of M's digits are zero.
+            An entry is two ints, E of its even digits (c_0, c_2, ...)
+            and O of its odd ones, deg/2 digits each (Harvey's
+            multipoint Kronecker substitution).  lam (E + O lam) moves
+            E into O unchanged, and the new E is (O << B) - t N with t
+            the top digit of O: one product half as long.
+
+When an int would hold one digit it is that digit: at deg = 1 (n = 1,
+2) lam is an integer and an entry a plain int; at deg = 2 with even q
+(n = 3, 5) E and O are plain ints and lam^2 = -N(0).
+
+The digit width B comes from a proof, not a guess.  The digits are the
+same numbers however they are packed.  Each syllable's growth factor
+bounds them; before that bound could reach 2^(B - 2), a guard-bit
+certificate (two big-int operations per packed int) proves them at most
+2^(B - g), with g = 64 guard bits (up to 76 for n >= 57, so that every
+rotation fits under one certificate).  Only a failed certificate
+unpacks the ints and repacks them wider.
+
+The fold's state is read only here: _is_shear compares it with sign
+times rho(b)^k = [[1, k lam], [0, 1]], whose packed ints are the same
+at every width but for k lam, and _coefficients unpacks it for rho and
+element_key.  A b-syllable costs O(1) and an a-syllable
+O(min(e mod q, q - e mod q)) big-int operations, each linear in the
+packed length except the product of the top digit with the packed
+modulus, which costs B times that length: deg * B^2 at odd q and half
+of it at even q, still most of a step at n = 63.
 
 Everything here is computed with integer arithmetic only.
 """
@@ -74,13 +91,15 @@ _START_WIDTH = 96
 _GUARD = 64
 _SLACK = 32
 
-_IDENTITY = (1, 0, 0, 1)  # packed the same at every width
-
 
 @functools.lru_cache(maxsize=None)
 def _plan(q: int) -> tuple:
     """Per-q constants of the fold: (deg, modulus, shear bits, rotation
-    bits, guard g).
+    bits, guard g, digits per packed int).
+
+    The modulus is even (every even q >= 4) exactly when its odd-place
+    coefficients vanish; then an entry is packed as two ints of deg / 2
+    digits, otherwise as one of deg digits.
 
     A syllable multiplies a bound on the digits of every entry by a factor:
     1 + |k| (1 + max|m_i|) < 2^(k.bit_length() + shear bits) for b^k, and
@@ -119,28 +138,33 @@ def _plan(q: int) -> tuple:
         norms.append(sum(map(operator.mul, map(abs, cur), norms_of_powers)))
         factor = max(factor, norms[-1] + norms[-2], norms[-2] + norms[-3])
         rotation_bits.append(factor.bit_length())
-    return deg, modulus, shear_bits, tuple(rotation_bits), max(_GUARD, rotation_bits[-1] + 3)
+    guard = max(_GUARD, rotation_bits[-1] + 3)
+    digits = deg // 2 if not any(modulus[1::2]) else deg
+    return deg, modulus, shear_bits, tuple(rotation_bits), guard, digits
 
 
 @functools.lru_cache(maxsize=256)
 def _layout(q: int, width: int) -> tuple[int, int, int, int, int, int]:
-    """Packed constants at digit width B: (M, S, 2^(S-1), K, G, 2^(B deg)).
+    """Packed constants at digit width B: (M, S, 2^(S-1), K, G, 2^(B d)).
 
-    M is the monic modulus, S = B (deg - 1) the place of the top digit,
-    K has 2^(B - g) in every digit and G the top g - 1 bits of every digit.
+    d is the number of digits per packed int (_plan), M the monic
+    modulus packed, or N with M(x) = N(x^2) when entries are halves,
+    S = B (d - 1) the place of the top digit, K has 2^(B - g) in every
+    digit and G the top g - 1 bits of every digit.
     """
-    deg, modulus, _, _, guard = _plan(q)
-    place = width * (deg - 1)
+    deg, modulus, _, _, guard, digits = _plan(q)
+    reducer = modulus if digits == deg else modulus[::2]
+    place = width * (digits - 1)
     if width <= guard:  # too narrow for a certificate: 0 <= y < 0 fails
-        return _pack(modulus, width), place, 1 << (place - 1), 0, 0, 0
-    ones = sum(1 << (width * i) for i in range(deg))
+        return _pack(reducer, width), place, 1 << (place - 1), 0, 0, 0
+    ones = sum(1 << (width * i) for i in range(digits))
     return (
-        _pack(modulus, width),
+        _pack(reducer, width),
         place,
         1 << (place - 1),
         ones << (width - guard),
         ones * (((1 << (guard - 1)) - 1) << (width - guard + 1)),
-        1 << (width * deg),
+        1 << (width * digits),
     )
 
 
@@ -148,11 +172,11 @@ def _pack(coeffs, width: int) -> int:
     return sum(c << (width * i) for i, c in enumerate(coeffs))
 
 
-def _unpack(x: int, width: int, deg: int) -> tuple[int, ...]:
-    """The deg balanced digits of x, each of absolute value < 2^(width - 1)."""
+def _unpack(x: int, width: int, digits: int) -> tuple[int, ...]:
+    """The balanced digits of x, each of absolute value < 2^(width - 1)."""
     mask, half = (1 << width) - 1, 1 << (width - 1)
     out = []
-    for _ in range(deg):
+    for _ in range(digits):
         c = ((x + half) & mask) - half
         out.append(c)
         x = (x - c) >> width
@@ -160,10 +184,10 @@ def _unpack(x: int, width: int, deg: int) -> tuple[int, ...]:
 
 
 def _fits(entries, certificate) -> bool:
-    """The guard-bit certificate: every digit c of every entry has
+    """The guard-bit certificate: every digit c of every packed int has
     -2^(B - g) <= c < 2^(B - g).
 
-    Y = x + K must lie in [0, 2^(B deg)) and miss G.  Then Y's unsigned
+    Y = x + K must lie in [0, 2^(B d)) and miss G.  Then Y's unsigned
     base-2^B digits y_i are below 2^(B - g + 1), so x = sum (y_i - 2^(B - g))
     2^(B i) with balanced digits in [-2^(B - g), 2^(B - g)); as x's own
     digits are below 2^(B - 2) and balanced digits are unique, those are
@@ -177,15 +201,25 @@ def _fits(entries, certificate) -> bool:
     return True
 
 
-def _widen(entries, deg: int, width: int, grow: int, guard: int) -> tuple[list[int], int, int]:
-    """Unpack, measure and repack the entries with room for grow more bits.
+def _widen(entries, digits: int, width: int, grow: int, guard: int) -> tuple[tuple[int, ...], int, int]:
+    """Unpack, measure and repack the packed ints with room for grow more bits.
 
     Returns (entries, width, bits) with every digit below 2^bits.
     """
-    digits = [_unpack(x, width, deg) for x in entries]
-    bits = max(c.bit_length() for entry in digits for c in entry)
+    unpacked = [_unpack(x, width, digits) for x in entries]
+    bits = max(c.bit_length() for entry in unpacked for c in entry)
     width = -(-(bits + grow + guard + _SLACK) // 16) * 16
-    return [_pack(entry, width) for entry in digits], width, bits
+    return tuple(_pack(entry, width) for entry in unpacked), width, bits
+
+
+def _room(entries, q: int, width: int, grow: int) -> tuple[tuple[int, ...], int, int]:
+    """(entries, width, bits) with room for a syllable that grows the
+    digits by up to grow bits: certified at this width when one
+    certificate covers the syllable and passes, otherwise widened."""
+    _, _, _, _, guard, digits = _plan(q)
+    if grow <= guard - 3 and _fits(entries, _layout(q, width)[3:]):
+        return entries, width, width - guard + 1
+    return _widen(entries, digits, width, grow, guard)
 
 
 def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
@@ -195,34 +229,43 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
     so far is (-1)^flip times the packed entries at digit width B =
     width, and 2^bits bounds their digits.  Folding v from the state of
     u gives the state of u v, so rho(w x) costs the letter x once rho(w)
-    is known; _matrix reads rho and lam off a state.
+    is known; _is_shear and _coefficients read rho off a state.
 
-    At deg 1 the entries are plain ints, and width and bits are 0.  Otherwise an
-    entry sum c_i lam^i is the int sum c_i 2^(B i) with balanced digits,
-    lam is 2^B, and lam u = (u << B) - t M with t = (u + 2^(S-1)) >> S its
-    top digit, which is exact while every digit stays below 2^(B - 2).
-    A bound 2^bits on the digits grows by each syllable's factor (_plan);
-    before it could pass 2^(B - 2) the entries are certified (_fits) to
-    have digits <= 2^(B - g), and only when that fails, or one syllable
-    alone could outgrow the guard, are they unpacked and widened.
+    The entries are the four entries (x0, x1, x2, x3) of
+    [[x0, x1], [x2, x3]], or at even q the eight halves (E0, O0, E1,
+    O1, ...), E of the even and O of the odd digits of each entry.  A
+    packed int of one digit is that digit (deg 1, or deg 2 at even q):
+    width and bits are then 0.  Otherwise an entry's digits are packed
+    balanced at 2^B, lam is 2^B, and lam u = (u << B) - t M with
+    t = (u + 2^(S-1)) >> S its top digit, or lam (E, O) =
+    ((O << B) - t N, E) with t the top digit of O, which is exact while
+    every digit stays below 2^(B - 2).  A bound 2^bits on the digits
+    grows by each syllable's factor (_plan); before it could pass
+    2^(B - 2) the packed ints are certified (_fits) to have digits
+    <= 2^(B - g), and only when that fails, or one syllable alone could
+    outgrow the guard, are they unpacked and widened.
 
-    The entries (x0, x1, x2, x3) of [[x0, x1], [x2, x3]] start at the
-    identity and are right-multiplied one syllable at a time:
+    The entries start at the identity and are right-multiplied one
+    syllable at a time:
 
       b^k   a shear: x1 += k lam x0 and x3 += k lam x2.
       a^e   a rotation: rho(a)^q = -I, so e mod 2q gives a sign and
             s = e mod q; then min(s, q - s) steps of rho(a) or of
             rho(a)^-1 = [[0, 1], [-1, lam]] (a^s = -a^-(q-s)).
 
-    The sign is a scalar, so it is carried as a flag and applied by _matrix.
+    The sign is a scalar, so it is carried as a flag and applied when rho
+    is read.
     """
     q = ctx.q
-    deg, modulus, shear_bits, rotation_bits, guard = _plan(q)
+    deg, modulus, shear_bits, rotation_bits, _, digits = _plan(q)
+    halves = digits < deg
     if start is None:
-        start = (_IDENTITY, False, 0, 0) if deg == 1 else (_IDENTITY, False, _START_WIDTH, 1)
-    (x0, x1, x2, x3), flip, width, bits = start
-    if deg == 1:
+        identity = (1, 0, 0, 0, 0, 0, 1, 0) if halves else (1, 0, 0, 1)
+        start = (identity, False, 0, 0) if digits == 1 else (identity, False, _START_WIDTH, 1)
+    entries, flip, width, bits = start
+    if deg == 1:  # lam is an int
         lam = -modulus[0]
+        x0, x1, x2, x3 = entries
         for gen, exp in word:
             if gen == GEN_B:
                 k = exp * lam
@@ -242,7 +285,57 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
                     x0, x1 = -x1, lam * x1 + x0
                     x2, x3 = -x3, lam * x3 + x2
         return (x0, x1, x2, x3), flip, 0, 0
-    mod, place, half, *certificate = _layout(q, width)
+    if digits == 1:  # halves of one digit each: lam (e, o) = (c o, e), c = lam^2
+        c = -modulus[0]
+        e0, o0, e1, o1, e2, o2, e3, o3 = entries
+        for gen, exp in word:
+            if gen == GEN_B:
+                k = exp * c
+                e1, o1 = e1 + k * o0, o1 + exp * e0
+                e3, o3 = e3 + k * o2, o3 + exp * e2
+                continue
+            s = exp % (2 * q)
+            if s >= q:
+                flip, s = not flip, s - q
+            if 2 * s <= q:
+                for _ in range(s):
+                    e0, o0, e1, o1 = e1 + c * o0, o1 + e0, -e0, -o0
+                    e2, o2, e3, o3 = e3 + c * o2, o3 + e2, -e2, -o2
+            else:
+                flip = not flip
+                for _ in range(q - s):
+                    e0, o0, e1, o1 = -e1, -o1, e0 + c * o1, o0 + e1
+                    e2, o2, e3, o3 = -e3, -o3, e2 + c * o3, o2 + e3
+        return (e0, o0, e1, o1, e2, o2, e3, o3), flip, 0, 0
+    mod, place, half = _layout(q, width)[:3]
+    if halves:
+        e0, o0, e1, o1, e2, o2, e3, o3 = entries
+        for gen, exp in word:
+            if gen == GEN_B:
+                grow = exp.bit_length() + shear_bits
+            else:
+                s = exp % (2 * q)
+                if s >= q:
+                    flip, s = not flip, s - q
+                grow = rotation_bits[s if 2 * s <= q else q - s]
+            if bits + grow > width - 2:
+                (e0, o0, e1, o1, e2, o2, e3, o3), width, bits = _room((e0, o0, e1, o1, e2, o2, e3, o3), q, width, grow)
+                mod, place, half = _layout(q, width)[:3]
+            bits += grow
+            if gen == GEN_B:
+                e1, o1 = e1 + exp * ((o0 << width) - ((o0 + half) >> place) * mod), o1 + exp * e0
+                e3, o3 = e3 + exp * ((o2 << width) - ((o2 + half) >> place) * mod), o3 + exp * e2
+            elif 2 * s <= q:
+                for _ in range(s):
+                    e0, o0, e1, o1 = e1 + (o0 << width) - ((o0 + half) >> place) * mod, o1 + e0, -e0, -o0
+                    e2, o2, e3, o3 = e3 + (o2 << width) - ((o2 + half) >> place) * mod, o3 + e2, -e2, -o2
+            else:
+                flip = not flip
+                for _ in range(q - s):
+                    e0, o0, e1, o1 = -e1, -o1, e0 + (o1 << width) - ((o1 + half) >> place) * mod, o0 + e1
+                    e2, o2, e3, o3 = -e3, -o3, e2 + (o3 << width) - ((o3 + half) >> place) * mod, o2 + e3
+        return (e0, o0, e1, o1, e2, o2, e3, o3), flip, width, bits
+    x0, x1, x2, x3 = entries
     for gen, exp in word:
         if gen == GEN_B:
             grow = exp.bit_length() + shear_bits
@@ -252,11 +345,8 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
                 flip, s = not flip, s - q
             grow = rotation_bits[s if 2 * s <= q else q - s]
         if bits + grow > width - 2:
-            if grow <= guard - 3 and _fits((x0, x1, x2, x3), certificate):
-                bits = width - guard + 1
-            else:
-                (x0, x1, x2, x3), width, bits = _widen((x0, x1, x2, x3), deg, width, grow, guard)
-                mod, place, half, *certificate = _layout(q, width)
+            (x0, x1, x2, x3), width, bits = _room((x0, x1, x2, x3), q, width, grow)
+            mod, place, half = _layout(q, width)[:3]
         bits += grow
         if gen == GEN_B:
             x1 += exp * ((x0 << width) - ((x0 + half) >> place) * mod)
@@ -273,24 +363,38 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
     return (x0, x1, x2, x3), flip, width, bits
 
 
-def _matrix(state: tuple, ctx: GroupContext) -> tuple[tuple[int, int, int, int], int]:
-    """rho as packed entries, and lam packed at their width, from a _fold state.
+def _is_shear(state: tuple, ctx: GroupContext, k: int = 0, sign: int = 1) -> bool:
+    """Whether rho of a _fold state is sign times rho(b)^k = [[1, k lam], [0, 1]].
 
-    At deg 1 the entries are plain ints and lam is an int.
+    Its packed ints are the same at every width but for k lam: k 2^B as
+    one packed int, k * lam as a plain one, and k alone as the odd
+    half of an entry.
     """
-    (x0, x1, x2, x3), flip, width, _ = state
-    lam = 1 << width if width else -_plan(ctx.q)[1][0]
-    return ((-x0, -x1, -x2, -x3) if flip else (x0, x1, x2, x3)), lam
+    entries, flip, width, _ = state
+    if flip:
+        sign = -sign
+    if len(entries) == 8:
+        return entries == (sign, 0, 0, sign * k, 0, 0, sign, 0)
+    lam = 1 << width if width else -ctx.min_poly[0]
+    return entries == (sign, sign * k * lam, 0, sign)
+
+
+def _coefficients(state: tuple, ctx: GroupContext) -> Mat2:
+    """rho of a _fold state as coefficient tuples in the power basis of lam."""
+    entries, flip, width, _ = state
+    if flip:
+        entries = [-x for x in entries]
+    deg = len(ctx.min_poly) - 1
+    if len(entries) == 4:
+        return tuple(_unpack(x, width, deg) if width else (x,) for x in entries)
+    halves = [_unpack(x, width, deg // 2) if width else (x,) for x in entries]
+    return tuple(tuple(c for pair in zip(even, odd) for c in pair) for even, odd in zip(halves[::2], halves[1::2]))
 
 
 def rho(word: Word, ctx: GroupContext) -> Mat2:
     """The matrix image of a word (an honest SL2 product, det = 1): the
     packed fold, unpacked into coefficient tuples in the power basis of lam."""
-    m, lam = _matrix(_fold(word, ctx), ctx)
-    deg = len(ctx.min_poly) - 1
-    if deg == 1:
-        return tuple((x,) for x in m)
-    return tuple(_unpack(x, lam.bit_length() - 1, deg) for x in m)
+    return _coefficients(_fold(word, ctx), ctx)
 
 
 def phi(word: Word, ctx: GroupContext) -> int:
@@ -343,12 +447,12 @@ def oracle_is_identity(word: Word, ctx: GroupContext) -> bool:
     """Exact word-problem test, independent of all rewriting code.
 
     n >= 2: phi = 0, then rho(word) == I (folded only when phi = 0); the
-    packed identity is (1, 0, 0, 1) at every width, so nothing is unpacked.
+    packed identity is the same at every width, so nothing is unpacked.
     n == 1: Klein bottle closed form (the matrix pair is blind to b there).
     """
     if ctx.n == 1:
         return klein_pair(word) == (0, 0)
-    return phi(word, ctx) == 0 and _matrix(_fold(word, ctx), ctx)[0] == _IDENTITY
+    return phi(word, ctx) == 0 and _is_shear(_fold(word, ctx), ctx)
 
 
 def oracle_report(word: Word, ctx: GroupContext) -> tuple[bool, bool, int]:
@@ -358,9 +462,10 @@ def oracle_report(word: Word, ctx: GroupContext) -> tuple[bool, bool, int]:
     rho(word) = +-I, which for n >= 2 also holds on every central power
     delta^j.
     """
-    m, value = _matrix(_fold(word, ctx), ctx)[0], phi(word, ctx)
-    identity = klein_pair(word) == (0, 0) if ctx.n == 1 else (value == 0 and m == _IDENTITY)
-    return identity, m in (_IDENTITY, (-1, 0, 0, -1)), value
+    state, value = _fold(word, ctx), phi(word, ctx)
+    one = _is_shear(state, ctx)
+    identity = klein_pair(word) == (0, 0) if ctx.n == 1 else (value == 0 and one)
+    return identity, one or _is_shear(state, ctx, sign=-1), value
 
 
 def oracle_equal(u: Word, v: Word, ctx: GroupContext) -> bool:
@@ -391,8 +496,7 @@ def b_power_of(word: Word, ctx: GroupContext) -> int | None:
     k, rest = divmod(phi(word, ctx), ctx.phi_b)
     if rest:
         return None
-    m, lam = _matrix(_fold(word, ctx), ctx)
-    return k if m == (1, k * lam, 0, 1) else None
+    return k if _is_shear(_fold(word, ctx), ctx, k) else None
 
 
 def element_key(word: Word, ctx: GroupContext) -> tuple:

@@ -16,7 +16,7 @@ import os
 from .cone import MIRROR, Sign, decide_sign, expand_handle, sign_pass
 from .context import GroupContext
 from .normalform import START, NormalForm, stack_pass
-from .oracle import _IDENTITY, _fold, _matrix, element_key, klein_pair, oracle_is_identity, phi
+from .oracle import _fold, _is_shear, element_key, klein_pair, oracle_is_identity, phi
 from .words import (
     ALPHABET_AB,
     GEN_A,
@@ -126,7 +126,7 @@ def _walk(ctx: GroupContext, max_len: int, first: int | None):
             return key[0] + phi(word, ctx), _fold(word, ctx, key[1])
 
         def is_one(key):
-            return key[0] == 0 and _matrix(key[1], ctx)[0] == _IDENTITY
+            return key[0] == 0 and _is_shear(key[1], ctx)
 
         start = (0, _fold((), ctx))
     nf_state = [START] * (max_len + 1)

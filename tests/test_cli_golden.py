@@ -68,7 +68,8 @@ def _long_oracle_cases(n: int, seed: int) -> list[list[str]]:
     and on w r w^-1 for the relator r (the identity)."""
     w = _long_word(seed, 320)
     delta, relator = [("a", n + 1)], [("a", -1), ("b", 1), ("a", n), ("b", 1)]
-    return [["oracle", "--n", str(n), _text(*parts)] for parts in ((w,), (w, delta, _inverse(w)), (w, relator, _inverse(w)))]
+    words = ((w,), (w, delta, _inverse(w)), (w, relator, _inverse(w)))
+    return [["oracle", "--n", str(n), _text(*parts)] for parts in words]
 
 
 CASES = [

@@ -10,6 +10,7 @@ from conftest import relator, trivial_words, words
 from reference_oracle import tuple_rho
 from heckeord import oracle
 from heckeord.algebra import mat_identity, mat_mul, mat_neg, mat_pow
+from heckeord.cone import decide_sign
 from heckeord.context import GroupContext, group_context, ring_of
 from heckeord.oracle import (
     b_power_of,
@@ -516,8 +517,9 @@ def reference_report(word, ctx):
 
 
 class TestPackedFold:
-    """oracle._fold (one packed int per entry, width by certificate)
-    against the test-only tuple fold, n = 1..63."""
+    """oracle._fold (one packed int per entry at odd q, an even and an odd
+    half at even q, width by certificate) against the test-only tuple
+    fold, n = 1..63."""
 
     @given(st.integers(min_value=1, max_value=63), words(max_syllables=40, max_exp=300))
     def test_matches_tuple_fold(self, n, w):
@@ -529,6 +531,18 @@ class TestPackedFold:
         assert oracle_report(w, ctx) == reference_report(w, ctx), (n, format_word(w))
         if n > 1:
             assert element_key(w, ctx) == (want, phi(w, ctx)), (n, format_word(w))
+
+    @given(st.sampled_from(range(3, 64, 2)), st.data())
+    def test_long_check_words_at_odd_n(self, n, data):
+        # The words `sign` checks, w^-1 witness for w of 100 to 400
+        # mixed-sign syllables: at odd n (even q) they fold on halves,
+        # whose digits grow over w^-1 and shrink back over the witness.
+        ctx = group_context(n)
+        gen = data.draw(st.sampled_from((GEN_A, GEN_B)))
+        exps = data.draw(st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=100, max_size=400))
+        w = tuple((gen ^ (i % 2), exp) for i, exp in enumerate(exps))
+        check = concat(invert(w), decide_sign(w, ctx).witness)
+        assert rho(check, ctx) == tuple_rho(check, ctx), (n, format_word(w))
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 31, 63])
     def test_million_shear_in_one_syllable(self, n):
@@ -546,11 +560,11 @@ class TestPackedFold:
             w = word_from_syllables([(GEN_A, half), (GEN_B, k), (GEN_A, half), (GEN_B, -k)] * 12)
             assert rho(w, ctx) == tuple_rho(w, ctx), (half, k)
 
-    @pytest.mark.parametrize("n", [3, 7, 31, 63])
+    @pytest.mark.parametrize("n", [4, 7, 31, 63])
     @pytest.mark.parametrize("name", ["_fits", "_widen"])
     def test_prefixes_around_the_first_certificate_and_widening(self, monkeypatch, n, name):
         # K is the shortest prefix whose fold calls the certificate (or
-        # widens); the prefixes of K - 1, K and K + 1 syllables still fold
+        # widens), at odd q (n = 4) and on halves (n = 7, 31, 63); the prefixes of K - 1, K and K + 1 syllables still fold
         # to the tuple fold's matrix.
         ctx = group_context(n)
         word = random_word(random.Random(f"prefix:{n}"), 400)
@@ -594,13 +608,14 @@ class TestPackedFold:
     def test_minimum_start_width_widens_every_word(self, monkeypatch):
         # Width 3 holds the identity and nothing more, and no certificate
         # fits in it: every word that takes a step (a shear, or a rotation
-        # that is not a multiple of a half turn) widens.
+        # that is not a multiple of a half turn) widens.  n = 3 and 5 keep
+        # their halves as plain ints and have no width.
         monkeypatch.setattr(oracle, "_START_WIDTH", 3)
         widened = []
         real = oracle._widen
         monkeypatch.setattr(oracle, "_widen", lambda *args: widened.append(1) or real(*args))
         rng = random.Random("minimum width")
-        for n in (3, 4, 5, 7, 12, 31, 62, 63):
+        for n in (4, 6, 7, 9, 12, 31, 62, 63):
             ctx = group_context(n)
             for syllables in (1, 2, 5, 40, 160):
                 for max_exp in (3, 300):
@@ -623,21 +638,24 @@ class TestPackedFold:
         assert rho(w, ctx) != want
 
     @settings(max_examples=200)
-    @given(st.sampled_from([4, 8, 12, 64]), st.integers(min_value=80, max_value=200), st.data())
+    @given(st.sampled_from([5, 7, 8, 12, 64]), st.integers(min_value=80, max_value=200), st.data())
     def test_certificate_passes_exactly_when_digits_are_small(self, q, width, data):
-        # Digits near +-2^(B - g), inside the loose bound 2^(B - 2).
-        deg, guard = oracle._plan(q)[0], oracle._plan(q)[4]
+        # Digits near +-2^(B - g), inside the loose bound 2^(B - 2), in
+        # the layout the fold packs at q: deg digits at odd q, deg / 2
+        # (the even or the odd half of an entry) at even q.
+        guard, size = oracle._plan(q)[4:]
+        assert size == (len(oracle._plan(q)[1]) - 1) // (2 if q % 2 == 0 else 1)
         edge = 1 << (width - guard)
         near = st.sampled_from([0, 1, -1, edge - 1, edge, edge + 1, -edge, -edge - 1, (1 << (width - 2)) - 1])
-        digits = data.draw(st.lists(near | st.integers(-(1 << (width - 2)) + 1, (1 << (width - 2)) - 1), min_size=deg, max_size=deg))
+        digits = data.draw(st.lists(near | st.integers(-(1 << (width - 2)) + 1, (1 << (width - 2)) - 1), min_size=size, max_size=size))
         certificate = oracle._layout(q, width)[3:]
         fits = oracle._fits((oracle._pack(digits, width),), certificate)
         assert fits == all(-edge <= c < edge for c in digits), digits
-        assert oracle._unpack(oracle._pack(digits, width), width, deg) == tuple(digits)
+        assert oracle._unpack(oracle._pack(digits, width), width, size) == tuple(digits)
 
     @pytest.mark.parametrize("q", [4, 5, 7, 8, 12, 32, 64])
     def test_growth_bounds_cover_the_exact_factors(self, q):
-        deg, modulus, shear_bits, rotation_bits, guard = oracle._plan(q)
+        deg, modulus, shear_bits, rotation_bits, guard, _ = oracle._plan(q)
         exact = exact_rotation_factors(q)
         assert len(rotation_bits) == len(exact) + 1 == q // 2 + 1
         for steps, factor in enumerate(exact, start=1):
@@ -646,15 +664,6 @@ class TestPackedFold:
         assert max(map(abs, ring.mul(ring.lam, (0,) * (deg - 1) + (1,)))) + 1 < 1 << shear_bits
         # Every rotation fits under one certificate, so none forces a widening.
         assert max(rotation_bits) <= guard - 3
-
-
-def unpacked(state, ctx):
-    """rho as coefficient tuples, read off a _fold state."""
-    m, lam = oracle._matrix(state, ctx)
-    deg = len(ctx.min_poly) - 1
-    if deg == 1:
-        return tuple((x,) for x in m)
-    return tuple(oracle._unpack(x, lam.bit_length() - 1, deg) for x in m)
 
 
 class TestResumedFold:
@@ -672,7 +681,18 @@ class TestResumedFold:
         ctx = group_context(n)
         whole = oracle._fold(u + v, ctx)
         assert oracle._fold(v, ctx, oracle._fold(u, ctx)) == whole
-        assert unpacked(whole, ctx) == tuple_rho(u + v, ctx)
+        assert oracle._coefficients(whole, ctx) == tuple_rho(u + v, ctx)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 63])
+    def test_every_split_of_a_long_word(self, n):
+        # Halves of one digit (n = 3, 5) and packed halves (n = 7, 63):
+        # the state resumed at any syllable is the whole word's state.
+        ctx = group_context(n)
+        w = random_word(random.Random(f"split:{n}"), 200, 300)
+        whole = oracle._fold(w, ctx)
+        for k in range(0, len(w) + 1, 10):
+            assert oracle._fold(w[k:], ctx, oracle._fold(w[:k], ctx)) == whole, (n, k)
+        assert oracle._coefficients(whole, ctx) == tuple_rho(w, ctx)
 
     @pytest.mark.parametrize("n", [7, 31, 63])
     def test_widening_inside_the_resumed_part(self, monkeypatch, n):
@@ -687,7 +707,7 @@ class TestResumedFold:
         resumed = oracle._fold(v, ctx, state)
         assert widened and resumed[2] > state[2]
         assert resumed == oracle._fold(u + v, ctx)
-        assert unpacked(resumed, ctx) == tuple_rho(u + v, ctx)
+        assert oracle._coefficients(resumed, ctx) == tuple_rho(u + v, ctx)
 
     def test_letter_by_letter(self):
         # The trichotomy suite folds the ball one letter at a time.
@@ -697,7 +717,7 @@ class TestResumedFold:
         for gen, exp in w:
             for _ in range(abs(exp)):
                 state = oracle._fold(((gen, 1 if exp > 0 else -1),), ctx, state)
-        assert unpacked(state, ctx) == tuple_rho(w, ctx) == rho(w, ctx)
+        assert oracle._coefficients(state, ctx) == tuple_rho(w, ctx) == rho(w, ctx)
 
     @given(words(max_syllables=12, max_exp=9), words(max_syllables=12, max_exp=9))
     def test_klein_pair_resumed(self, u, v):
