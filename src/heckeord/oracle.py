@@ -29,23 +29,24 @@ rho is evaluated without general 2x2 products: rho(b)^k is a shear,
 which adds k*lam times the first column to the second, and rho(a) is a
 rotation with rho(a)^q = -I, so a^e is a sign times min(s, q - s) steps
 of rho(a) or rho(a)^-1, s = e mod q.  Each step multiplies an entry by
-lam.  Each entry sum c_i lam^i is packed into ints
-sum c_i 2^(B i) with balanced digits (Kronecker substitution), so
-lam * u is one shift, one top-digit extraction and one product with the
-packed modulus: a handful of C-level big-int operations on deg * B bits
-instead of deg Python-level ones.
+lam.  Each entry sum c_i lam^i is packed into ints sum c_i 2^(B i) with
+balanced digits (Kronecker substitution), so lam * u is one shift, one
+top-digit extraction and one product with the packed modulus: a handful
+of C-level big-int operations on deg * B bits instead of deg
+Python-level ones.
 
 How an entry is packed depends on the modulus M, the minimal polynomial
 of lam (deg = deg M):
 
   odd q     one int per entry, the deg digits c_0, c_1, ...; lam u =
             (u << B) - t M with t the top digit.
-  even q    M is even, M(x) = N(x^2), so half of M's digits are zero.
-            An entry is two ints, E of its even digits (c_0, c_2, ...)
-            and O of its odd ones, deg/2 digits each (Harvey's
-            multipoint Kronecker substitution).  lam (E + O lam) moves
-            E into O unchanged, and the new E is (O << B) - t N with t
-            the top digit of O: one product half as long.
+  even q    (q >= 4) M is even, M(x) = N(x^2), so half of M's digits
+            are zero.  An entry u = E(lam^2) + lam O(lam^2) is two
+            ints: E packs its even digits (c_0, c_2, ...) and O its odd
+            ones, deg/2 digits each (Harvey's multipoint Kronecker
+            substitution).  lam u = lam^2 O(lam^2) + lam E(lam^2), so
+            E moves into O unchanged and the new E is (O << B) - t N
+            with t the top digit of O: one product half as long.
 
 When an int would hold one digit it is that digit: at deg = 1 (n = 1,
 2) lam is an integer and an entry a plain int; at deg = 2 with even q
@@ -232,14 +233,14 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
     is known; _is_shear and _coefficients read rho off a state.
 
     The entries are the four entries (x0, x1, x2, x3) of
-    [[x0, x1], [x2, x3]], or at even q the eight halves (E0, O0, E1,
-    O1, ...), E of the even and O of the odd digits of each entry.  A
-    packed int of one digit is that digit (deg 1, or deg 2 at even q):
-    width and bits are then 0.  Otherwise an entry's digits are packed
-    balanced at 2^B, lam is 2^B, and lam u = (u << B) - t M with
-    t = (u + 2^(S-1)) >> S its top digit, or lam (E, O) =
-    ((O << B) - t N, E) with t the top digit of O, which is exact while
-    every digit stays below 2^(B - 2).  A bound 2^bits on the digits
+    [[x0, x1], [x2, x3]], or at even q >= 4 the eight halves (E0, O0,
+    E1, O1, ...), E of the even and O of the odd digits of each entry.
+    A packed int of one digit is that digit (deg 1, or deg 2 at even
+    q): width and bits are then 0.  Otherwise the digits are packed
+    balanced at 2^B: lam u = (u << B) - t M with t = (u + 2^(S-1)) >> S
+    the top digit of u, or on halves lam (E, O) = ((O << B) - t N, E)
+    with t the top digit of O; either is exact while every digit stays
+    below 2^(B - 2).  A bound 2^bits on the digits
     grows by each syllable's factor (_plan); before it could pass
     2^(B - 2) the packed ints are certified (_fits) to have digits
     <= 2^(B - g), and only when that fails, or one syllable alone could

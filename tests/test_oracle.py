@@ -564,8 +564,9 @@ class TestPackedFold:
     @pytest.mark.parametrize("name", ["_fits", "_widen"])
     def test_prefixes_around_the_first_certificate_and_widening(self, monkeypatch, n, name):
         # K is the shortest prefix whose fold calls the certificate (or
-        # widens), at odd q (n = 4) and on halves (n = 7, 31, 63); the prefixes of K - 1, K and K + 1 syllables still fold
-        # to the tuple fold's matrix.
+        # widens), at odd q (n = 4) and on halves (n = 7, 31, 63); the
+        # prefixes of K - 1, K and K + 1 syllables still fold to the
+        # tuple fold's matrix.
         ctx = group_context(n)
         word = random_word(random.Random(f"prefix:{n}"), 400)
         calls = []
@@ -686,7 +687,7 @@ class TestResumedFold:
     @pytest.mark.parametrize("n", [3, 5, 7, 63])
     def test_every_split_of_a_long_word(self, n):
         # Halves of one digit (n = 3, 5) and packed halves (n = 7, 63):
-        # the state resumed at any syllable is the whole word's state.
+        # the state resumed at every 10th syllable is the whole word's.
         ctx = group_context(n)
         w = random_word(random.Random(f"split:{n}"), 200, 300)
         whole = oracle._fold(w, ctx)
