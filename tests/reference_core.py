@@ -1,27 +1,39 @@
-"""Test-only reference: the decision core as it was before the one-pass rewrite.
+"""Test-only reference: the decision core as it was before the one-pass rewrite,
+and the word parser as it was before the table-driven one.
 
 The leftmost-first scanner (inverse elimination into a list, then r1/r2
 with a backward rescan after every rewrite) and the sign cascade with
 its per-syllable prepends, kept verbatim apart from their names so the
 differential tests can demand identical normal forms and identical
 SignResults (verdict, witness, steps) from the package's core.  The
-word helpers it needs, `concat` and `letter_length`, are local copies,
-so a fault in the package's versions cannot hit both sides alike.
+parser finds each term's offset with `text.index` as it goes and checks
+every term, repeats included; the differential tests demand the same
+word, or the same refusal message and offset, from `parse_word`.  The
+word helpers these need, `concat` and `letter_length`, are local copies,
+so a fault in the package's versions cannot hit both sides alike; the
+parser merges its syllables through the local `concat` instead of
+`word_from_syllables`.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
+from itertools import accumulate
+from operator import itemgetter
 
 from heckeord.cone import ReductionStuck, Sign, SignResult, expand_handle
 from heckeord.context import GroupContext
 from heckeord.normalform import NormalForm
 from heckeord.words import (
+    ALPHABET_AB,
     GEN_A,
     GEN_B,
+    MAX_LETTERS,
     RewriteLimitError,
     Syllable,
     Word,
+    WordSyntaxError,
     gen_power,
     is_one_signed,
 )
@@ -45,6 +57,45 @@ def concat(*parts: Word) -> Word:
 
 def letter_length(word: Word) -> int:
     return sum(abs(exp) for _, exp in word)
+
+
+def reference_parse_word(text: str, alphabet: tuple[str, str] = ALPHABET_AB) -> Word:
+    """Parse "a^2 b^-1 a" style text into a freely reduced word."""
+    stripped = text.strip()
+    if stripped == "1":
+        return ()
+    if not stripped:
+        raise WordSyntaxError("empty input (write '1' for the identity)", 0)
+    gen_of = {alphabet[0]: GEN_A, alphabet[1]: GEN_B}
+    syllables: list[Syllable] = []
+    pos = 0
+    for token in text.split():
+        offset = text.index(token, pos)
+        pos = offset + len(token)
+        name, sep, exp_text = token.partition("^")
+        if name not in gen_of:
+            raise WordSyntaxError(
+                f"unknown generator {name!r} (alphabet: {alphabet[0]}, {alphabet[1]})",
+                offset,
+            )
+        if sep:
+            try:
+                if not exp_text.isascii() or "_" in exp_text:
+                    raise ValueError  # int() also takes "1_0" and non-ASCII digits
+                exp = int(exp_text)
+            except ValueError:
+                raise WordSyntaxError(f"bad exponent {exp_text!r}", offset) from None
+            if exp == 0:
+                raise WordSyntaxError("zero exponent not allowed", offset)
+        else:
+            exp = 1
+        syllables.append((gen_of[name], exp))
+    if sum(map(abs, map(itemgetter(1), syllables))) > MAX_LETTERS:
+        totals = accumulate(map(abs, map(itemgetter(1), syllables)))
+        last = next(i for i, total in enumerate(totals) if total > MAX_LETTERS)
+        offset = [token.start() for token in re.finditer(r"\S+", text)][last]
+        raise WordSyntaxError(f"word has more than {MAX_LETTERS} letters", offset)
+    return concat(syllables)
 
 
 def _push(sylls: list[Syllable], gen: int, exp: int) -> None:

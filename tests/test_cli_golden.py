@@ -155,6 +155,12 @@ CASES = [
     *(["sign", "--n", str(n), _text(_long_word(n + size, size))] for n in (7, 31, 63) for size in (80, 320)),
     *_long_oracle_cases(31, 1),
     *_long_oracle_cases(63, 2),
+    # refusals past the first term: the offset counts every separator, and
+    # a term refused more than once is reported where it first occurs
+    ["sign", "--n", "2", "a  b^0"],
+    ["sign", "--n", "2", "a b\tc"],
+    ["sign", "--n", "2", "a^x b a^x"],
+    ["sign", "--n", "2", "a b^4194304"],
 ]
 
 

@@ -1,5 +1,7 @@
 """Word representation: parsing, free reduction, enumeration."""
 
+import re
+import sys
 from itertools import chain
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from conftest import syllable_lists, words
 from heckeord.words import (
+    ALPHABET_AB,
     ALPHABET_SIGMA,
     GEN_A,
     GEN_B,
@@ -24,6 +27,7 @@ from heckeord.words import (
     parse_word,
     word_from_syllables,
 )
+from reference_core import reference_parse_word
 
 
 def is_positive_word(word):
@@ -103,9 +107,63 @@ class TestParse:
         with pytest.raises(WordSyntaxError):
             parse_word(f"a^{half} a^-{half} b")
 
+    def test_many_one_letter_terms_at_the_limit(self):
+        text = "a b " * (MAX_LETTERS // 2)
+        assert len(parse_word(text)) == MAX_LETTERS
+        with pytest.raises(WordSyntaxError, match=f"more than {MAX_LETTERS} letters") as exc:
+            parse_word(text + "a")
+        assert exc.value.offset == 2 * MAX_LETTERS
+
     def test_syntax_error_is_value_error(self):
         # The CLI maps ValueError to exit code 2; parse errors must qualify.
         assert issubclass(WordSyntaxError, ValueError)
+
+    def test_split_and_regex_agree_on_whitespace(self):
+        # parse_word splits terms with str.split() and finds a refused
+        # term's offset with the regex \S+: both must see the same spaces.
+        everything = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", everything) == [c for c in everything if c.isspace()]
+
+
+SEPARATORS = st.text(" \t\n\u2003\x1f\u3000", min_size=1, max_size=3)
+EXPONENTS = st.one_of(
+    st.just(""),
+    st.integers(-9, 9).filter(bool).map("^{}".format),
+    st.sampled_from(["^+2", "^007", "^-010", f"^{MAX_LETTERS // 2}", f"^-{MAX_LETTERS}", "^1000000000000"]),
+)
+CORRUPTIONS = st.sampled_from(["^", "^0", "^+0", "^1_0", "^\u0663", "^-"])
+
+
+@st.composite
+def word_texts(draw, alphabet):
+    """Text of a few distinct terms, valid or not, repeated in any order,
+    with whitespace runs around and between them."""
+    names = st.sampled_from(alphabet)
+    valid = st.builds(str.__add__, names, EXPONENTS)
+    corrupted = st.one_of(
+        st.builds(str.__add__, st.sampled_from(["c", "1", "ab", "s3", "", *ALPHABET_AB, *ALPHABET_SIGMA]), EXPONENTS),
+        st.builds(str.__add__, names, CORRUPTIONS),
+    )
+    pool = draw(st.lists(st.one_of(valid, valid, corrupted), min_size=1, max_size=5))
+    terms = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    gaps = [draw(SEPARATORS) for _ in terms[1:]]
+    edges = st.one_of(st.just(""), SEPARATORS)
+    return draw(edges) + "".join(chain.from_iterable(zip(terms, [*gaps, ""]))) + draw(edges)
+
+
+def parse_outcome(parse, text, alphabet):
+    """The word parse returns, or the message and offset of its refusal."""
+    try:
+        return parse(text, alphabet)
+    except WordSyntaxError as error:
+        return str(error), error.offset
+
+
+@pytest.mark.parametrize("alphabet", [ALPHABET_AB, ALPHABET_SIGMA])
+@given(data=st.data())
+def test_parse_matches_reference_parser(alphabet, data):
+    text = data.draw(word_texts(alphabet))
+    assert parse_outcome(parse_word, text, alphabet) == parse_outcome(reference_parse_word, text, alphabet)
 
 
 # Chains of reduced parts whose joins cancel: w, invert(w) and
