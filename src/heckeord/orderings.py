@@ -13,28 +13,45 @@ the cone.  Four cone recipes are implemented:
   Conjugated    base order seen through conjugation by g: w > 1 iff
                 g w g^-1 > 1 in the base order (the cone g^-1 P g).
 
-b-power membership is decided by oracle.b_power_of: one phi pass, plus
-one rho fold when phi(b) divides phi(word).  DehornoyLike, conjugated or
-not, pays that on every comparison; comparisons in DD and DDReversed do
-not touch the oracle.  u = v iff u^-1 v is on neither side of the cone:
-decide_sign says IDENTITY (or k = 0), which the suites check by oracle.
+Every spec reduces to one recipe (mirror, flipped, g): its sign of w is
+the DD sign of g w g^-1, or the DehornoyLike sign when flipped, MIRRORed
+when mirror.  b-power membership is decided by oracle.b_power_of: one
+phi pass, plus one rho fold when phi(b) divides phi(word).  DehornoyLike,
+conjugated or not, pays that on every comparison; comparisons in DD and
+DDReversed do not touch the oracle.  u = v iff u^-1 v is on neither side
+of the cone: decide_sign says IDENTITY (or k = 0), which the suites
+check by oracle.
+
+Cost.  is_positive and compare rewrite their word from scratch.  The
+ball scans (smallest_positive_in_ball, convexity_check) instead walk
+the ball depth first and keep, per depth and per fixed left factor L,
+the stack pass's state of L w, plus phi and the rho fold (the Klein pair
+at n = 1) when flipped; the short right factor g^-1 is pushed last.  So
+a word costs one letter of stack pass (and fold) per left factor plus a
+sign pass per sign read: at radius 6 the scans of the benchmark's
+`orders` workload run about 1.5x faster than deciding every word and
+every u^-1 v from scratch.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 
-from .cone import Sign, decide_sign
+from .cone import MIRROR, Sign, decide_sign, sign_pass
 from .context import GroupContext
-from .oracle import b_power_of
+from .normalform import START, NormalForm, stack_pass
+from .oracle import _fold, _is_shear, b_power_of, klein_pair, phi
 from .words import (
     GEN_A,
     GEN_B,
+    SIGNED_LETTERS,
+    RewriteLimitError,
     Word,
+    _ball_tree,
     concat,
     conjugate,
-    enumerate_reduced,
     gen_power,
     invert,
 )
@@ -75,18 +92,40 @@ class Cmp(enum.Enum):
 _CMP_OF_SIGN = {Sign.POSITIVE: Cmp.LESS, Sign.IDENTITY: Cmp.EQUAL, Sign.NEGATIVE: Cmp.GREATER}
 
 
+def _recipe(spec: OrderingSpec) -> tuple[bool, bool, Word]:
+    """(mirror, flipped, g): spec's sign of w is the DD sign of g w g^-1,
+    or its flipped sign (_flipped_sign) when flipped, MIRRORed when mirror.
+
+    Conjugated(base, h) conjugates base's g by h on the right: the base
+    sees h w h^-1, which it conjugates by its own g.
+    """
+    match spec:
+        case DD():
+            return False, False, ()
+        case DDReversed():
+            return True, False, ()
+        case DehornoyLike():
+            return False, True, ()
+        case Conjugated(base=base, g=h):
+            mirror, flipped, g = _recipe(base)
+            return mirror, flipped, concat(g, h)
+    raise TypeError(f"unknown ordering spec {spec!r}")
+
+
+def _flipped_sign(k: int) -> Sign:
+    """The DehornoyLike sign of b^k: the DD order reversed on <b>."""
+    return Sign.IDENTITY if k == 0 else Sign.POSITIVE if k < 0 else Sign.NEGATIVE
+
+
 def _order_sign(word: Word, spec: OrderingSpec, ctx: GroupContext) -> Sign:
     """The side of spec's positive cone that word is on; IDENTITY iff word = 1."""
-    match spec:
-        case DehornoyLike() if (k := b_power_of(word, ctx)) is not None:
-            return Sign.IDENTITY if k == 0 else Sign.POSITIVE if k < 0 else Sign.NEGATIVE
-        case DD() | DehornoyLike():
-            return decide_sign(word, ctx).verdict
-        case DDReversed():
-            return decide_sign(invert(word), ctx).verdict
-        case Conjugated(base=base, g=g):
-            return _order_sign(conjugate(g, word), base, ctx)
-    raise TypeError(f"unknown ordering spec {spec!r}")
+    mirror, flipped, g = _recipe(spec)
+    moved = conjugate(g, word) if g else word
+    if flipped and (k := b_power_of(moved, ctx)) is not None:
+        sign = _flipped_sign(k)
+    else:
+        sign = decide_sign(moved, ctx).verdict
+    return MIRROR[sign] if mirror else sign
 
 
 def is_positive(word: Word, spec: OrderingSpec, ctx: GroupContext) -> bool:
@@ -108,6 +147,81 @@ def compare(u: Word, v: Word, spec: OrderingSpec, ctx: GroupContext) -> Cmp:
     return _CMP_OF_SIGN[_order_sign(concat(invert(u), v), spec, ctx)]
 
 
+def _resume(state: tuple, word: Word, ctx: GroupContext) -> tuple:
+    """stack_pass from state over word, with its budget tripwire."""
+    state = stack_pass(state, word, ctx)
+    if state[2] < 0:
+        raise RewriteLimitError("normal-form budget exhausted")
+    return state
+
+
+class _Track:
+    """The unmirrored sign of left · w · right for the words w on a ball walk's path.
+
+    It keeps, per depth of the path, the stack pass's state of left · w
+    and, when flipped, the oracle's state too: phi and the fold, or the
+    Klein pair at n = 1.  A word's states are its parent's resumed over
+    its last letter, so left costs its letters once per start, and each
+    word one letter plus the fixed right factor when its sign is read.
+    """
+
+    def __init__(self, ctx: GroupContext, max_len: int, flipped: bool, right: Word):
+        self.ctx, self.flipped, self.right = ctx, flipped, right
+        self.right_phi = phi(right, ctx)
+        self.nf = [None] * (max_len + 1)
+        self.key = [None] * (max_len + 1)
+
+    def _step(self, word: Word, key):
+        if self.ctx.n == 1:  # rho and phi are blind to b there
+            return klein_pair(word, key)
+        return key[0] + phi(word, self.ctx), _fold(word, self.ctx, key[1])
+
+    def start(self, left: Word, path) -> None:
+        """Track left · w, and take the states of the path's words, path
+        holding the one-letter words of depths 1, 2, ... (it can be empty)."""
+        self.nf[0] = _resume(START, left, self.ctx)
+        if self.flipped:  # a fold from None starts at the identity
+            self.key[0] = self._step(left, (0, 0) if self.ctx.n == 1 else (0, None))
+        for depth, last in enumerate(path, 1):
+            self.push(depth, last)
+
+    def push(self, depth: int, last: Word) -> None:
+        """The states of the path's word at depth, whose last letter is last."""
+        self.nf[depth] = _resume(self.nf[depth - 1], last, self.ctx)
+        if self.flipped:
+            self.key[depth] = self._step(last, self.key[depth - 1])
+
+    def _b_power(self, key) -> int | None:
+        """The k with left · w · right = b^k, as oracle.b_power_of finds it."""
+        ctx, right = self.ctx, self.right
+        if ctx.n == 1:
+            t, s = klein_pair(right, key)
+            return s if t == 0 else None
+        k, rest = divmod(key[0] + self.right_phi, ctx.phi_b)
+        if rest:
+            return None
+        fold = _fold(right, ctx, key[1]) if right else key[1]
+        return k if _is_shear(fold, ctx, k) else None
+
+    def sign(self, depth: int) -> Sign:
+        """The DD sign of left · w · right for the path's word w at depth,
+        or its flipped sign when flipped."""
+        if self.flipped and (k := self._b_power(self.key[depth])) is not None:
+            return _flipped_sign(k)
+        state = self.nf[depth]
+        stack, ell, _ = _resume(state, self.right, self.ctx) if self.right else state
+        return sign_pass(NormalForm(tuple(stack), ell), self.ctx).verdict
+
+
+def _ball(max_len: int):
+    """Every word of the ball as _ball_tree yields it, depth first, part
+    after part; a ValueError before any work when max_len < 0."""
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    parts = (None, 0, 1, 2, 3) if max_len else (None,)
+    return itertools.chain.from_iterable(_ball_tree(max_len, first) for first in parts)
+
+
 def smallest_positive_in_ball(
     spec: OrderingSpec, ctx: GroupContext, max_len: int
 ) -> Word | None:
@@ -116,13 +230,40 @@ def smallest_positive_in_ball(
     Returns the earliest-enumerated representative (shortest, then
     lexicographic) of the minimal positive element; None when the ball
     contains no positive element (never happens for max_len >= 1).
+
+    The ball is walked depth first (words._ball_tree).  With spec's
+    recipe (mirror, flipped, g), w is positive when the unmirrored sign
+    of g w g^-1 is, and w < best when that of g best^-1 w g^-1 is
+    negative, both mirrored when mirror: one track per left factor, g
+    and g best^-1, resumed from each word's parent.  When best changes
+    its track restarts along the current path.  The walk meets the
+    words in another order than enumerate_reduced, so of two equal
+    elements the one of smaller rank is kept.
     """
-    best: Word | None = None
-    for w in enumerate_reduced(max_len):
-        if not is_positive(w, spec, ctx):
+    ball = _ball(max_len)
+    mirror, flipped, g = _recipe(spec)
+    positive = Sign.NEGATIVE if mirror else Sign.POSITIVE  # the unmirrored sign of w > 1
+    less = MIRROR[positive]  # ... of best^-1 w when w < best
+    right = invert(g)
+    test = _Track(ctx, max_len, flipped, right)
+    test.start(g, ())
+    versus = _Track(ctx, max_len, flipped, right)
+    path = [()] * (max_len + 1)  # path[d]: the last letter of the word at depth d
+    best, best_rank = None, 0
+    for w, letter, depth, rank, _ in ball:
+        if depth:
+            path[depth] = last = SIGNED_LETTERS[letter : letter + 1]
+            test.push(depth, last)
+            if best is not None:
+                versus.push(depth, last)
+        if test.sign(depth) is not positive:
             continue
-        if best is None or compare(w, best, spec, ctx) is Cmp.LESS:
-            best = w
+        if best is not None:
+            verdict = versus.sign(depth)
+            if verdict is not less and (verdict is not Sign.IDENTITY or rank > best_rank):
+                continue
+        best, best_rank = w, rank
+        versus.start(concat(g, invert(w)), path[1 : depth + 1])
     return best
 
 
@@ -144,29 +285,40 @@ class ConvexityReport:
 def convexity_check(ctx: GroupContext, max_len: int) -> ConvexityReport:
     """Scan the ball for elements strictly between b^-R and b^R (DD order)
     that are not themselves powers of b.  Convexity of <b> says there are
-    none; any hit is returned as a violation.
+    none; any hit is returned as a violation, in ball order.
+
+    b^-R < c when b^R c is DD-positive, and c < b^R when b^-R c is
+    DD-negative: two tracks along a depth-first walk of the ball, with
+    left factors b^R and b^-R.  Only a word between the two is tested
+    for being a power of b.
     """
+    ball = _ball(max_len)
     radius = max_len
-    spec = DD()
-    low = gen_power(GEN_B, -radius)
-    high = gen_power(GEN_B, radius)
+    above = _Track(ctx, max_len, False, ())
+    above.start(gen_power(GEN_B, radius), ())
+    below = _Track(ctx, max_len, False, ())
+    below.start(gen_power(GEN_B, -radius), ())
     violations = []
     checked = 0
-    for c in enumerate_reduced(max_len):
+    for c, letter, depth, rank, _ in ball:
         checked += 1
-        if b_power_of(c, ctx) is not None:
-            continue
+        if depth:
+            last = SIGNED_LETTERS[letter : letter + 1]
+            above.push(depth, last)
+            below.push(depth, last)
         if (
-            compare(low, c, spec, ctx) is Cmp.LESS
-            and compare(c, high, spec, ctx) is Cmp.LESS
+            above.sign(depth) is Sign.POSITIVE
+            and below.sign(depth) is Sign.NEGATIVE
+            and b_power_of(c, ctx) is None
         ):
-            violations.append(c)
+            violations.append((rank, c))
+    violations.sort()
     return ConvexityReport(
         n=ctx.n,
         max_len=max_len,
         sandwich_radius=radius,
         checked=checked,
-        violations=tuple(violations),
+        violations=tuple(c for _, c in violations),
     )
 
 

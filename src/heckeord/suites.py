@@ -24,6 +24,7 @@ from .words import (
     SIGNED_LETTERS,
     RewriteLimitError,
     Word,
+    _ball_tree,
     concat,
     format_word,
     gen_power,
@@ -54,53 +55,6 @@ class SuiteReport:
 _SIGN_OF = (None, Sign.POSITIVE, Sign.NEGATIVE, Sign.IDENTITY)
 _MIRROR_CODE = (0, 2, 1, 3)
 _MISMATCH = bytes((x & 3) != (x >> 2) for x in range(256))
-
-
-def _ball_tree(max_len: int, first: int | None):
-    """Depth-first walk of one part of the ball's tree.
-
-    The reduced words of letter length <= max_len form a tree: a word's
-    children append one letter, visited in the order of SIGNED_LETTERS
-    (a, a^-1, b, b^-1), and first is the index of the letter every word
-    of this part starts with, or None for the identity alone.  Yields
-    (word, letter, depth, rank, inverse rank), where letter indexes the
-    last letter, depth is the letter length, and rank is the word's
-    position in enumerate_reduced(max_len), inverse rank its inverse's.
-
-    A word of length L >= 1 has rank 2 * 3^(L-1) - 1 + i, with i its
-    index among the 4 * 3^(L-1) words of its length: its first letter's
-    index times 3^(L-1), plus each later letter's position among the
-    three allowed after the one before, in base 3.  So a child's index
-    is 3 i + (its letter's position), and its inverse x^-1 w^-1 has the
-    index of w^-1 with the leading digit of x^-1 put in front and that
-    of w^-1's first letter made relative to x^-1: both O(1).  Letter
-    index ^ 1 is the inverse letter.
-    """
-    if first is None:
-        yield (), None, 0, 0, 0
-        return
-    third = [3**k for k in range(max_len)]  # 3^(L-1) at depth L
-    todo = [(SIGNED_LETTERS[first:first + 1], first, 1, first, first ^ 1)]
-    while todo:
-        word, letter, depth, index, inverse_index = todo.pop()
-        base = 2 * third[depth - 1] - 1
-        yield word, letter, depth, base + index, base + inverse_index
-        if depth == max_len:
-            continue
-        back = letter ^ 1  # the letter that would cancel; first letter of w^-1
-        gen, exp = word[-1]
-        for x in (3, 2, 1, 0):  # pushed in reverse, so popped in order
-            if x == back:
-                continue
-            x_gen, x_exp = SIGNED_LETTERS[x]
-            child = word[:-1] + ((gen, exp + x_exp),) if x_gen == gen else word + ((x_gen, x_exp),)
-            todo.append((
-                child,
-                x,
-                depth + 1,
-                3 * index + x - (x > back),
-                (x ^ 1) * third[depth] + inverse_index - (third[depth - 1] if back > x else 0),
-            ))
 
 
 def _walk(ctx: GroupContext, max_len: int, first: int | None):

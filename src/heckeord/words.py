@@ -27,9 +27,8 @@ offsets only on refusal and reads 2^22 terms in 0.5 s at 93 MB peak.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Callable, Iterable, Iterator
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import itemgetter
 
 GEN_A = 0
@@ -170,8 +169,11 @@ def parse_word(text: str, alphabet: tuple[str, str] = ALPHABET_AB) -> Word:
 
     Cost: one dict lookup per term, in a table built per call that maps
     each distinct term to its syllable, so each distinct term is checked
-    once; offsets are computed only on refusal.  The 2^22 terms of
-    "a b " * 2**21 take 0.5 s and 93 MB peak RSS (2-vCPU Xeon, Python 3.11).
+    once; offsets are computed only on refusal, from the length of what
+    is left after splitting off the terms before the refused one.  The
+    2^22 terms of "a b " * 2**21 take 0.5 s and 93 MB peak RSS; that text
+    plus one more term is refused in 1.6 s, 0.1 s of it finding the
+    offset (2-vCPU Xeon, Python 3.11).
 
     >>> parse_word("1")
     ()
@@ -179,7 +181,8 @@ def parse_word(text: str, alphabet: tuple[str, str] = ALPHABET_AB) -> Word:
     ((0, 1), (1, -2))
     """
     def refusal(message: str, index: int) -> WordSyntaxError:
-        return WordSyntaxError(message, next(islice(re.finditer(r"\S+", text), index, None)).start())
+        # The term at index starts where the remainder after index splits begins.
+        return WordSyntaxError(message, len(text) - len(text.split(None, index)[-1]))
 
     terms = text.split()
     if terms == ["1"]:
@@ -230,6 +233,53 @@ def format_word(word: Word, alphabet: tuple[str, str] = ALPHABET_AB) -> str:
 
 # Letters in enumeration order: a, a^-1, b, b^-1.
 SIGNED_LETTERS: tuple[Syllable, ...] = ((GEN_A, 1), (GEN_A, -1), (GEN_B, 1), (GEN_B, -1))
+
+
+def _ball_tree(max_len: int, first: int | None):
+    """Depth-first walk of one part of the ball's tree.
+
+    The reduced words of letter length <= max_len form a tree: a word's
+    children append one letter, visited in the order of SIGNED_LETTERS
+    (a, a^-1, b, b^-1), and first is the index of the letter every word
+    of this part starts with, or None for the identity alone.  Yields
+    (word, letter, depth, rank, inverse rank), where letter indexes the
+    last letter, depth is the letter length, and rank is the word's
+    position in enumerate_reduced(max_len), inverse rank its inverse's.
+
+    A word of length L >= 1 has rank 2 * 3^(L-1) - 1 + i, with i its
+    index among the 4 * 3^(L-1) words of its length: its first letter's
+    index times 3^(L-1), plus each later letter's position among the
+    three allowed after the one before, in base 3.  So a child's index
+    is 3 i + (its letter's position), and its inverse x^-1 w^-1 has the
+    index of w^-1 with the leading digit of x^-1 put in front and that
+    of w^-1's first letter made relative to x^-1: both O(1).  Letter
+    index ^ 1 is the inverse letter.
+    """
+    if first is None:
+        yield (), None, 0, 0, 0
+        return
+    third = [3**k for k in range(max_len)]  # 3^(L-1) at depth L
+    todo = [(SIGNED_LETTERS[first:first + 1], first, 1, first, first ^ 1)]
+    while todo:
+        word, letter, depth, index, inverse_index = todo.pop()
+        base = 2 * third[depth - 1] - 1
+        yield word, letter, depth, base + index, base + inverse_index
+        if depth == max_len:
+            continue
+        back = letter ^ 1  # the letter that would cancel; first letter of w^-1
+        gen, exp = word[-1]
+        for x in (3, 2, 1, 0):  # pushed in reverse, so popped in order
+            if x == back:
+                continue
+            x_gen, x_exp = SIGNED_LETTERS[x]
+            child = word[:-1] + ((gen, exp + x_exp),) if x_gen == gen else word + ((x_gen, x_exp),)
+            todo.append((
+                child,
+                x,
+                depth + 1,
+                3 * index + x - (x > back),
+                (x ^ 1) * third[depth] + inverse_index - (third[depth - 1] if back > x else 0),
+            ))
 
 
 def enumerate_reduced(max_len: int) -> Iterator[Word]:

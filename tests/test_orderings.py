@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import trivial_words, words
-from heckeord import orderings
+from heckeord import cone, orderings
+from heckeord.cone import Sign, SignResult
 from heckeord.context import group_context
-from heckeord.oracle import element_key, oracle_equal, oracle_is_identity
+from heckeord.oracle import element_key, oracle_equal, oracle_is_identity, phi
 from heckeord.orderings import (
     Cmp,
     Conjugated,
@@ -22,7 +23,12 @@ from heckeord.orderings import (
     is_positive,
     smallest_positive_in_ball,
 )
-from heckeord.words import concat, enumerate_reduced, format_word, invert, parse_word
+from heckeord.words import RewriteLimitError, concat, enumerate_reduced, format_word, invert, parse_word
+from reference_orderings import (
+    reference_compare,
+    reference_convexity_check,
+    reference_smallest_positive_in_ball,
+)
 
 CTX2 = group_context(2)
 FLIP = {Cmp.LESS: Cmp.GREATER, Cmp.GREATER: Cmp.LESS, Cmp.EQUAL: Cmp.EQUAL}
@@ -224,3 +230,103 @@ class TestConvergence:
         row = report.rows[0]
         assert row.verdicts == (False, False, False)
         assert row.stabilized_from is None
+
+
+# One spec of each kind, conjugated ones and a nested one included.
+SPECS = (
+    DD(),
+    DDReversed(),
+    DehornoyLike(),
+    Conjugated(DD(), parse_word("a^-1 b^2")),
+    Conjugated(DDReversed(), parse_word("b a")),
+    Conjugated(DehornoyLike(), parse_word("b a")),
+    Conjugated(Conjugated(DehornoyLike(), parse_word("a b^-1")), parse_word("b^2 a^-1")),
+)
+
+
+def assert_scans_match_reference(ctx, radius, specs=SPECS):
+    for spec in specs:
+        walked = smallest_positive_in_ball(spec, ctx, radius)
+        assert walked == reference_smallest_positive_in_ball(spec, ctx, radius), (spec, radius)
+    assert convexity_check(ctx, radius) == reference_convexity_check(ctx, radius), radius
+
+
+class TestScansAgainstReference:
+    """The tree walks give the minimum and the ConvexityReport of the
+    enumerate_reduced loops that decide every word from scratch."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_small_n_up_to_radius_5(self, n):
+        for radius in range(6):
+            assert_scans_match_reference(group_context(n), radius)
+
+    @pytest.mark.parametrize("n", [31, 63])
+    def test_large_n_up_to_radius_3(self, n):
+        for radius in range(4):
+            assert_scans_match_reference(group_context(n), radius)
+
+    @given(st.data())
+    def test_random_conjugators(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=63), label="n")
+        radius = data.draw(st.integers(min_value=0, max_value=3), label="radius")
+        g = data.draw(words(max_syllables=4), label="g")
+        base = data.draw(st.sampled_from([DD(), DDReversed(), DehornoyLike()]), label="base")
+        ctx = group_context(n)
+        spec = Conjugated(base, g)
+        assert smallest_positive_in_ball(spec, ctx, radius) == reference_smallest_positive_in_ball(spec, ctx, radius)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_under_a_planted_coarse_verdict(self, monkeypatch, n):
+        # The planted verdict is the sign of -phi: a left-invariant total
+        # preorder in which many distinct elements are EQUAL and many
+        # non-b-powers sit between b^-R and b^R.  So the violations must
+        # come out in ball order, and of tied minima the
+        # earliest-enumerated one must win, though the walk meets others
+        # first: at n = 2, a b^3 ties with b.
+        def coarse(nf, ctx):
+            value = -(phi(nf.prefix, ctx) + ctx.q * ctx.phi_a * nf.ell)
+            sign = Sign.POSITIVE if value > 0 else Sign.NEGATIVE if value < 0 else Sign.IDENTITY
+            return SignResult(sign, (), 0)
+
+        monkeypatch.setattr(orderings, "sign_pass", coarse)
+        monkeypatch.setattr(cone, "sign_pass", coarse)
+        ctx = group_context(n)
+        for radius in range(6):
+            assert_scans_match_reference(ctx, radius, (DD(), DDReversed(), Conjugated(DD(), parse_word("b a"))))
+        report = convexity_check(ctx, 5)
+        assert len(report.violations) > 1
+        if n == 2:
+            assert smallest_positive_in_ball(DD(), ctx, 5) == parse_word("b")
+            assert reference_compare(parse_word("a b^3"), parse_word("b"), DD(), ctx) is Cmp.EQUAL
+
+
+class TestScanEdges:
+    @pytest.mark.parametrize("scan", [
+        functools.partial(smallest_positive_in_ball, DehornoyLike()),
+        convexity_check,
+    ], ids=["minimum", "convexity"])
+    def test_negative_radius_raises_before_any_work(self, monkeypatch, scan):
+        def no_work(*args):
+            raise AssertionError("a word was examined")
+
+        monkeypatch.setattr(orderings, "stack_pass", no_work)
+        monkeypatch.setattr(orderings, "_ball_tree", no_work)
+        with pytest.raises(ValueError, match="^max_len must be >= 0$"):
+            scan(CTX2, -1)
+
+    def test_radius_zero(self):
+        for spec in SPECS:
+            assert smallest_positive_in_ball(spec, CTX2, 0) is None
+        report = convexity_check(CTX2, 0)
+        assert (report.checked, report.sandwich_radius, report.violations) == (1, 0, ())
+
+    @pytest.mark.parametrize("n", [1, 2, 63])
+    def test_budget_tripwire_fires_in_both_scans(self, monkeypatch, n):
+        # A start state 100 firings in debt leaves every budget negative:
+        # the scans must raise, not report.  Real code, so also under -O.
+        monkeypatch.setattr(orderings, "START", ((), 0, -100))
+        ctx = group_context(n)
+        with pytest.raises(RewriteLimitError):
+            smallest_positive_in_ball(Conjugated(DehornoyLike(), parse_word("b a")), ctx, 2)
+        with pytest.raises(RewriteLimitError):
+            convexity_check(ctx, 2)

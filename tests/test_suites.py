@@ -22,7 +22,7 @@ from heckeord.suites import (
     run_trichotomy_suite,
     verify_family_identity,
 )
-from heckeord.words import GEN_A, RewriteLimitError, concat, enumerate_reduced, invert, parse_word
+from heckeord.words import GEN_A, RewriteLimitError, _ball_tree, concat, enumerate_reduced, invert, parse_word
 from reference_suites import reference_trichotomy_suite
 
 CTX2 = group_context(2)
@@ -201,14 +201,14 @@ class TestBallTree:
         position = {w: i for i, w in enumerate(enumerate_reduced(8))}
         seen = []
         for first in (None, 0, 1, 2, 3):
-            for word, _, depth, rank, inverse_rank in suites._ball_tree(8, first):
+            for word, _, depth, rank, inverse_rank in _ball_tree(8, first):
                 assert (rank, inverse_rank) == (position[word], position[invert(word)])
                 assert depth == sum(abs(exp) for _, exp in word)
                 seen.append(rank)
         assert sorted(seen) == list(range(len(position)))
 
     def test_depth_first_in_letter_order(self):
-        walked = [word for word, *_ in suites._ball_tree(2, 0)]
+        walked = [word for word, *_ in _ball_tree(2, 0)]
         assert walked == [parse_word(t) for t in ("a", "a^2", "a b", "a b^-1")]
 
     @pytest.mark.parametrize("n", [1, 2, 63])

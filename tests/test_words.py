@@ -119,10 +119,26 @@ class TestParse:
         assert issubclass(WordSyntaxError, ValueError)
 
     def test_split_and_regex_agree_on_whitespace(self):
-        # parse_word splits terms with str.split() and finds a refused
-        # term's offset with the regex \S+: both must see the same spaces.
+        # parse_word splits terms with str.split(); the reference parser
+        # finds them with the regex \S+, so the differential property
+        # below holds only while both see the same spaces.
         everything = "".join(map(chr, range(sys.maxunicode + 1)))
         assert re.findall(r"\s", everything) == [c for c in everything if c.isspace()]
+
+    def test_refusal_offsets_after_every_kind_of_whitespace(self):
+        # A refused term's offset is what str.split leaves after the terms
+        # before it: right for every separator, runs of it and mixed runs.
+        spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+        for space in spaces:
+            for gap in (space, space * 3, f" {space}\t"):
+                text = f"{gap}a{gap}b^2{gap}a^-1{gap}c^2{gap}"
+                with pytest.raises(WordSyntaxError, match="unknown generator 'c'") as exc:
+                    parse_word(text)
+                assert exc.value.offset == text.index("c")
+                zero = text.replace("c^2", "b^0")
+                with pytest.raises(WordSyntaxError, match="zero exponent") as exc:
+                    parse_word(zero)
+                assert exc.value.offset == zero.index("b^0")
 
 
 SEPARATORS = st.text(" \t\n\u2003\x1f\u3000", min_size=1, max_size=3)
