@@ -47,8 +47,8 @@ The pass is a left fold, and stack_pass exposes it as one: its state
 is (stack, ell, remaining budget), START is the state of the empty
 word, and the state of u resumed over v is the state of u v.  So the
 stack and ell of w x come from those of w in the work of the letter x,
-which is how the trichotomy suite walks a ball of words; to_normal_form
-is the fold from START plus the budget check.
+which is how the ball walks resume each word from its parent; resume
+is the pass plus its budget check, and to_normal_form resumes from START.
 """
 
 from __future__ import annotations
@@ -177,6 +177,15 @@ def stack_pass(state: tuple, word: Word, ctx: GroupContext) -> tuple[list[Syllab
     return stack, ell, budget
 
 
+def resume(state: tuple, word: Word, ctx: GroupContext) -> tuple[list[Syllable], int, int]:
+    """stack_pass from state over word, with its budget tripwire: a
+    negative budget left (more firings than letters, a bug) raises."""
+    state = stack_pass(state, word, ctx)
+    if state[2] < 0:
+        raise RewriteLimitError("normal-form budget exhausted")
+    return state
+
+
 def to_normal_form(word: Word, ctx: GroupContext) -> NormalForm:
     """Rewrite any word of G_n to NormalForm(prefix, ell).
 
@@ -186,7 +195,5 @@ def to_normal_form(word: Word, ctx: GroupContext) -> NormalForm:
     >>> format_word(nf.prefix), nf.ell
     ('a^2 b a b a^2', -1)
     """
-    stack, ell, budget = stack_pass(START, word, ctx)
-    if budget < 0:
-        raise RewriteLimitError("normal-form budget exhausted")
+    stack, ell, _ = resume(START, word, ctx)
     return NormalForm(prefix=tuple(stack), ell=ell)

@@ -60,14 +60,16 @@ certificate (two big-int operations per packed int) proves them at most
 rotation fits under one certificate).  Only a failed certificate
 unpacks the ints and repacks them wider.
 
-The fold's state is read only here: _is_shear compares it with sign
-times rho(b)^k = [[1, k lam], [0, 1]], whose packed ints are the same
-at every width but for k lam, and _coefficients unpacks it for rho and
-element_key.  A b-syllable costs O(1) and an a-syllable
-O(min(e mod q, q - e mod q)) big-int operations, each linear in the
-packed length except the product of the top digit with the packed
-modulus, which costs B times that length: deg * B^2 at odd q and half
-of it at even q, still most of a step at n = 63.
+The oracle's state of a word, (phi, the fold's state) or at n = 1 the
+Klein pair, is made and read only here: oracle_state hands it out, and
+oracle_is_identity and b_power_of resume from it.  _is_shear compares a
+fold's state with sign times rho(b)^k = [[1, k lam], [0, 1]], whose
+packed ints are the same at every width but for k lam, and _coefficients
+unpacks it for rho and element_key.  A b-syllable costs O(1) and an
+a-syllable O(min(e mod q, q - e mod q)) big-int operations, each linear
+in the packed length except the product of the top digit with the packed
+modulus, which costs B times that length: deg * B^2 at odd q and half of
+it at even q, still most of a step at n = 63.
 
 Everything here is computed with integer arithmetic only.
 """
@@ -224,7 +226,8 @@ def _room(entries, q: int, width: int, grow: int) -> tuple[tuple[int, ...], int,
 
 
 def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
-    """The fold's state after word, resumed from start (the identity when None).
+    """The fold's state after word, resumed from start (the identity when
+    None; start itself when word is empty).
 
     The state is (entries, flip, width, bits): rho of the letters folded
     so far is (-1)^flip times the packed entries at digit width B =
@@ -257,6 +260,8 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
     The sign is a scalar, so it is carried as a flag and applied when rho
     is read.
     """
+    if start is not None and not word:
+        return start
     q = ctx.q
     deg, modulus, shear_bits, rotation_bits, _, digits = _plan(q)
     halves = digits < deg
@@ -444,16 +449,37 @@ def klein_sign(word: Word) -> int:
     return 0
 
 
-def oracle_is_identity(word: Word, ctx: GroupContext) -> bool:
-    """Exact word-problem test, independent of all rewriting code.
+def oracle_state(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
+    """The oracle's state of start · word, or of word when start is None.
 
-    n >= 2: phi = 0, then rho(word) == I (folded only when phi = 0); the
+    n >= 2: (phi, the fold's state); n == 1: the Klein pair.  The state
+    of u resumed over v is the state of u v, so a walk that keeps one
+    per word pays one letter for each child.  oracle_is_identity and
+    b_power_of take it as their start.
+    """
+    if ctx.n == 1:
+        return klein_pair(word, start or (0, 0))
+    if start is None:
+        return phi(word, ctx), _fold(word, ctx)
+    return start[0] + phi(word, ctx), _fold(word, ctx, start[1])
+
+
+def oracle_is_identity(word: Word, ctx: GroupContext, start: tuple | None = None) -> bool:
+    """Exact word-problem test of start · word (an oracle_state; word
+    alone when None), independent of all rewriting code.
+
+    n >= 2: phi = 0, then rho == I (folded only when phi = 0); the
     packed identity is the same at every width, so nothing is unpacked.
     n == 1: Klein bottle closed form (the matrix pair is blind to b there).
     """
     if ctx.n == 1:
-        return klein_pair(word) == (0, 0)
-    return phi(word, ctx) == 0 and _is_shear(_fold(word, ctx), ctx)
+        return klein_pair(word, start or (0, 0)) == (0, 0)
+    value, fold = start or (0, None)
+    if word:
+        value += phi(word, ctx)
+    if value:
+        return False
+    return _is_shear(_fold(word, ctx, fold) if start else _fold(word, ctx), ctx)
 
 
 def oracle_report(word: Word, ctx: GroupContext) -> tuple[bool, bool, int]:
@@ -476,11 +502,13 @@ def oracle_equal(u: Word, v: Word, ctx: GroupContext) -> bool:
     return oracle_is_identity(concat(invert(u), v), ctx)
 
 
-def b_power_of(word: Word, ctx: GroupContext) -> int | None:
-    """The integer k with word = b^k in G_n, or None if there is none.
+def b_power_of(word: Word, ctx: GroupContext, start: tuple | None = None) -> int | None:
+    """The integer k with start · word = b^k in G_n (word alone when start
+    is None; start an oracle_state), or None if there is none.
 
     For n >= 2, phi(b) != 0, so k = phi(word) / phi(b) is the only
-    candidate; word = b^k then holds exactly when rho(word) is the shear
+    candidate (word standing for start · word throughout); word = b^k
+    then holds exactly when rho(word) is the shear
     rho(b)^k = [[1, k lam], [0, 1]], since (rho, phi) is faithful.  rho
     runs only when phi(b) divides phi(word), and its packed entries are
     compared with the packed shear as they are.
@@ -492,12 +520,16 @@ def b_power_of(word: Word, ctx: GroupContext) -> int | None:
     True
     """
     if ctx.n == 1:
-        t, s = klein_pair(word)
+        t, s = klein_pair(word, start or (0, 0))
         return s if t == 0 else None
-    k, rest = divmod(phi(word, ctx), ctx.phi_b)
+    value, fold = start or (0, None)
+    if word:
+        value += phi(word, ctx)
+    k, rest = divmod(value, ctx.phi_b)
     if rest:
         return None
-    return k if _is_shear(_fold(word, ctx), ctx, k) else None
+    fold = _fold(word, ctx, fold) if start else _fold(word, ctx)
+    return k if _is_shear(fold, ctx, k) else None
 
 
 def element_key(word: Word, ctx: GroupContext) -> tuple:

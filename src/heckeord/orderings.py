@@ -24,37 +24,26 @@ check by oracle.
 
 Cost.  is_positive and compare rewrite their word from scratch.  The
 ball scans (smallest_positive_in_ball, convexity_check) instead walk
-the ball depth first and keep, per depth and per fixed left factor L,
-the stack pass's state of L w, plus phi and the rho fold (the Klein pair
-at n = 1) when flipped; the short right factor g^-1 is pushed last.  So
-a word costs one letter of stack pass (and fold) per left factor plus a
-sign pass per sign read: at radius 6 the scans of the benchmark's
-`orders` workload run about 1.5x faster than deciding every word and
-every u^-1 v from scratch.
+the ball depth first on _Track, one per fixed left factor L: it keeps,
+per depth, the stack pass's state of L w (normalform.resume) and, for
+DehornoyLike, the oracle's state (oracle.oracle_state), which
+b_power_of resumes over the short right factor g^-1.  So a word costs
+one letter of stack pass (and fold) per left factor plus a sign pass
+per sign read: at radius 6 the scans of the benchmark's `orders`
+workload run about 1.5x faster than deciding every word and every
+u^-1 v from scratch.  The trichotomy suite walks on the same tracker.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import itertools
 
 from .cone import MIRROR, Sign, decide_sign, sign_pass
 from .context import GroupContext
-from .normalform import START, NormalForm, stack_pass
-from .oracle import _fold, _is_shear, b_power_of, klein_pair, phi
-from .words import (
-    GEN_A,
-    GEN_B,
-    SIGNED_LETTERS,
-    RewriteLimitError,
-    Word,
-    _ball_tree,
-    concat,
-    conjugate,
-    gen_power,
-    invert,
-)
+from .normalform import START, NormalForm, resume
+from .oracle import b_power_of, oracle_state
+from .words import GEN_A, GEN_B, SIGNED_LETTERS, Word, _ball, concat, conjugate, gen_power, invert
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,79 +136,46 @@ def compare(u: Word, v: Word, spec: OrderingSpec, ctx: GroupContext) -> Cmp:
     return _CMP_OF_SIGN[_order_sign(concat(invert(u), v), spec, ctx)]
 
 
-def _resume(state: tuple, word: Word, ctx: GroupContext) -> tuple:
-    """stack_pass from state over word, with its budget tripwire."""
-    state = stack_pass(state, word, ctx)
-    if state[2] < 0:
-        raise RewriteLimitError("normal-form budget exhausted")
-    return state
-
-
 class _Track:
-    """The unmirrored sign of left · w · right for the words w on a ball walk's path.
+    """The states of left · w for the words w on a ball walk's path, and
+    the unmirrored sign of left · w · right.
 
-    It keeps, per depth of the path, the stack pass's state of left · w
-    and, when flipped, the oracle's state too: phi and the fold, or the
-    Klein pair at n = 1.  A word's states are its parent's resumed over
-    its last letter, so left costs its letters once per start, and each
-    word one letter plus the fixed right factor when its sign is read.
+    Per depth of the path, nf holds the stack pass's state of left · w
+    and, when keep_oracle, key its oracle.oracle_state.  A word's states
+    are its parent's resumed over its last letter, so left costs its
+    letters once per start, and each word one letter plus the fixed
+    right factor when its sign is read.  The trichotomy suite walks on
+    one with empty left and right and reads nf and key itself.
     """
 
-    def __init__(self, ctx: GroupContext, max_len: int, flipped: bool, right: Word):
-        self.ctx, self.flipped, self.right = ctx, flipped, right
-        self.right_phi = phi(right, ctx)
+    def __init__(self, ctx: GroupContext, max_len: int, keep_oracle: bool, right: Word = ()):
+        self.ctx, self.right = ctx, right
         self.nf = [None] * (max_len + 1)
-        self.key = [None] * (max_len + 1)
+        self.key = [None] * (max_len + 1) if keep_oracle else None
 
-    def _step(self, word: Word, key):
-        if self.ctx.n == 1:  # rho and phi are blind to b there
-            return klein_pair(word, key)
-        return key[0] + phi(word, self.ctx), _fold(word, self.ctx, key[1])
-
-    def start(self, left: Word, path) -> None:
+    def start(self, left: Word, path=()) -> None:
         """Track left · w, and take the states of the path's words, path
         holding the one-letter words of depths 1, 2, ... (it can be empty)."""
-        self.nf[0] = _resume(START, left, self.ctx)
-        if self.flipped:  # a fold from None starts at the identity
-            self.key[0] = self._step(left, (0, 0) if self.ctx.n == 1 else (0, None))
+        self.nf[0] = resume(START, left, self.ctx)
+        if self.key is not None:
+            self.key[0] = oracle_state(left, self.ctx)
         for depth, last in enumerate(path, 1):
             self.push(depth, last)
 
     def push(self, depth: int, last: Word) -> None:
         """The states of the path's word at depth, whose last letter is last."""
-        self.nf[depth] = _resume(self.nf[depth - 1], last, self.ctx)
-        if self.flipped:
-            self.key[depth] = self._step(last, self.key[depth - 1])
-
-    def _b_power(self, key) -> int | None:
-        """The k with left · w · right = b^k, as oracle.b_power_of finds it."""
-        ctx, right = self.ctx, self.right
-        if ctx.n == 1:
-            t, s = klein_pair(right, key)
-            return s if t == 0 else None
-        k, rest = divmod(key[0] + self.right_phi, ctx.phi_b)
-        if rest:
-            return None
-        fold = _fold(right, ctx, key[1]) if right else key[1]
-        return k if _is_shear(fold, ctx, k) else None
+        self.nf[depth] = resume(self.nf[depth - 1], last, self.ctx)
+        if self.key is not None:
+            self.key[depth] = oracle_state(last, self.ctx, self.key[depth - 1])
 
     def sign(self, depth: int) -> Sign:
-        """The DD sign of left · w · right for the path's word w at depth,
-        or its flipped sign when flipped."""
-        if self.flipped and (k := self._b_power(self.key[depth])) is not None:
+        """The DD sign of left · w · right for the path's word w at depth;
+        with the oracle's state kept, the flipped sign (DehornoyLike)."""
+        if self.key is not None and (k := b_power_of(self.right, self.ctx, self.key[depth])) is not None:
             return _flipped_sign(k)
         state = self.nf[depth]
-        stack, ell, _ = _resume(state, self.right, self.ctx) if self.right else state
+        stack, ell, _ = resume(state, self.right, self.ctx) if self.right else state
         return sign_pass(NormalForm(tuple(stack), ell), self.ctx).verdict
-
-
-def _ball(max_len: int):
-    """Every word of the ball as _ball_tree yields it, depth first, part
-    after part; a ValueError before any work when max_len < 0."""
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    parts = (None, 0, 1, 2, 3) if max_len else (None,)
-    return itertools.chain.from_iterable(_ball_tree(max_len, first) for first in parts)
 
 
 def smallest_positive_in_ball(
@@ -246,7 +202,7 @@ def smallest_positive_in_ball(
     less = MIRROR[positive]  # ... of best^-1 w when w < best
     right = invert(g)
     test = _Track(ctx, max_len, flipped, right)
-    test.start(g, ())
+    test.start(g)
     versus = _Track(ctx, max_len, flipped, right)
     path = [()] * (max_len + 1)  # path[d]: the last letter of the word at depth d
     best, best_rank = None, 0
@@ -294,10 +250,10 @@ def convexity_check(ctx: GroupContext, max_len: int) -> ConvexityReport:
     """
     ball = _ball(max_len)
     radius = max_len
-    above = _Track(ctx, max_len, False, ())
-    above.start(gen_power(GEN_B, radius), ())
-    below = _Track(ctx, max_len, False, ())
-    below.start(gen_power(GEN_B, -radius), ())
+    above = _Track(ctx, max_len, False)
+    above.start(gen_power(GEN_B, radius))
+    below = _Track(ctx, max_len, False)
+    below.start(gen_power(GEN_B, -radius))
     violations = []
     checked = 0
     for c, letter, depth, rank, _ in ball:

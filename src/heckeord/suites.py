@@ -15,15 +15,17 @@ import os
 
 from .cone import MIRROR, Sign, decide_sign, expand_handle, sign_pass
 from .context import GroupContext
-from .normalform import START, NormalForm, stack_pass
-from .oracle import _fold, _is_shear, element_key, klein_pair, oracle_is_identity, phi
+from .normalform import NormalForm
+from .oracle import element_key, oracle_is_identity
+from .orderings import _Track
 from .words import (
     ALPHABET_AB,
     GEN_A,
     GEN_B,
     SIGNED_LETTERS,
-    RewriteLimitError,
     Word,
+    _ball,
+    _ball_parts,
     _ball_tree,
     concat,
     format_word,
@@ -60,46 +62,24 @@ _MISMATCH = bytes((x & 3) != (x >> 2) for x in range(256))
 def _walk(ctx: GroupContext, max_len: int, first: int | None):
     """Examine one part of the ball (see _ball_tree) word by word.
 
-    Each word resumes its parent's state, kept per depth: the normal
-    form's stack pass, and the oracle's fold (rho and phi, or the Klein
-    pair at n = 1).  So a word costs the work of its last letter plus
-    its sign pass and checks.  Returns (counts by verdict code, the
-    violations as (rank, triple) pairs, the mirror bytes of the whole
-    ball with this part's entries set).
+    The walk runs on an orderings._Track, which keeps each word's normal
+    form stack pass and oracle state resumed from its parent's, so a
+    word costs the work of its last letter plus its sign pass and
+    checks.  Returns (counts by verdict code, the violations as (rank,
+    triple) pairs, the mirror bytes of the whole ball with this part's
+    entries set).
     """
-    if ctx.n == 1:  # the Klein pair: rho and phi are blind to b there
-        step = klein_pair
-
-        def is_one(key):
-            return key == (0, 0)
-
-        start = (0, 0)
-    else:  # (phi, the fold's state)
-
-        def step(word, key):
-            return key[0] + phi(word, ctx), _fold(word, ctx, key[1])
-
-        def is_one(key):
-            return key[0] == 0 and _is_shear(key[1], ctx)
-
-        start = (0, _fold((), ctx))
-    nf_state = [START] * (max_len + 1)
-    key = [start] * (max_len + 1)  # the oracle's state of each word on the path
+    track = _Track(ctx, max_len, True)
+    track.start(())
+    push, nf, key = track.push, track.nf, track.key
     counts = [0, 0, 0, 0]
     violations = []
     verdicts = bytearray(2 * 3**max_len - 1)
     for word, letter, depth, rank, inverse_rank in _ball_tree(max_len, first):
         if depth:
-            last = SIGNED_LETTERS[letter : letter + 1]
-            stack, ell, budget = stack_pass(nf_state[depth - 1], last, ctx)
-            if budget < 0:
-                raise RewriteLimitError("normal-form budget exhausted")
-            prefix = tuple(stack)
-            nf_state[depth] = prefix, ell, budget
-            key[depth] = step(last, key[depth - 1])
-        else:
-            prefix, ell = (), 0
-        result = sign_pass(NormalForm(prefix, ell), ctx)
+            push(depth, SIGNED_LETTERS[letter : letter + 1])
+        stack, ell, _ = nf[depth]
+        result = sign_pass(NormalForm(tuple(stack), ell), ctx)
         verdict, witness = result.verdict, result.witness
         if verdict is Sign.IDENTITY:
             code = 3
@@ -113,10 +93,10 @@ def _walk(ctx: GroupContext, max_len: int, first: int | None):
                 violations.append((rank, (format_word(word), "witness-shape", detail)))
         # witness-equality: w witness^-1 = 1, which is w^-1 witness = 1
         # conjugated, folded on from w's state; trivial when witness is w.
-        if witness != word and not is_one(step(invert(witness), key[depth])):
+        if witness != word and not oracle_is_identity(invert(witness), ctx, key[depth]):
             detail = f"witness {format_word(witness)} is not the same element"
             violations.append((rank, (format_word(word), "witness-equality", detail)))
-        if (code == 3) != is_one(key[depth]):
+        if (code == 3) != oracle_is_identity((), ctx, key[depth]):
             detail = f"verdict {verdict.value} contradicts the oracle"
             violations.append((rank, (format_word(word), "oracle-agreement", detail)))
         counts[code] += 1
@@ -138,15 +118,15 @@ def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> Suit
     raised before any word is examined.
 
     The ball is walked depth first as a tree (_ball_tree), in five
-    parts: the identity, and the words starting with a, a^-1, b, b^-1;
-    jobs > 1 hands the parts to a worker pool.  Every word resumes the
-    normal form and the oracle's fold from its parent, so the work per
-    word is one letter of each fold plus its sign pass and checks.  The
-    mirror check keeps 1 byte per word (its verdict and the one its
-    inverse implies), in one bytearray per part, merged at the end; the
-    walk itself holds O(max_len) state.  Violations come out as from a
-    pass in ball order: the per-word ones by rank, then the mirror ones
-    by rank.
+    parts (_ball_parts): the identity, and the words starting with a,
+    a^-1, b, b^-1; jobs > 1 hands the parts to a worker pool.  Every
+    word resumes the normal form and the oracle's state from its parent,
+    so the work per word is one letter of each plus its sign pass and
+    checks.  The mirror check keeps 1 byte per word (its verdict and the
+    one its inverse implies), in one bytearray per part, merged at the
+    end; the walk itself holds O(max_len) state.  Violations come out as
+    from a pass in ball order: the per-word ones by rank, then the
+    mirror ones by rank.
     """
     if not 0 <= max_len <= MAX_SUITE_LEN:
         raise ValueError(f"max_len must be in 0..{MAX_SUITE_LEN}, got {max_len!r}")
@@ -154,13 +134,12 @@ def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> Suit
     if not 1 <= jobs <= limit:
         raise ValueError(f"jobs must be in 1..{limit}, got {jobs!r}")
     walk = functools.partial(_walk, ctx, max_len)
-    parts = [None, 0, 1, 2, 3] if max_len else [None]
     if jobs > 1:
         import multiprocessing  # here, not at module load: only jobs > 1 needs it
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(walk, parts)
+            results = pool.map(walk, _ball_parts(max_len))
     else:
-        results = map(walk, parts)
+        results = map(walk, _ball_parts(max_len))
 
     counts = [0, 0, 0, 0]
     ranked = []
@@ -173,12 +152,8 @@ def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> Suit
     violations = [v for _, v in ranked]
     verdicts = merged.to_bytes(2 * 3**max_len - 1, "little")
     if 1 in verdicts.translate(_MISMATCH):
-        # Rare: walk the tree once more for the words of the marked ranks.
-        marked = {}
-        for part in parts:
-            for word, _, _, rank, _ in _ball_tree(max_len, part):
-                if _MISMATCH[verdicts[rank]]:
-                    marked[rank] = word
+        # Rare: walk the ball once more for the words of the marked ranks.
+        marked = {rank: word for word, _, _, rank, _ in _ball(max_len) if _MISMATCH[verdicts[rank]]}
         for rank, word in sorted(marked.items()):
             code = verdicts[rank]
             verdict, mirrored = _SIGN_OF[code & 3], MIRROR[_SIGN_OF[code >> 2]]

@@ -28,7 +28,7 @@ offsets only on refusal and reads 2^22 terms in 0.5 s at 93 MB peak.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 
 GEN_A = 0
@@ -133,7 +133,7 @@ def gallop(extends: Callable[[int, int], bool]) -> int:
 
 def invert(word: Word) -> Word:
     """Group inverse: reverse the syllables and flip the exponents."""
-    return tuple((gen, -exp) for gen, exp in reversed(word))
+    return tuple([(gen, -exp) for gen, exp in reversed(word)])
 
 
 def gen_power(gen: int, exp: int) -> Word:
@@ -280,6 +280,20 @@ def _ball_tree(max_len: int, first: int | None):
                 3 * index + x - (x > back),
                 (x ^ 1) * third[depth] + inverse_index - (third[depth - 1] if back > x else 0),
             ))
+
+
+def _ball_parts(max_len: int) -> tuple[int | None, ...]:
+    """The parts of the ball of radius max_len, as _ball_tree's first:
+    the identity, then (max_len >= 1) the words starting a, a^-1, b, b^-1."""
+    return (None, 0, 1, 2, 3) if max_len else (None,)
+
+
+def _ball(max_len: int) -> Iterator[tuple]:
+    """Every word of the ball as _ball_tree yields it, depth first, part
+    after part; a ValueError before any work when max_len < 0."""
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    return chain.from_iterable(_ball_tree(max_len, first) for first in _ball_parts(max_len))
 
 
 def enumerate_reduced(max_len: int) -> Iterator[Word]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import trivial_words, words
-from heckeord import cone, orderings
+from heckeord import cone, normalform, orderings, words as words_module
 from heckeord.cone import Sign, SignResult
 from heckeord.context import group_context
 from heckeord.oracle import element_key, oracle_equal, oracle_is_identity, phi
@@ -309,8 +309,8 @@ class TestScanEdges:
         def no_work(*args):
             raise AssertionError("a word was examined")
 
-        monkeypatch.setattr(orderings, "stack_pass", no_work)
-        monkeypatch.setattr(orderings, "_ball_tree", no_work)
+        monkeypatch.setattr(normalform, "stack_pass", no_work)
+        monkeypatch.setattr(words_module, "_ball_tree", no_work)
         with pytest.raises(ValueError, match="^max_len must be >= 0$"):
             scan(CTX2, -1)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import relator
-from heckeord import cone, suites
+from heckeord import cone, oracle, orderings, suites
 from heckeord.cone import Sign, SignResult
 from heckeord.context import group_context
 from heckeord.normalform import to_normal_form
@@ -22,10 +22,21 @@ from heckeord.suites import (
     run_trichotomy_suite,
     verify_family_identity,
 )
-from heckeord.words import GEN_A, RewriteLimitError, _ball_tree, concat, enumerate_reduced, invert, parse_word
+from heckeord.words import GEN_A, GEN_B, RewriteLimitError, _ball_tree, concat, enumerate_reduced, invert, parse_word
 from reference_suites import reference_trichotomy_suite
 
 CTX2 = group_context(2)
+
+
+def call_counter():
+    """A call count in shared memory, so that the forked workers of a
+    jobs > 1 run add to it too."""
+    return multiprocessing.Value("l", 0)
+
+
+def count(counter):
+    with counter.get_lock():
+        counter.value += 1
 
 
 class TestTrichotomySuite:
@@ -51,13 +62,17 @@ class TestTrichotomySuite:
         # forked, so they inherit the patched module.
         real = suites.sign_pass
         planted = {to_normal_form(parse_word(text), CTX2) for text in ("a b", "b^-1 a", "a^-2 b^2")}
+        calls = call_counter()
 
         def broken(nf, ctx):
+            count(calls)
             return SignResult(Sign.IDENTITY, (), 0) if nf in planted else real(nf, ctx)
 
         monkeypatch.setattr(suites, "sign_pass", broken)
         serial = run_trichotomy_suite(CTX2, 4, jobs=1)
+        serial_calls = calls.value
         parallel = run_trichotomy_suite(CTX2, 4, jobs=2)
+        assert 0 < serial_calls < calls.value
         assert len({word for word, _, _ in serial.violations}) >= 2
         assert serial.counts == parallel.counts
         assert serial.violations == parallel.violations
@@ -68,13 +83,16 @@ class TestTrichotomySuite:
         # mirror check must name both words with the verdicts as text.
         real = suites.sign_pass
         planted = to_normal_form(parse_word("a^-1"), CTX2)
+        calls = call_counter()
 
         def broken(nf, ctx):
+            count(calls)
             result = real(nf, ctx)
             return SignResult(Sign.IDENTITY, (), 0) if nf == planted else result
 
         monkeypatch.setattr(suites, "sign_pass", broken)
         report = run_trichotomy_suite(CTX2, 1)
+        assert calls.value > 0
         mirror = [v for v in report.violations if v[1] == "inverse-mirror"]
         assert mirror == [
             ("a", "inverse-mirror", "positive vs identity for the inverse"),
@@ -114,10 +132,13 @@ def faulty(fault, every):
     hash(nf) % every == 0: "flip" (a wrong verdict, the witness kept),
     "other" (a one-signed witness that is another element: one more a
     or a^-1) or "mixed" (the same element, not one-signed: the witness
-    with the relator appended as it is)."""
+    with the relator appended as it is).  Its calls are counted in
+    sign_pass.calls (see call_counter)."""
     real = cone.sign_pass
+    calls = call_counter()
 
     def sign_pass(nf, ctx):
+        count(calls)
         result = real(nf, ctx)
         if hash(nf) % every:
             return result
@@ -129,6 +150,7 @@ def faulty(fault, every):
             return SignResult(verdict, concat(witness, ((GEN_A, extra),)), steps)
         return SignResult(verdict, witness + relator(ctx.n), steps)
 
+    sign_pass.calls = calls
     return sign_pass
 
 
@@ -142,10 +164,11 @@ PLANTED_CHECKS = {
 
 def plant(monkeypatch, fault, every):
     """The same fault in the walk's sign pass and in decide_sign's, which
-    the reference calls."""
-    broken = faulty(fault, every)
-    monkeypatch.setattr(suites, "sign_pass", broken)
-    monkeypatch.setattr(cone, "sign_pass", broken)
+    the reference calls; returns the walk's, whose calls are counted."""
+    walk_pass = faulty(fault, every)
+    monkeypatch.setattr(suites, "sign_pass", walk_pass)
+    monkeypatch.setattr(cone, "sign_pass", faulty(fault, every))
+    return walk_pass
 
 
 class TestAgainstReference:
@@ -170,8 +193,9 @@ class TestAgainstReference:
     @pytest.mark.parametrize("n", [1, 2, 5, 63])
     def test_planted_faults(self, monkeypatch, n, fault, jobs):
         ctx = group_context(n)
-        plant(monkeypatch, fault, 3)
+        walk_pass = plant(monkeypatch, fault, 3)
         report = run_trichotomy_suite(ctx, 4, jobs=jobs)
+        assert walk_pass.calls.value > 0
         assert report == reference_trichotomy_suite(ctx, 4)
         checks = {check for _, check, _ in report.violations}
         assert checks >= PLANTED_CHECKS[fault]
@@ -187,11 +211,62 @@ class TestAgainstReference:
         ctx = group_context(n)
         saved = suites.sign_pass, cone.sign_pass
         if fault:
-            suites.sign_pass = cone.sign_pass = faulty(fault, every)
+            suites.sign_pass, cone.sign_pass = faulty(fault, every), faulty(fault, every)
         try:
             assert run_trichotomy_suite(ctx, max_len) == reference_trichotomy_suite(ctx, max_len)
+            if fault:
+                assert suites.sign_pass.calls.value > 0
         finally:
             suites.sign_pass, cone.sign_pass = saved
+
+
+def shear_always(state, ctx, k=0, sign=1):
+    """_is_shear that says yes to every fold: the identity test is phi = 0
+    alone, so a b^-1 a^-1 b is the identity at every n >= 2."""
+    return True
+
+
+def phi_blind_to_b(word, ctx):
+    """phi without its b term: rho and this still tell delta^j apart, but
+    no longer see a relator as trivial (b a^n b a^-1 gets (n - 1) phi(a))."""
+    return sum(exp * ctx.phi_a for gen, exp in word if gen == GEN_A)
+
+
+def klein_untwisted(word, start=(0, 0)):
+    """The Klein pair with (t, s) * a^e = (t + e, s): G_1 made abelian."""
+    t, s = start
+    for gen, exp in word:
+        if gen == GEN_B:
+            s += exp
+        else:
+            t += exp
+    return t, s
+
+
+# (oracle name, wrong version, n, max_len, the checks it must trip there)
+ORACLE_FAULTS = [
+    ("_is_shear", shear_always, 2, 4, {"oracle-agreement"}),
+    ("_is_shear", shear_always, 5, 4, {"oracle-agreement"}),
+    ("_is_shear", shear_always, 63, 4, {"oracle-agreement"}),
+    ("phi", phi_blind_to_b, 2, 5, {"oracle-agreement", "witness-equality"}),
+    ("klein_pair", klein_untwisted, 1, 4, {"oracle-agreement"}),
+]
+
+
+class TestOracleFaults:
+    """A wrong oracle, planted where the walk and the reference both read
+    it, gives the same SuiteReport from each, with the checks it trips."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "name, wrong, n, max_len, checks", ORACLE_FAULTS, ids=[f"{f[0]}-n{f[2]}" for f in ORACLE_FAULTS]
+    )
+    def test_walk_and_reference_agree(self, monkeypatch, name, wrong, n, max_len, checks, jobs):
+        ctx = group_context(n)
+        monkeypatch.setattr(oracle, name, wrong)
+        report = run_trichotomy_suite(ctx, max_len, jobs=jobs)
+        assert report == reference_trichotomy_suite(ctx, max_len)
+        assert checks <= {check for _, check, _ in report.violations}
 
 
 class TestBallTree:
@@ -216,7 +291,7 @@ class TestBallTree:
         # A start state 100 firings in debt leaves every word's budget
         # negative: the walk must raise at the first word after the
         # identity, not report verdicts.  Real code, so also under -O.
-        monkeypatch.setattr(suites, "START", ((), 0, -100))
+        monkeypatch.setattr(orderings, "START", ((), 0, -100))
         with pytest.raises(RewriteLimitError):
             run_trichotomy_suite(group_context(n), 2)
 
