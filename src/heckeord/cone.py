@@ -64,21 +64,13 @@ oracle in the test suite; nothing here trusts normal-form uniqueness.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
+import functools
+from typing import NamedTuple
 
 from .context import GroupContext
 from .normalform import NormalForm, to_normal_form
-from .words import (
-    GEN_A,
-    GEN_B,
-    Syllable,
-    Word,
-    concat,
-    gallop,
-    gen_power,
-    is_one_signed,
-)
+from .words import GEN_A, GEN_B, Syllable, Word, gallop, is_one_signed
 
 
 class Sign(enum.Enum):
@@ -96,9 +88,9 @@ class ReductionStuck(RuntimeError):
     which an irreducible prefix rules out; indicates a bug, never expected."""
 
 
-@dataclasses.dataclass(frozen=True)
-class SignResult:
-    """Verdict plus a one-signed word equal to the input in the group."""
+class SignResult(NamedTuple):
+    """Verdict plus a one-signed word equal to the input in the group
+    (a named tuple: immutable, hashable, equal by its fields)."""
 
     verdict: Sign
     witness: Word  # empty iff verdict is IDENTITY
@@ -132,21 +124,31 @@ def decide_sign(word: Word, ctx: GroupContext) -> SignResult:
     return sign_pass(to_normal_form(word, ctx), ctx)
 
 
+@functools.lru_cache(maxsize=None)
+def _runs(n: int) -> tuple[Word, Word]:
+    """The handle a^-(n-1) b^-1 that a b-letter writes, and two periods
+    (b a^(n-1))^2 of a run, for sign_pass at n."""
+    return ((GEN_A, 1 - n), (GEN_B, -1)), ((GEN_B, 1), (GEN_A, n - 1)) * 2
+
+
 def sign_pass(nf: NormalForm, ctx: GroupContext) -> SignResult:
     """The verdict and witness of the element nf: the feed, then one
     left-to-right pass over its prefix (see the module docstring)."""
-    prefix, ell = nf.prefix, nf.ell
-    n, q = ctx.n, ctx.q
+    prefix, ell = nf
+    q = ctx.q
     if ell >= 0:
-        witness = concat(prefix, gen_power(GEN_A, q * ell))
-        return SignResult(Sign.POSITIVE if witness else Sign.IDENTITY, witness, 0)
+        if not ell:
+            return SignResult(Sign.POSITIVE if prefix else Sign.IDENTITY, prefix, 0)
+        if prefix and prefix[-1][0] == GEN_A:  # delta^ell merges into the last a-block
+            return SignResult(Sign.POSITIVE, prefix[:-1] + ((GEN_A, prefix[-1][1] + q * ell),), 0)
+        return SignResult(Sign.POSITIVE, prefix + ((GEN_A, q * ell),), 0)
     if not prefix:
-        return SignResult(Sign.NEGATIVE, gen_power(GEN_A, q * ell), 0)
+        return SignResult(Sign.NEGATIVE, ((GEN_A, q * ell),), 0)
 
+    n = ctx.n
+    handle, two_periods = _runs(n)
     out: list[Syllable] = []
     carry = 0  # the pending a-exponent
-    handle = ((GEN_A, 1 - n), (GEN_B, -1))
-    two_periods = ((GEN_B, 1), (GEN_A, n - 1)) * 2
     i, end = 0, len(prefix)
     while i < end:
         gen, exp = prefix[i]
@@ -178,7 +180,9 @@ def sign_pass(nf: NormalForm, ctx: GroupContext) -> SignResult:
         else:
             i += 1
 
-    out += gen_power(GEN_A, carry + q * ell)  # the fed delta^ell
+    last = carry + q * ell  # the fed delta^ell; out ends in a b-block or is empty
+    if last:
+        out.append((GEN_A, last))
     witness = tuple(out)
     if not (witness and is_one_signed(witness) and witness[0][1] < 0):
         raise ReductionStuck(f"cascade ended with a witness that is not all-negative: {witness}")

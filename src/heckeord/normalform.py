@@ -53,8 +53,8 @@ is the pass plus its budget check, and to_normal_form resumes from START.
 
 from __future__ import annotations
 
-import dataclasses
 from operator import itemgetter
+from typing import NamedTuple
 
 from .context import GroupContext
 from .words import GEN_A, GEN_B, RewriteLimitError, Syllable, Word
@@ -64,16 +64,33 @@ class NormalFormError(RuntimeError):
     """A NormalForm was built with a prefix that is not a positive word (a bug)."""
 
 
-@dataclasses.dataclass(frozen=True)
-class NormalForm:
-    """A word in the form prefix * delta^ell, prefix a positive word."""
+_EXPONENT = itemgetter(1)
 
+
+class _NormalForm(NamedTuple):
     prefix: Word
     ell: int
 
-    def __post_init__(self):
-        if self.prefix and min(map(itemgetter(1), self.prefix)) <= 0:
-            raise NormalFormError(f"prefix is not a positive word: {self.prefix}")
+
+class NormalForm(_NormalForm):
+    """A word in the form prefix * delta^ell, prefix a positive word.
+
+    A named tuple (immutable, hashable, equal by its fields), so that the
+    ball walks, which build one per word, pay about a tuple's cost.  The
+    check runs in __new__, so it is real code under python -O.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, prefix: Word, ell: int):
+        if prefix and min(map(_EXPONENT, prefix)) <= 0:
+            raise NormalFormError(f"prefix is not a positive word: {prefix}")
+        return tuple.__new__(cls, (prefix, ell))
+
+    @classmethod
+    def _make(cls, iterable) -> NormalForm:
+        # The named tuple's own _make, which _replace calls too, would skip __new__.
+        return cls(*iterable)
 
 
 # The pass's state before any letter: empty stack, ell = 0, and the

@@ -29,11 +29,13 @@ rho is evaluated without general 2x2 products: rho(b)^k is a shear,
 which adds k*lam times the first column to the second, and rho(a) is a
 rotation with rho(a)^q = -I, so a^e is a sign times min(s, q - s) steps
 of rho(a) or rho(a)^-1, s = e mod q.  Each step multiplies an entry by
-lam.  Each entry sum c_i lam^i is packed into ints sum c_i 2^(B i) with
-balanced digits (Kronecker substitution), so lam * u is one shift, one
-top-digit extraction and one product with the packed modulus: a handful
-of C-level big-int operations on deg * B bits instead of deg
-Python-level ones.
+lam.  The fold keeps the second column negated: with y = -x1 a row
+(x0, x1) of rho(a) steps as (x0, y) -> (lam x0 - y, x0) and of rho(a)^-1
+as (x0, y) -> (y, lam y - x0), so no step negates an entry.  Each entry
+sum c_i lam^i is packed into ints sum c_i 2^(B i) with balanced digits
+(Kronecker substitution), so lam * u is one shift, one top-digit
+extraction and one product with the packed modulus: a handful of C-level
+big-int operations on deg * B bits instead of deg Python-level ones.
 
 How an entry is packed depends on the modulus M, the minimal polynomial
 of lam (deg = deg M):
@@ -65,11 +67,12 @@ Klein pair, is made and read only here: oracle_state hands it out, and
 oracle_is_identity and b_power_of resume from it.  _is_shear compares a
 fold's state with sign times rho(b)^k = [[1, k lam], [0, 1]], whose
 packed ints are the same at every width but for k lam, and _coefficients
-unpacks it for rho and element_key.  A b-syllable costs O(1) and an
-a-syllable O(min(e mod q, q - e mod q)) big-int operations, each linear
-in the packed length except the product of the top digit with the packed
-modulus, which costs B times that length: deg * B^2 at odd q and half of
-it at even q, still most of a step at n = 63.
+unpacks it for rho and element_key, both undoing the negated column.
+A b-syllable costs O(1) and an a-syllable O(min(e mod q, q - e mod q))
+big-int operations, each linear in the packed length except the product
+of the top digit with the packed modulus, which costs B times that
+length: deg * B^2 at odd q and half of it at even q, still most of a
+step at n = 63.
 
 Everything here is computed with integer arithmetic only.
 """
@@ -195,13 +198,16 @@ def _fits(entries, certificate) -> bool:
     2^(B i) with balanced digits in [-2^(B - g), 2^(B - g)); as x's own
     digits are below 2^(B - 2) and balanced digits are unique, those are
     they.  Conversely such digits give exactly such y_i.
+
+    One test covers every Y at once: ints are infinite two's complement,
+    so the OR z of the Y is negative iff one of them is, and for
+    nonnegative Y, z < 2^(B d) iff each is and z misses G iff each does.
     """
     offset, guard, top = certificate
+    z = 0
     for x in entries:
-        y = x + offset
-        if y < 0 or y >= top or y & guard:
-            return False
-    return True
+        z |= x + offset
+    return 0 <= z < top and not z & guard
 
 
 def _widen(entries, digits: int, width: int, grow: int, guard: int) -> tuple[tuple[int, ...], int, int]:
@@ -230,32 +236,34 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
     None; start itself when word is empty).
 
     The state is (entries, flip, width, bits): rho of the letters folded
-    so far is (-1)^flip times the packed entries at digit width B =
-    width, and 2^bits bounds their digits.  Folding v from the state of
-    u gives the state of u v, so rho(w x) costs the letter x once rho(w)
-    is known; _is_shear and _coefficients read rho off a state.
+    so far is (-1)^flip times [[x0, -y1], [x2, -y3]] for the packed
+    entries (x0, y1, x2, y3) at digit width B = width, and 2^bits bounds
+    their digits.  The second column is stored negated, so that no step
+    below negates an entry.  Folding v from the state of u gives the
+    state of u v, so rho(w x) costs the letter x once rho(w) is known;
+    _is_shear and _coefficients read rho off a state.
 
-    The entries are the four entries (x0, x1, x2, x3) of
-    [[x0, x1], [x2, x3]], or at even q >= 4 the eight halves (E0, O0,
-    E1, O1, ...), E of the even and O of the odd digits of each entry.
-    A packed int of one digit is that digit (deg 1, or deg 2 at even
-    q): width and bits are then 0.  Otherwise the digits are packed
-    balanced at 2^B: lam u = (u << B) - t M with t = (u + 2^(S-1)) >> S
-    the top digit of u, or on halves lam (E, O) = ((O << B) - t N, E)
-    with t the top digit of O; either is exact while every digit stays
-    below 2^(B - 2).  A bound 2^bits on the digits
+    At even q >= 4 the entries are the eight halves (E0, O0, F1, P1, E2,
+    O2, F3, P3): E of the even and O of the odd digits of x0 and x2, F
+    and P those of y1 and y3.  A packed int of one digit is that digit
+    (deg 1, or deg 2 at even q): width and bits are then 0.  Otherwise
+    the digits are packed balanced at 2^B: lam u = (u << B) - t M with
+    t = (u + 2^(S-1)) >> S the top digit of u, or on halves lam (E, O) =
+    ((O << B) - t N, E) with t the top digit of O; either is exact while
+    every digit stays below 2^(B - 2).  A bound 2^bits on the digits
     grows by each syllable's factor (_plan); before it could pass
     2^(B - 2) the packed ints are certified (_fits) to have digits
     <= 2^(B - g), and only when that fails, or one syllable alone could
     outgrow the guard, are they unpacked and widened.
 
-    The entries start at the identity and are right-multiplied one
-    syllable at a time:
+    The entries start at the identity, (1, -1) on the diagonal, and are
+    right-multiplied one syllable at a time, each row (x, y) alike:
 
-      b^k   a shear: x1 += k lam x0 and x3 += k lam x2.
+      b^k   a shear: y -= k lam x.
       a^e   a rotation: rho(a)^q = -I, so e mod 2q gives a sign and
-            s = e mod q; then min(s, q - s) steps of rho(a) or of
-            rho(a)^-1 = [[0, 1], [-1, lam]] (a^s = -a^-(q-s)).
+            s = e mod q; then min(s, q - s) steps of rho(a),
+            (x, y) -> (lam x - y, x), or of rho(a)^-1 = [[0, 1], [-1, lam]],
+            (x, y) -> (y, lam y - x)  (a^s = -a^-(q-s)).
 
     The sign is a scalar, so it is carried as a flag and applied when rho
     is read.
@@ -263,114 +271,116 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
     if start is not None and not word:
         return start
     q = ctx.q
+    turn = 2 * q
     deg, modulus, shear_bits, rotation_bits, _, digits = _plan(q)
     halves = digits < deg
     if start is None:
-        identity = (1, 0, 0, 0, 0, 0, 1, 0) if halves else (1, 0, 0, 1)
+        identity = (1, 0, 0, 0, 0, 0, -1, 0) if halves else (1, 0, 0, -1)
         start = (identity, False, 0, 0) if digits == 1 else (identity, False, _START_WIDTH, 1)
     entries, flip, width, bits = start
     if deg == 1:  # lam is an int
         lam = -modulus[0]
-        x0, x1, x2, x3 = entries
+        x0, y1, x2, y3 = entries
         for gen, exp in word:
             if gen == GEN_B:
                 k = exp * lam
-                x1 += k * x0
-                x3 += k * x2
+                y1 -= k * x0
+                y3 -= k * x2
                 continue
-            s = exp % (2 * q)
+            s = exp % turn
             if s >= q:
                 flip, s = not flip, s - q
             if 2 * s <= q:
                 for _ in range(s):
-                    x0, x1 = lam * x0 + x1, -x0
-                    x2, x3 = lam * x2 + x3, -x2
+                    x0, y1 = lam * x0 - y1, x0
+                    x2, y3 = lam * x2 - y3, x2
             else:
                 flip = not flip
                 for _ in range(q - s):
-                    x0, x1 = -x1, lam * x1 + x0
-                    x2, x3 = -x3, lam * x3 + x2
-        return (x0, x1, x2, x3), flip, 0, 0
+                    x0, y1 = y1, lam * y1 - x0
+                    x2, y3 = y3, lam * y3 - x2
+        return (x0, y1, x2, y3), flip, 0, 0
     if digits == 1:  # halves of one digit each: lam (e, o) = (c o, e), c = lam^2
         c = -modulus[0]
-        e0, o0, e1, o1, e2, o2, e3, o3 = entries
+        e0, o0, f1, p1, e2, o2, f3, p3 = entries
         for gen, exp in word:
             if gen == GEN_B:
                 k = exp * c
-                e1, o1 = e1 + k * o0, o1 + exp * e0
-                e3, o3 = e3 + k * o2, o3 + exp * e2
+                f1, p1 = f1 - k * o0, p1 - exp * e0
+                f3, p3 = f3 - k * o2, p3 - exp * e2
                 continue
-            s = exp % (2 * q)
+            s = exp % turn
             if s >= q:
                 flip, s = not flip, s - q
             if 2 * s <= q:
                 for _ in range(s):
-                    e0, o0, e1, o1 = e1 + c * o0, o1 + e0, -e0, -o0
-                    e2, o2, e3, o3 = e3 + c * o2, o3 + e2, -e2, -o2
+                    e0, o0, f1, p1 = c * o0 - f1, e0 - p1, e0, o0
+                    e2, o2, f3, p3 = c * o2 - f3, e2 - p3, e2, o2
             else:
                 flip = not flip
                 for _ in range(q - s):
-                    e0, o0, e1, o1 = -e1, -o1, e0 + c * o1, o0 + e1
-                    e2, o2, e3, o3 = -e3, -o3, e2 + c * o3, o2 + e3
-        return (e0, o0, e1, o1, e2, o2, e3, o3), flip, 0, 0
+                    e0, o0, f1, p1 = f1, p1, c * p1 - e0, f1 - o0
+                    e2, o2, f3, p3 = f3, p3, c * p3 - e2, f3 - o2
+        return (e0, o0, f1, p1, e2, o2, f3, p3), flip, 0, 0
     mod, place, half = _layout(q, width)[:3]
     if halves:
-        e0, o0, e1, o1, e2, o2, e3, o3 = entries
+        e0, o0, f1, p1, e2, o2, f3, p3 = entries
         for gen, exp in word:
             if gen == GEN_B:
                 grow = exp.bit_length() + shear_bits
             else:
-                s = exp % (2 * q)
+                s = exp % turn
                 if s >= q:
                     flip, s = not flip, s - q
                 grow = rotation_bits[s if 2 * s <= q else q - s]
             if bits + grow > width - 2:
-                (e0, o0, e1, o1, e2, o2, e3, o3), width, bits = _room((e0, o0, e1, o1, e2, o2, e3, o3), q, width, grow)
+                (e0, o0, f1, p1, e2, o2, f3, p3), width, bits = _room((e0, o0, f1, p1, e2, o2, f3, p3), q, width, grow)
                 mod, place, half = _layout(q, width)[:3]
             bits += grow
             if gen == GEN_B:
-                e1, o1 = e1 + exp * ((o0 << width) - ((o0 + half) >> place) * mod), o1 + exp * e0
-                e3, o3 = e3 + exp * ((o2 << width) - ((o2 + half) >> place) * mod), o3 + exp * e2
+                f1, p1 = f1 - exp * ((o0 << width) - ((o0 + half) >> place) * mod), p1 - exp * e0
+                f3, p3 = f3 - exp * ((o2 << width) - ((o2 + half) >> place) * mod), p3 - exp * e2
             elif 2 * s <= q:
                 for _ in range(s):
-                    e0, o0, e1, o1 = e1 + (o0 << width) - ((o0 + half) >> place) * mod, o1 + e0, -e0, -o0
-                    e2, o2, e3, o3 = e3 + (o2 << width) - ((o2 + half) >> place) * mod, o3 + e2, -e2, -o2
+                    e0, o0, f1, p1 = (o0 << width) - ((o0 + half) >> place) * mod - f1, e0 - p1, e0, o0
+                    e2, o2, f3, p3 = (o2 << width) - ((o2 + half) >> place) * mod - f3, e2 - p3, e2, o2
             else:
                 flip = not flip
                 for _ in range(q - s):
-                    e0, o0, e1, o1 = -e1, -o1, e0 + (o1 << width) - ((o1 + half) >> place) * mod, o0 + e1
-                    e2, o2, e3, o3 = -e3, -o3, e2 + (o3 << width) - ((o3 + half) >> place) * mod, o2 + e3
-        return (e0, o0, e1, o1, e2, o2, e3, o3), flip, width, bits
-    x0, x1, x2, x3 = entries
+                    e0, o0, f1, p1 = f1, p1, (p1 << width) - ((p1 + half) >> place) * mod - e0, f1 - o0
+                    e2, o2, f3, p3 = f3, p3, (p3 << width) - ((p3 + half) >> place) * mod - e2, f3 - o2
+        return (e0, o0, f1, p1, e2, o2, f3, p3), flip, width, bits
+    x0, y1, x2, y3 = entries
     for gen, exp in word:
         if gen == GEN_B:
             grow = exp.bit_length() + shear_bits
         else:
-            s = exp % (2 * q)
+            s = exp % turn
             if s >= q:
                 flip, s = not flip, s - q
             grow = rotation_bits[s if 2 * s <= q else q - s]
         if bits + grow > width - 2:
-            (x0, x1, x2, x3), width, bits = _room((x0, x1, x2, x3), q, width, grow)
+            (x0, y1, x2, y3), width, bits = _room((x0, y1, x2, y3), q, width, grow)
             mod, place, half = _layout(q, width)[:3]
         bits += grow
         if gen == GEN_B:
-            x1 += exp * ((x0 << width) - ((x0 + half) >> place) * mod)
-            x3 += exp * ((x2 << width) - ((x2 + half) >> place) * mod)
+            y1 -= exp * ((x0 << width) - ((x0 + half) >> place) * mod)
+            y3 -= exp * ((x2 << width) - ((x2 + half) >> place) * mod)
         elif 2 * s <= q:
             for _ in range(s):
-                x0, x1 = x1 + (x0 << width) - ((x0 + half) >> place) * mod, -x0
-                x2, x3 = x3 + (x2 << width) - ((x2 + half) >> place) * mod, -x2
+                x0, y1 = (x0 << width) - ((x0 + half) >> place) * mod - y1, x0
+                x2, y3 = (x2 << width) - ((x2 + half) >> place) * mod - y3, x2
         else:
             flip = not flip
             for _ in range(q - s):
-                x0, x1 = -x1, x0 + (x1 << width) - ((x1 + half) >> place) * mod
-                x2, x3 = -x3, x2 + (x3 << width) - ((x3 + half) >> place) * mod
-    return (x0, x1, x2, x3), flip, width, bits
+                x0, y1 = y1, (y1 << width) - ((y1 + half) >> place) * mod - x0
+                x2, y3 = y3, (y3 << width) - ((y3 + half) >> place) * mod - x2
+    return (x0, y1, x2, y3), flip, width, bits
 
 
 def _is_shear(state: tuple, ctx: GroupContext, k: int = 0, sign: int = 1) -> bool:
-    """Whether rho of a _fold state is sign times rho(b)^k = [[1, k lam], [0, 1]].
+    """Whether rho of a _fold state is sign times rho(b)^k = [[1, k lam], [0, 1]],
+    stored as (sign, -sign k lam, 0, -sign).
 
     Its packed ints are the same at every width but for k lam: k 2^B as
     one packed int, k * lam as a plain one, and k alone as the odd
@@ -380,16 +390,17 @@ def _is_shear(state: tuple, ctx: GroupContext, k: int = 0, sign: int = 1) -> boo
     if flip:
         sign = -sign
     if len(entries) == 8:
-        return entries == (sign, 0, 0, sign * k, 0, 0, sign, 0)
+        return entries == (sign, 0, 0, -sign * k, 0, 0, -sign, 0)
     lam = 1 << width if width else -ctx.min_poly[0]
-    return entries == (sign, sign * k * lam, 0, sign)
+    return entries == (sign, -sign * k * lam, 0, -sign)
 
 
 def _coefficients(state: tuple, ctx: GroupContext) -> Mat2:
     """rho of a _fold state as coefficient tuples in the power basis of lam."""
     entries, flip, width, _ = state
-    if flip:
-        entries = [-x for x in entries]
+    # The second column is stored negated: entries 1 and 3, or halves 2, 3, 6 and 7.
+    second = (0, 1, 0, 1) if len(entries) == 4 else (0, 0, 1, 1) * 2
+    entries = [-x if flip ^ negated else x for x, negated in zip(entries, second)]
     deg = len(ctx.min_poly) - 1
     if len(entries) == 4:
         return tuple(_unpack(x, width, deg) if width else (x,) for x in entries)
@@ -473,7 +484,8 @@ def oracle_is_identity(word: Word, ctx: GroupContext, start: tuple | None = None
     n == 1: Klein bottle closed form (the matrix pair is blind to b there).
     """
     if ctx.n == 1:
-        return klein_pair(word, start or (0, 0)) == (0, 0)
+        pair = start or (0, 0)
+        return (klein_pair(word, pair) if word else pair) == (0, 0)
     value, fold = start or (0, None)
     if word:
         value += phi(word, ctx)
@@ -502,9 +514,11 @@ def oracle_equal(u: Word, v: Word, ctx: GroupContext) -> bool:
     return oracle_is_identity(concat(invert(u), v), ctx)
 
 
-def b_power_of(word: Word, ctx: GroupContext, start: tuple | None = None) -> int | None:
+def b_power_of(word: Word, ctx: GroupContext, start: tuple | None = None, word_phi: int | None = None) -> int | None:
     """The integer k with start · word = b^k in G_n (word alone when start
-    is None; start an oracle_state), or None if there is none.
+    is None; start an oracle_state), or None if there is none.  word_phi
+    is phi(word) when the caller holds it, as a walk that reads the same
+    word after every start does.
 
     For n >= 2, phi(b) != 0, so k = phi(word) / phi(b) is the only
     candidate (word standing for start · word throughout); word = b^k
@@ -524,7 +538,7 @@ def b_power_of(word: Word, ctx: GroupContext, start: tuple | None = None) -> int
         return s if t == 0 else None
     value, fold = start or (0, None)
     if word:
-        value += phi(word, ctx)
+        value += phi(word, ctx) if word_phi is None else word_phi
     k, rest = divmod(value, ctx.phi_b)
     if rest:
         return None

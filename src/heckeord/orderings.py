@@ -27,11 +27,11 @@ ball scans (smallest_positive_in_ball, convexity_check) instead walk
 the ball depth first on _Track, one per fixed left factor L: it keeps,
 per depth, the stack pass's state of L w (normalform.resume) and, for
 DehornoyLike, the oracle's state (oracle.oracle_state), which
-b_power_of resumes over the short right factor g^-1.  So a word costs
-one letter of stack pass (and fold) per left factor plus a sign pass
-per sign read: at radius 6 the scans of the benchmark's `orders`
-workload run about 1.5x faster than deciding every word and every
-u^-1 v from scratch.  The trichotomy suite walks on the same tracker.
+b_power_of resumes over the short right factor g^-1, whose phi the
+track takes once.  So a word costs one letter of stack pass (and fold)
+per left factor plus a sign pass per sign read: at radius 6 the scans
+of the benchmark's `orders` workload run about 1.5x faster than
+deciding every word and every u^-1 v from scratch.  The trichotomy suite walks on the same tracker.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import enum
 from .cone import MIRROR, Sign, decide_sign, sign_pass
 from .context import GroupContext
 from .normalform import START, NormalForm, resume
-from .oracle import b_power_of, oracle_state
+from .oracle import b_power_of, oracle_state, phi
 from .words import GEN_A, GEN_B, SIGNED_LETTERS, Word, _ball, concat, conjugate, gen_power, invert
 
 
@@ -141,7 +141,8 @@ class _Track:
     the unmirrored sign of left · w · right.
 
     Per depth of the path, nf holds the stack pass's state of left · w
-    and, when keep_oracle, key its oracle.oracle_state.  A word's states
+    and, when keep_oracle, key its oracle.oracle_state; right_phi is then
+    phi(right), taken once for every sign read.  A word's states
     are its parent's resumed over its last letter, so left costs its
     letters once per start, and each word one letter plus the fixed
     right factor when its sign is read.  The trichotomy suite walks on
@@ -150,6 +151,7 @@ class _Track:
 
     def __init__(self, ctx: GroupContext, max_len: int, keep_oracle: bool, right: Word = ()):
         self.ctx, self.right = ctx, right
+        self.right_phi = phi(right, ctx) if keep_oracle else None
         self.nf = [None] * (max_len + 1)
         self.key = [None] * (max_len + 1) if keep_oracle else None
 
@@ -171,7 +173,7 @@ class _Track:
     def sign(self, depth: int) -> Sign:
         """The DD sign of left · w · right for the path's word w at depth;
         with the oracle's state kept, the flipped sign (DehornoyLike)."""
-        if self.key is not None and (k := b_power_of(self.right, self.ctx, self.key[depth])) is not None:
+        if self.key is not None and (k := b_power_of(self.right, self.ctx, self.key[depth], self.right_phi)) is not None:
             return _flipped_sign(k)
         state = self.nf[depth]
         stack, ell, _ = resume(state, self.right, self.ctx) if self.right else state

@@ -79,8 +79,7 @@ def _walk(ctx: GroupContext, max_len: int, first: int | None):
         if depth:
             push(depth, SIGNED_LETTERS[letter : letter + 1])
         stack, ell, _ = nf[depth]
-        result = sign_pass(NormalForm(tuple(stack), ell), ctx)
-        verdict, witness = result.verdict, result.witness
+        verdict, witness, _ = sign_pass(NormalForm(tuple(stack), ell), ctx)
         if verdict is Sign.IDENTITY:
             code = 3
             if witness != ():

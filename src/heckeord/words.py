@@ -219,15 +219,23 @@ def parse_word(text: str, alphabet: tuple[str, str] = ALPHABET_AB) -> Word:
 def format_word(word: Word, alphabet: tuple[str, str] = ALPHABET_AB) -> str:
     """Inverse of parse_word; the identity prints as "1".
 
+    Each distinct syllable is spelled once, on its first occurrence,
+    into a table built per call; the others are looked up there.
+
     >>> format_word(((GEN_A, 2), (GEN_B, -1), (GEN_A, 1)))
     'a^2 b^-1 a'
     """
     if not word:
         return "1"
+    text: dict[Syllable, str] = {}
     parts = []
-    for gen, exp in word:
-        name = alphabet[gen]
-        parts.append(name if exp == 1 else f"{name}^{exp}")
+    for syllable in word:
+        spelled = text.get(syllable)
+        if spelled is None:
+            gen, exp = syllable
+            name = alphabet[gen]
+            spelled = text[syllable] = name if exp == 1 else f"{name}^{exp}"
+        parts.append(spelled)
     return " ".join(parts)
 
 
@@ -323,10 +331,13 @@ def enumerate_reduced(max_len: int) -> Iterator[Word]:
         yield from level
 
 
+_EXPONENT = itemgetter(1)
+
+
 def is_one_signed(word: Word) -> bool:
     """True when every exponent has the same sign (vacuously for the identity)."""
     if not word:
         return True
     if word[0][1] > 0:
-        return min(map(itemgetter(1), word)) > 0
-    return max(map(itemgetter(1), word)) < 0
+        return min(map(_EXPONENT, word)) > 0
+    return max(map(_EXPONENT, word)) < 0

@@ -1,5 +1,6 @@
 """Test-only reference: the decision core as it was before the one-pass rewrite,
-and the word parser as it was before the table-driven one.
+the word parser as it was before the table-driven one, and the word
+formatter as it was before its per-call table.
 
 The leftmost-first scanner (inverse elimination into a list, then r1/r2
 with a backward rescan after every rewrite) and the sign cascade with
@@ -9,6 +10,8 @@ SignResults (verdict, witness, steps) from the package's core.  The
 parser finds each term's offset with `text.index` as it goes and checks
 every term, repeats included; the differential tests demand the same
 word, or the same refusal message and offset, from `parse_word`.  The
+formatter spells every syllable on its own; the tests demand the same
+text from `format_word`.  The
 word helpers these need, `concat` and `letter_length`, are local copies,
 so a fault in the package's versions cannot hit both sides alike; the
 parser merges its syllables through the local `concat` instead of
@@ -96,6 +99,17 @@ def reference_parse_word(text: str, alphabet: tuple[str, str] = ALPHABET_AB) -> 
         offset = [token.start() for token in re.finditer(r"\S+", text)][last]
         raise WordSyntaxError(f"word has more than {MAX_LETTERS} letters", offset)
     return concat(syllables)
+
+
+def reference_format_word(word: Word, alphabet: tuple[str, str] = ALPHABET_AB) -> str:
+    """Inverse of parse_word; the identity prints as "1"."""
+    if not word:
+        return "1"
+    parts = []
+    for gen, exp in word:
+        name = alphabet[gen]
+        parts.append(name if exp == 1 else f"{name}^{exp}")
+    return " ".join(parts)
 
 
 def _push(sylls: list[Syllable], gen: int, exp: int) -> None:

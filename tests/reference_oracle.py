@@ -6,6 +6,8 @@ power basis of lam, and multiplying by lam is a shift of the tuple plus
 one reduction row by the monic modulus.  It shares the syllable walk
 with `oracle._fold` but none of the packing, the width bound or the
 certificate, so the tests can demand identical matrices from the two.
+It also keeps the guard-bit certificate as it tested one packed int at
+a time, against which the tests check `oracle._fits`'s single test.
 """
 
 from __future__ import annotations
@@ -49,3 +51,14 @@ def tuple_rho(word: Word, ctx: GroupContext) -> Mat2:
                 x2, x3 = neg(x3), mul_lam_add(modulus, x3, x2)
     acc = (x0, x1, x2, x3)
     return mat_neg(ring, acc) if flip else acc
+
+
+def reference_fits(entries, certificate) -> bool:
+    """The guard-bit certificate, one packed int at a time: Y = x + K must
+    lie in [0, 2^(B d)) and miss G for every entry x."""
+    offset, guard, top = certificate
+    for x in entries:
+        y = x + offset
+        if y < 0 or y >= top or y & guard:
+            return False
+    return True

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import trivial_words, words
 from heckeord import cone
-from heckeord.cone import ReductionStuck, Sign, decide_sign, expand_handle
+from heckeord.cone import ReductionStuck, Sign, SignResult, decide_sign, expand_handle
 from heckeord.context import group_context
 from heckeord.normalform import NormalForm, to_normal_form
 from heckeord.oracle import oracle_is_identity
@@ -78,6 +78,41 @@ class TestVerdictAnchors:
         assert oracle_is_identity(
             concat(invert(parse_word("b^-1 a")), r.witness), ctx
         )
+
+
+class TestSignResultType:
+    """SignResult is a named tuple: immutable, hashable, equal by its
+    fields, built by position or keyword, with a dataclass-style repr."""
+
+    def test_fields_cannot_be_assigned(self):
+        r = decide_sign(parse_word("a b a^-1"), CTX2)
+        for field in ("verdict", "witness", "steps"):
+            with pytest.raises(AttributeError):
+                setattr(r, field, None)
+        with pytest.raises(AttributeError):
+            r.other = 1
+
+    def test_equality_hash_and_construction(self):
+        r = decide_sign(parse_word("a b a^-1"), CTX2)
+        same = SignResult(steps=r.steps, witness=parse_word("a^-1 b^-1"), verdict=Sign.NEGATIVE)
+        assert r == same and hash(r) == hash(same)
+        assert r != SignResult(Sign.NEGATIVE, r.witness, r.steps + 1)
+        assert r != SignResult(Sign.POSITIVE, r.witness, r.steps)
+        verdict, witness, steps = r
+        assert (verdict, witness, steps) == (r.verdict, r.witness, r.steps)
+        assert repr(SignResult(Sign.IDENTITY, (), 0)) == "SignResult(verdict=<Sign.IDENTITY: 'identity'>, witness=(), steps=0)"
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_nonnegative_ell_keeps_the_prefix(self, n):
+        # ell = 0 returns the prefix itself; ell > 0 appends (or merges)
+        # one a^(q ell), as concat with a^(q ell) would.
+        ctx = group_context(n)
+        for prefix in ((), ((GEN_B, 2),), ((GEN_B, 1), (GEN_A, 1))):
+            for ell in (0, 1, 3):
+                r = cone.sign_pass(NormalForm(prefix, ell), ctx)
+                assert r.witness == concat(prefix, gen_power(GEN_A, ctx.q * ell))
+                assert r.verdict is (Sign.POSITIVE if r.witness else Sign.IDENTITY) and r.steps == 0
+            assert cone.sign_pass(NormalForm(prefix, 0), ctx).witness is prefix
 
 
 class TestCascadeCheck:

@@ -1,5 +1,10 @@
 """Central normal form prefix * delta^ell: anchors and oracle soundness."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -147,6 +152,75 @@ class TestInvariant:
     def test_positive_prefix_is_accepted(self):
         assert NormalForm(prefix=((GEN_A, 2), (GEN_B, 1)), ell=-3).ell == -3
         assert NormalForm(prefix=(), ell=0).prefix == ()
+
+    def test_check_survives_python_O(self):
+        # A child under python -O, where the assert below is stripped:
+        # the check still raises.
+        code = (
+            "from heckeord.normalform import NormalForm, NormalFormError\n"
+            "assert False, 'asserts run'\n"
+            "try:\n"
+            "    NormalForm(((0, 1), (1, -1)), 0)\n"
+            "except NormalFormError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(normalform.__file__).resolve().parent.parent)
+        child = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert (child.returncode, child.stdout) == (0, "raised\n"), child.stderr
+
+
+class TestResultType:
+    """NormalForm is a named tuple: immutable, hashable, equal by its
+    fields, built by position or keyword, with a dataclass-style repr."""
+
+    PREFIX = ((GEN_A, 2), (GEN_B, 1))
+
+    def test_fields_cannot_be_assigned(self):
+        nf = NormalForm(self.PREFIX, -1)
+        for field, value in (("prefix", ()), ("ell", 0)):
+            with pytest.raises(AttributeError):
+                setattr(nf, field, value)
+        with pytest.raises(AttributeError):
+            nf.other = 1  # no instance dict either
+        assert nf == NormalForm(self.PREFIX, -1)
+
+    def test_equality_and_hash_follow_the_fields(self):
+        nf = NormalForm(self.PREFIX, -1)
+        assert nf == NormalForm(prefix=self.PREFIX, ell=-1)
+        assert hash(nf) == hash(NormalForm(prefix=self.PREFIX, ell=-1)) == hash((self.PREFIX, -1))
+        assert nf != NormalForm(self.PREFIX, 0)
+        assert nf != NormalForm(self.PREFIX[:1], -1)
+        assert len({nf, NormalForm(self.PREFIX, -1), NormalForm((), -1)}) == 2
+
+    def test_keyword_and_positional_construction(self):
+        nf = NormalForm(ell=3, prefix=self.PREFIX)
+        assert (nf.prefix, nf.ell) == (self.PREFIX, 3)
+        prefix, ell = nf
+        assert (prefix, ell) == (self.PREFIX, 3)
+        assert repr(nf) == "NormalForm(prefix=((0, 2), (1, 1)), ell=3)"
+        with pytest.raises(TypeError):
+            NormalForm(self.PREFIX)
+        with pytest.raises(NormalFormError):
+            NormalForm(ell=0, prefix=((GEN_B, -2),))
+
+    def test_replace_and_make_run_the_check(self):
+        nf = NormalForm(self.PREFIX, -1)
+        assert nf._replace(ell=2) == NormalForm(self.PREFIX, 2)
+        assert NormalForm._make([(), 4]) == NormalForm((), 4)
+        with pytest.raises(NormalFormError):
+            nf._replace(prefix=((GEN_A, 0),))
+        with pytest.raises(NormalFormError):
+            NormalForm._make([((GEN_B, -1),), 0])
+
+    def test_to_normal_form_returns_the_type(self):
+        nf = to_normal_form(parse_word("b^-2"), group_context(2))
+        assert type(nf) is NormalForm and isinstance(nf.prefix, tuple)
 
 
 def by_syllable(word, ctx, state=START):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import relator, trivial_words, words
-from reference_oracle import tuple_rho
+from reference_oracle import reference_fits, tuple_rho
 from heckeord import oracle
 from heckeord.algebra import mat_identity, mat_mul, mat_neg, mat_pow
 from heckeord.cone import decide_sign
@@ -414,6 +414,22 @@ class TestKleinClosedForm:
         assert klein_sign(parse_word("a^-1 b^9")) == -1
         assert klein_sign(parse_word("b^-1")) == -1
 
+    def test_empty_word_is_answered_from_the_state(self, monkeypatch):
+        # The trichotomy walk asks, per word at n = 1, whether its state
+        # is the identity: that reads the pair, with no fold over ().
+        ctx = group_context(1)
+        calls = []
+        real = oracle.klein_pair
+        monkeypatch.setattr(oracle, "klein_pair", lambda word, start=(0, 0): calls.append(word) or real(word, start))
+        assert oracle_is_identity((), ctx, (0, 0))
+        assert not oracle_is_identity((), ctx, (0, 1))
+        assert not oracle_is_identity((), ctx, (2, 0))
+        assert oracle_is_identity((), ctx)
+        assert calls == []
+        state = oracle.oracle_state(parse_word("b a"), ctx)
+        assert oracle_is_identity(parse_word("a^-1 b^-1"), ctx, state)
+        assert len(calls) == 2
+
     @settings(max_examples=50)
     @given(words(), words())
     def test_pair_is_a_twisted_homomorphism(self, u, v):
@@ -653,6 +669,41 @@ class TestPackedFold:
         fits = oracle._fits((oracle._pack(digits, width),), certificate)
         assert fits == all(-edge <= c < edge for c in digits), digits
         assert oracle._unpack(oracle._pack(digits, width), width, size) == tuple(digits)
+
+    @given(st.sampled_from([5, 7, 8, 12, 64]), st.integers(min_value=3, max_value=200), st.data())
+    def test_one_combined_certificate_is_the_per_entry_test(self, q, width, data):
+        # The certificate ORs the offset entries Y = x + K and tests the
+        # OR once; the reference tests each Y.  Entries are drawn as Y:
+        # random (negative ones included), the edges 0, -1, top - 1 and
+        # top, and a passing Y with one guard bit set.  At width <= g the
+        # certificate is (0, 0, 0), which nothing passes.
+        offset, guard, top = certificate = oracle._layout(q, width)[3:]
+        bits = [i for i in range(guard.bit_length()) if guard >> i & 1]
+        passing = st.integers(0, max(top - 1, 0)).map(lambda y: y & ~guard)
+        edges = st.sampled_from([0, -1, top - 1, top, top + 1, -top])
+        one_guard_bit = st.tuples(passing, st.sampled_from(bits or [0])).map(lambda yb: yb[0] | 1 << yb[1])
+        ys = data.draw(st.lists(
+            passing | edges | one_guard_bit | st.integers(-2 * top - 2, 2 * top + 2),
+            min_size=1,
+            max_size=8,
+        ))
+        entries = tuple(y - offset for y in ys)
+        assert oracle._fits(entries, certificate) == reference_fits(entries, certificate), ys
+
+    @pytest.mark.parametrize("q", [5, 8, 64])
+    def test_combined_certificate_at_its_edges(self, q):
+        # Every entry passing, then one of four entries at top - 1 (passes
+        # if it misses G), at top, at -1 or with one guard bit set.
+        offset, guard, top = certificate = oracle._layout(q, 160)[3:]
+        high_guard = 1 << (guard.bit_length() - 1)
+        fine = (0, 1, offset, offset - 1)
+        assert oracle._fits(tuple(y - offset for y in fine), certificate)
+        for bad in (top, -1, high_guard, offset | high_guard, top + offset):
+            entries = tuple(y - offset for y in fine[:3] + (bad,))
+            assert not oracle._fits(entries, certificate), bad
+            assert not reference_fits(entries, certificate), bad
+        edge = tuple(y - offset for y in fine[:3] + (top - 1,))
+        assert oracle._fits(edge, certificate) == reference_fits(edge, certificate) == (not (top - 1) & guard)
 
     @pytest.mark.parametrize("q", [4, 5, 7, 8, 12, 32, 64])
     def test_growth_bounds_cover_the_exact_factors(self, q):

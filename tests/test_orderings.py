@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import trivial_words, words
-from heckeord import cone, normalform, orderings, words as words_module
+from heckeord import cone, normalform, oracle, orderings, words as words_module
 from heckeord.cone import Sign, SignResult
 from heckeord.context import group_context
 from heckeord.oracle import element_key, oracle_equal, oracle_is_identity, phi
@@ -298,6 +298,42 @@ class TestScansAgainstReference:
         if n == 2:
             assert smallest_positive_in_ball(DD(), ctx, 5) == parse_word("b")
             assert reference_compare(parse_word("a b^3"), parse_word("b"), DD(), ctx) is Cmp.EQUAL
+
+
+class TestScanSeams:
+    def test_planted_sign_pass_is_read_through_orderings(self, monkeypatch):
+        # The scans read their sign passes through orderings.sign_pass: a
+        # pass that calls everything negative leaves the ball no positive
+        # element under DD, and no violation of convexity.
+        calls = []
+
+        def negative(nf, ctx):
+            calls.append(nf)
+            return SignResult(Sign.NEGATIVE, ((0, -1),), 1)
+
+        monkeypatch.setattr(orderings, "sign_pass", negative)
+        assert smallest_positive_in_ball(DD(), CTX2, 3) is None
+        assert calls
+        calls.clear()
+        assert convexity_check(CTX2, 3).violations == ()
+        assert calls
+
+    def test_right_factor_phi_is_taken_once_per_track(self, monkeypatch):
+        # The flipped scan reads b_power_of over the right factor g^-1 at
+        # every word; phi(g^-1) is taken once per track, so the radius-6
+        # scan of Conjugated(DehornoyLike(), b a) at n = 2 calls phi 2,964
+        # times (5,141 when every sign read took it again).
+        calls = [0]
+
+        def counting(word, ctx):
+            calls[0] += 1
+            return phi(word, ctx)
+
+        monkeypatch.setattr(oracle, "phi", counting)
+        monkeypatch.setattr(orderings, "phi", counting, raising=False)
+        spec = Conjugated(DehornoyLike(), parse_word("b a"))
+        assert smallest_positive_in_ball(spec, CTX2, 6) == parse_word("a b")
+        assert 0 < calls[0] <= 2964
 
 
 class TestScanEdges:

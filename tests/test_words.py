@@ -27,7 +27,7 @@ from heckeord.words import (
     parse_word,
     word_from_syllables,
 )
-from reference_core import reference_parse_word
+from reference_core import reference_format_word, reference_parse_word
 
 
 def is_positive_word(word):
@@ -180,6 +180,19 @@ def parse_outcome(parse, text, alphabet):
 def test_parse_matches_reference_parser(alphabet, data):
     text = data.draw(word_texts(alphabet))
     assert parse_outcome(parse_word, text, alphabet) == parse_outcome(reference_parse_word, text, alphabet)
+
+
+@pytest.mark.parametrize("alphabet", [ALPHABET_AB, ALPHABET_SIGMA])
+@given(w=words(max_syllables=30, max_exp=12))
+def test_format_matches_reference_formatter(alphabet, w):
+    # Repeated syllables (exponents in a small range) use the per-call
+    # table, exponents of 1 and -1 the bare and the signed spelling.
+    assert format_word(w, alphabet) == reference_format_word(w, alphabet)
+
+
+def test_format_of_many_repeats_matches_reference_formatter():
+    w = ((GEN_A, 1), (GEN_B, -1), (GEN_A, 2), (GEN_B, 1)) * 50 + ((GEN_A, -7),)
+    assert format_word(w) == reference_format_word(w) == " ".join(["a b^-1 a^2 b"] * 50 + ["a^-7"])
 
 
 # Chains of reduced parts whose joins cancel: w, invert(w) and
