@@ -26,18 +26,25 @@ b a^n b a^n b, rewrites both ways to b * delta, so the system is
 confluent and every rewriting order reaches the same prefix and ell.
 
 One pass over a stack does both phases.  The stack holds an irreducible
-positive word; each syllable of the inverse elimination is pushed onto
-it as it is produced.  A push can only create a redex at the top: a^m
-merges into the top a-block (r1 there), and a b onto a top a^n with a
-b-block under it fires r2, whose result again only touches the top.
-So each rewrite runs at the end of the list, and the whole pass costs
-amortised O(1) per letter after inverse elimination: every r2 removes
-b-letters for good and every r1 a-letters.  b^-t adds t b-letters and
-2nt a-letters.  Once the top is a^(n-1) (n >= 2), each further (b, a^2n)
-becomes (b, a^(n-1)) plus one delta, so that steady state is appended
-in bulk.  The prefix (and the sign cascade's witness) still grow
-linearly in t as plain tuples; the cascade takes that periodic tail
-one run at a time, while the oracle folds it one syllable at a time.
+positive word, and each input syllable is pushed in closed form, in
+O(1) steps plus the letters it writes.  a^m, and a^-m as a^(n m), merges
+into the top a-block (r1 there).  b^k fires r2 while it lands on a top
+a^n with a b-block under it; that loop is the rule, bounded by k.  b^-t
+is written from the top of the stack, S being the rest of it, with the
+r1/r2 firings it charges:
+
+    onto S a^i:      S a^(i-1) (b a^(n-1))^(t-1) b a^n      t
+    onto nothing:    a^n (b a^(n-1))^(t-1) b a^n, ell - 1   t - 1
+    onto S b^s:      S b^(s-t) if s >= t (S at s = t)       2t
+                     if s < t, cancel b^s (2s), then one of the first
+                     two rows with t - s, less one if S ends in a^j, j < n
+
+At i = 1 the first b merges into S's b-block; at n = 1 the period
+b a^(n-1) is a bare b, so (b a^(n-1))^(t-1) b is b^t.  Net of delta^-t,
+only the second row moves ell.  The prefix (and the sign cascade's
+witness) still grow linearly in t as plain tuples; the cascade takes
+that periodic tail one run at a time, while the oracle folds it one
+syllable at a time.
 
 The resulting prefix is irreducible: alternating positive syllables,
 every a-exponent in [1, n], and no b...a^n...b factor.  A purely
@@ -111,57 +118,35 @@ def stack_pass(state: tuple, word: Word, ctx: GroupContext) -> tuple[list[Syllab
 
     Each syllable adds its letters after inverse elimination to the
     budget (a^-m gives n m of them, b^-t gives (2n+1) t) and every rule
-    firing takes one; START holds a slack of 16.  Every loop below ends
-    by construction, so the caller checks the budget once, at the end,
-    as a tripwire: negative means more firings than letters, a bug.
+    firing takes one; START holds a slack of 16.  A syllable costs O(1)
+    steps plus the letters it writes, bar a b^k's r2 loop (at most k
+    rounds), so the caller checks the budget once, at the end, as a
+    tripwire: negative means more firings than letters, a bug.
     """
     n, q = ctx.n, ctx.q
     top_a_n = (GEN_A, n)
-    steady = (GEN_A, n - 1)  # never on the stack for n = 1
+    period = ((GEN_A, n - 1), (GEN_B, 1)) if n > 1 else ()  # (a^(n-1) b)
     stack, ell, budget = state
     stack = list(stack)
     for gen, exp in word:
-        pairs = 0  # (b, a^2n) / (b, a^n) pairs still to push for b^-t
-        if exp < 0:
-            ell += exp
-            if gen == GEN_A:
+        if gen == GEN_A:
+            if exp < 0:
+                ell += exp
                 budget -= n * exp
                 exp = -n * exp  # a^-m = a^(n m) delta^-m
             else:
-                budget -= (2 * n + 1) * exp
-                pairs = -exp  # b^-t = delta^-t a^n (b a^2n)^(t-1) b a^n
-                gen, exp = GEN_A, n
-        else:
+                budget += exp
+            if stack and stack[-1][0] == GEN_A:
+                exp += stack.pop()[1]
+            if exp >= q:
+                # r1: absorb whole delta powers into the trailing exponent.
+                ell += exp // q
+                exp %= q
+                budget -= 1
+            if exp:
+                stack.append((GEN_A, exp))
+        elif exp >= 0:
             budget += exp
-        while True:
-            if gen == GEN_A:
-                merge = bool(stack) and stack[-1][0] == GEN_A
-                if merge:
-                    exp += stack[-1][1]
-                if exp >= q:
-                    # r1: absorb whole delta powers into the trailing exponent.
-                    ell += exp // q
-                    exp %= q
-                    budget -= 1
-                if not exp:
-                    if merge:
-                        del stack[-1]
-                elif merge:
-                    stack[-1] = (GEN_A, exp)
-                else:
-                    stack.append((GEN_A, exp))
-                if not pairs:
-                    break
-                if pairs > 1 and stack and stack[-1] == steady:
-                    # Steady state of b^-t: each (b, a^2n) now becomes
-                    # (b, a^(n-1)) and one r1 firing, so append them at once.
-                    k = pairs - 1
-                    stack.extend(((GEN_B, 1), steady) * k)
-                    ell += k
-                    budget -= k
-                    pairs = 1
-                gen, exp = GEN_B, 1
-                continue
             while exp and len(stack) > 1 and stack[-1] == top_a_n:
                 # r2: b^s a^n b -> b^(s-1) a, one pushed b at a time.
                 budget -= 1
@@ -187,10 +172,38 @@ def stack_pass(state: tuple, word: Word, ctx: GroupContext) -> tuple[list[Syllab
                     stack[-1] = (GEN_B, stack[-1][1] + exp)
                 else:
                     stack.append((GEN_B, exp))
-            if not pairs:
-                break
-            pairs -= 1
-            gen, exp = GEN_A, 2 * n if pairs else n
+        else:
+            # b^-t in closed form (module docstring); t = -exp.
+            t = -exp
+            budget += (2 * n + 1) * t
+            if stack and stack[-1][0] == GEN_B:
+                s = stack[-1][1]
+                if s > t:
+                    stack[-1] = (GEN_B, s - t)
+                    budget -= 2 * t
+                    continue
+                del stack[-1]
+                budget -= 2 * s
+                t -= s
+                if not t:
+                    continue
+                if stack and stack[-1][1] < n:
+                    budget += 1  # a^2n lands on a^(j+1): one r1 for two deltas
+            if stack:
+                budget -= t
+                i = stack.pop()[1]
+                if i > 1:
+                    stack.append((GEN_A, i - 1))
+            else:
+                budget -= t - 1
+                ell -= 1
+                stack.append(top_a_n)
+            first = t if n == 1 else 1  # at n = 1 the period is a bare b
+            if stack and stack[-1][0] == GEN_B:
+                first += stack.pop()[1]
+            stack.append((GEN_B, first))
+            stack.extend(period * (t - 1))
+            stack.append(top_a_n)
     return stack, ell, budget
 
 

@@ -1,12 +1,16 @@
 """Test-only reference: the decision core as it was before the one-pass rewrite,
-the word parser as it was before the table-driven one, and the word
-formatter as it was before its per-call table.
+the stack pass as it was before its closed forms, the word parser as it
+was before the table-driven one, and the word formatter as it was
+before its per-call table.
 
 The leftmost-first scanner (inverse elimination into a list, then r1/r2
 with a backward rescan after every rewrite) and the sign cascade with
 its per-syllable prepends, kept verbatim apart from their names so the
 differential tests can demand identical normal forms and identical
 SignResults (verdict, witness, steps) from the package's core.  The
+stack pass pushes b^-t as a^n (b a^2n)^(t-1) b a^n one block at a time
+through one generic loop; the tests demand the same (stack, ell,
+budget) from `normalform.stack_pass` from every reachable state.  The
 parser finds each term's offset with `text.index` as it goes and checks
 every term, repeats included; the differential tests demand the same
 word, or the same refusal message and offset, from `parse_word`.  The
@@ -198,6 +202,102 @@ def reference_normal_form(word: Word, ctx: GroupContext) -> NormalForm:
                 continue
         i += 1
     return NormalForm(prefix=tuple(sylls), ell=ell)
+
+
+def reference_stack_pass(state: tuple, word: Word, ctx: GroupContext) -> tuple[list[Syllable], int, int]:
+    """Resume the stack pass from state = (stack, ell, budget) over word.
+
+    stack is an irreducible positive word (any sequence of syllables; it
+    is copied, never changed), ell the central exponent so far and
+    budget the rule firings still allowed.  Returns the state after
+    word, with the stack as a new list.  Resuming from the state of u
+    over v gives the stack and ell of u v wherever the split falls (the
+    same positive letters are pushed), and a split between syllables
+    also gives the same budget: the same rules fire.
+
+    Each syllable adds its letters after inverse elimination to the
+    budget (a^-m gives n m of them, b^-t gives (2n+1) t) and every rule
+    firing takes one; START holds a slack of 16.  Every loop below ends
+    by construction, so the caller checks the budget once, at the end,
+    as a tripwire: negative means more firings than letters, a bug.
+    """
+    n, q = ctx.n, ctx.q
+    top_a_n = (GEN_A, n)
+    steady = (GEN_A, n - 1)  # never on the stack for n = 1
+    stack, ell, budget = state
+    stack = list(stack)
+    for gen, exp in word:
+        pairs = 0  # (b, a^2n) / (b, a^n) pairs still to push for b^-t
+        if exp < 0:
+            ell += exp
+            if gen == GEN_A:
+                budget -= n * exp
+                exp = -n * exp  # a^-m = a^(n m) delta^-m
+            else:
+                budget -= (2 * n + 1) * exp
+                pairs = -exp  # b^-t = delta^-t a^n (b a^2n)^(t-1) b a^n
+                gen, exp = GEN_A, n
+        else:
+            budget += exp
+        while True:
+            if gen == GEN_A:
+                merge = bool(stack) and stack[-1][0] == GEN_A
+                if merge:
+                    exp += stack[-1][1]
+                if exp >= q:
+                    # r1: absorb whole delta powers into the trailing exponent.
+                    ell += exp // q
+                    exp %= q
+                    budget -= 1
+                if not exp:
+                    if merge:
+                        del stack[-1]
+                elif merge:
+                    stack[-1] = (GEN_A, exp)
+                else:
+                    stack.append((GEN_A, exp))
+                if not pairs:
+                    break
+                if pairs > 1 and stack and stack[-1] == steady:
+                    # Steady state of b^-t: each (b, a^2n) now becomes
+                    # (b, a^(n-1)) and one r1 firing, so append them at once.
+                    k = pairs - 1
+                    stack.extend(((GEN_B, 1), steady) * k)
+                    ell += k
+                    budget -= k
+                    pairs = 1
+                gen, exp = GEN_B, 1
+                continue
+            while exp and len(stack) > 1 and stack[-1] == top_a_n:
+                # r2: b^s a^n b -> b^(s-1) a, one pushed b at a time.
+                budget -= 1
+                exp -= 1
+                del stack[-1]
+                b_exp = stack[-1][1]
+                if b_exp > 1:
+                    stack[-1] = (GEN_B, b_exp - 1)
+                    stack.append((GEN_A, 1))
+                    continue
+                del stack[-1]
+                if not stack:
+                    stack.append((GEN_A, 1))
+                elif stack[-1][1] < n:
+                    stack[-1] = (GEN_A, stack[-1][1] + 1)
+                else:
+                    # a^n at the bottom grew to a^(n+1) = delta (r1).
+                    del stack[-1]
+                    ell += 1
+                    budget -= 1
+            if exp:
+                if stack and stack[-1][0] == GEN_B:
+                    stack[-1] = (GEN_B, stack[-1][1] + exp)
+                else:
+                    stack.append((GEN_B, exp))
+            if not pairs:
+                break
+            pairs -= 1
+            gen, exp = GEN_A, 2 * n if pairs else n
+    return stack, ell, budget
 
 
 def _prepend(negative: deque[Syllable], gen: int, exp: int) -> None:

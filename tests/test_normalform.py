@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import words
+from reference_core import reference_stack_pass
 from heckeord import normalform
 from heckeord.context import group_context
 from heckeord.normalform import START, NormalForm, NormalFormError, stack_pass, to_normal_form
@@ -230,13 +231,34 @@ def by_syllable(word, ctx, state=START):
     return state
 
 
-# Words that reach every branch of the pass: a^-m, b^-t up to t = 300
-# (t >= 3 appends the steady state (b a^(n-1))^k in bulk), and mixtures.
+# Words that reach every branch of the pass: a^-m, b^-t up to t = 300,
+# and mixtures.
 RESUME_CASES = [
     "a^-1", "a^-7", "a^-40", "b^-1", "b^-2", "b^-3", "b^-300",
     "a b^-300 a", "b^-5 a^-1 b a^2", "a^3 b^-17 a^-2 b^4 a^-9 b^-300",
     "b a^2 b a^2 b", "b^-150 b^-150", "a^-2 b^-2 a^-2 b^-2",
 ]
+
+# b^-t onto every top of the stack, as templates in n, q = n + 1 and
+# j = max(1, n - 1) (j < n from n = 2 on).  a^q is one delta: it leaves
+# the stack as it was, so the b-block before it is the top for b^-t.
+SHAPES = [
+    "a b^-3",  # onto a^1 alone
+    "b a b^-3",  # onto a^1 over a b-block: the first b merges into it
+    "a^{n} b^-3",  # onto a^i, i = n >= 2 from n = 2 on
+    "b a^{j} b^-4",  # onto a^i over a b-block, i = n - 1 >= 2 from n = 3 on
+    "a^{q} b^-3",  # onto the empty stack
+    "b^5 a^{q} b^-3",  # onto b^s, s > t
+    "b^3 a^{q} b^-3",  # onto b^s, s = t: the block is popped
+    "b a^{j} b^2 a^{q} b^-5",  # s < t over an a^j, j < n, over a b-block
+    "a^{j} b^2 a^{q} b^-5",  # s < t over a bottom a^j
+    "a^{n} b^2 a^{q} b^-5",  # s < t over a bottom a^n
+    "b^2 a^{q} b^-5",  # s < t over nothing
+]
+
+
+def shape(template, n):
+    return parse_word(template.format(n=n, q=n + 1, j=max(1, n - 1)))
 
 
 class TestResume:
@@ -274,13 +296,13 @@ class TestResume:
         assert (tuple(state[0]), state[1]) == (nf.prefix, nf.ell)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 63])
-    @pytest.mark.parametrize("text", RESUME_CASES)
+    @pytest.mark.parametrize("text", RESUME_CASES + SHAPES)
     def test_budget_trips_where_the_resumed_pass_runs_out(self, monkeypatch, n, text):
         # With no slack the resumed pass leaves spare = letters - firings;
         # to_normal_form raises from a START slack of -spare - 1 down and
         # not from -spare up.
         ctx = group_context(n)
-        w = parse_word(text)
+        w = shape(text, n)
         spare = by_syllable(w, ctx, ((), 0, 0))[2]
         assert spare >= 0
         monkeypatch.setattr(normalform, "START", ((), 0, -spare))
@@ -298,3 +320,32 @@ class TestResume:
         out = stack_pass(state, parse_word("a^2 b"), ctx)
         assert stack == [(GEN_A, 2), (GEN_B, 1)]
         assert out[0] is not stack
+
+
+class TestAgainstReference:
+    """The stack pass writes each syllable in closed form; the reference
+    pass pushes b^-t one block at a time.  Both must leave the same
+    stack, ell and budget from every reachable state."""
+
+    # n = 1 and small exponents are drawn often: there the period b a^(n-1)
+    # collapses and a b^-t meets a b-block of its own size.
+    @given(
+        st.one_of(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=63)),
+        st.sampled_from([2, 6, 300]).flatmap(lambda e: words(max_syllables=8, max_exp=e)),
+        st.integers(min_value=-50, max_value=16),
+        st.sampled_from([2, 6, 300]).flatmap(lambda e: words(max_syllables=8, max_exp=e)),
+    )
+    def test_same_state_as_the_reference_pass(self, n, u, slack, w):
+        ctx = group_context(n)
+        start = reference_stack_pass(((), 0, slack), u, ctx)
+        assert stack_pass(start, w, ctx) == reference_stack_pass(start, w, ctx)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 63])
+    @pytest.mark.parametrize("template", SHAPES)
+    def test_every_b_inverse_shape(self, n, template):
+        # Whole word, and resumed syllable by syllable from list stacks.
+        ctx = group_context(n)
+        w = shape(template, n)
+        expected = reference_stack_pass(START, w, ctx)
+        assert stack_pass(START, w, ctx) == expected
+        assert by_syllable(w, ctx) == expected
