@@ -58,6 +58,11 @@ Cost: O(1) per syllable plus the letters written, except on a run,
 which costs one jump: its length k is found by galloping over disjoint
 slices of u, O(k) work in C and O(log k) Python steps.
 
+Who gets a witness.  By the above, the verdict is NEGATIVE iff ell < 0,
+else POSITIVE iff u is nonempty.  verdict reads it in O(1), once C-level
+checks over slices of u hold those bounds, for orderings and the Cayley
+export; decide_sign and sign_pass write the witness for sign and suites.
+
 The verdicts are cross-validated exhaustively against the matrix
 oracle in the test suite; nothing here trusts normal-form uniqueness.
 """
@@ -70,7 +75,7 @@ from typing import NamedTuple
 
 from .context import GroupContext
 from .normalform import NormalForm, to_normal_form
-from .words import GEN_A, GEN_B, Syllable, Word, gallop, is_one_signed
+from .words import _EXPONENT, GEN_A, GEN_B, Syllable, Word, gallop, is_one_signed
 
 
 class Sign(enum.Enum):
@@ -84,8 +89,7 @@ MIRROR = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE, Sign.IDENT
 
 
 class ReductionStuck(RuntimeError):
-    """The sign pass wrote a witness that is empty or not all-negative,
-    which an irreducible prefix rules out; indicates a bug, never expected."""
+    """A prefix is not irreducible, as verdict or the sign pass's witness showed; a bug."""
 
 
 class SignResult(NamedTuple):
@@ -122,6 +126,24 @@ def decide_sign(word: Word, ctx: GroupContext) -> SignResult:
     ('negative', 'b^-2')
     """
     return sign_pass(to_normal_form(word, ctx), ctx)
+
+
+def verdict(prefix: Word | list[Syllable], ell: int, ctx: GroupContext) -> Sign:
+    """The verdict of prefix * delta^ell, prefix a normal-form prefix or stack,
+    with no witness; ReductionStuck if prefix breaks the bounds it rests on."""
+    if min(map(_EXPONENT, prefix), default=1) <= 0:
+        raise ReductionStuck(f"prefix is not a positive word: {prefix}")
+    if ell < 0 and prefix:
+        # (gen, exp) pairs compare with GEN_A = 0 < GEN_B = 1.  From i on every
+        # other syllable is an a^(<= n), < a^n between two b's; the rest b's.
+        i, top = prefix[0][0], (GEN_A, ctx.n)
+        if (
+            max(prefix[i::2], default=top) > top
+            or max(prefix[2 - i : -1 : 2], default=(GEN_A, 0)) >= top
+            or min(prefix[1 - i :: 2], default=(GEN_B, 1)) < (GEN_B, 1)
+        ):
+            raise ReductionStuck(f"prefix is not irreducible: {prefix}")
+    return Sign.NEGATIVE if ell < 0 else Sign.POSITIVE if ell or prefix else Sign.IDENTITY
 
 
 @functools.lru_cache(maxsize=None)

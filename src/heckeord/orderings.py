@@ -4,8 +4,8 @@ A left order is specified by its positive cone: u < v iff u^-1 v is in
 the cone.  Four cone recipes are implemented:
 
   DD            the one-signed cone: w > 1 iff w is a product of
-                positive letters (decide_sign says POSITIVE).
-  DDReversed    the mirror: w > 1 iff decide_sign says NEGATIVE.
+                positive letters (cone.verdict says POSITIVE).
+  DDReversed    the mirror: w > 1 iff cone.verdict says NEGATIVE.
   DehornoyLike  the <b>-flipped variant: the cyclic subgroup <b> is
                 convex for DD, so flipping the order inside it yields a
                 new left order.  w > 1 iff w = b^k with k <= -1, or w
@@ -19,8 +19,8 @@ when mirror.  b-power membership is decided by oracle.b_power_of: one
 phi pass, plus one rho fold when phi(b) divides phi(word).  DehornoyLike,
 conjugated or not, pays that on every comparison; comparisons in DD and
 DDReversed do not touch the oracle.  u = v iff u^-1 v is on neither side
-of the cone: decide_sign says IDENTITY (or k = 0), which the suites
-check by oracle.
+of the cone: cone.verdict says IDENTITY (or k = 0), which the suites
+check by oracle.  No decision here writes a witness.
 
 Cost.  is_positive and compare rewrite their word from scratch.  The
 ball scans (smallest_positive_in_ball, convexity_check) instead walk
@@ -29,9 +29,10 @@ per depth, the stack pass's state of L w (normalform.resume) and, for
 DehornoyLike, the oracle's state (oracle.oracle_state), which
 b_power_of resumes over the short right factor g^-1, whose phi the
 track takes once.  So a word costs one letter of stack pass (and fold)
-per left factor plus a sign pass per sign read: at radius 6 the scans
-of the benchmark's `orders` workload run about 1.5x faster than
-deciding every word and every u^-1 v from scratch.  The trichotomy suite walks on the same tracker.
+per left factor, and a sign read the right factor's letters and an O(1)
+cone.verdict: at radius 6 the `orders` scans run about 1.7x faster than
+deciding every word from scratch (tests/reference_orderings.py).  The
+trichotomy suite walks on the same tracker.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 
-from .cone import MIRROR, Sign, decide_sign, sign_pass
+from .cone import MIRROR, Sign, verdict
 from .context import GroupContext
-from .normalform import START, NormalForm, resume
+from .normalform import START, resume
 from .oracle import b_power_of, oracle_state, phi
 from .words import GEN_A, GEN_B, SIGNED_LETTERS, Word, _ball, concat, conjugate, gen_power, invert
 
@@ -113,7 +114,8 @@ def _order_sign(word: Word, spec: OrderingSpec, ctx: GroupContext) -> Sign:
     if flipped and (k := b_power_of(moved, ctx)) is not None:
         sign = _flipped_sign(k)
     else:
-        sign = decide_sign(moved, ctx).verdict
+        stack, ell, _ = resume(START, moved, ctx)
+        sign = verdict(stack, ell, ctx)
     return MIRROR[sign] if mirror else sign
 
 
@@ -177,7 +179,7 @@ class _Track:
             return _flipped_sign(k)
         state = self.nf[depth]
         stack, ell, _ = resume(state, self.right, self.ctx) if self.right else state
-        return sign_pass(NormalForm(tuple(stack), ell), self.ctx).verdict
+        return verdict(stack, ell, self.ctx)
 
 
 def smallest_positive_in_ball(
@@ -217,8 +219,8 @@ def smallest_positive_in_ball(
         if test.sign(depth) is not positive:
             continue
         if best is not None:
-            verdict = versus.sign(depth)
-            if verdict is not less and (verdict is not Sign.IDENTITY or rank > best_rank):
+            side = versus.sign(depth)
+            if side is not less and (side is not Sign.IDENTITY or rank > best_rank):
                 continue
         best, best_rank = w, rank
         versus.start(concat(g, invert(w)), path[1 : depth + 1])
@@ -323,9 +325,9 @@ def convergence_experiment(ctx: GroupContext, elements: tuple[Word, ...], k_max:
     exactly that order for g = b a.
 
     Cost: O(elements * k_max^2) letters, as the k-th conjugator holds
-    k b-letters (n = 2, four elements, 2-vCPU Xeon: 0.3 s at k_max = 800,
-    2.1 s at 3,200).  k_max < 1 or no elements, which leave no verdicts,
-    and k_max > 1000, which would run for minutes, are a ValueError.
+    k b-letters (n = 2, four elements, 2-vCPU Xeon: 0.04 s at k_max = 250,
+    0.08 s at 500, 0.2 s at 1000).  k_max < 1 or no elements, which leave
+    no verdicts, and k_max > 1000, whose cost grows as k_max^2, are a ValueError.
     """
     if not elements:
         raise ValueError("no elements to track")

@@ -13,9 +13,9 @@ import functools
 import operator
 import os
 
-from .cone import MIRROR, Sign, decide_sign, expand_handle, sign_pass
+from .cone import MIRROR, Sign, expand_handle, sign_pass, verdict
 from .context import GroupContext
-from .normalform import NormalForm
+from .normalform import START, NormalForm, resume
 from .oracle import element_key, oracle_is_identity
 from .orderings import _Track
 from .words import (
@@ -79,16 +79,16 @@ def _walk(ctx: GroupContext, max_len: int, first: int | None):
         if depth:
             push(depth, SIGNED_LETTERS[letter : letter + 1])
         stack, ell, _ = nf[depth]
-        verdict, witness, _ = sign_pass(NormalForm(tuple(stack), ell), ctx)
-        if verdict is Sign.IDENTITY:
+        sign, witness, _ = sign_pass(NormalForm(tuple(stack), ell), ctx)
+        if sign is Sign.IDENTITY:
             code = 3
             if witness != ():
                 detail = "identity verdict with nonempty witness"
                 violations.append((rank, (format_word(word), "witness-shape", detail)))
         else:
-            code = 1 if verdict is Sign.POSITIVE else 2
+            code = 1 if sign is Sign.POSITIVE else 2
             if not witness or not is_one_signed(witness) or (witness[0][1] > 0) != (code == 1):
-                detail = f"not one-signed for {verdict.value}: {format_word(witness)}"
+                detail = f"not one-signed for {sign.value}: {format_word(witness)}"
                 violations.append((rank, (format_word(word), "witness-shape", detail)))
         # witness-equality: w witness^-1 = 1, which is w^-1 witness = 1
         # conjugated, folded on from w's state; trivial when witness is w.
@@ -96,7 +96,7 @@ def _walk(ctx: GroupContext, max_len: int, first: int | None):
             detail = f"witness {format_word(witness)} is not the same element"
             violations.append((rank, (format_word(word), "witness-equality", detail)))
         if (code == 3) != oracle_is_identity((), ctx, key[depth]):
-            detail = f"verdict {verdict.value} contradicts the oracle"
+            detail = f"verdict {sign.value} contradicts the oracle"
             violations.append((rank, (format_word(word), "oracle-agreement", detail)))
         counts[code] += 1
         verdicts[rank] |= code
@@ -155,8 +155,8 @@ def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> Suit
         marked = {rank: word for word, _, _, rank, _ in _ball(max_len) if _MISMATCH[verdicts[rank]]}
         for rank, word in sorted(marked.items()):
             code = verdicts[rank]
-            verdict, mirrored = _SIGN_OF[code & 3], MIRROR[_SIGN_OF[code >> 2]]
-            detail = f"{verdict.value} vs {mirrored.value} for the inverse"
+            own, mirrored = _SIGN_OF[code & 3], MIRROR[_SIGN_OF[code >> 2]]
+            detail = f"{own.value} vs {mirrored.value} for the inverse"
             violations.append((format_word(word), "inverse-mirror", detail))
     return SuiteReport(
         n=ctx.n,
@@ -277,7 +277,8 @@ def build_cayley_ball(ctx: GroupContext, radius: int) -> dict:
     nodes, edges = [], []
     for w in words:  # grows while it is scanned: breadth-first order
         source = format_word(w)
-        nodes.append({"word": source, "verdict": decide_sign(w, ctx).verdict.value})
+        stack, ell, _ = resume(START, w, ctx)
+        nodes.append({"word": source, "verdict": verdict(stack, ell, ctx).value})
         inside = letter_length(w) < radius  # its letter length is its BFS depth
         for gen, exp in SIGNED_LETTERS:
             if exp < 0 and not inside:

@@ -4,7 +4,9 @@ The oracle's state (phi and the packed fold, or the Klein pair at
 n = 1) is made and read only in oracle.py: other modules hold it
 through oracle_state and hand it back as a start.  So no other module
 names the fold's helpers or the Klein pair, and the ball walks in
-suites.py and orderings.py branch on no n == 1 case of their own.
+suites.py and orderings.py branch on no n == 1 case of their own.  Order
+decisions read a verdict, never a witness: orderings.py names no
+witness writer.
 """
 
 import ast
@@ -66,3 +68,16 @@ def test_the_checks_see_what_they_look_for():
     assert ORACLE_PRIVATE <= {name for name, _ in names_used(tree)}
     assert list(n_equals_one(tree))
     assert list(n_equals_one(ast.parse("if 1 != ctx.n:\n    pass\n")))
+
+
+WITNESS_WRITERS = {"sign_pass", "decide_sign"}
+
+
+def test_orders_never_write_a_witness():
+    # An order decision reads only the verdict, which cone.verdict takes
+    # off the normal form: orderings.py names no function that writes a
+    # one-signed witness.
+    found = sorted({(name, line) for name, line in names_used(parse("orderings.py")) if name in WITNESS_WRITERS})
+    assert found == [], f"orderings.py names a witness writer: {found}"
+    # The check sees what it looks for: the trichotomy suite reads witnesses.
+    assert "sign_pass" in {name for name, _ in names_used(parse("suites.py"))}

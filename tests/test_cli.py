@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from heckeord import braid3, cli, normalform, oracle, suites
+from heckeord import braid3, cli, normalform, oracle, orderings, suites
 from heckeord.cli import main
 from heckeord.cone import ReductionStuck
 from heckeord.words import RewriteLimitError, word_from_syllables
@@ -311,6 +311,16 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1
         assert json.loads(err) == {"error": "internal", "type": "NormalFormError", "message": "forced"}
+
+    @pytest.mark.parametrize("ell", [-1, 0])
+    def test_failed_verdict_check_is_3_with_one_json_line(self, capsys, monkeypatch, ell):
+        # cmp reads cone.verdict off the normal form; a prefix that breaks
+        # the check it rests on (here a zero exponent) is an internal error.
+        monkeypatch.setattr(orderings, "resume", lambda state, word, ctx: ([(1, 1), (0, 0)], ell, 16))
+        code, out, err = run(capsys, "cmp", "--n", "2", "a", "b")
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        doc = json.loads(err)
+        assert (doc["error"], doc["type"]) == ("internal", "ReductionStuck")
 
     @pytest.mark.parametrize("error", [RewriteLimitError, ReductionStuck])
     def test_internal_error_is_3_with_one_json_line(self, capsys, monkeypatch, error):

@@ -1,13 +1,18 @@
 """Sign trichotomy: verdicts, one-signed witnesses, handle expansion."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import trivial_words, words
-from heckeord import cone
-from heckeord.cone import ReductionStuck, Sign, SignResult, decide_sign, expand_handle
+from heckeord import cone, orderings, suites
+from heckeord.cone import ReductionStuck, Sign, SignResult, decide_sign, expand_handle, verdict
 from heckeord.context import group_context
-from heckeord.normalform import NormalForm, to_normal_form
+from heckeord.normalform import START, NormalForm, stack_pass, to_normal_form
 from heckeord.oracle import oracle_is_identity
 from heckeord.words import (
     GEN_A,
@@ -177,6 +182,92 @@ class TestForcedMoves:
         monkeypatch.setattr(cone, "to_normal_form", lambda word, ctx: NormalForm(prefix(n), -1))
         with pytest.raises(ReductionStuck):
             decide_sign(parse_word("a"), group_context(n))
+
+
+class TestVerdict:
+    """cone.verdict reads the sign off the normal form, as sign_pass's
+    verdict, after checking the prefix; it never writes a witness."""
+
+    @given(st.data())
+    def test_equals_the_sign_pass_verdict(self, data):
+        n = data.draw(st.one_of(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=63)), label="n")
+        ctx = group_context(n)
+        stack, ell, _ = stack_pass(START, data.draw(words(max_syllables=12), label="w"), ctx)
+        ell += data.draw(st.integers(min_value=-2, max_value=2), label="shift")  # u * delta^ell for any ell
+        expected = cone.sign_pass(NormalForm(tuple(stack), ell), ctx).verdict
+        assert verdict(stack, ell, ctx) is verdict(tuple(stack), ell, ctx) is expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 63])
+    def test_irreducible_bounds_are_accepted(self, n):
+        # a^n at either end and a^(n-1) between two b's are the largest
+        # a-exponents an irreducible prefix holds.
+        middle = ((GEN_B, 1), (GEN_A, n - 1), (GEN_B, 3)) if n > 1 else ((GEN_B, 4),)
+        prefix = ((GEN_A, n), *middle, (GEN_A, n))
+        ctx = group_context(n)
+        for ell, sign in ((-1, Sign.NEGATIVE), (0, Sign.POSITIVE), (2, Sign.POSITIVE)):
+            assert verdict(prefix, ell, ctx) is sign is cone.sign_pass(NormalForm(prefix, ell), ctx).verdict
+        assert [verdict((), ell, ctx) for ell in (-1, 0, 1)] == [Sign.NEGATIVE, Sign.IDENTITY, Sign.POSITIVE]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 63])
+    @pytest.mark.parametrize(
+        "prefix, ells",
+        [
+            pytest.param(lambda n: ((GEN_B, 1), (GEN_A, n), (GEN_B, 1)), (-1,), id="interior-a^n"),
+            pytest.param(lambda n: ((GEN_A, n + 1),), (-1,), id="a^(n+1)"),
+            pytest.param(lambda n: ((GEN_B, 2), (GEN_A, n + 1)), (-1,), id="b-a^(n+1)"),
+            pytest.param(lambda n: ((GEN_B, 1), (GEN_A, 1), (GEN_A, 1)), (-1,), id="adjacent-a"),
+            pytest.param(lambda n: ((GEN_B, 1), (GEN_B, 1)), (-1,), id="adjacent-b"),
+            pytest.param(lambda n: ((GEN_A, 1), (GEN_B, 0)), (-1, 0, 1), id="zero-exponent"),
+            pytest.param(lambda n: ((GEN_B, -1), (GEN_A, 1)), (-1, 0, 1), id="negative-exponent"),
+        ],
+    )
+    def test_planted_bad_prefix_raises(self, n, prefix, ells):
+        for ell in ells:
+            with pytest.raises(ReductionStuck):
+                verdict(prefix(n), ell, group_context(n))
+
+    def test_check_survives_python_O(self):
+        code = (
+            "from heckeord.cone import ReductionStuck, verdict\n"
+            "from heckeord.context import group_context\n"
+            "assert False, 'asserts run'\n"
+            "try:\n"
+            "    verdict(((1, 1), (0, 2), (1, 1)), -1, group_context(2))\n"
+            "except ReductionStuck:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(cone.__file__).resolve().parent.parent)
+        child = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert (child.returncode, child.stdout) == (0, "raised\n"), child.stderr
+
+    def test_order_decisions_write_no_witness(self, monkeypatch):
+        # Scans, is_positive, compare, converge and the Cayley export make
+        # no sign_pass call; decide_sign, the control, makes one.
+        calls, real = [0], cone.sign_pass
+
+        def counted(nf, ctx):
+            calls[0] += 1
+            return real(nf, ctx)
+
+        monkeypatch.setattr(cone, "sign_pass", counted)
+        monkeypatch.setattr(suites, "sign_pass", counted)
+        dlike = orderings.DehornoyLike()
+        for spec in (orderings.DD(), dlike, orderings.Conjugated(dlike, parse_word("b a"))):
+            orderings.smallest_positive_in_ball(spec, CTX2, 4)
+            orderings.is_positive(parse_word("a^-1 b a"), spec, CTX2)
+            orderings.compare(parse_word("a b"), parse_word("b^-2 a"), spec, CTX2)
+        orderings.convexity_check(CTX2, 4)
+        orderings.convergence_experiment(CTX2, (parse_word("b^-1"),), 3)
+        suites.export_cayley_ball(CTX2, 3, "json")
+        assert calls == [0]
+        decide_sign(parse_word("a b^-1"), CTX2)
+        assert calls == [1]
 
 
 class TestExpandHandle:

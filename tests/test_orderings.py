@@ -283,13 +283,20 @@ class TestScansAgainstReference:
         # come out in ball order, and of tied minima the
         # earliest-enumerated one must win, though the walk meets others
         # first: at n = 2, a b^3 ties with b.
-        def coarse(nf, ctx):
-            value = -(phi(nf.prefix, ctx) + ctx.q * ctx.phi_a * nf.ell)
-            sign = Sign.POSITIVE if value > 0 else Sign.NEGATIVE if value < 0 else Sign.IDENTITY
-            return SignResult(sign, (), 0)
+        # The scans read it through orderings.verdict, the reference
+        # through cone.sign_pass.
+        calls = [0]
 
-        monkeypatch.setattr(orderings, "sign_pass", coarse)
-        monkeypatch.setattr(cone, "sign_pass", coarse)
+        def coarse(prefix, ell, ctx):
+            value = -(phi(prefix, ctx) + ctx.q * ctx.phi_a * ell)
+            return Sign.POSITIVE if value > 0 else Sign.NEGATIVE if value < 0 else Sign.IDENTITY
+
+        def counted(prefix, ell, ctx):
+            calls[0] += 1
+            return coarse(prefix, ell, ctx)
+
+        monkeypatch.setattr(orderings, "verdict", counted)
+        monkeypatch.setattr(cone, "sign_pass", lambda nf, ctx: SignResult(coarse(*nf, ctx), (), 0))
         ctx = group_context(n)
         for radius in range(6):
             assert_scans_match_reference(ctx, radius, (DD(), DDReversed(), Conjugated(DD(), parse_word("b a"))))
@@ -298,20 +305,21 @@ class TestScansAgainstReference:
         if n == 2:
             assert smallest_positive_in_ball(DD(), ctx, 5) == parse_word("b")
             assert reference_compare(parse_word("a b^3"), parse_word("b"), DD(), ctx) is Cmp.EQUAL
+        assert calls[0] > 0
 
 
 class TestScanSeams:
-    def test_planted_sign_pass_is_read_through_orderings(self, monkeypatch):
-        # The scans read their sign passes through orderings.sign_pass: a
-        # pass that calls everything negative leaves the ball no positive
+    def test_planted_verdict_is_read_through_orderings(self, monkeypatch):
+        # The scans read their verdicts through orderings.verdict: one
+        # that calls everything negative leaves the ball no positive
         # element under DD, and no violation of convexity.
         calls = []
 
-        def negative(nf, ctx):
-            calls.append(nf)
-            return SignResult(Sign.NEGATIVE, ((0, -1),), 1)
+        def negative(prefix, ell, ctx):
+            calls.append((prefix, ell))
+            return Sign.NEGATIVE
 
-        monkeypatch.setattr(orderings, "sign_pass", negative)
+        monkeypatch.setattr(orderings, "verdict", negative)
         assert smallest_positive_in_ball(DD(), CTX2, 3) is None
         assert calls
         calls.clear()
