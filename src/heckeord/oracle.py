@@ -514,6 +514,16 @@ def oracle_equal(u: Word, v: Word, ctx: GroupContext) -> bool:
     return oracle_is_identity(concat(invert(u), v), ctx)
 
 
+def could_be_b_power(value: int, side: int, ctx: GroupContext) -> bool:
+    """Whether a word of phi value on the DD cone's side (1, -1, or 0 at
+    the identity) can be some b^k: phi(b^k) = k phi(b), with phi(b) = 0
+    at n = 1, and b^k lies on side sign(k)."""
+    if ctx.n == 1:
+        return not value
+    k, rest = divmod(value, ctx.phi_b)
+    return not rest and (k > 0) - (k < 0) == side
+
+
 def b_power_of(word: Word, ctx: GroupContext, start: tuple | None = None, word_phi: int | None = None) -> int | None:
     """The integer k with start · word = b^k in G_n (word alone when start
     is None; start an oracle_state), or None if there is none.  word_phi
@@ -524,8 +534,8 @@ def b_power_of(word: Word, ctx: GroupContext, start: tuple | None = None, word_p
     candidate (word standing for start · word throughout); word = b^k
     then holds exactly when rho(word) is the shear
     rho(b)^k = [[1, k lam], [0, 1]], since (rho, phi) is faithful.  rho
-    runs only when phi(b) divides phi(word), and its packed entries are
-    compared with the packed shear as they are.
+    runs only when phi(b) divides phi(word) (the orders first ask
+    could_be_b_power), and its packed entries are compared as they are.
 
     >>> from heckeord.context import group_context
     >>> b_power_of(((GEN_B, -3),), group_context(2))

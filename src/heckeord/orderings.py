@@ -15,24 +15,23 @@ the cone.  Four cone recipes are implemented:
 
 Every spec reduces to one recipe (mirror, flipped, g): its sign of w is
 the DD sign of g w g^-1, or the DehornoyLike sign when flipped, MIRRORed
-when mirror.  b-power membership is decided by oracle.b_power_of: one
-phi pass, plus one rho fold when phi(b) divides phi(word).  DehornoyLike,
-conjugated or not, pays that on every comparison; comparisons in DD and
-DDReversed do not touch the oracle.  u = v iff u^-1 v is on neither side
-of the cone: cone.verdict says IDENTITY (or k = 0), which the suites
-check by oracle.  No decision here writes a witness.
+when mirror.  A flipped read takes the DD verdict first: b^k has the
+verdict sign(k), so oracle.b_power_of folds rho only for the words that
+oracle.could_be_b_power lets through, and a b-power's answer also rests
+on the verdict, which the suites check by oracle.  DD and DDReversed do
+not touch the oracle.  u = v iff u^-1 v is on neither side of the cone:
+cone.verdict says IDENTITY (or k = 0).  No decision here writes a witness.
 
 Cost.  is_positive and compare rewrite their word from scratch.  The
 ball scans (smallest_positive_in_ball, convexity_check) instead walk
 the ball depth first on _Track, one per fixed left factor L: it keeps,
-per depth, the stack pass's state of L w (normalform.resume) and, for
-DehornoyLike, the oracle's state (oracle.oracle_state), which
-b_power_of resumes over the short right factor g^-1, whose phi the
-track takes once.  So a word costs one letter of stack pass (and fold)
-per left factor, and a sign read the right factor's letters and an O(1)
-cone.verdict: at radius 6 the `orders` scans run about 1.7x faster than
-deciding every word from scratch (tests/reference_orderings.py).  The
-trichotomy suite walks on the same tracker.
+per depth, the stack pass's state of L w (normalform.resume) and, when
+flipped, phi(L w), folding the oracle's state only for a read that can
+be a b-power.  So a word costs one letter of stack pass per left factor,
+and a sign read the right factor's letters and an O(1) cone.verdict: at
+radius 6 the `orders` scans run about 2.2x faster than deciding every
+word from scratch (tests/reference_orderings.py).  The trichotomy suite
+walks on the same tracker.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import enum
 from .cone import MIRROR, Sign, verdict
 from .context import GroupContext
 from .normalform import START, resume
-from .oracle import b_power_of, oracle_state, phi
+from .oracle import b_power_of, could_be_b_power, oracle_state, phi
 from .words import GEN_A, GEN_B, SIGNED_LETTERS, Word, _ball, concat, conjugate, gen_power, invert
 
 
@@ -111,11 +110,12 @@ def _order_sign(word: Word, spec: OrderingSpec, ctx: GroupContext) -> Sign:
     """The side of spec's positive cone that word is on; IDENTITY iff word = 1."""
     mirror, flipped, g = _recipe(spec)
     moved = conjugate(g, word) if g else word
-    if flipped and (k := b_power_of(moved, ctx)) is not None:
-        sign = _flipped_sign(k)
-    else:
-        stack, ell, _ = resume(START, moved, ctx)
-        sign = verdict(stack, ell, ctx)
+    stack, ell, _ = resume(START, moved, ctx)
+    sign = verdict(stack, ell, ctx)
+    side = (sign is Sign.POSITIVE) - (sign is Sign.NEGATIVE)
+    if flipped and could_be_b_power(value := phi(moved, ctx), side, ctx):
+        if (k := b_power_of(moved, ctx, word_phi=value)) is not None:
+            sign = _flipped_sign(k)
     return MIRROR[sign] if mirror else sign
 
 
@@ -142,44 +142,60 @@ class _Track:
     """The states of left · w for the words w on a ball walk's path, and
     the unmirrored sign of left · w · right.
 
-    Per depth of the path, nf holds the stack pass's state of left · w
-    and, when keep_oracle, key its oracle.oracle_state; right_phi is then
-    phi(right), taken once for every sign read.  A word's states
-    are its parent's resumed over its last letter, so left costs its
-    letters once per start, and each word one letter plus the fixed
-    right factor when its sign is read.  The trichotomy suite walks on
-    one with empty left and right and reads nf and key itself.
+    Per depth of the path, nf holds the stack pass's state of left · w;
+    a flipped track adds phi per depth from a per-letter table and folds
+    key, its oracle.oracle_state, only for a read that passes
+    oracle.could_be_b_power, on from the deepest depth folded on this
+    path.  A word's states are its parent's resumed over its last letter,
+    so left costs its letters once per start, and each word one letter
+    plus the fixed right factor when its sign is read.  The trichotomy
+    suite reads nf off an unflipped one and folds its own oracle states.
     """
 
-    def __init__(self, ctx: GroupContext, max_len: int, keep_oracle: bool, right: Word = ()):
+    def __init__(self, ctx: GroupContext, max_len: int, flipped: bool, right: Word = ()):
         self.ctx, self.right = ctx, right
-        self.right_phi = phi(right, ctx) if keep_oracle else None
         self.nf = [None] * (max_len + 1)
-        self.key = [None] * (max_len + 1) if keep_oracle else None
+        self.phi = [0] * (max_len + 1) if flipped else None
+        if flipped:
+            self.right_phi = phi(right, ctx)
+            self.letter_phi = {(x,): phi((x,), ctx) for x in SIGNED_LETTERS}
+            self.path = [()] * (max_len + 1)  # left, then the last letter at each depth
+            self.key = [None] * (max_len + 1)  # the states of depths 0..folded
 
     def start(self, left: Word, path=()) -> None:
         """Track left · w, and take the states of the path's words, path
         holding the one-letter words of depths 1, 2, ... (it can be empty)."""
         self.nf[0] = resume(START, left, self.ctx)
-        if self.key is not None:
-            self.key[0] = oracle_state(left, self.ctx)
+        if self.phi is not None:
+            self.phi[0], self.path[0], self.folded = phi(left, self.ctx), left, -1
         for depth, last in enumerate(path, 1):
             self.push(depth, last)
 
     def push(self, depth: int, last: Word) -> None:
         """The states of the path's word at depth, whose last letter is last."""
         self.nf[depth] = resume(self.nf[depth - 1], last, self.ctx)
-        if self.key is not None:
-            self.key[depth] = oracle_state(last, self.ctx, self.key[depth - 1])
+        if self.phi is not None:
+            self.phi[depth] = self.phi[depth - 1] + self.letter_phi[last]
+            self.path[depth] = last
+            if self.folded >= depth:
+                self.folded = depth - 1
 
     def sign(self, depth: int) -> Sign:
         """The DD sign of left · w · right for the path's word w at depth;
-        with the oracle's state kept, the flipped sign (DehornoyLike)."""
-        if self.key is not None and (k := b_power_of(self.right, self.ctx, self.key[depth], self.right_phi)) is not None:
-            return _flipped_sign(k)
+        on a flipped track, the flipped sign (DehornoyLike)."""
         state = self.nf[depth]
         stack, ell, _ = resume(state, self.right, self.ctx) if self.right else state
-        return verdict(stack, ell, self.ctx)
+        sign = verdict(stack, ell, self.ctx)
+        if self.phi is None:
+            return sign
+        side = (sign is Sign.POSITIVE) - (sign is Sign.NEGATIVE)
+        if could_be_b_power(self.phi[depth] + self.right_phi, side, self.ctx):
+            for d in range(self.folded + 1, depth + 1):
+                self.key[d] = oracle_state(self.path[d], self.ctx, self.key[d - 1] if d else None)
+            self.folded = depth
+            if (k := b_power_of(self.right, self.ctx, self.key[depth], self.right_phi)) is not None:
+                return _flipped_sign(k)
+        return sign
 
 
 def smallest_positive_in_ball(

@@ -16,7 +16,7 @@ import os
 from .cone import MIRROR, Sign, expand_handle, sign_pass, verdict
 from .context import GroupContext
 from .normalform import START, NormalForm, resume
-from .oracle import element_key, oracle_is_identity
+from .oracle import element_key, oracle_is_identity, oracle_state
 from .orderings import _Track
 from .words import (
     ALPHABET_AB,
@@ -62,22 +62,24 @@ _MISMATCH = bytes((x & 3) != (x >> 2) for x in range(256))
 def _walk(ctx: GroupContext, max_len: int, first: int | None):
     """Examine one part of the ball (see _ball_tree) word by word.
 
-    The walk runs on an orderings._Track, which keeps each word's normal
-    form stack pass and oracle state resumed from its parent's, so a
-    word costs the work of its last letter plus its sign pass and
-    checks.  Returns (counts by verdict code, the violations as (rank,
-    triple) pairs, the mirror bytes of the whole ball with this part's
-    entries set).
+    The walk resumes each word's normal form stack pass on an
+    orderings._Track and folds its oracle state itself, both from its
+    parent's, so a word costs the work of its last letter plus its sign
+    pass and checks.  Returns (counts by verdict code, the violations as
+    (rank, triple) pairs, the mirror bytes of the whole ball with this
+    part's entries set).
     """
-    track = _Track(ctx, max_len, True)
+    track = _Track(ctx, max_len, False)
     track.start(())
-    push, nf, key = track.push, track.nf, track.key
+    push, nf = track.push, track.nf
+    key = [oracle_state((), ctx)] * (max_len + 1)
     counts = [0, 0, 0, 0]
     violations = []
     verdicts = bytearray(2 * 3**max_len - 1)
     for word, letter, depth, rank, inverse_rank in _ball_tree(max_len, first):
         if depth:
-            push(depth, SIGNED_LETTERS[letter : letter + 1])
+            push(depth, last := SIGNED_LETTERS[letter : letter + 1])
+            key[depth] = oracle_state(last, ctx, key[depth - 1])
         stack, ell, _ = nf[depth]
         sign, witness, _ = sign_pass(NormalForm(tuple(stack), ell), ctx)
         if sign is Sign.IDENTITY:

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import trivial_words, words
 from heckeord import cone, normalform, oracle, orderings, words as words_module
-from heckeord.cone import Sign, SignResult
+from heckeord.cone import Sign, SignResult, verdict
 from heckeord.context import group_context
-from heckeord.oracle import element_key, oracle_equal, oracle_is_identity, phi
+from heckeord.normalform import START, resume
+from heckeord.oracle import could_be_b_power, element_key, oracle_equal, oracle_is_identity, phi
 from heckeord.orderings import (
     Cmp,
     Conjugated,
@@ -23,7 +24,7 @@ from heckeord.orderings import (
     is_positive,
     smallest_positive_in_ball,
 )
-from heckeord.words import RewriteLimitError, concat, enumerate_reduced, format_word, invert, parse_word
+from heckeord.words import GEN_B, RewriteLimitError, concat, enumerate_reduced, format_word, gen_power, invert, parse_word
 from reference_orderings import (
     reference_compare,
     reference_convexity_check,
@@ -327,10 +328,13 @@ class TestScanSeams:
         assert calls
 
     def test_right_factor_phi_is_taken_once_per_track(self, monkeypatch):
-        # The flipped scan reads b_power_of over the right factor g^-1 at
-        # every word; phi(g^-1) is taken once per track, so the radius-6
-        # scan of Conjugated(DehornoyLike(), b a) at n = 2 calls phi 2,964
-        # times (5,141 when every sign read took it again).
+        # The flipped scan adds phi of the right factor g^-1 at every
+        # word; phi(g^-1) and phi of each letter are taken once per track,
+        # and phi of a left factor once per start, so the radius-6 scan of
+        # Conjugated(DehornoyLike(), b a) at n = 2 calls phi 563 times,
+        # most of them in the oracle states it folds (2,964 when every
+        # word's state was folded, 5,141 when every sign read took
+        # phi(g^-1) again).
         calls = [0]
 
         def counting(word, ctx):
@@ -341,7 +345,92 @@ class TestScanSeams:
         monkeypatch.setattr(orderings, "phi", counting, raising=False)
         spec = Conjugated(DehornoyLike(), parse_word("b a"))
         assert smallest_positive_in_ball(spec, CTX2, 6) == parse_word("a b")
-        assert 0 < calls[0] <= 2964
+        assert 0 < calls[0] <= 563
+
+
+def fold_counter(monkeypatch):
+    """A one-item list counting the oracle._fold calls made from now on."""
+    calls = [0]
+    real = oracle._fold
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_fold", counting)
+    return calls
+
+
+SIGN_OF_SIDE = {1: Sign.POSITIVE, -1: Sign.NEGATIVE, 0: Sign.IDENTITY}
+
+
+class TestBPowerFilter:
+    """A flipped sign read folds the oracle only for a word that can be
+    b^k: phi(word) = k phi(b) for a k whose sign is the word's DD side
+    (oracle.could_be_b_power).  That rests on b^k having the DD verdict
+    sign(k) and phi k phi(b)."""
+
+    @pytest.mark.parametrize("n", range(1, 64))
+    def test_b_powers_have_the_verdict_and_phi_of_their_exponent(self, n):
+        ctx = group_context(n)
+        for k in range(-40, 41):
+            power = gen_power(GEN_B, k)
+            stack, ell, _ = resume(START, power, ctx)
+            side = (k > 0) - (k < 0)
+            assert verdict(stack, ell, ctx) is SIGN_OF_SIDE[side], (n, k)
+            if n >= 2:
+                assert phi(power, ctx) == k * ctx.phi_b, (n, k)
+            assert could_be_b_power(phi(power, ctx), side, ctx), (n, k)
+
+    @pytest.mark.parametrize("n", range(1, 64))
+    def test_predicate_passes_exactly_the_values_of_b_powers(self, n):
+        # (value, side) passes iff it is (phi(b^k), sign(k)) for some k;
+        # at n = 1 phi(b) = 0, so value 0 passes on every side, and only it.
+        ctx = group_context(n)
+        powers = {(k * ctx.phi_b, (k > 0) - (k < 0)) for k in range(-200, 201)}
+        for value in range(-120, 121):
+            for side in (-1, 0, 1):
+                assert could_be_b_power(value, side, ctx) is ((value, side) in powers), (n, value, side)
+
+    @pytest.mark.parametrize("n, value, side, passes", [
+        (1, 0, 1, True), (1, 0, -1, True), (1, 0, 0, True), (1, 2, 1, False), (1, -2, -1, False), (1, 1, 0, False),
+        (2, -1, 1, True), (2, 1, -1, True), (2, 0, 0, True),  # b, b^-1 and 1 at n = 2, where phi(b) = -1
+        (2, 1, 1, False), (2, -1, -1, False), (2, 0, 1, False), (2, -1, 0, False),
+        (5, -4, 1, True), (5, 2, -1, True),  # b^2 and b^-1 at n = 5, where phi(b) = -2
+        (5, -3, 1, False), (5, 3, -1, False), (5, 4, 1, False),
+    ])
+    def test_predicate_rows(self, n, value, side, passes):
+        assert could_be_b_power(value, side, group_context(n)) is passes
+
+    def test_conjugated_scan_folds_only_possible_b_powers(self, monkeypatch):
+        # The radius-6 scan of Conjugated(DehornoyLike(), b a) at n = 2
+        # folds 773 times (5,141 when every sign read folded).
+        calls = fold_counter(monkeypatch)
+        spec = Conjugated(DehornoyLike(), parse_word("b a"))
+        assert smallest_positive_in_ball(spec, CTX2, 6) == parse_word("a b")
+        assert calls[0] == 773
+
+    def test_is_positive_folds_only_possible_b_powers(self, monkeypatch):
+        # 459 of the 4,373 words of the radius-7 ball at n = 2 are folded
+        # (every one when each read folded first).
+        calls = fold_counter(monkeypatch)
+        ball = list(enumerate_reduced(7))
+        positive = sum(is_positive(w, DehornoyLike(), CTX2) for w in ball)
+        assert (len(ball), positive, calls[0]) == (4373, 2171, 459)
+
+    def test_a_restart_folds_from_its_new_left_factor(self):
+        # The track folds on demand from the deepest depth folded on the
+        # current path; a restart invalidates every depth, the left
+        # factor's own (depth 0) included, or a stale state of a, or of
+        # b, would give the wrong answer below.
+        a, b = parse_word("a"), parse_word("b")
+        track = orderings._Track(group_context(3), 1, True)
+        track.start(a, [invert(a)])
+        assert track.sign(1) is Sign.IDENTITY  # depths 0 and 1 folded
+        track.start(b, [b])
+        assert track.sign(1) is Sign.NEGATIVE  # b^2, not a b^2
+        track.start(invert(b))
+        assert track.sign(0) is Sign.POSITIVE  # b^-1, not b
 
 
 class TestScanEdges:

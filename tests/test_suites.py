@@ -100,6 +100,27 @@ class TestTrichotomySuite:
         ]
         assert report.counts == {"positive": 2, "negative": 1, "identity": 2}
 
+    def test_each_ball_word_is_folded_once(self, monkeypatch):
+        # The walk reads every word's oracle state, so it folds each one
+        # eagerly, one letter on from its parent's, and never through the
+        # order scans' on-demand folds: one empty fold per part of the
+        # ball (five) and one letter for each other word (160 at L = 4).
+        folded = []
+        real = suites.oracle_state
+
+        def counting(word, ctx, start=None):
+            folded.append(len(word))
+            return real(word, ctx, start)
+
+        def no_fold(*args):
+            raise AssertionError("the walk folded through the track")
+
+        monkeypatch.setattr(suites, "oracle_state", counting)
+        monkeypatch.setattr(orderings, "oracle_state", no_fold)
+        report = run_trichotomy_suite(CTX2, 4)
+        assert report.ok
+        assert sorted(folded) == [0] * 5 + [1] * (report.total_words - 1)
+
     @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
     def test_jobs_out_of_range_raises_before_any_pool(self, monkeypatch, jobs):
         def no_pool(*args, **kwargs):
