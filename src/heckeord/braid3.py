@@ -111,33 +111,54 @@ def dehornoy_reduce(sigma_word: Word) -> Word:
     The result represents the same braid and has all s1 letters of a
     single sign (possibly none).
 
+    The syllable list is edited in place.  A move writes the handle's
+    replacement, freely reduced, over its three syllables, cancels it
+    against its neighbours as far as they reach, and the scan for the
+    next handle resumes two syllables before the first one that
+    changed: every syllable further left is as it was, and no handle
+    started there.
+
     >>> format_sigma(dehornoy_reduce(parse_sigma("s1 s2 s1^-1")))
     's2^-1 s1 s2'
     """
     sylls = list(sigma_word)
+    start = 0
     for _ in range(_HANDLE_CAP):
-        target = None
-        for i in range(len(sylls) - 2):
-            x = sylls[i]
-            y = sylls[i + 2]
-            if x[0] == S1 and y[0] == S1 and (x[1] > 0) != (y[1] > 0):
-                target = i
+        for i in range(start, len(sylls) - 2):
+            x_gen, x_exp = sylls[i]
+            y_gen, y_exp = sylls[i + 2]
+            if x_gen == S1 and y_gen == S1 and (x_exp > 0) != (y_exp > 0):
                 break
-        if target is None:
+        else:
             return tuple(sylls)
-        i = target
-        x_exp = sylls[i][1]
         m = sylls[i + 1][1]
-        y_exp = sylls[i + 2][1]
         d = 1 if x_exp > 0 else -1
-        replacement = [
-            (S1, x_exp - d),
-            (S2, -d),
-            (S1, m),
-            (S2, d),
-            (S1, y_exp + d),
-        ]
-        sylls = list(word_from_syllables(sylls[:i] + replacement + sylls[i + 3 :]))
+        middle = list(word_from_syllables(((S1, x_exp - d), (S2, -d), (S1, m), (S2, d), (S1, y_exp + d))))
+        lo, hi = i, i + 3
+        while True:  # free reduction where middle meets sylls[:lo] and sylls[hi:]
+            if middle:
+                if lo and sylls[lo - 1][0] == middle[0][0]:
+                    lo -= 1
+                    gen, exp = sylls[lo]
+                    end = 0
+                elif hi < len(sylls) and sylls[hi][0] == middle[-1][0]:
+                    gen, exp = sylls[hi]
+                    hi += 1
+                    end = -1
+                else:
+                    break
+                exp += middle[end][1]
+                if exp:
+                    middle[end] = (gen, exp)
+                else:
+                    del middle[end]
+            elif lo and hi < len(sylls) and sylls[lo - 1][0] == sylls[hi][0]:
+                lo -= 1
+                middle = [sylls[lo]]
+            else:
+                break
+        sylls[lo:hi] = middle
+        start = max(lo - 2, 0)
     raise RewriteLimitError("handle reduction budget exhausted")
 
 

@@ -494,6 +494,27 @@ def oracle_is_identity(word: Word, ctx: GroupContext, start: tuple | None = None
     return _is_shear(_fold(word, ctx, fold) if start else _fold(word, ctx), ctx)
 
 
+def same_element(u: tuple, v: tuple, ctx: GroupContext) -> bool:
+    """Whether two oracle_states are the same group element: their Klein
+    pairs agree (n = 1), or phi and rho do (n >= 2).
+
+    At equal widths the packed ints are compared as they are, the
+    entries of one state negated when the two flips differ: a packed
+    int has one balanced digit string at a given width, so equal rho
+    means equal ints.  States of different widths are unpacked.
+    """
+    if ctx.n == 1:
+        return u == v
+    if u[0] != v[0]:
+        return False
+    (u_entries, u_flip, u_width, _), (v_entries, v_flip, v_width, _) = u[1], v[1]
+    if u_width != v_width:
+        return _coefficients(u[1], ctx) == _coefficients(v[1], ctx)
+    if u_flip == v_flip:
+        return u_entries == v_entries
+    return u_entries == tuple(map(operator.neg, v_entries))
+
+
 def oracle_report(word: Word, ctx: GroupContext) -> tuple[bool, bool, int]:
     """(identity, rho_projectively_trivial, phi) of a word, folding rho once.
 

@@ -16,7 +16,7 @@ import os
 from .cone import MIRROR, Sign, expand_handle, sign_pass, verdict
 from .context import GroupContext
 from .normalform import START, NormalForm, resume
-from .oracle import element_key, oracle_is_identity, oracle_state
+from .oracle import element_key, oracle_is_identity, oracle_state, same_element
 from .orderings import _Track
 from .words import (
     ALPHABET_AB,
@@ -36,6 +36,7 @@ from .words import (
 )
 
 MAX_SUITE_LEN = 12  # the length-12 ball has 1,062,881 words
+MEMO_FORMS = 8192  # the trichotomy walk forgets its normal forms at this many (see _walk)
 
 @dataclasses.dataclass(frozen=True)
 class SuiteReport:
@@ -64,10 +65,28 @@ def _walk(ctx: GroupContext, max_len: int, first: int | None):
 
     The walk resumes each word's normal form stack pass on an
     orderings._Track and folds its oracle state itself, both from its
-    parent's, so a word costs the work of its last letter plus its sign
-    pass and checks.  Returns (counts by verdict code, the violations as
+    parent's, so a word costs the work of its last letter plus its
+    checks.  Returns (counts by verdict code, the violations as
     (rank, triple) pairs, the mirror bytes of the whole ball with this
     part's entries set).
+
+    Many ball words share a normal form: delta = a^(n+1) is central, so
+    a b^-1 a b and b a b^-1 a are both b delta b at every n.  In one
+    part of the length-8 ball 97 / 81 / 65 / 40 % of the words repeat
+    an earlier form at n = 1 / 2 / 3 / 5, and 28 % at n = 63.  So the
+    walk keeps a memo from the form (ell, *stack) to (verdict code, the
+    oracle state of the first word with that form if its witness equals
+    it, else None, the witness-shape detail or None).  The first word
+    of a form runs the sign pass, the shape check and the witness fold.
+    A later one asks oracle.same_element whether it is the same element
+    as that first word, which makes it the witness too; only when it is
+    not, or the entry holds None, does it run the sign pass and the
+    fold again, so a form that fails the normal form's promise is
+    reported for every word it fails on.  Every word keeps its own
+    count, mirror byte and oracle-agreement check.  An entry holds no
+    witness (0.18 KB at n = 5, 0.29 KB at n = 63); the memo is emptied
+    at MEMO_FORMS entries, more than a part of the length-8 ball holds
+    at any n (at most 2,359 forms, at n = 63).
     """
     track = _Track(ctx, max_len, False)
     track.start(())
@@ -76,29 +95,43 @@ def _walk(ctx: GroupContext, max_len: int, first: int | None):
     counts = [0, 0, 0, 0]
     violations = []
     verdicts = bytearray(2 * 3**max_len - 1)
+    memo = {}
     for word, letter, depth, rank, inverse_rank in _ball_tree(max_len, first):
         if depth:
             push(depth, last := SIGNED_LETTERS[letter : letter + 1])
             key[depth] = oracle_state(last, ctx, key[depth - 1])
+        state = key[depth]
         stack, ell, _ = nf[depth]
-        sign, witness, _ = sign_pass(NormalForm(tuple(stack), ell), ctx)
-        if sign is Sign.IDENTITY:
-            code = 3
-            if witness != ():
-                detail = "identity verdict with nonempty witness"
-                violations.append((rank, (format_word(word), "witness-shape", detail)))
+        form = (ell, *stack)
+        entry = memo.get(form)
+        if entry is not None and entry[1] is not None and same_element(state, entry[1], ctx):
+            code, _, shape = entry
+            equal = True
         else:
-            code = 1 if sign is Sign.POSITIVE else 2
-            if not witness or not is_one_signed(witness) or (witness[0][1] > 0) != (code == 1):
-                detail = f"not one-signed for {sign.value}: {format_word(witness)}"
-                violations.append((rank, (format_word(word), "witness-shape", detail)))
-        # witness-equality: w witness^-1 = 1, which is w^-1 witness = 1
-        # conjugated, folded on from w's state; trivial when witness is w.
-        if witness != word and not oracle_is_identity(invert(witness), ctx, key[depth]):
+            sign, witness, _ = sign_pass(NormalForm(tuple(stack), ell), ctx)
+            shape = None
+            if sign is Sign.IDENTITY:
+                code = 3
+                if witness != ():
+                    shape = "identity verdict with nonempty witness"
+            else:
+                code = 1 if sign is Sign.POSITIVE else 2
+                if not witness or not is_one_signed(witness) or (witness[0][1] > 0) != (code == 1):
+                    shape = f"not one-signed for {sign.value}: {format_word(witness)}"
+            # witness-equality: w witness^-1 = 1, which is w^-1 witness = 1
+            # conjugated, folded on from w's state; trivial when witness is w.
+            equal = witness == word or oracle_is_identity(invert(witness), ctx, state)
+            if entry is None:
+                if len(memo) >= MEMO_FORMS:
+                    memo.clear()
+                memo[form] = code, state if equal else None, shape
+        if shape is not None:
+            violations.append((rank, (format_word(word), "witness-shape", shape)))
+        if not equal:
             detail = f"witness {format_word(witness)} is not the same element"
             violations.append((rank, (format_word(word), "witness-equality", detail)))
-        if (code == 3) != oracle_is_identity((), ctx, key[depth]):
-            detail = f"verdict {sign.value} contradicts the oracle"
+        if (code == 3) != oracle_is_identity((), ctx, state):
+            detail = f"verdict {_SIGN_OF[code].value} contradicts the oracle"
             violations.append((rank, (format_word(word), "oracle-agreement", detail)))
         counts[code] += 1
         verdicts[rank] |= code
@@ -122,12 +155,16 @@ def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> Suit
     parts (_ball_parts): the identity, and the words starting with a,
     a^-1, b, b^-1; jobs > 1 hands the parts to a worker pool.  Every
     word resumes the normal form and the oracle's state from its parent,
-    so the work per word is one letter of each plus its sign pass and
-    checks.  The mirror check keeps 1 byte per word (its verdict and the
+    so the work per word is one letter of each plus its checks.  delta
+    is central, so many ball words share a normal form; each part runs
+    the sign pass and the witness fold once per distinct form, and a
+    later word of that form is checked by comparing its oracle state
+    with the first one's (see _walk), in a memo of at most MEMO_FORMS
+    forms.  The mirror check keeps 1 byte per word (its verdict and the
     one its inverse implies), in one bytearray per part, merged at the
-    end; the walk itself holds O(max_len) state.  Violations come out as
-    from a pass in ball order: the per-word ones by rank, then the
-    mirror ones by rank.
+    end; the walk itself holds O(max_len) state besides its memo.
+    Violations come out as from a pass in ball order: the per-word ones
+    by rank, then the mirror ones by rank.
     """
     if not 0 <= max_len <= MAX_SUITE_LEN:
         raise ValueError(f"max_len must be in 0..{MAX_SUITE_LEN}, got {max_len!r}")

@@ -1,19 +1,25 @@
-"""Test-only reference: the B_3 cone certificate as it was before it used
-the package's rewriting core and matrix oracle.
+"""Test-only references for `braid3`.
 
-Its own integer model of PSL(2, Z) (abar, bbar and a 2x2 product) and its
-own cyclic rewriting (a^3 -> 1 and b a^2 b -> a on a mutable block list,
-rescanned to a fixpoint), kept verbatim apart from their names so the
-tests can demand the same certificates from `braid3.cone_certify_b3`.
+The B_3 cone certificate as it was before it used the package's
+rewriting core and matrix oracle.  It has its own integer model of
+PSL(2, Z) (abar, bbar and a 2x2 product) and its own cyclic rewriting
+(a^3 -> 1 and b a^2 b -> a on a mutable block list, rescanned to a
+fixpoint), kept verbatim apart from their names so the tests can demand
+the same certificates from `braid3.cone_certify_b3`.
 The normal form comes from `reference_core`, and only the cone geometry
 (`_certified`) is shared with the package.
+
+Handle reduction as it was before it edited its syllable list in place
+(`reference_dehornoy_reduce`), verbatim but for the names of the
+generators and of the move cap, so the tests can demand the same reduced
+words from `braid3.dehornoy_reduce`.
 """
 
 from __future__ import annotations
 
 from heckeord.braid3 import CertificateError, ConeRegion, _certified
 from heckeord.context import group_context
-from heckeord.words import GEN_A, GEN_B, Word
+from heckeord.words import GEN_A, GEN_B, RewriteLimitError, Word, word_from_syllables
 
 from reference_core import reference_normal_form
 
@@ -141,3 +147,33 @@ def reference_cyclic_reduce(blocks: list[list[int]]) -> list[list[int]]:
         else:
             break
     return blocks
+
+
+def reference_dehornoy_reduce(sigma_word: Word) -> Word:
+    """The old `braid3.dehornoy_reduce`: after every handle move it
+    rescans from the left and rebuilds the whole word."""
+    sylls = list(sigma_word)
+    for _ in range(200_000):
+        target = None
+        for i in range(len(sylls) - 2):
+            x = sylls[i]
+            y = sylls[i + 2]
+            if x[0] == GEN_A and y[0] == GEN_A and (x[1] > 0) != (y[1] > 0):
+                target = i
+                break
+        if target is None:
+            return tuple(sylls)
+        i = target
+        x_exp = sylls[i][1]
+        m = sylls[i + 1][1]
+        y_exp = sylls[i + 2][1]
+        d = 1 if x_exp > 0 else -1
+        replacement = [
+            (GEN_A, x_exp - d),
+            (GEN_B, -d),
+            (GEN_A, m),
+            (GEN_B, d),
+            (GEN_A, y_exp + d),
+        ]
+        sylls = list(word_from_syllables(sylls[:i] + replacement + sylls[i + 3 :]))
+    raise RewriteLimitError("handle reduction budget exhausted")

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "heckeord"
-ORACLE_PRIVATE = {"_fold", "_is_shear", "klein_pair"}
+ORACLE_PRIVATE = {"_fold", "_is_shear", "_coefficients", "klein_pair"}
 
 
 def names_used(tree):
@@ -63,7 +63,7 @@ def test_walks_have_no_n_equals_one_branch(path):
 
 
 def test_the_checks_see_what_they_look_for():
-    # The oracle itself names all three helpers and branches on n == 1.
+    # The oracle itself names all four helpers and branches on n == 1.
     tree = parse("oracle.py")
     assert ORACLE_PRIVATE <= {name for name, _ in names_used(tree)}
     assert list(n_equals_one(tree))

@@ -35,6 +35,7 @@ from heckeord.words import (
     word_from_syllables,
 )
 
+import reference_braid3
 from conftest import positive_words, trivial_words
 from reference_braid3 import (
     ABAR,
@@ -43,6 +44,7 @@ from reference_braid3 import (
     integer_model,
     reference_cone_certify_b3,
     reference_cyclic_reduce,
+    reference_dehornoy_reduce,
 )
 
 CTX2 = group_context(2)
@@ -169,6 +171,46 @@ LONG_WORDS = st.one_of(
     st.tuples(reduced_words(10, 140), trivial_words(2), reduced_words(10, 140)).map(lambda t: concat(*t)),
     st.tuples(reduced_words(10, 140), trivial_words(2)).map(lambda t: concat(t[0], t[1], invert(t[0]))),
 )
+
+
+class TestHandleReductionAgainstReference:
+    """dehornoy_reduce, which edits its syllable list in place, against the
+    old loop that rebuilt the word after every move
+    (tests/reference_braid3.py): the same reduced words, and one
+    word_from_syllables call per move, which is how the benchmark's
+    tracer counts the moves."""
+
+    def test_same_reductions_on_the_radius_7_ball(self):
+        for w in enumerate_reduced(7):
+            assert dehornoy_reduce(w) == reference_dehornoy_reduce(w), format_sigma(w)
+
+    @given(st.one_of(
+        reduced_words(1, 1000),
+        st.lists(st.tuples(st.sampled_from([S1, S2]), st.integers(-3, 3).filter(bool)), max_size=400).map(word_from_syllables),
+    ))
+    def test_same_reductions_on_random_words(self, w):
+        assert dehornoy_reduce(w) == reference_dehornoy_reduce(w)
+
+    @pytest.mark.parametrize("text", [
+        "s1 s2 s1^-1",
+        "s1 s2 s1^-1 s2^-1 s1 s2^2 s1^-2",
+        "s2 s1^2 s2^-1 s1^-1 s2^3 s1^-1 s2 s1",
+        "s1^-1 s2^2 s1 s2^-1 s1^-2",
+    ])
+    def test_one_rebuild_per_move(self, monkeypatch, text):
+        calls = {"package": 0, "reference": 0}
+
+        def counting(side):
+            def count(syllables):
+                calls[side] += 1
+                return word_from_syllables(syllables)
+            return count
+
+        monkeypatch.setattr(braid3, "word_from_syllables", counting("package"))
+        monkeypatch.setattr(reference_braid3, "word_from_syllables", counting("reference"))
+        w = parse_sigma(text)
+        assert dehornoy_reduce(w) == reference_dehornoy_reduce(w)
+        assert calls["package"] == calls["reference"] > 0
 
 
 class TestThreeWayOnLongWords:

@@ -127,8 +127,8 @@ class TestB3:
         assert doc["image"] == "s1 s2"
 
     def test_sign_reduces_handles_once(self, capsys, monkeypatch):
-        # dehornoy_reduce rebuilds the word through word_from_syllables
-        # once per handle move, so counting those calls counts the moves.
+        # dehornoy_reduce reduces each handle's replacement through
+        # word_from_syllables once, so counting those calls counts the moves.
         text = "s1 s2 s1^-1 s2^-1 s1 s2^2 s1^-2"
         moves = []
 

@@ -20,8 +20,10 @@ from heckeord.oracle import (
     oracle_equal,
     oracle_is_identity,
     oracle_report,
+    oracle_state,
     phi,
     rho,
+    same_element,
 )
 from heckeord.words import (
     GEN_A,
@@ -774,3 +776,83 @@ class TestResumedFold:
     @given(words(max_syllables=12, max_exp=9), words(max_syllables=12, max_exp=9))
     def test_klein_pair_resumed(self, u, v):
         assert klein_pair(v, klein_pair(u)) == klein_pair(u + v)
+
+
+# (a b^3)^40 outgrows the fold's start width at n >= 7, so a word with
+# it and its inverse inside ends at a wider fold than one without.
+WIDE = parse_word(" ".join(["a b^3"] * 40))
+
+
+def respellings(u, n):
+    """Words for u's element whose folds end otherwise: u r (the relator r
+    ends its fold with the other flip at n >= 2), u WIDE r WIDE^-1 (a
+    wider fold at n >= 7) and a product with relator conjugates."""
+    r = relator(n)
+    return {
+        "relator": concat(u, r),
+        "wide": concat(u, WIDE, r, invert(WIDE)),
+        "conjugate": concat(u, conjugate(parse_word("b^2 a^-3"), r)),
+    }
+
+
+class TestSameElement:
+    """same_element on two oracle_states is element_key equality of their words."""
+
+    @given(
+        st.integers(min_value=1, max_value=63),
+        words(max_syllables=8, max_exp=5),
+        st.sampled_from(["relator", "wide", "conjugate", "delta", "delta-squared", "random"]),
+        words(max_syllables=8, max_exp=5),
+    )
+    def test_is_element_key_equality(self, n, u, kind, other):
+        ctx = group_context(n)
+        delta = gen_power(GEN_A, ctx.q)
+        if kind in ("delta", "delta-squared"):
+            # rho(delta) = -I and rho(delta^2) = I: only phi tells these apart.
+            v = concat(u, delta, delta) if kind == "delta-squared" else concat(u, delta)
+        elif kind == "random":
+            v = other
+        else:
+            v = respellings(u, n)[kind]
+        expected = element_key(u, ctx) == element_key(v, ctx)
+        assert same_element(oracle_state(u, ctx), oracle_state(v, ctx), ctx) == expected
+        assert same_element(oracle_state(v, ctx), oracle_state(u, ctx), ctx) == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 31, 63])
+    def test_opposite_flips_at_one_width(self, n):
+        ctx = group_context(n)
+        u = parse_word("a^2 b^-1 a b^3")
+        su, sv = oracle_state(u, ctx), oracle_state(respellings(u, n)["relator"], ctx)
+        (_, u_flip, u_width, _), (_, v_flip, v_width, _) = su[1], sv[1]
+        assert u_flip != v_flip and u_width == v_width
+        assert same_element(su, sv, ctx)
+        assert not same_element(su, oracle_state(concat(u, gen_power(GEN_A, ctx.q)), ctx), ctx)
+
+    @pytest.mark.parametrize("n", [7, 8, 31, 63])
+    def test_folds_of_different_widths(self, n):
+        ctx = group_context(n)
+        u = parse_word("a^2 b^-1 a b^3")
+        wide = respellings(u, n)["wide"]
+        su, sv = oracle_state(u, ctx), oracle_state(wide, ctx)
+        assert su[1][2] < sv[1][2]
+        assert same_element(su, sv, ctx) and same_element(sv, su, ctx)
+        for v in (concat(wide, parse_word("b")), concat(wide, gen_power(GEN_A, 2 * ctx.q))):
+            assert not same_element(su, oracle_state(v, ctx), ctx)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 63])
+    def test_halves_at_even_q(self, n):
+        # Even q: each entry is two packed ints, eight in all.
+        ctx = group_context(n)
+        u = parse_word("b a^-2 b^2 a")
+        for v in respellings(u, n).values():
+            su, sv = oracle_state(u, ctx), oracle_state(v, ctx)
+            assert len(su[1][0]) == len(sv[1][0]) == 8
+            assert same_element(su, sv, ctx)
+        assert not same_element(oracle_state(u, ctx), oracle_state(concat(u, relator(n), parse_word("a")), ctx), ctx)
+
+    def test_klein_pairs_at_n_1(self):
+        ctx = group_context(1)
+        u = parse_word("a b^2 a^-3 b")
+        for v in respellings(u, 1).values():
+            assert same_element(oracle_state(u, ctx), oracle_state(v, ctx), ctx)
+        assert not same_element(oracle_state(u, ctx), oracle_state(concat(u, parse_word("b")), ctx), ctx)

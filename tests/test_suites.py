@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import relator
-from heckeord import cone, oracle, orderings, suites
+from heckeord import cone, normalform, oracle, orderings, suites
 from heckeord.cone import Sign, SignResult
 from heckeord.context import group_context
 from heckeord.normalform import to_normal_form
@@ -22,7 +22,18 @@ from heckeord.suites import (
     run_trichotomy_suite,
     verify_family_identity,
 )
-from heckeord.words import GEN_A, GEN_B, RewriteLimitError, _ball_tree, concat, enumerate_reduced, invert, parse_word
+from heckeord.words import (
+    GEN_A,
+    GEN_B,
+    RewriteLimitError,
+    _ball_parts,
+    _ball_tree,
+    concat,
+    enumerate_reduced,
+    format_word,
+    invert,
+    parse_word,
+)
 from reference_suites import reference_trichotomy_suite
 
 CTX2 = group_context(2)
@@ -288,6 +299,121 @@ class TestOracleFaults:
         report = run_trichotomy_suite(ctx, max_len, jobs=jobs)
         assert report == reference_trichotomy_suite(ctx, max_len)
         assert checks <= {check for _, check, _ in report.violations}
+
+
+def drop_ell(monkeypatch):
+    """Plant a normal-form fault where the walk and the reference both
+    read it: a stack pass that forgets ell, so that elements which differ
+    by a power of delta share a form (at n = 2, a^-1 = a^2 delta^-1 gets
+    the form of a^2)."""
+    real = normalform.stack_pass
+
+    def stack_pass(state, word, ctx):
+        stack, _, budget = real(state, word, ctx)
+        return stack, 0, budget
+
+    monkeypatch.setattr(normalform, "stack_pass", stack_pass)
+
+
+def memo_hits(ctx, max_len):
+    """The words of the ball that find their normal form in the walk's
+    memo, each part walked in order (no eviction), with the first word
+    of that form."""
+    hits = {}
+    for first in _ball_parts(max_len):
+        seen = {}
+        for word, *_ in _ball_tree(max_len, first):
+            form = to_normal_form(word, ctx)
+            if form in seen:
+                hits[format_word(word)] = seen[form]
+            else:
+                seen[form] = format_word(word)
+    return hits
+
+
+class TestMemo:
+    """The walk checks each distinct normal form once per part, and every
+    later word of that form by its own oracle state: the reports stay the
+    reference's when the normal form itself is wrong and when the memo is
+    emptied every few forms."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_normal_form_fault(self, monkeypatch, n, jobs):
+        ctx = group_context(n)
+        drop_ell(monkeypatch)
+        assert format_word(to_normal_form(parse_word("a^-1"), ctx).prefix) == (f"a^{n}" if n > 1 else "a")
+        report = run_trichotomy_suite(ctx, 4, jobs=jobs)
+        assert report == reference_trichotomy_suite(ctx, 4)
+        # A word of a form whose first word checked out is the same
+        # element as its witness only if it is the same element as that
+        # first word: "a b a^-1" shares the form of "a b a^n" in part a.
+        failed = {word for word, check, _ in report.violations if check == "witness-equality"}
+        hits = memo_hits(ctx, 4)
+        assert hits["a b a^-1"] not in failed and "a b a^-1" in failed
+        assert len({word for word in failed if word in hits and hits[word] not in failed}) > 1
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 63])
+    def test_eviction_every_three_forms(self, monkeypatch, n):
+        monkeypatch.setattr(suites, "MEMO_FORMS", 3)
+        ctx = group_context(n)
+        assert run_trichotomy_suite(ctx, 4) == clean_reference(n, 4)
+        assert run_trichotomy_suite(ctx, 4, jobs=2) == clean_reference(n, 4)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_an_emptied_memo_sees_its_forms_again(self, monkeypatch, n):
+        # Words of the length-4 ball repeat forms at n = 1, 2; with the
+        # memo emptied every three forms, more of them run the sign pass.
+        ctx = group_context(n)
+        calls = []
+        real = suites.sign_pass
+        monkeypatch.setattr(suites, "sign_pass", lambda nf, ctx: calls.append(nf) or real(nf, ctx))
+        run_trichotomy_suite(ctx, 4)
+        kept = len(calls)
+        monkeypatch.setattr(suites, "MEMO_FORMS", 3)
+        run_trichotomy_suite(ctx, 4)
+        assert len(calls) - kept > kept
+
+    @pytest.mark.parametrize("fault", ["flip", "other", "mixed"])
+    def test_eviction_under_sign_pass_faults(self, monkeypatch, fault):
+        monkeypatch.setattr(suites, "MEMO_FORMS", 3)
+        ctx = group_context(2)
+        plant(monkeypatch, fault, 3)
+        assert run_trichotomy_suite(ctx, 4) == reference_trichotomy_suite(ctx, 4)
+
+    @pytest.mark.parametrize(
+        "name, wrong, n, max_len, checks", ORACLE_FAULTS, ids=[f"{f[0]}-n{f[2]}" for f in ORACLE_FAULTS]
+    )
+    def test_eviction_under_oracle_faults(self, monkeypatch, name, wrong, n, max_len, checks):
+        monkeypatch.setattr(suites, "MEMO_FORMS", 3)
+        monkeypatch.setattr(oracle, name, wrong)
+        ctx = group_context(n)
+        assert run_trichotomy_suite(ctx, max_len) == reference_trichotomy_suite(ctx, max_len)
+
+    def test_eviction_under_the_normal_form_fault(self, monkeypatch):
+        monkeypatch.setattr(suites, "MEMO_FORMS", 3)
+        drop_ell(monkeypatch)
+        assert run_trichotomy_suite(CTX2, 4) == reference_trichotomy_suite(CTX2, 4)
+
+    def test_one_sign_pass_per_distinct_form_per_part(self, monkeypatch):
+        # At n = 2, L = 6 the sign pass sees each part's distinct normal
+        # forms once each, in the order the walk first meets them.
+        passed = []
+        real = suites.sign_pass
+
+        def counting(nf, ctx):
+            passed.append(nf)
+            return real(nf, ctx)
+
+        monkeypatch.setattr(suites, "sign_pass", counting)
+        report = run_trichotomy_suite(CTX2, 6)
+        assert report.ok
+        expected = []
+        for first in _ball_parts(6):
+            forms = {to_normal_form(word, CTX2): None for word, *_ in _ball_tree(6, first)}
+            expected += forms
+        assert passed == expected
+        assert len(passed) < report.total_words / 2
 
 
 class TestBallTree:
