@@ -347,10 +347,11 @@ class TestMemo:
         assert report == reference_trichotomy_suite(ctx, 4)
         # A word of a form whose first word checked out is the same
         # element as its witness only if it is the same element as that
-        # first word: "a b a^-1" shares the form of "a b a^n" in part a.
+        # first word: "a b a^-1" finds the form of "a^2 b^-1" in part a,
+        # which checked out, and is another element.
         failed = {word for word, check, _ in report.violations if check == "witness-equality"}
         hits = memo_hits(ctx, 4)
-        assert hits["a b a^-1"] not in failed and "a b a^-1" in failed
+        assert hits["a b a^-1"] == "a^2 b^-1" and "a^2 b^-1" not in failed and "a b a^-1" in failed
         assert len({word for word in failed if word in hits and hits[word] not in failed}) > 1
 
     @pytest.mark.parametrize("n", [1, 2, 5, 63])
