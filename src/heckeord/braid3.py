@@ -56,7 +56,6 @@ from .words import (
     ALPHABET_SIGMA,
     GEN_A,
     GEN_B,
-    RewriteLimitError,
     Word,
     concat,
     format_word,
@@ -102,7 +101,7 @@ def ab_to_sigma(word: Word) -> Word:
     return _bridge(word)
 
 
-_HANDLE_CAP = 200_000  # tripwire only; reduction provably terminates
+_HANDLE_CAP = 200_000  # the moves one reduction may make (see dehornoy_reduce)
 
 
 def dehornoy_reduce(sigma_word: Word) -> Word:
@@ -118,12 +117,17 @@ def dehornoy_reduce(sigma_word: Word) -> Word:
     changed: every syllable further left is as it was, and no handle
     started there.
 
+    Reduction terminates, but its moves grow faster than the word
+    (README), so one reduction makes at most _HANDLE_CAP of them: a word
+    that needs more is refused with a ValueError, as a word over the
+    letter limit is.
+
     >>> format_sigma(dehornoy_reduce(parse_sigma("s1 s2 s1^-1")))
     's2^-1 s1 s2'
     """
     sylls = list(sigma_word)
     start = 0
-    for _ in range(_HANDLE_CAP):
+    for _ in range(_HANDLE_CAP + 1):  # the last scan finds no handle
         for i in range(start, len(sylls) - 2):
             x_gen, x_exp = sylls[i]
             y_gen, y_exp = sylls[i + 2]
@@ -159,7 +163,7 @@ def dehornoy_reduce(sigma_word: Word) -> Word:
                 break
         sylls[lo:hi] = middle
         start = max(lo - 2, 0)
-    raise RewriteLimitError("handle reduction budget exhausted")
+    raise ValueError(f"handle reduction needs more than {_HANDLE_CAP} moves")
 
 
 def is_d_positive(sigma_word: Word) -> bool:

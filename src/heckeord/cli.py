@@ -5,9 +5,11 @@ returns (payload, plain lines, exit status) for main to print as JSON
 or, with --plain, as text.  Exit status: 0 clean; 1 violations found or
 a witness failed its oracle check; 2 usage or parse error, also an
 --elems file that is unreadable or holds no words, suite --max-len
-outside 0..12 or converge --kmax outside 1..1000; 3 internal error
-(RewriteLimitError, ReductionStuck, NormalFormError, CertificateError
-from a b3 cone certificate): a bug, reported as one JSON line on stderr.
+outside 0..12, converge --kmax outside 1..1000 or a b3 sign word past
+the handle reduction's budget (braid3.dehornoy_reduce); 3 internal error
+(RewriteLimitError from the normal form's budget, ReductionStuck,
+CertificateError from a b3 cone certificate): a bug, reported as one
+JSON line on stderr.
 
 When argv starts with a command name, main builds that command's parser
 only (the full tree of nine costs more than deciding a short word);
@@ -26,7 +28,6 @@ import time
 from . import braid3, normalform, orderings, suites
 from .cone import ReductionStuck, decide_sign
 from .context import group_context
-from .normalform import NormalFormError
 from .oracle import oracle_is_identity, oracle_report
 from .words import RewriteLimitError, concat, format_word, invert, parse_word
 
@@ -281,7 +282,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # bad input, or an unreadable --elems file
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RewriteLimitError, ReductionStuck, NormalFormError, braid3.CertificateError) as exc:
+    except (RewriteLimitError, ReductionStuck, braid3.CertificateError) as exc:
         error = {"error": "internal", "type": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 3

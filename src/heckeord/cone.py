@@ -74,7 +74,7 @@ import functools
 from typing import NamedTuple
 
 from .context import GroupContext
-from .normalform import NormalForm, to_normal_form
+from .normalform import NormalForm, ReductionStuck, to_normal_form
 from .words import _EXPONENT, GEN_A, GEN_B, Syllable, Word, gallop, is_one_signed
 
 
@@ -86,10 +86,6 @@ class Sign(enum.Enum):
 
 # The verdict of w^-1 from the verdict of w: inversion swaps the two cones.
 MIRROR = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE, Sign.IDENTITY: Sign.IDENTITY}
-
-
-class ReductionStuck(RuntimeError):
-    """A prefix is not irreducible, as verdict or the sign pass's witness showed; a bug."""
 
 
 class SignResult(NamedTuple):

@@ -60,18 +60,16 @@ is the pass plus its budget check, and to_normal_form resumes from START.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import NamedTuple
 
 from .context import GroupContext
-from .words import GEN_A, GEN_B, RewriteLimitError, Syllable, Word
+from .words import _EXPONENT, GEN_A, GEN_B, RewriteLimitError, Syllable, Word
 
 
-class NormalFormError(RuntimeError):
-    """A NormalForm was built with a prefix that is not a positive word (a bug)."""
-
-
-_EXPONENT = itemgetter(1)
+class ReductionStuck(RuntimeError):
+    """A normal-form prefix is not a positive word (NormalForm,
+    cone.verdict) or not irreducible (cone.verdict, the sign pass's
+    witness check); a bug."""
 
 
 class _NormalForm(NamedTuple):
@@ -91,7 +89,7 @@ class NormalForm(_NormalForm):
 
     def __new__(cls, prefix: Word, ell: int):
         if prefix and min(map(_EXPONENT, prefix)) <= 0:
-            raise NormalFormError(f"prefix is not a positive word: {prefix}")
+            raise ReductionStuck(f"prefix is not a positive word: {prefix}")
         return tuple.__new__(cls, (prefix, ell))
 
     @classmethod

@@ -491,7 +491,7 @@ def oracle_is_identity(word: Word, ctx: GroupContext, start: tuple | None = None
         value += phi(word, ctx)
     if value:
         return False
-    return _is_shear(_fold(word, ctx, fold) if start else _fold(word, ctx), ctx)
+    return _is_shear(_fold(word, ctx, fold), ctx)
 
 
 def same_element(u: tuple, v: tuple, ctx: GroupContext) -> bool:
@@ -573,8 +573,7 @@ def b_power_of(word: Word, ctx: GroupContext, start: tuple | None = None, word_p
     k, rest = divmod(value, ctx.phi_b)
     if rest:
         return None
-    fold = _fold(word, ctx, fold) if start else _fold(word, ctx)
-    return k if _is_shear(fold, ctx, k) else None
+    return k if _is_shear(_fold(word, ctx, fold), ctx, k) else None
 
 
 def element_key(word: Word, ctx: GroupContext) -> tuple:

@@ -30,8 +30,8 @@ flipped, phi(L w), folding the oracle's state only for a read that can
 be a b-power.  So a word costs one letter of stack pass per left factor,
 and a sign read the right factor's letters and an O(1) cone.verdict: at
 radius 6 the `orders` scans run about 2.2x faster than deciding every
-word from scratch (tests/reference_orderings.py).  The trichotomy suite
-walks on the same tracker.
+word from scratch (tests/reference_orderings.py).  _Track serves these
+scans only; the trichotomy suite resumes its own states (suites._walk).
 """
 
 from __future__ import annotations
@@ -148,8 +148,9 @@ class _Track:
     oracle.could_be_b_power, on from the deepest depth folded on this
     path.  A word's states are its parent's resumed over its last letter,
     so left costs its letters once per start, and each word one letter
-    plus the fixed right factor when its sign is read.  The trichotomy
-    suite reads nf off an unflipped one and folds its own oracle states.
+    plus the fixed right factor when its sign is read.  Only the ball
+    scans here use it: the trichotomy walk, which checks witnesses rather
+    than reading signs, keeps its own per-depth states (suites._walk).
     """
 
     def __init__(self, ctx: GroupContext, max_len: int, flipped: bool, right: Word = ()):

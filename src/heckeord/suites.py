@@ -17,7 +17,6 @@ from .cone import MIRROR, Sign, expand_handle, sign_pass, verdict
 from .context import GroupContext
 from .normalform import START, NormalForm, resume
 from .oracle import element_key, oracle_is_identity, oracle_state, same_element
-from .orderings import _Track
 from .words import (
     ALPHABET_AB,
     GEN_A,
@@ -63,10 +62,10 @@ _MISMATCH = bytes((x & 3) != (x >> 2) for x in range(256))
 def _walk(ctx: GroupContext, max_len: int, first: int | None):
     """Examine one part of the ball (see _ball_tree) word by word.
 
-    The walk resumes each word's normal form stack pass on an
-    orderings._Track and folds its oracle state itself, both from its
-    parent's, so a word costs the work of its last letter plus its
-    checks.  Returns (counts by verdict code, the violations as
+    Per depth of the path, nf holds the normal form stack pass's state
+    of the word and key its oracle state; a word resumes both from its
+    parent's over its last letter, so it costs the work of that letter
+    plus its checks.  Returns (counts by verdict code, the violations as
     (rank, triple) pairs, the mirror bytes of the whole ball with this
     part's entries set).
 
@@ -88,9 +87,7 @@ def _walk(ctx: GroupContext, max_len: int, first: int | None):
     at MEMO_FORMS entries, more than a part of the length-8 ball holds
     at any n (at most 2,359 forms, at n = 63).
     """
-    track = _Track(ctx, max_len, False)
-    track.start(())
-    push, nf = track.push, track.nf
+    nf = [START] * (max_len + 1)
     key = [oracle_state((), ctx)] * (max_len + 1)
     counts = [0, 0, 0, 0]
     violations = []
@@ -98,7 +95,8 @@ def _walk(ctx: GroupContext, max_len: int, first: int | None):
     memo = {}
     for word, letter, depth, rank, inverse_rank in _ball_tree(max_len, first):
         if depth:
-            push(depth, last := SIGNED_LETTERS[letter : letter + 1])
+            last = SIGNED_LETTERS[letter : letter + 1]
+            nf[depth] = resume(nf[depth - 1], last, ctx)
             key[depth] = oracle_state(last, ctx, key[depth - 1])
         state = key[depth]
         stack, ell, _ = nf[depth]

@@ -3,6 +3,7 @@
 import itertools
 import os
 
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from heckeord.words import GEN_A, GEN_B, concat, invert, word_from_syllables
@@ -19,6 +20,11 @@ settings.register_profile(
 # on 500 examples instead of Hypothesis's default 100.
 settings.register_profile("ci-deep", settings.get_profile("heckeord"), max_examples=500)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "heckeord"))
+
+# Checks too slow for Tier-1 run only in the ci-deep step.
+deep_only = pytest.mark.skipif(
+    os.environ.get("HYPOTHESIS_PROFILE") != "ci-deep", reason="ci-deep only (HYPOTHESIS_PROFILE=ci-deep)"
+)
 
 
 def syllable_lists(max_syllables: int = 6, max_exp: int = 4):

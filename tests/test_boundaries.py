@@ -81,3 +81,27 @@ def test_orders_never_write_a_witness():
     assert found == [], f"orderings.py names a witness writer: {found}"
     # The check sees what it looks for: the trichotomy suite reads witnesses.
     assert "sign_pass" in {name for name, _ in names_used(parse("suites.py"))}
+
+
+def test_trichotomy_walk_keeps_its_own_state():
+    # The walk resumes its normal forms and oracle states itself; the
+    # order scans' path tracker serves only orderings.py.  Imports are
+    # caught in either form: from .orderings import ..., from . import orderings.
+    tree = parse("suites.py")
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    names = {name for name, _ in names_used(tree)}
+    assert not {"orderings", "_Track"} & (modules | names)
+    # The check sees what it looks for: cli.py imports orderings.
+    assert "orderings" in {name for name, _ in names_used(parse("cli.py"))}
+
+
+def test_one_module_defines_the_prefix_error():
+    # A prefix that is not a positive word, or not irreducible, is one
+    # error wherever it is caught: normalform defines it, cone re-exports it.
+    defined = sorted(
+        (path.name, node.name)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(parse(path.name))
+        if isinstance(node, ast.ClassDef) and node.name in {"ReductionStuck", "NormalFormError"}
+    )
+    assert defined == [("normalform.py", "ReductionStuck")]

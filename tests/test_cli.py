@@ -4,14 +4,16 @@ import argparse
 import json
 import multiprocessing
 import os
+import random
 import re
 
 import pytest
 
+from conftest import deep_only
 from heckeord import braid3, cli, normalform, oracle, orderings, suites
 from heckeord.cli import main
 from heckeord.cone import ReductionStuck
-from heckeord.words import RewriteLimitError, word_from_syllables
+from heckeord.words import RewriteLimitError, letter_length, word_from_syllables
 
 
 def run(capsys, *argv):
@@ -127,23 +129,46 @@ class TestB3:
         assert doc["image"] == "s1 s2"
 
     def test_sign_reduces_handles_once(self, capsys, monkeypatch):
-        # dehornoy_reduce reduces each handle's replacement through
-        # word_from_syllables once, so counting those calls counts the moves.
+        # b3 sign reduces its word once; reading the sign reduces the
+        # result again, which then holds no handle, so makes no move.
         text = "s1 s2 s1^-1 s2^-1 s1 s2^2 s1^-2"
-        moves = []
+        real = braid3.dehornoy_reduce
+        words = []
 
-        def counting(syllables):
-            moves.append(1)
-            return word_from_syllables(syllables)
+        def recording(word):
+            words.append(word)
+            return real(word)
 
-        monkeypatch.setattr(braid3, "word_from_syllables", counting)
-        braid3.dehornoy_reduce(braid3.parse_sigma(text))
-        single = len(moves)
-        moves.clear()
+        monkeypatch.setattr(braid3, "dehornoy_reduce", recording)
         code, doc = run_json(capsys, "b3", "sign", text)
         assert code == 0
-        assert single > 0
-        assert len(moves) == single
+        first, *later = words
+        assert first == braid3.parse_sigma(text) and real(first) != first
+        assert later and all(real(word) == word for word in later)
+
+    def test_handle_budget_is_a_refusal(self, capsys, monkeypatch):
+        # A word that needs more moves than the budget is refused like a
+        # word over the letter limit: exit 2, one error line, no output.
+        # This word needs 3 moves, so a budget of 3 or more decides it.
+        text = "s1 s2 s1^-1 s2^-1 s1 s2^2 s1^-2"
+        for cap in range(8):
+            monkeypatch.setattr(braid3, "_HANDLE_CAP", cap)
+            code, out, err = run(capsys, "b3", "sign", text)
+            if cap < 3:
+                assert (code, out, err) == (2, "", f"error: handle reduction needs more than {cap} moves\n")
+            else:
+                assert (code, err) == (0, "") and json.loads(out)["d_positive"] is True
+
+    @deep_only
+    def test_long_random_braid_is_refused(self, capsys):
+        # 60,000 random letters, freely reduced to 30,308: the reduction
+        # passes the budget of 200,000 moves (README).
+        rng = random.Random(1)
+        letters = [(rng.choice((braid3.S1, braid3.S2)), rng.choice((1, -1))) for _ in range(60_000)]
+        word = word_from_syllables(letters)
+        assert letter_length(word) == 30_308 and braid3._HANDLE_CAP == 200_000
+        code, out, err = run(capsys, "b3", "sign", braid3.format_sigma(word))
+        assert (code, out, err) == (2, "", "error: handle reduction needs more than 200000 moves\n")
 
     def test_cert(self, capsys):
         code, doc = run_json(capsys, "b3", "cert", "b^2")
@@ -303,14 +328,14 @@ class TestExitCodes:
 
     def test_broken_normal_form_invariant_is_3_with_one_json_line(self, capsys, monkeypatch):
         def broken(word, ctx):
-            raise normalform.NormalFormError("forced")
+            raise normalform.ReductionStuck("forced")
 
         monkeypatch.setattr(normalform, "to_normal_form", broken)
         code, out, err = run(capsys, "nf", "--n", "2", "a b")
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1
-        assert json.loads(err) == {"error": "internal", "type": "NormalFormError", "message": "forced"}
+        assert json.loads(err) == {"error": "internal", "type": "ReductionStuck", "message": "forced"}
 
     @pytest.mark.parametrize("ell", [-1, 0])
     def test_failed_verdict_check_is_3_with_one_json_line(self, capsys, monkeypatch, ell):

@@ -4,8 +4,9 @@ the error paths.
 
 The recorded output lives in tests/golden/cli.json.  Each case runs
 `cli.main` in-process with a fixed terminal width (argparse wraps help
-text to it); three also run as `python -m heckeord.cli`, where main
-reads its arguments from sys.argv.  Arguments may name files in a
+text to it) and a fixed CPU count (`--jobs` is checked against it);
+three also run as `python -m heckeord.cli`, where main reads its
+arguments from sys.argv.  Arguments may name files in a
 per-case temporary directory as `{tmp}/NAME`; the files of FILES are
 written there first, and the directory's path reads `{tmp}` in the
 recorded output.  The `wall_time` of `suite` is masked.
@@ -35,6 +36,7 @@ from heckeord.cli import main
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.json"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 COLUMNS = "80"
+CPUS = 2
 FILES = {
     "elems.txt": "a\nb^-1\n",
     "unstable.txt": "a^-1\n",
@@ -186,8 +188,11 @@ def _records() -> list[dict]:
 
 
 @pytest.fixture(autouse=True)
-def _fixed_width(monkeypatch):
+def _fixed_machine(monkeypatch):
+    # argparse wraps help text to COLUMNS, and --jobs is checked against
+    # the CPU count, which two error cases print.
     monkeypatch.setenv("COLUMNS", COLUMNS)
+    monkeypatch.setattr(os, "cpu_count", lambda: CPUS)
 
 
 def test_golden_file_covers_every_case():
@@ -215,6 +220,7 @@ def test_process_matches_golden(argv, tmp_path):
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = COLUMNS
+    os.cpu_count = lambda: CPUS
     records = [run_case(argv) for argv in CASES]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(records, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import words
 from reference_core import reference_stack_pass
-from heckeord import normalform
+from heckeord import cone, normalform
 from heckeord.context import group_context
-from heckeord.normalform import START, NormalForm, NormalFormError, stack_pass, to_normal_form
+from heckeord.normalform import START, NormalForm, ReductionStuck, stack_pass, to_normal_form
 from heckeord.oracle import oracle_is_identity
 from heckeord.words import GEN_A, GEN_B, RewriteLimitError, concat, format_word, gen_power, invert, parse_word
 
@@ -142,13 +142,29 @@ class TestSoundness:
         assert again.ell == nf.ell
 
 
+BAD_PREFIXES = [((GEN_A, -1),), ((GEN_A, 2), (GEN_B, 0)), ((GEN_B, 1), (GEN_A, -3))]
+
+
 class TestInvariant:
     """The positive-prefix invariant is a real check, kept under python -O."""
 
-    @pytest.mark.parametrize("prefix", [((GEN_A, -1),), ((GEN_A, 2), (GEN_B, 0)), ((GEN_B, 1), (GEN_A, -3))])
+    @pytest.mark.parametrize("prefix", BAD_PREFIXES)
     def test_non_positive_prefix_raises(self, prefix):
-        with pytest.raises(NormalFormError):
+        with pytest.raises(ReductionStuck):
             NormalForm(prefix=prefix, ell=0)
+
+    @pytest.mark.parametrize("prefix", BAD_PREFIXES)
+    @pytest.mark.parametrize("ell", [-1, 0, 1])
+    def test_one_error_for_a_bad_prefix(self, prefix, ell):
+        # The order verdict checks a raw stack itself; the sign pass takes
+        # a NormalForm, whose check runs first.  Both raise the one error
+        # that normalform defines and cone re-exports.
+        ctx = group_context(2)
+        assert cone.ReductionStuck is ReductionStuck
+        with pytest.raises(ReductionStuck, match="not a positive word"):
+            cone.verdict(prefix, ell, ctx)
+        with pytest.raises(ReductionStuck, match="not a positive word"):
+            cone.sign_pass(NormalForm(prefix, ell), ctx)
 
     def test_positive_prefix_is_accepted(self):
         assert NormalForm(prefix=((GEN_A, 2), (GEN_B, 1)), ell=-3).ell == -3
@@ -158,12 +174,19 @@ class TestInvariant:
         # A child under python -O, where the assert below is stripped:
         # the check still raises.
         code = (
-            "from heckeord.normalform import NormalForm, NormalFormError\n"
+            "from heckeord.cone import verdict\n"
+            "from heckeord.context import group_context\n"
+            "from heckeord.normalform import NormalForm, ReductionStuck\n"
             "assert False, 'asserts run'\n"
-            "try:\n"
-            "    NormalForm(((0, 1), (1, -1)), 0)\n"
-            "except NormalFormError:\n"
-            "    print('raised')\n"
+            "for ell in (-1, 0):\n"
+            "    try:\n"
+            "        NormalForm(((0, 1), (1, -1)), ell)\n"
+            "    except ReductionStuck:\n"
+            "        print('raised')\n"
+            "    try:\n"
+            "        verdict(((0, 1), (1, -1)), ell, group_context(2))\n"
+            "    except ReductionStuck:\n"
+            "        print('raised')\n"
         )
         src = str(Path(normalform.__file__).resolve().parent.parent)
         child = subprocess.run(
@@ -173,7 +196,7 @@ class TestInvariant:
             env=dict(os.environ, PYTHONPATH=src),
             timeout=60,
         )
-        assert (child.returncode, child.stdout) == (0, "raised\n"), child.stderr
+        assert (child.returncode, child.stdout) == (0, "raised\n" * 4), child.stderr
 
 
 class TestResultType:
@@ -207,16 +230,16 @@ class TestResultType:
         assert repr(nf) == "NormalForm(prefix=((0, 2), (1, 1)), ell=3)"
         with pytest.raises(TypeError):
             NormalForm(self.PREFIX)
-        with pytest.raises(NormalFormError):
+        with pytest.raises(ReductionStuck):
             NormalForm(ell=0, prefix=((GEN_B, -2),))
 
     def test_replace_and_make_run_the_check(self):
         nf = NormalForm(self.PREFIX, -1)
         assert nf._replace(ell=2) == NormalForm(self.PREFIX, 2)
         assert NormalForm._make([(), 4]) == NormalForm((), 4)
-        with pytest.raises(NormalFormError):
+        with pytest.raises(ReductionStuck):
             nf._replace(prefix=((GEN_A, 0),))
-        with pytest.raises(NormalFormError):
+        with pytest.raises(ReductionStuck):
             NormalForm._make([((GEN_B, -1),), 0])
 
     def test_to_normal_form_returns_the_type(self):

@@ -214,7 +214,7 @@ class TestIdentityDecision:
     def test_rho_is_folded_only_when_phi_vanishes(self, monkeypatch):
         calls = []
         real_fold = oracle._fold
-        monkeypatch.setattr(oracle, "_fold", lambda word, ctx: calls.append(word) or real_fold(word, ctx))
+        monkeypatch.setattr(oracle, "_fold", lambda word, ctx, start=None: calls.append(word) or real_fold(word, ctx, start))
         assert not oracle_is_identity(parse_word("a"), group_context(2))
         assert oracle_is_identity(parse_word("b a b a^-1"), group_context(1))
         assert calls == []

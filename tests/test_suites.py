@@ -439,7 +439,7 @@ class TestBallTree:
         # A start state 100 firings in debt leaves every word's budget
         # negative: the walk must raise at the first word after the
         # identity, not report verdicts.  Real code, so also under -O.
-        monkeypatch.setattr(orderings, "START", ((), 0, -100))
+        monkeypatch.setattr(suites, "START", ((), 0, -100))
         with pytest.raises(RewriteLimitError):
             run_trichotomy_suite(group_context(n), 2)
 
