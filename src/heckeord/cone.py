@@ -151,7 +151,13 @@ def _runs(n: int) -> tuple[Word, Word]:
 
 def sign_pass(nf: NormalForm, ctx: GroupContext) -> SignResult:
     """The verdict and witness of the element nf: the feed, then one
-    left-to-right pass over its prefix (see the module docstring)."""
+    left-to-right pass over its prefix (see the module docstring).
+
+    nf must be a NormalForm, whose constructor checks that the prefix is
+    a positive word; anything else is a TypeError, as real code under
+    python -O, since the pass would read a plain pair unchecked."""
+    if not isinstance(nf, NormalForm):
+        raise TypeError(f"sign_pass takes a NormalForm, not {type(nf).__name__}")
     prefix, ell = nf
     q = ctx.q
     if ell >= 0:

@@ -63,11 +63,12 @@ rotation fits under one certificate).  Only a failed certificate
 unpacks the ints and repacks them wider.
 
 The oracle's state of a word, (phi, the fold's state) or at n = 1 the
-Klein pair, is made and read only here: oracle_state hands it out, and
-oracle_is_identity and b_power_of resume from it.  _is_shear compares a
-fold's state with sign times rho(b)^k = [[1, k lam], [0, 1]], whose
-packed ints are the same at every width but for k lam, and _coefficients
-unpacks it for rho and element_key, both undoing the negated column.
+Klein pair, is made and read only here: oracle_state hands it out,
+oracle_is_identity resumes from it and same_element compares two.
+_is_shear compares a fold's state with sign times rho(b)^k =
+[[1, k lam], [0, 1]], whose packed ints are the same at every width but
+for k lam, and _coefficients unpacks it for rho and element_key, both
+undoing the negated column.
 A b-syllable costs O(1) and an a-syllable O(min(e mod q, q - e mod q))
 big-int operations, each linear in the packed length except the product
 of the top digit with the packed modulus, which costs B times that
@@ -465,8 +466,8 @@ def oracle_state(word: Word, ctx: GroupContext, start: tuple | None = None) -> t
 
     n >= 2: (phi, the fold's state); n == 1: the Klein pair.  The state
     of u resumed over v is the state of u v, so a walk that keeps one
-    per word pays one letter for each child.  oracle_is_identity and
-    b_power_of take it as their start.
+    per word pays one letter for each child.  oracle_is_identity takes
+    it as its start.
     """
     if ctx.n == 1:
         return klein_pair(word, start or (0, 0))
@@ -535,28 +536,16 @@ def oracle_equal(u: Word, v: Word, ctx: GroupContext) -> bool:
     return oracle_is_identity(concat(invert(u), v), ctx)
 
 
-def could_be_b_power(value: int, side: int, ctx: GroupContext) -> bool:
-    """Whether a word of phi value on the DD cone's side (1, -1, or 0 at
-    the identity) can be some b^k: phi(b^k) = k phi(b), with phi(b) = 0
-    at n = 1, and b^k lies on side sign(k)."""
-    if ctx.n == 1:
-        return not value
-    k, rest = divmod(value, ctx.phi_b)
-    return not rest and (k > 0) - (k < 0) == side
-
-
-def b_power_of(word: Word, ctx: GroupContext, start: tuple | None = None, word_phi: int | None = None) -> int | None:
-    """The integer k with start · word = b^k in G_n (word alone when start
-    is None; start an oracle_state), or None if there is none.  word_phi
-    is phi(word) when the caller holds it, as a walk that reads the same
-    word after every start does.
+def b_power_of(word: Word, ctx: GroupContext) -> int | None:
+    """The integer k with word = b^k in G_n, or None if there is none.
 
     For n >= 2, phi(b) != 0, so k = phi(word) / phi(b) is the only
-    candidate (word standing for start · word throughout); word = b^k
-    then holds exactly when rho(word) is the shear
+    candidate; word = b^k then holds exactly when rho(word) is the shear
     rho(b)^k = [[1, k lam], [0, 1]], since (rho, phi) is faithful.  rho
-    runs only when phi(b) divides phi(word) (the orders first ask
-    could_be_b_power), and its packed entries are compared as they are.
+    runs only when phi(b) divides phi(word), and its packed entries are
+    compared as they are.  The orders decide b-powers on the normal form
+    (orderings._b_exponent); this is the independent check that the
+    convexity report and the tests ask.
 
     >>> from heckeord.context import group_context
     >>> b_power_of(((GEN_B, -3),), group_context(2))
@@ -565,15 +554,12 @@ def b_power_of(word: Word, ctx: GroupContext, start: tuple | None = None, word_p
     True
     """
     if ctx.n == 1:
-        t, s = klein_pair(word, start or (0, 0))
+        t, s = klein_pair(word)
         return s if t == 0 else None
-    value, fold = start or (0, None)
-    if word:
-        value += phi(word, ctx) if word_phi is None else word_phi
-    k, rest = divmod(value, ctx.phi_b)
+    k, rest = divmod(phi(word, ctx), ctx.phi_b)
     if rest:
         return None
-    return k if _is_shear(_fold(word, ctx, fold), ctx, k) else None
+    return k if _is_shear(_fold(word, ctx), ctx, k) else None
 
 
 def element_key(word: Word, ctx: GroupContext) -> tuple:

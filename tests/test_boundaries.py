@@ -6,7 +6,8 @@ through oracle_state and hand it back as a start.  So no other module
 names the fold's helpers or the Klein pair, and the ball walks in
 suites.py and orderings.py branch on no n == 1 case of their own.  Order
 decisions read a verdict, never a witness: orderings.py names no
-witness writer.
+witness writer.  They rest on the normal form alone: the order-sign path
+in orderings.py calls no oracle function but phi.
 """
 
 import ast
@@ -105,3 +106,23 @@ def test_one_module_defines_the_prefix_error():
         if isinstance(node, ast.ClassDef) and node.name in {"ReductionStuck", "NormalFormError"}
     )
     assert defined == [("normalform.py", "ReductionStuck")]
+
+
+ORDER_SIGN_PATH = {"_order_sign", "_flipped", "_b_exponent", "_Track"}
+
+
+def oracle_names_in(path, definitions):
+    """The oracle.py functions named inside path's top-level definitions."""
+    oracle = {node.name for node in parse("oracle.py").body if isinstance(node, ast.FunctionDef)}
+    nodes = {node.name: node for node in parse(path).body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert definitions <= nodes.keys(), f"{path} lacks {sorted(definitions - nodes.keys())}"
+    return {name for definition in definitions for name, _ in names_used(nodes[definition]) if name in oracle}
+
+
+def test_order_signs_ask_the_oracle_only_for_phi():
+    # A flipped read confirms a b-power on the normal form, so the order
+    # decision path names phi and no other oracle function.
+    assert oracle_names_in("orderings.py", ORDER_SIGN_PATH) == {"phi"}
+    # The check sees what it looks for: the convexity report is the
+    # oracle's check of the order, and asks b_power_of.
+    assert "b_power_of" in oracle_names_in("orderings.py", {"convexity_check"})

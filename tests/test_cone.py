@@ -127,6 +127,15 @@ class TestCascadeCheck:
         with pytest.raises(ReductionStuck, match="not all-negative"):
             decide_sign(parse_word("a b a^-1"), CTX2)
 
+    @pytest.mark.parametrize("prefix, ell", [(((GEN_B, -1),), 0), (((GEN_A, 1), (GEN_B, 0)), -1)])
+    def test_sign_pass_refuses_a_plain_pair(self, prefix, ell):
+        # Handed as a plain pair, the first read POSITIVE with the witness
+        # b^-1 and the second NEGATIVE: only NormalForm checks the prefix.
+        with pytest.raises(TypeError, match="^sign_pass takes a NormalForm, not tuple$"):
+            cone.sign_pass((prefix, ell), CTX2)
+        with pytest.raises(ReductionStuck, match="not a positive word"):
+            cone.sign_pass(NormalForm(prefix, ell), CTX2)
+
 
 def sigma(prefix, n):
     """The prefix with every b^k spelled a^-1 (a^-(n-1) b^-1)^k a, which is

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import relator
-from heckeord import cone, normalform, oracle, orderings, suites
+from heckeord import cone, normalform, oracle, suites
 from heckeord.cone import Sign, SignResult
 from heckeord.context import group_context
 from heckeord.normalform import to_normal_form
@@ -113,9 +113,9 @@ class TestTrichotomySuite:
 
     def test_each_ball_word_is_folded_once(self, monkeypatch):
         # The walk reads every word's oracle state, so it folds each one
-        # eagerly, one letter on from its parent's, and never through the
-        # order scans' on-demand folds: one empty fold per part of the
-        # ball (five) and one letter for each other word (160 at L = 4).
+        # eagerly, one letter on from its parent's: one empty fold per
+        # part of the ball (five) and one letter for each other word (160
+        # at L = 4).
         folded = []
         real = suites.oracle_state
 
@@ -123,11 +123,7 @@ class TestTrichotomySuite:
             folded.append(len(word))
             return real(word, ctx, start)
 
-        def no_fold(*args):
-            raise AssertionError("the walk folded through the track")
-
         monkeypatch.setattr(suites, "oracle_state", counting)
-        monkeypatch.setattr(orderings, "oracle_state", no_fold)
         report = run_trichotomy_suite(CTX2, 4)
         assert report.ok
         assert sorted(folded) == [0] * 5 + [1] * (report.total_words - 1)
