@@ -50,6 +50,13 @@ The resulting prefix is irreducible: alternating positive syllables,
 every a-exponent in [1, n], and no b...a^n...b factor.  A purely
 positive input never decrements ell, so it ends with ell >= 0.
 
+Powers of b.  From the empty stack the rows above give b^k its normal
+form in closed form: the prefix b^k with ell 0 for k >= 0, and for
+k = -t the second b^-t row, the prefix a^n (b a^(n-1))^(t-1) b a^n with
+ell -1 (a b^t a at n = 1).  Every word equal to b^k reaches the same
+form, so is_b_power reads off a word's normal form whether it is a
+power of b, which is how the flipped orders find the subgroup <b>.
+
 The pass is a left fold, and stack_pass exposes it as one: its state
 is (stack, ell, remaining budget), START is the state of the empty
 word, and the state of u resumed over v is the state of u v.  So the
@@ -212,6 +219,32 @@ def resume(state: tuple, word: Word, ctx: GroupContext) -> tuple[list[Syllable],
     if state[2] < 0:
         raise RewriteLimitError("normal-form budget exhausted")
     return state
+
+
+def is_b_power(prefix: Word | list[Syllable], ell: int, ctx: GroupContext) -> bool:
+    """Whether prefix * delta^ell, a normal-form prefix or stack and its
+    ell, is the normal form of a power of b (module docstring): b^k with
+    ell 0, or a^n (b a^(n-1))^(t-1) b a^n with ell -1.  O(1) steps plus
+    C-level counts over two slices of the prefix.
+
+    >>> from heckeord.context import group_context
+    >>> from heckeord.words import parse_word
+    >>> ctx = group_context(2)
+    >>> is_b_power(*to_normal_form(parse_word("a^3 b^-2 a^-3"), ctx), ctx)
+    True
+    >>> is_b_power(*to_normal_form(parse_word("a^2 b^2 a^-1"), ctx), ctx)
+    False
+    """
+    if not ell:
+        return len(prefix) < 2 and (not prefix or prefix[0][0] == GEN_B)
+    n, top = ctx.n, (GEN_A, ctx.n)
+    if ell != -1 or not prefix or prefix[0] != top or prefix[-1] != top:
+        return False
+    if n == 1:  # the period b a^(n-1) is a bare b: a b^t a
+        return len(prefix) == 3 and prefix[1][0] == GEN_B
+    # b's at the odd places, a^(n-1) at the even ones between the two a^n.
+    half = len(prefix) // 2
+    return prefix[1::2].count((GEN_B, 1)) == half and prefix[2:-1:2].count((GEN_A, n - 1)) == half - 1
 
 
 def to_normal_form(word: Word, ctx: GroupContext) -> NormalForm:

@@ -543,9 +543,9 @@ def b_power_of(word: Word, ctx: GroupContext) -> int | None:
     candidate; word = b^k then holds exactly when rho(word) is the shear
     rho(b)^k = [[1, k lam], [0, 1]], since (rho, phi) is faithful.  rho
     runs only when phi(b) divides phi(word), and its packed entries are
-    compared as they are.  The orders decide b-powers on the normal form
-    (orderings._b_exponent); this is the independent check that the
-    convexity report and the tests ask.
+    compared as they are.  The orders decide b-powers by the shape of
+    the normal form (normalform.is_b_power); this is the independent
+    check that the convexity report and the tests ask.
 
     >>> from heckeord.context import group_context
     >>> b_power_of(((GEN_B, -3),), group_context(2))

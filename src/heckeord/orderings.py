@@ -16,30 +16,26 @@ the cone.  Four cone recipes are implemented:
 Every spec reduces to one recipe (mirror, flipped, g): its sign of w is
 the DD sign of g w g^-1, or the DehornoyLike sign when flipped, MIRRORed
 when mirror.  A flipped read keeps the DD verdict unless the word is a
-power of b.  b^k has the verdict sign(k) and phi k phi(b), so
-k = phi(w) / phi(b) of the verdict's sign is the only candidate
-(_b_exponent), and w = b^k exactly when the stack pass takes w b^-k to
-the identity; then the sign is MIRRORed.  Where phi(b) = 0 (n = 1, the
-Klein bottle group) the kernel of phi is <b>, and phi(w) = 0 decides
-alone.  u = v iff u^-1 v is on neither side of the cone: cone.verdict
-says IDENTITY.  So every order decision rests on the normal form, and
-none touches the matrix oracle or writes a witness; the oracle checks
-them at the edges: the suites, sign's witness, the convexity report
-(convexity_check asks oracle.b_power_of about each sandwiched word) and
-the Cayley export.
+power of b, and then MIRRORs it.  b^k has a closed-form normal form (the
+prefix b^k with ell 0, or a^n (b a^(n-1))^(t-1) b a^n with ell -1 for
+k = -t), so the normal form that gives the DD verdict also says whether
+w is a power of b (normalform.is_b_power).  u = v iff u^-1 v is on
+neither side of the cone: cone.verdict says IDENTITY.  So every order
+decision rests on the normal form, and none touches the matrix oracle
+or writes a witness; the oracle checks them at the edges: the suites,
+sign's witness, the convexity report (convexity_check asks
+oracle.b_power_of about each sandwiched word) and the Cayley export.
 
-Cost.  is_positive and compare rewrite their word from scratch, and a
-flipped read that finds a candidate k rewrites w b^-k once more.  The
-ball scans (smallest_positive_in_ball, convexity_check) instead walk
-the ball depth first on _Track, one per fixed left factor L: it keeps,
-per depth, the stack pass's state of L w (normalform.resume) and, when
-flipped, phi(L w).  So a word costs one letter of stack pass per left
-factor, and a sign read the right factor's letters and an O(1)
-cone.verdict, plus the right factor and b^-k again for a candidate:
-at radius 6 the `orders` scans run about 2.2x faster than deciding
-every word from scratch (tests/reference_orderings.py).  _Track serves
-these scans only; the trichotomy suite resumes its own states
-(suites._walk).
+Cost.  is_positive and compare rewrite their word from scratch, once,
+flipped or not.  The ball scans (smallest_positive_in_ball,
+convexity_check) instead walk the ball depth first on _Track, one per
+fixed left factor L: it keeps, per depth, the stack pass's state of L w
+(normalform.resume).  So a word costs one letter of stack pass per left
+factor, and a sign read the right factor's letters, an O(1)
+cone.verdict and, when flipped, an O(1) is_b_power: at radius 6 the
+`orders` scans run about 2.2x faster than deciding every word from
+scratch (tests/reference_orderings.py).  _Track serves these scans
+only; the trichotomy suite resumes its own states (suites._walk).
 """
 
 from __future__ import annotations
@@ -49,8 +45,8 @@ import enum
 
 from .cone import MIRROR, Sign, verdict
 from .context import GroupContext
-from .normalform import START, resume
-from .oracle import b_power_of, phi
+from .normalform import START, is_b_power, resume
+from .oracle import b_power_of
 from .words import GEN_A, GEN_B, SIGNED_LETTERS, Word, _ball, concat, conjugate, gen_power, invert
 
 
@@ -91,7 +87,7 @@ _CMP_OF_SIGN = {Sign.POSITIVE: Cmp.LESS, Sign.IDENTITY: Cmp.EQUAL, Sign.NEGATIVE
 
 def _recipe(spec: OrderingSpec) -> tuple[bool, bool, Word]:
     """(mirror, flipped, g): spec's sign of w is the DD sign of g w g^-1,
-    or its flipped sign (_flipped) when flipped, MIRRORed when mirror.
+    or its flipped sign (_sign) when flipped, MIRRORed when mirror.
 
     Conjugated(base, h) conjugates base's g by h on the right: the base
     sees h w h^-1, which it conjugates by its own g.
@@ -109,43 +105,19 @@ def _recipe(spec: OrderingSpec) -> tuple[bool, bool, Word]:
     raise TypeError(f"unknown ordering spec {spec!r}")
 
 
-def _b_exponent(value: int, side: int, ctx: GroupContext) -> int | None:
-    """The k of the only b^k that a word of phi value on the DD cone's
-    side (1, -1, or 0 at the identity) can be, or None when no power of b
-    has that phi and side: b^k has phi k phi(b) and the DD verdict
-    sign(k).  Where phi(b) = 0 (n = 1, the Klein bottle group) the
-    kernel of phi is <b>, so value 0 makes the word a power of b on its
-    own: the result is then 0 on every side, with nothing to confirm."""
-    if not ctx.phi_b:
-        return None if value else 0
-    k, rest = divmod(value, ctx.phi_b)
-    return None if rest or (k > 0) - (k < 0) != side else k
-
-
-def _flipped(state: tuple, word: Word, sign: Sign, value: int, ctx: GroupContext) -> Sign:
-    """The DehornoyLike sign of w = state · word (state a stack-pass
-    state) from its DD sign and value = phi(w): MIRROR[sign] when w is a
-    power of b, else sign.  w is b^k, for the k of _b_exponent, when the
-    stack pass takes w b^-k to the identity; k = 0 needs no pass."""
-    k = _b_exponent(value, (sign is Sign.POSITIVE) - (sign is Sign.NEGATIVE), ctx)
-    if k is None:
-        return sign
-    if k:
-        stack, ell, _ = resume(state, concat(word, gen_power(GEN_B, -k)), ctx)
-        if verdict(stack, ell, ctx) is not Sign.IDENTITY:
-            return sign
-    return MIRROR[sign]
+def _sign(state: tuple, flipped: bool, ctx: GroupContext) -> Sign:
+    """The DD sign of the element whose stack-pass state is state, or
+    when flipped its DehornoyLike sign: MIRRORed when the normal form is
+    that of a power of b (normalform.is_b_power)."""
+    stack, ell, _ = state
+    sign = verdict(stack, ell, ctx)
+    return MIRROR[sign] if flipped and is_b_power(stack, ell, ctx) else sign
 
 
 def _order_sign(word: Word, spec: OrderingSpec, ctx: GroupContext) -> Sign:
     """The side of spec's positive cone that word is on; IDENTITY iff word = 1."""
     mirror, flipped, g = _recipe(spec)
-    moved = conjugate(g, word) if g else word
-    stack, ell, _ = resume(START, moved, ctx)
-    sign = verdict(stack, ell, ctx)
-    if flipped:
-        del stack  # the confirming pass need not hold two long stacks at once
-        sign = _flipped(START, moved, sign, phi(moved, ctx), ctx)
+    sign = _sign(resume(START, conjugate(g, word) if g else word, ctx), flipped, ctx)
     return MIRROR[sign] if mirror else sign
 
 
@@ -172,9 +144,8 @@ class _Track:
     """The states of left · w for the words w on a ball walk's path, and
     the unmirrored sign of left · w · right.
 
-    Per depth of the path, nf holds the stack pass's state of left · w,
-    and a flipped track phi(left · w), from a per-letter table.  A
-    word's states are its parent's resumed over its last letter, so left
+    Per depth of the path, nf holds the stack pass's state of left · w.
+    A word's state is its parent's resumed over its last letter, so left
     costs its letters once per start, and each word one letter plus the
     fixed right factor when its sign is read.  Only the ball scans here
     use it: the trichotomy walk, which checks witnesses rather than
@@ -182,37 +153,25 @@ class _Track:
     """
 
     def __init__(self, ctx: GroupContext, max_len: int, flipped: bool, right: Word = ()):
-        self.ctx, self.right = ctx, right
+        self.ctx, self.flipped, self.right = ctx, flipped, right
         self.nf = [None] * (max_len + 1)
-        self.phi = [0] * (max_len + 1) if flipped else None
-        if flipped:
-            self.right_phi = phi(right, ctx)
-            self.letter_phi = {(x,): phi((x,), ctx) for x in SIGNED_LETTERS}
 
     def start(self, left: Word, path=()) -> None:
         """Track left · w, and take the states of the path's words, path
         holding the one-letter words of depths 1, 2, ... (it can be empty)."""
         self.nf[0] = resume(START, left, self.ctx)
-        if self.phi is not None:
-            self.phi[0] = phi(left, self.ctx)
         for depth, last in enumerate(path, 1):
             self.push(depth, last)
 
     def push(self, depth: int, last: Word) -> None:
-        """The states of the path's word at depth, whose last letter is last."""
+        """The state of the path's word at depth, whose last letter is last."""
         self.nf[depth] = resume(self.nf[depth - 1], last, self.ctx)
-        if self.phi is not None:
-            self.phi[depth] = self.phi[depth - 1] + self.letter_phi[last]
 
     def sign(self, depth: int) -> Sign:
         """The DD sign of left · w · right for the path's word w at depth;
         on a flipped track, the flipped sign (DehornoyLike)."""
         state = self.nf[depth]
-        stack, ell, _ = resume(state, self.right, self.ctx) if self.right else state
-        sign = verdict(stack, ell, self.ctx)
-        if self.phi is None:
-            return sign
-        return _flipped(state, self.right, sign, self.phi[depth] + self.right_phi, self.ctx)
+        return _sign(resume(state, self.right, self.ctx) if self.right else state, self.flipped, self.ctx)
 
 
 def smallest_positive_in_ball(

@@ -7,7 +7,7 @@ names the fold's helpers or the Klein pair, and the ball walks in
 suites.py and orderings.py branch on no n == 1 case of their own.  Order
 decisions read a verdict, never a witness: orderings.py names no
 witness writer.  They rest on the normal form alone: the order-sign path
-in orderings.py calls no oracle function but phi.
+in orderings.py calls no oracle function.
 """
 
 import ast
@@ -108,7 +108,7 @@ def test_one_module_defines_the_prefix_error():
     assert defined == [("normalform.py", "ReductionStuck")]
 
 
-ORDER_SIGN_PATH = {"_order_sign", "_flipped", "_b_exponent", "_Track"}
+ORDER_SIGN_PATH = {"_order_sign", "_sign", "_Track"}
 
 
 def oracle_names_in(path, definitions):
@@ -119,10 +119,11 @@ def oracle_names_in(path, definitions):
     return {name for definition in definitions for name, _ in names_used(nodes[definition]) if name in oracle}
 
 
-def test_order_signs_ask_the_oracle_only_for_phi():
-    # A flipped read confirms a b-power on the normal form, so the order
-    # decision path names phi and no other oracle function.
-    assert oracle_names_in("orderings.py", ORDER_SIGN_PATH) == {"phi"}
+def test_order_signs_ask_the_oracle_nothing():
+    # A flipped read finds a b-power by the shape of the normal form
+    # (normalform.is_b_power), so the order decision path names no
+    # oracle function, phi included.
+    assert oracle_names_in("orderings.py", ORDER_SIGN_PATH) == set()
     # The check sees what it looks for: the convexity report is the
     # oracle's check of the order, and asks b_power_of.
     assert "b_power_of" in oracle_names_in("orderings.py", {"convexity_check"})

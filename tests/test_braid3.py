@@ -164,12 +164,12 @@ def reduced_words(draw, min_letters, max_letters):
     return word_from_syllables(letters)
 
 
-# 20-300 letters; the last two kinds hold a product of relator
+# 100-1,000 letters; the last two kinds hold a product of relator
 # conjugates, and the last one is the identity.
 LONG_WORDS = st.one_of(
-    reduced_words(20, 300),
-    st.tuples(reduced_words(10, 140), trivial_words(2), reduced_words(10, 140)).map(lambda t: concat(*t)),
-    st.tuples(reduced_words(10, 140), trivial_words(2)).map(lambda t: concat(t[0], t[1], invert(t[0]))),
+    reduced_words(100, 1000),
+    st.tuples(reduced_words(50, 480), trivial_words(2), reduced_words(50, 480)).map(lambda t: concat(*t)),
+    st.tuples(reduced_words(50, 480), trivial_words(2)).map(lambda t: concat(t[0], t[1], invert(t[0]))),
 )
 
 

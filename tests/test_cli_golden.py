@@ -163,6 +163,13 @@ CASES = [
     ["sign", "--n", "2", "a b\tc"],
     ["sign", "--n", "2", "a^x b a^x"],
     ["sign", "--n", "2", "a b^4194304"],
+    # b-powers the flipped orders must see through: disguised by a central
+    # factor (a^3 at n = 2), moved by --conj, at n = 1, and a near miss
+    # whose phi is that of b^-1 but which is b^-1 times a commutator
+    *_both("cmp", "--n", "2", "--order", "dlike", "1", "a^3 b^-2 a^-3"),
+    *_both("cmp", "--n", "5", "--order", "dlike", "--conj", "b a", "1", "a^-1 b^2 a"),
+    *_both("cmp", "--n", "1", "--order", "dlike", "a^-1 b^3 a", "1"),
+    *_both("cmp", "--n", "2", "--order", "dlike", "1", "b^-1 a b a^-1 b^-1"),
 ]
 
 

@@ -10,6 +10,11 @@ follows).  Too slow for Tier-1: it runs in the ci-deep step.
           bar one stated exception at n = 1, and the conjugated minimum
           is a^-1 b^-1 a, distinct from b^-1.
 
+Beyond the gates, the dlike cone is a semigroup: products of positive
+words stay positive, for dlike and its conjugate by b a.  Gate 2 checks
+this for DD; for dlike it is the claim that flipping DD on the convex
+subgroup <b> still gives a left order.
+
 Each test prints its time per n (visible with -s).
 """
 
@@ -20,9 +25,16 @@ import pytest
 from conftest import deep_only
 from heckeord.context import group_context
 from heckeord.oracle import oracle_equal
-from heckeord.orderings import DehornoyLike, convergence_experiment, convexity_check, smallest_positive_in_ball
+from heckeord.orderings import (
+    Conjugated,
+    DehornoyLike,
+    convergence_experiment,
+    convexity_check,
+    is_positive,
+    smallest_positive_in_ball,
+)
 from heckeord.suites import run_trichotomy_suite
-from heckeord.words import format_word, parse_word
+from heckeord.words import concat, enumerate_reduced, format_word, letter_length, parse_word
 
 pytestmark = deep_only
 
@@ -91,6 +103,23 @@ def test_gate_07_conjugated_orders_at_every_n():
             yield "conjugated minimum collides with the base minimum"
 
     assert timed("gate 7", check) == []
+
+
+def test_dlike_cone_is_a_semigroup_at_every_n():
+    # Every pair of positive words u, v with |u| + |v| <= 6 letters.
+    ball = [(w, letter_length(w)) for w in enumerate_reduced(5)]
+    specs = (DehornoyLike(), Conjugated(DehornoyLike(), parse_word("b a")))
+
+    def check(n):
+        ctx = group_context(n)
+        for spec in specs:
+            positive = [(w, size) for w, size in ball if is_positive(w, spec, ctx)]
+            for u, size in positive:
+                for v, other in positive:
+                    if size + other <= 6 and not is_positive(concat(u, v), spec, ctx):
+                        yield f"{spec}: {format_word(u)} times {format_word(v)} is not positive"
+
+    assert timed("semigroup", check) == []
 
 
 @pytest.mark.parametrize("n, equal", [(1, True), (2, False), (63, False)])

@@ -9,8 +9,8 @@ from conftest import trivial_words, words
 from heckeord import cone, normalform, oracle, orderings, words as words_module
 from heckeord.cone import Sign, SignResult, verdict
 from heckeord.context import group_context
-from heckeord.normalform import START, resume
-from heckeord.oracle import element_key, oracle_equal, oracle_is_identity, phi
+from heckeord.normalform import START, is_b_power, resume, to_normal_form
+from heckeord.oracle import b_power_of, element_key, oracle_equal, oracle_is_identity, phi
 from heckeord.orderings import (
     Cmp,
     Conjugated,
@@ -24,7 +24,7 @@ from heckeord.orderings import (
     is_positive,
     smallest_positive_in_ball,
 )
-from heckeord.words import GEN_B, RewriteLimitError, concat, conjugate, enumerate_reduced, format_word, gen_power, invert, parse_word
+from heckeord.words import GEN_A, GEN_B, RewriteLimitError, concat, conjugate, enumerate_reduced, format_word, gen_power, invert, parse_word
 from reference_orderings import (
     reference_compare,
     reference_convexity_check,
@@ -328,12 +328,10 @@ class TestScanSeams:
         assert convexity_check(CTX2, 3).violations == ()
         assert calls
 
-    def test_right_factor_phi_is_taken_once_per_track(self, monkeypatch):
-        # The flipped scan adds phi of the right factor g^-1 at every
-        # word; phi(g^-1) and phi of each of the four letters are taken
-        # once per track, and phi of a left factor once per start, so the
-        # radius-6 scan of Conjugated(DehornoyLike(), b a) at n = 2 calls
-        # phi 20 times: 5 for each of its two tracks, and 10 starts.
+    def test_a_flipped_scan_takes_no_phi(self, monkeypatch):
+        # A flipped read finds b-powers by the shape of the normal form
+        # (normalform.is_b_power), so the radius-6 scan of
+        # Conjugated(DehornoyLike(), b a) at n = 2 calls phi 0 times.
         calls = [0]
 
         def counting(word, ctx):
@@ -341,10 +339,9 @@ class TestScanSeams:
             return phi(word, ctx)
 
         monkeypatch.setattr(oracle, "phi", counting)
-        monkeypatch.setattr(orderings, "phi", counting)
         spec = Conjugated(DehornoyLike(), parse_word("b a"))
         assert smallest_positive_in_ball(spec, CTX2, 6) == parse_word("a b")
-        assert calls[0] == 20
+        assert calls[0] == 0
 
 
 def fold_counter(monkeypatch):
@@ -363,12 +360,15 @@ def fold_counter(monkeypatch):
 SIGN_OF_SIDE = {1: Sign.POSITIVE, -1: Sign.NEGATIVE, 0: Sign.IDENTITY}
 
 
+BALL_6 = tuple(enumerate_reduced(6))
+
+
 class TestBPowerFilter:
     """A flipped sign read decides on the normal form whether a word is
-    b^k: phi(word) = k phi(b) for a k whose sign is the word's DD side
-    (orderings._b_exponent), confirmed by the IDENTITY verdict of
-    word b^-k.  That rests on b^k having the DD verdict sign(k) and phi
-    k phi(b)."""
+    b^k: normalform.is_b_power tests the stack and ell that gave the DD
+    verdict for the closed forms of b^k, the prefix b^k with ell 0 or
+    a^n (b a^(n-1))^(t-1) b a^n with ell -1 for k = -t.  That rests on
+    every b^k reaching its closed form."""
 
     @pytest.mark.parametrize("n", range(1, 64))
     def test_b_powers_have_the_verdict_and_phi_of_their_exponent(self, n):
@@ -380,18 +380,16 @@ class TestBPowerFilter:
             assert verdict(stack, ell, ctx) is SIGN_OF_SIDE[side], (n, k)
             if n >= 2:
                 assert phi(power, ctx) == k * ctx.phi_b, (n, k)
-            assert orderings._b_exponent(phi(power, ctx), side, ctx) == (k if n >= 2 else 0), (n, k)
+            assert is_b_power(stack, ell, ctx), (n, k)
 
     @pytest.mark.parametrize("n", range(1, 64))
     def test_predicate_passes_exactly_the_values_of_b_powers(self, n):
-        # (value, side) passes iff it is (phi(b^k), sign(k)) for some k;
-        # at n = 1 phi(b) = 0, so value 0 passes on every side, and only it.
+        # The shape test passes exactly the words of the radius-6 ball
+        # that the oracle finds to be powers of b.
         ctx = group_context(n)
-        powers = {(k * ctx.phi_b, (k > 0) - (k < 0)) for k in range(-200, 201)}
-        for value in range(-120, 121):
-            for side in (-1, 0, 1):
-                passes = orderings._b_exponent(value, side, ctx) is not None
-                assert passes is ((value, side) in powers), (n, value, side)
+        for w in BALL_6:
+            stack, ell, _ = resume(START, w, ctx)
+            assert is_b_power(stack, ell, ctx) is (b_power_of(w, ctx) is not None), (n, format_word(w))
 
     @pytest.mark.parametrize("n, value, side, passes", [
         (1, 0, 1, True), (1, 0, -1, True), (1, 0, 0, True), (1, 2, 1, False), (1, -2, -1, False), (1, 1, 0, False),
@@ -401,7 +399,38 @@ class TestBPowerFilter:
         (5, -3, 1, False), (5, 3, -1, False), (5, 4, 1, False),
     ])
     def test_predicate_rows(self, n, value, side, passes):
-        assert (orderings._b_exponent(value, side, group_context(n)) is not None) is passes
+        # phi and the DD side stay necessary conditions: b^k has phi
+        # k phi(b) and the side sign(k), and at n = 1 phi(b) = 0.  So of
+        # the radius-6 ball's words with this phi value and side, the
+        # shape test passes some exactly on the rows of b-powers.
+        ctx = group_context(n)
+        found = False
+        for w in BALL_6:
+            stack, ell, _ = resume(START, w, ctx)
+            if phi(w, ctx) == value and verdict(stack, ell, ctx) is SIGN_OF_SIDE[side]:
+                found = found or is_b_power(stack, ell, ctx)
+        assert found is passes
+
+    @pytest.mark.parametrize("n, prefix, ell, passes", [
+        (1, "1", 0, True), (2, "b^3", 0, True), (63, "b", 0, True),
+        (1, "a b^4 a", -1, True), (2, "a^2 b a^2", -1, True), (2, "a^2 b a b a^2", -1, True),
+        (5, "a^5 b a^4 b a^4 b a^5", -1, True),
+        # near misses: a b^2 between the two a^n, a^n b a^n with ell 0,
+        # a wrong ell, a wrong a-block, and a form cut short
+        (2, "a^2 b^2 a^2", -1, False), (5, "a^5 b^2 a^5", -1, False),
+        (2, "a^2 b a^2", 0, False), (1, "a b a", 0, False), (63, "a^63 b a^63", 0, False),
+        (2, "b", -1, False), (2, "a^2 b a^2", -2, False), (2, "a^2", -1, False), (2, "a b", 0, False),
+        (3, "a^3 b a b a^3", -1, False), (3, "a^3 b a^2 b a^2", -1, False), (3, "a^2 b a^2 b a^3", -1, False),
+        (1, "a b^2", -1, False), (2, "a^2 b a b", -1, False),
+    ])
+    def test_shape_rows(self, n, prefix, ell, passes):
+        # Each row is a normal form (of prefix * delta^ell), and the oracle
+        # agrees that it is, or is not, a power of b.
+        ctx = group_context(n)
+        word = concat(parse_word(prefix), gen_power(GEN_A, ctx.q * ell))
+        assert to_normal_form(word, ctx) == (parse_word(prefix), ell)
+        assert (b_power_of(word, ctx) is not None) is passes
+        assert is_b_power(parse_word(prefix), ell, ctx) is passes
 
     @given(st.data())
     def test_flipped_sign_matches_the_oracle_reference(self, data):
@@ -409,7 +438,7 @@ class TestBPowerFilter:
         # tests/reference_orderings.py, on words that are b^k respelled
         # by a trivial word (and conjugated, so the spec's g undoes it),
         # half of them times a commutator [x, y]: phi is still k phi(b),
-        # so only the confirming pass can tell most of those apart.
+        # so phi alone cannot tell most of those apart.
         n = data.draw(st.integers(min_value=1, max_value=63), label="n")
         ctx = group_context(n)
         g = data.draw(words(max_syllables=3), label="g")
