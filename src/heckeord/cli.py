@@ -28,8 +28,8 @@ import time
 from . import braid3, normalform, orderings, suites
 from .cone import ReductionStuck, decide_sign
 from .context import group_context
-from .oracle import oracle_is_identity, oracle_report
-from .words import RewriteLimitError, concat, format_word, invert, parse_word
+from .oracle import oracle_equal, oracle_report
+from .words import RewriteLimitError, format_word, parse_word
 
 _ORDERS = {"dd": orderings.DD(), "ddrev": orderings.DDReversed(), "dlike": orderings.DehornoyLike()}
 _SYMBOLS = {"less": "<", "equal": "=", "greater": ">"}
@@ -50,7 +50,7 @@ def _jobs(text: str) -> int:
 def _sign(args):
     ctx, word = group_context(args.n), parse_word(args.word)
     result = decide_sign(word, ctx)
-    checked = oracle_is_identity(concat(invert(word), result.witness), ctx)
+    checked = oracle_equal(word, result.witness, ctx)
     text, witness, verdict = format_word(word), format_word(result.witness), result.verdict.value
     payload = dict(input=text, n=args.n, verdict=verdict, witness=witness, steps=result.steps)
     payload["oracle_checked"] = checked

@@ -60,7 +60,8 @@ bounds them; before that bound could reach 2^(B - 2), a guard-bit
 certificate (two big-int operations per packed int) proves them at most
 2^(B - g), with g = 64 guard bits (up to 76 for n >= 57, so that every
 rotation fits under one certificate).  Only a failed certificate
-unpacks the ints and repacks them wider.
+widens, and without unpacking: certificates at 16-bit bands measure the
+digits and mask-and-shift rounds respread the ints (_widen).
 
 The oracle's state of a word, (phi, the fold's state) or at n = 1 the
 Klein pair, is made and read only here: oracle_state hands it out,
@@ -164,7 +165,7 @@ def _layout(q: int, width: int) -> tuple[int, int, int, int, int, int]:
     place = width * (digits - 1)
     if width <= guard:  # too narrow for a certificate: 0 <= y < 0 fails
         return _pack(reducer, width), place, 1 << (place - 1), 0, 0, 0
-    ones = sum(1 << (width * i) for i in range(digits))
+    ones = _ones(width, digits)
     return (
         _pack(reducer, width),
         place,
@@ -211,15 +212,51 @@ def _fits(entries, certificate) -> bool:
     return 0 <= z < top and not z & guard
 
 
-def _widen(entries, digits: int, width: int, grow: int, guard: int) -> tuple[tuple[int, ...], int, int]:
-    """Unpack, measure and repack the packed ints with room for grow more bits.
+def _ones(width: int, digits: int) -> int:
+    """1 in each of d digits at width B: the sum of 2^(B i), i < d."""
+    ones, count = 1, 1
+    while count < digits:
+        ones, count = ones | ones << width * count, 2 * count
+    return ones & ((1 << width * digits) - 1)
 
-    Returns (entries, width, bits) with every digit below 2^bits.
+
+def _respread(entries, digits: int, width: int, wider: int) -> tuple[int, ...]:
+    """The packed ints at the wider width, exact while every digit is
+    below 2^(B - 2): 2^(B - 2) added to each digit makes the slots
+    unsigned; then for s = 2^(r - 1), ..., 2, 1 (r = ceil(log2 d)) one
+    mask takes the runs of s digits whose index has bit s set and one
+    shift moves them up by s (wider - B); the offset comes off at wider.
     """
-    unpacked = [_unpack(x, width, digits) for x in entries]
-    bits = max(c.bit_length() for entry in unpacked for c in entry)
-    width = -(-(bits + grow + guard + _SLACK) // 16) * 16
-    return tuple(_pack(entry, width) for entry in unpacked), width, bits
+    offset, s = _ones(width, digits) << (width - 2), 1 << (digits - 1).bit_length() >> 1
+    entries = [x + offset for x in entries]
+    while s:
+        run = ((1 << width * s) - 1) << width * s
+        mask, shift = sum(run << wider * i for i in range(0, digits - s, 2 * s)), s * (wider - width)
+        entries = [y ^ (moved := y & mask) | moved << shift for y in entries]
+        s >>= 1
+    offset = _ones(wider, digits) << (width - 2)
+    return tuple(y - offset for y in entries)
+
+
+def _widen(entries, digits: int, width: int, grow: int, guard: int) -> tuple[tuple[int, ...], int, int]:
+    """Measure the digits and respread the packed ints with room for grow
+    more bits.  The measure is the least band b = 0, 16, ... whose
+    certificate (_fits: -2^b <= every digit < 2^b) passes, found by
+    binary search up to B - 2, which the fold's digits always pass; so
+    2^(b + 1) bounds them, at most 16 bits above the largest.
+
+    Returns (entries, width, bits) with every digit below 2^bits; the
+    width is kept when it has the room already.
+    """
+    ones, top = _ones(width, digits), 1 << width * digits
+    lo, hi = 0, -(-(width - 2) // 16)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        certificate = (ones << 16 * mid, (ones << width) - (ones << 16 * mid + 1), top)
+        lo, hi = (lo, mid) if _fits(entries, certificate) else (mid + 1, hi)
+    bits = min(16 * hi, width - 2) + 1
+    wider = max(width, -(-(bits + grow + guard + _SLACK) // 16) * 16)
+    return _respread(entries, digits, width, wider), wider, bits
 
 
 def _room(entries, q: int, width: int, grow: int) -> tuple[tuple[int, ...], int, int]:
@@ -255,7 +292,7 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
     grows by each syllable's factor (_plan); before it could pass
     2^(B - 2) the packed ints are certified (_fits) to have digits
     <= 2^(B - g), and only when that fails, or one syllable alone could
-    outgrow the guard, are they unpacked and widened.
+    outgrow the guard, are they measured and respread wider (_widen).
 
     The entries start at the identity, (1, -1) on the diagonal, and are
     right-multiplied one syllable at a time, each row (x, y) alike:
@@ -502,15 +539,18 @@ def same_element(u: tuple, v: tuple, ctx: GroupContext) -> bool:
     At equal widths the packed ints are compared as they are, the
     entries of one state negated when the two flips differ: a packed
     int has one balanced digit string at a given width, so equal rho
-    means equal ints.  States of different widths are unpacked.
+    means equal ints.  Of two states of different widths, the narrower
+    is respread to the wider width first (_respread).
     """
     if ctx.n == 1:
         return u == v
     if u[0] != v[0]:
         return False
     (u_entries, u_flip, u_width, _), (v_entries, v_flip, v_width, _) = u[1], v[1]
-    if u_width != v_width:
-        return _coefficients(u[1], ctx) == _coefficients(v[1], ctx)
+    if u_width < v_width:
+        u_entries = _respread(u_entries, _plan(ctx.q)[5], u_width, v_width)
+    elif v_width < u_width:
+        v_entries = _respread(v_entries, _plan(ctx.q)[5], v_width, u_width)
     if u_flip == v_flip:
         return u_entries == v_entries
     return u_entries == tuple(map(operator.neg, v_entries))
@@ -530,10 +570,10 @@ def oracle_report(word: Word, ctx: GroupContext) -> tuple[bool, bool, int]:
 
 
 def oracle_equal(u: Word, v: Word, ctx: GroupContext) -> bool:
-    """True when u and v are the same group element."""
-    from .words import concat, invert
-
-    return oracle_is_identity(concat(invert(u), v), ctx)
+    """True when u and v are the same group element: each is folded on
+    its own, so each fold's width follows its own digits, and the two
+    states are compared (same_element)."""
+    return same_element(oracle_state(u, ctx), oracle_state(v, ctx), ctx)
 
 
 def b_power_of(word: Word, ctx: GroupContext) -> int | None:

@@ -7,7 +7,9 @@ one reduction row by the monic modulus.  It shares the syllable walk
 with `oracle._fold` but none of the packing, the width bound or the
 certificate, so the tests can demand identical matrices from the two.
 It also keeps the guard-bit certificate as it tested one packed int at
-a time, against which the tests check `oracle._fits`'s single test.
+a time, against which the tests check `oracle._fits`'s single test, and
+the widening as it unpacked and repacked every digit, against which the
+tests check `oracle._respread` and `oracle._widen`'s measured bound.
 """
 
 from __future__ import annotations
@@ -62,3 +64,29 @@ def reference_fits(entries, certificate) -> bool:
         if y < 0 or y >= top or y & guard:
             return False
     return True
+
+
+def reference_digits(x: int, width: int, digits: int) -> list[int]:
+    """The balanced base-2^width digits of a packed int, one at a time."""
+    out = []
+    for _ in range(digits):
+        low = x & ((1 << width) - 1)
+        c = low - (1 << width) if low >= 1 << (width - 1) else low
+        out.append(c)
+        x = (x - c) >> width
+    if x:
+        raise ValueError("the int has more digits than the count")
+    return out
+
+
+def reference_repack(entries, digits: int, width: int, wider: int) -> tuple[int, ...]:
+    """The packed ints moved to another width: unpacked digit by digit
+    and packed again, as the fold widened before it respread in place."""
+    return tuple(
+        sum(c << (wider * i) for i, c in enumerate(reference_digits(x, width, digits))) for x in entries
+    )
+
+
+def reference_digit_bits(entries, digits: int, width: int) -> int:
+    """The bit length of the largest digit of any of the packed ints."""
+    return max(abs(c).bit_length() for x in entries for c in reference_digits(x, width, digits))

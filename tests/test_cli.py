@@ -10,10 +10,23 @@ import re
 import pytest
 
 from conftest import deep_only
+from test_cli_golden import CASES as GOLDEN_CASES
+from test_cli_golden import _long_word, _text
 from heckeord import braid3, cli, normalform, oracle, orderings, suites
 from heckeord.cli import main
-from heckeord.cone import ReductionStuck
-from heckeord.words import RewriteLimitError, letter_length, word_from_syllables
+from heckeord.cone import ReductionStuck, decide_sign
+from heckeord.context import group_context
+from heckeord.words import (
+    GEN_A,
+    GEN_B,
+    RewriteLimitError,
+    concat,
+    format_word,
+    gen_power,
+    letter_length,
+    parse_word,
+    word_from_syllables,
+)
 
 
 def run(capsys, *argv):
@@ -47,6 +60,48 @@ class TestSign:
         assert "is negative" in out
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
+
+
+class TestSignCheckFails:
+    """sign handed a wrong witness for the true verdict: the check fails,
+    the JSON says "oracle_checked": false, --plain says [oracle MISMATCH],
+    and the exit status is 1."""
+
+    LONG = _text(_long_word(63 + 320, 320))  # the golden sign case at n = 63 on 320 syllables
+    CASES = [
+        (n, text) for n in (1, 2, 7, 31, 63) for text in ("a b a^-1", "b^-2 a^3 b", "a^-1 b^2 a^-2 b^-1")
+    ]
+
+    @staticmethod
+    def spoilers(n):
+        """Times b; times delta = a^q (rho negated, phi shifted); times
+        delta^2 (rho alike, only phi differs); times a commutator (phi
+        alike, only rho differs, so the compare reaches the matrices)."""
+        q = group_context(n).q
+        return {
+            "b": ((GEN_B, 1),),
+            "delta": gen_power(GEN_A, q),
+            "delta-squared": gen_power(GEN_A, 2 * q),
+            "commutator": parse_word("a b a^-1 b^-1"),
+        }
+
+    @pytest.mark.parametrize("n, text", CASES + [pytest.param(63, LONG, id="63-long")])
+    @pytest.mark.parametrize("kind", ["b", "delta", "delta-squared", "commutator"])
+    def test_a_wrong_witness_is_refused(self, capsys, monkeypatch, n, text, kind):
+        ctx, word = group_context(n), parse_word(text)
+        truth, extra = decide_sign(word, ctx), self.spoilers(n)[kind]
+        if text == self.LONG:
+            assert ["sign", "--n", "63", text] in GOLDEN_CASES
+            # The folds of w and of the wrong witness end at other widths,
+            # so the compare respreads one state before it fails.
+            wrong = oracle.oracle_state(concat(truth.witness, extra), ctx)
+            assert oracle.oracle_state(word, ctx)[1][2] != wrong[1][2]
+        monkeypatch.setattr(cli, "decide_sign", lambda w, c: truth._replace(witness=concat(truth.witness, extra)))
+        code, doc = run_json(capsys, "sign", "--n", str(n), text)
+        assert (code, doc["oracle_checked"], doc["verdict"]) == (1, False, truth.verdict.value)
+        assert doc["witness"] == format_word(concat(truth.witness, extra))
+        code, out, _ = run(capsys, "sign", "--n", str(n), "--plain", text)
+        assert code == 1 and out.endswith("[oracle MISMATCH]\n"), out
 
 
 class TestCmp:

@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import relator, trivial_words, words
-from reference_oracle import reference_fits, tuple_rho
+from conftest import deep_only, relator, trivial_words, words
+from reference_oracle import reference_digit_bits, reference_fits, reference_repack, tuple_rho
 from heckeord import oracle
 from heckeord.algebra import mat_identity, mat_mul, mat_neg, mat_pow
 from heckeord.cone import decide_sign
@@ -720,6 +720,86 @@ class TestPackedFold:
         assert max(rotation_bits) <= guard - 3
 
 
+class TestWidening:
+    """oracle._widen measures the digits by certificates and respreads the
+    packed ints in place (oracle._respread); both against the reference
+    that unpacks and repacks every digit."""
+
+    @pytest.mark.parametrize("digits", range(1, 33))
+    def test_respread_at_every_digit_count(self, digits):
+        # Digits at their edges, 0, +-1 and +-(2^(B - 2) - 1), at widths
+        # that are and are not multiples of 8 (3 is the least exact one).
+        for width, wider in ((3, 99), (3, 3), (13, 16), (96, 160), (101, 227), (544, 608)):
+            edge = (1 << (width - 2)) - 1
+            rows = [[c] * digits for c in (0, 1, -1, edge, -edge)]
+            rows += [[(-1) ** i * edge for i in range(digits)], [(i % 3 - 1) * edge for i in range(digits)]]
+            packed = tuple(oracle._pack(row, width) for row in rows)
+            assert oracle._respread(packed, digits, width, wider) == reference_repack(packed, digits, width, wider)
+
+    def test_digit_counts_of_the_fold(self):
+        # The counts the fold packs lie in 1..32 and include ones that are
+        # not powers of two: 15 at q = 31, 18 at q = 63.
+        counts = {q: oracle._plan(q)[5] for q in range(3, 65)}
+        assert set(counts.values()) <= set(range(1, 33))
+        assert counts[31] == 15 and counts[63] == 18 and counts[64] == 16
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 32), st.integers(3, 300), st.integers(0, 200), st.data())
+    def test_respread_is_unpack_then_pack(self, digits, width, more, data):
+        edge = (1 << (width - 2)) - 1
+        digit = st.sampled_from([0, 1, -1, edge, -edge]) | st.integers(-edge, edge)
+        rows = data.draw(st.lists(st.lists(digit, min_size=digits, max_size=digits), min_size=1, max_size=8))
+        packed = tuple(oracle._pack(row, width) for row in rows)
+        wider = width + more
+        assert oracle._respread(packed, digits, width, wider) == reference_repack(packed, digits, width, wider)
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 32), st.integers(3, 300), st.integers(0, 80), st.sampled_from([64, 76]), st.data())
+    def test_measured_bound_covers_every_digit(self, digits, width, grow, guard, data):
+        # The largest digit has some length up to B - 2; the bound _widen
+        # measures covers it with at most 16 bits to spare, and the ints
+        # come back at a width with room for grow more bits.
+        length = data.draw(st.integers(0, width - 2))
+        top = (1 << length) - 1
+        # -2^length is the certificate's own edge: band b passes -2^b.
+        digit = st.sampled_from([0, 1, -1, top, -top, -(1 << min(length, width - 3))])
+        row = st.lists(digit | st.integers(-top, top), min_size=digits, max_size=digits)
+        rows = data.draw(st.lists(row, min_size=1, max_size=8))
+        packed = tuple(oracle._pack(row, width) for row in rows)
+        entries, wider, bits = oracle._widen(packed, digits, width, grow, guard)
+        true = reference_digit_bits(packed, digits, width)
+        assert true <= bits <= true + 16, (true, bits)
+        assert wider >= width and bits + grow <= wider - 2
+        assert entries == reference_repack(packed, digits, width, wider)
+
+    def test_the_measure_is_the_certificate(self, monkeypatch):
+        # _widen reads its bound off _fits alone: a certificate that always
+        # passes gives the lowest band, one that never does the highest.
+        packed, width = (oracle._pack([5, -300, 7], 96),), 96
+        assert oracle._widen(packed, 3, width, 0, 64)[2] == 17
+        monkeypatch.setattr(oracle, "_fits", lambda entries, certificate: True)
+        assert oracle._widen(packed, 3, width, 0, 64)[2] == 1
+        monkeypatch.setattr(oracle, "_fits", lambda entries, certificate: False)
+        assert oracle._widen(packed, 3, width, 0, 64)[2] == width - 1
+
+
+@deep_only
+@pytest.mark.parametrize("n", [7, 31, 63])
+def test_long_random_words_match_the_tuple_fold(monkeypatch, n):
+    # Words of 1,000 to 2,000 syllables widen 10 or more times each; every
+    # widening measures and respreads, and the matrix must still be exact.
+    ctx = group_context(n)
+    rng = random.Random(f"long words:{n}")
+    widened = []
+    real = oracle._widen
+    monkeypatch.setattr(oracle, "_widen", lambda *args: widened.append(1) or real(*args))
+    for _ in range(7):
+        w = random_word(rng, rng.randint(1000, 2000))
+        widened.clear()
+        assert rho(w, ctx) == tuple_rho(w, ctx), (n, len(w))
+        assert len(widened) >= 10, (n, len(w), len(widened))
+
+
 class TestResumedFold:
     """_fold from the state of u over v is the fold of u v, the same state
     and the same matrix as the tuple fold's; klein_pair likewise at n = 1."""
@@ -838,6 +918,30 @@ class TestSameElement:
         assert same_element(su, sv, ctx) and same_element(sv, su, ctx)
         for v in (concat(wide, parse_word("b")), concat(wide, gen_power(GEN_A, 2 * ctx.q))):
             assert not same_element(su, oracle_state(v, ctx), ctx)
+
+    @pytest.mark.parametrize("n", [7, 8, 30, 31, 62, 63])
+    def test_long_words_across_widths(self, n):
+        # Words of 200 to 400 syllables, respelled with a long conjugate of
+        # the relator in front or behind so that the folds end at other
+        # widths; then moved off the element by b, delta (rho negated),
+        # delta^2 (rho alike), each of which moves phi, or by a commutator
+        # (phi alike, rho not).
+        ctx = group_context(n)
+        rng = random.Random(f"across widths:{n}")
+        delta, commutator = gen_power(GEN_A, ctx.q), parse_word("a b a^-1 b^-1")
+        widths = 0
+        for _ in range(3):
+            u, x = random_word(rng, rng.randint(200, 400)), random_word(rng, rng.randint(200, 400))
+            su, key = oracle_state(u, ctx), element_key(u, ctx)
+            for same in (concat(x, relator(n), invert(x), u), concat(u, x, relator(n), invert(x))):
+                moved = (parse_word("b"), delta, concat(delta, delta), commutator)
+                for v in (same, *(concat(same, m) for m in moved)):
+                    sv = oracle_state(v, ctx)
+                    widths += su[1][2] != sv[1][2]
+                    expected = element_key(v, ctx) == key
+                    assert expected == (v is same), (n, format_word(v))
+                    assert same_element(su, sv, ctx) == same_element(sv, su, ctx) == expected
+        assert widths >= 15, widths
 
     @pytest.mark.parametrize("n", [3, 5, 7, 63])
     def test_halves_at_even_q(self, n):
