@@ -26,9 +26,9 @@ import sys
 import time
 
 from . import braid3, normalform, orderings, suites
-from .cone import ReductionStuck, decide_sign
+from .cone import ReductionStuck, certify_sign
 from .context import group_context
-from .oracle import oracle_equal, oracle_report
+from .oracle import oracle_chain, oracle_report
 from .words import RewriteLimitError, format_word, parse_word
 
 _ORDERS = {"dd": orderings.DD(), "ddrev": orderings.DDReversed(), "dlike": orderings.DehornoyLike()}
@@ -49,8 +49,8 @@ def _jobs(text: str) -> int:
 
 def _sign(args):
     ctx, word = group_context(args.n), parse_word(args.word)
-    result = decide_sign(word, ctx)
-    checked = oracle_equal(word, result.witness, ctx)
+    result, cuts = certify_sign(word, ctx)
+    checked = oracle_chain(word, result.witness, cuts, ctx)
     text, witness, verdict = format_word(word), format_word(result.witness), result.verdict.value
     payload = dict(input=text, n=args.n, verdict=verdict, witness=witness, steps=result.steps)
     payload["oracle_checked"] = checked

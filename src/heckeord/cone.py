@@ -61,7 +61,36 @@ slices of u, O(k) work in C and O(log k) Python steps.
 Who gets a witness.  By the above, the verdict is NEGATIVE iff ell < 0,
 else POSITIVE iff u is nonempty.  verdict reads it in O(1), once C-level
 checks over slices of u hold those bounds, for orderings and the Cayley
-export; decide_sign and sign_pass write the witness for sign and suites.
+export; decide_sign and sign_pass write the witness for suites, and
+certify_sign for sign.
+
+Cuts.  certify_sign also returns cuts (k, p, z), each claiming
+w[:k] = witness[:p] * z in G_n for a word z of at most CUT syllables,
+from (0, 0, ()) to (len(w), len(witness), ()).  oracle.oracle_chain
+checks the witness as the chain of links z * w[k:k'] = witness[p:p'] * z',
+each an equality of short words, so no fold grows wide; it trusts
+nothing from the cuts, which only decide where the links fall.  They
+come from the passes that make the verdict and witness:
+
+  stack    every CUT syllables the stack pass (a left fold, run on one
+           list in place) holds a stack S with S * delta^ell = w[:k].
+           Its watermark is the lowest height the next chunk writes at
+           (the list records it, _Stack), so S[:watermark] lives on into
+           the next snapshot, and m, the least watermark from there on,
+           gives S[:m] = u[:m], nondecreasing.
+  sign     the pass over u, stopped at each m, holds u[:m] = out * a^carry,
+           and only out[-1] of out changes later: so u[:m] =
+           witness[:p] * Y with p = len(out) - 1 and Y = out[-1] a^carry.
+           When the witness is u itself, bar the delta^ell merged into
+           its last syllable, Y = u[p:m] with p = min(m, len(witness) - 1).
+
+So z = Y * S[m:] * a^(q ell).  A cut whose z would be longer than CUT is
+dropped: the relator sandwich x r x^-1 pops its whole stack, and keeps
+one long link.  Only each snapshot's top CUT syllables are copied, so
+the producer's work and memory stay linear in the word, whatever the
+height of the stack.  Where the oracle's entries are plain ints
+(n = 1, 2, 3, 5) the one whole-word link is cheaper, and certify_sign
+makes no cuts.
 
 The verdicts are cross-validated exhaustively against the matrix
 oracle in the test suite; nothing here trusts normal-form uniqueness.
@@ -74,8 +103,15 @@ import functools
 from typing import NamedTuple
 
 from .context import GroupContext
-from .normalform import NormalForm, ReductionStuck, to_normal_form
-from .words import _EXPONENT, GEN_A, GEN_B, Syllable, Word, gallop, is_one_signed
+from .normalform import START, NormalForm, ReductionStuck, _push, to_normal_form
+from .oracle import plain_entries
+from .words import _EXPONENT, GEN_A, GEN_B, RewriteLimitError, Syllable, Word, gallop, is_one_signed
+
+
+# Syllables of the word between two snapshots, and the longest z a cut
+# may carry (certify_sign); picked from a table of decide+check times at
+# n = 7, 31, 63 on 80 to 4,000 syllables.
+CUT = 20
 
 
 class Sign(enum.Enum):
@@ -124,6 +160,94 @@ def decide_sign(word: Word, ctx: GroupContext) -> SignResult:
     return sign_pass(to_normal_form(word, ctx), ctx)
 
 
+def certify_sign(word: Word, ctx: GroupContext) -> tuple[SignResult, list[tuple[int, int, Word]]]:
+    """decide_sign's result, and the cuts (k, p, z) by which
+    oracle.oracle_chain checks its witness (see Cuts in the module
+    docstring): one every CUT syllables, except where the oracle's
+    entries are plain ints (oracle.plain_entries), where the one
+    whole-word link is cheaper.
+
+    >>> from heckeord.context import group_context
+    >>> from heckeord.words import parse_word
+    >>> result, cuts = certify_sign(parse_word("a b a^-1"), group_context(2))
+    >>> cuts == [(0, 0, ()), (3, len(result.witness), ())]
+    True
+    """
+    if plain_entries(ctx):
+        result = decide_sign(word, ctx)
+        return result, [(0, 0, ()), (len(word), len(result.witness), ())]
+    return _certify(word, ctx, CUT)
+
+
+def _certify(word: Word, ctx: GroupContext, cut: int) -> tuple[SignResult, list[tuple[int, int, Word]]]:
+    """certify_sign with a snapshot every cut syllables, at any n."""
+    # Per snapshot: [k, ell, stack height, the stack's top cut syllables, watermark].
+    stack, ell, budget = _Stack(), START[1], START[2]
+    done, snaps = 0, []
+    for k in (*range(cut, len(word), cut), len(word)):
+        stack.low = len(stack)
+        stack, ell, budget = _push(stack, ell, budget, word[done:k], ctx)
+        if snaps:
+            snaps[-1][4] = stack.low
+        snaps.append([k, ell, len(stack), stack[-cut:], 0])
+        done = k
+    if budget < 0:
+        raise RewriteLimitError("normal-form budget exhausted")
+    snaps.pop()  # the end of the word
+    prefix = tuple(stack)
+    # m: the least watermark from a snapshot on, so S[:m] = prefix[:m].
+    marks, m = [], len(prefix)
+    for snap in reversed(snaps):
+        m = min(m, snap[4])
+        marks.append(m)
+    marks.reverse()
+    states = []
+    result = sign_pass(NormalForm(prefix, ell), ctx, tuple(marks), states)
+    witness, q = result.witness, ctx.q
+    cuts = [(0, 0, ())]
+    for j, (k, snap_ell, height, top, _) in enumerate(snaps):
+        m = marks[j]
+        if height - m > cut:
+            continue
+        if states:  # prefix[:m] = out * a^carry, and out[:-1] is the witness's
+            size, carry, last = states[j]
+            p = max(0, size - 1)
+            y = ((last,) if size else ()) + (((GEN_A, carry),) if carry else ())
+        else:  # the witness is the prefix, bar its last syllable
+            p = max(0, min(m, len(witness) - 1))
+            y = prefix[p:m]
+        z = y + tuple(top[len(top) - height + m :]) + (((GEN_A, q * snap_ell),) if snap_ell else ())
+        if len(z) <= cut:
+            cuts.append((k, p, z))
+    cuts.append((len(word), len(witness), ()))
+    return result, cuts
+
+
+class _Stack(list):
+    """The list _certify runs through the stack pass in place.  low is
+    the lowest height at which the pass popped, deleted or rewrote an
+    entry since low was set: the pass writes only at its top, through
+    these three and appends (normalform._push), so stack[:low] is as it
+    was.  The hot callers of the pass, on plain lists, pay nothing."""
+
+    __slots__ = ("low",)
+
+    def pop(self):
+        if len(self) <= self.low:
+            self.low = len(self) - 1
+        return list.pop(self)
+
+    def __delitem__(self, i):  # del stack[-1]
+        if len(self) <= self.low:
+            self.low = len(self) - 1
+        list.__delitem__(self, i)
+
+    def __setitem__(self, i, x):  # stack[-1] = x
+        if len(self) <= self.low:
+            self.low = len(self) - 1
+        list.__setitem__(self, i, x)
+
+
 def verdict(prefix: Word | list[Syllable], ell: int, ctx: GroupContext) -> Sign:
     """The verdict of prefix * delta^ell, prefix a normal-form prefix or stack,
     with no witness; ReductionStuck if prefix breaks the bounds it rests on."""
@@ -149,13 +273,22 @@ def _runs(n: int) -> tuple[Word, Word]:
     return ((GEN_A, 1 - n), (GEN_B, -1)), ((GEN_B, 1), (GEN_A, n - 1)) * 2
 
 
-def sign_pass(nf: NormalForm, ctx: GroupContext) -> SignResult:
+def sign_pass(nf: NormalForm, ctx: GroupContext, stops=(), states=None) -> SignResult:
     """The verdict and witness of the element nf: the feed, then one
     left-to-right pass over its prefix (see the module docstring).
 
     nf must be a NormalForm, whose constructor checks that the prefix is
     a positive word; anything else is a TypeError, as real code under
-    python -O, since the pass would read a plain pair unchecked."""
+    python -O, since the pass would read a plain pair unchecked.
+
+    The pass is a left fold over the prefix u: after u[:m] its state is
+    (out, carry) with u[:m] = out * a^carry, wherever it stops (a jump
+    ends at a stop, and the handle move after it merges into the same
+    b-block).  Given stops, nondecreasing positions of u, a negative
+    pass appends (len(out), carry, out[-1]) to states at each stop and
+    at the end; of out only out[-1] changes later, so out[:-1] is a
+    prefix of the witness.  The other cases write the witness whole.
+    """
     if not isinstance(nf, NormalForm):
         raise TypeError(f"sign_pass takes a NormalForm, not {type(nf).__name__}")
     prefix, ell = nf
@@ -173,36 +306,40 @@ def sign_pass(nf: NormalForm, ctx: GroupContext) -> SignResult:
     handle, two_periods = _runs(n)
     out: list[Syllable] = []
     carry = 0  # the pending a-exponent
-    i, end = 0, len(prefix)
-    while i < end:
-        gen, exp = prefix[i]
-        if gen == GEN_A:  # merge
-            carry += exp
-            i += 1
-            continue
-        # handle: b^exp = a^-1 (a^-(n-1) b^-1)^exp a
-        carry -= n
-        lead = exp if n == 1 else 1  # the b^-1, with the whole handle at n = 1
-        if carry:
-            out += ((GEN_A, carry), (GEN_B, -lead))
-        elif out:
-            out[-1] = (GEN_B, out[-1][1] - lead)
-        else:
-            out.append((GEN_B, -lead))
-        if n > 1:
-            out += handle * (exp - 1)
-        carry = 1
-        if prefix[i : i + 4] == two_periods:
-            # jump: u goes on (b a^(n-1))^k from here, k >= 2.  The period is
-            # read from u: the normal form appends a long run as one pair of
-            # syllable objects repeated, so most comparisons are identities.
-            period = prefix[i + 2 : i + 4]
-            k = gallop(lambda j, c: prefix[i + 2 * j : i + 2 * (j + c)] == period * c)
-            out[-1] = (GEN_B, out[-1][1] - (k - 1))
-            carry = n
-            i += 2 * k
-        else:
-            i += 1
+    i = 0
+    for stop in stops + (len(prefix),):
+        while i < stop:
+            gen, exp = prefix[i]
+            if gen == GEN_A:  # merge
+                carry += exp
+                i += 1
+                continue
+            # handle: b^exp = a^-1 (a^-(n-1) b^-1)^exp a
+            carry -= n
+            lead = exp if n == 1 else 1  # the b^-1, with the whole handle at n = 1
+            if carry:
+                out += ((GEN_A, carry), (GEN_B, -lead))
+            elif out:
+                out[-1] = (GEN_B, out[-1][1] - lead)
+            else:
+                out.append((GEN_B, -lead))
+            if exp > 1 and n > 1:
+                out += handle * (exp - 1)
+            carry = 1
+            if exp == 1 and prefix[i : i + 4] == two_periods and i + 4 <= stop:
+                # jump: u goes on (b a^(n-1))^k from here, k >= 2, up to the
+                # stop.  The period is read from u: the normal form appends a
+                # long run as one pair of syllable objects repeated, so most
+                # comparisons are identities.
+                period = prefix[i + 2 : i + 4]
+                k = gallop(lambda j, c, stop=stop: i + 2 * (j + c) <= stop and prefix[i + 2 * j : i + 2 * (j + c)] == period * c)
+                out[-1] = (GEN_B, out[-1][1] - (k - 1))
+                carry = n
+                i += 2 * k
+            else:
+                i += 1
+        if states is not None:
+            states.append((len(out), carry, out[-1] if out else None))
 
     last = carry + q * ell  # the fed delta^ell; out ends in a b-block or is empty
     if last:

@@ -63,6 +63,9 @@ word, and the state of u resumed over v is the state of u v.  So the
 stack and ell of w x come from those of w in the work of the letter x,
 which is how the ball walks resume each word from its parent; resume
 is the pass plus its budget check, and to_normal_form resumes from START.
+The pass itself (_push) works on one list in place, and stack_pass
+and resume give it a copy; cone's cuts run one list through it chunk
+by chunk.
 """
 
 from __future__ import annotations
@@ -128,11 +131,18 @@ def stack_pass(state: tuple, word: Word, ctx: GroupContext) -> tuple[list[Syllab
     rounds), so the caller checks the budget once, at the end, as a
     tripwire: negative means more firings than letters, a bug.
     """
+    return _push(list(state[0]), state[1], state[2], word, ctx)
+
+
+def _push(stack: list[Syllable], ell: int, budget: int, word: Word, ctx: GroupContext) -> tuple[list[Syllable], int, int]:
+    """The stack pass itself, on the list stack in place: returns (stack,
+    ell, budget) after word.  It writes only at the top, through pop,
+    del stack[-1], stack[-1] = x and appends, which is how cone's cuts,
+    running one stack through it chunk by chunk, see the lowest height a
+    chunk wrote at.  stack_pass and resume give it a copy."""
     n, q = ctx.n, ctx.q
     top_a_n = (GEN_A, n)
     period = ((GEN_A, n - 1), (GEN_B, 1)) if n > 1 else ()  # (a^(n-1) b)
-    stack, ell, budget = state
-    stack = list(stack)
     for gen, exp in word:
         if gen == GEN_A:
             if exp < 0:
@@ -215,7 +225,7 @@ def stack_pass(state: tuple, word: Word, ctx: GroupContext) -> tuple[list[Syllab
 def resume(state: tuple, word: Word, ctx: GroupContext) -> tuple[list[Syllable], int, int]:
     """stack_pass from state over word, with its budget tripwire: a
     negative budget left (more firings than letters, a bug) raises."""
-    state = stack_pass(state, word, ctx)
+    state = _push(list(state[0]), state[1], state[2], word, ctx)  # stack_pass, a call fewer
     if state[2] < 0:
         raise RewriteLimitError("normal-form budget exhausted")
     return state

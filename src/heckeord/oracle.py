@@ -66,6 +66,9 @@ digits and mask-and-shift rounds respread the ints (_widen).
 The oracle's state of a word, (phi, the fold's state) or at n = 1 the
 Klein pair, is made and read only here: oracle_state hands it out,
 oracle_is_identity resumes from it and same_element compares two.
+oracle_chain checks u = v as a chain of links between cuts, each the
+equality of two short words (oracle_equal, its one link), so that no
+fold grows wide.
 _is_shear compares a fold's state with sign times rho(b)^k =
 [[1, k lam], [0, 1]], whose packed ints are the same at every width but
 for k lam, and _coefficients unpacks it for rho and element_key, both
@@ -238,18 +241,22 @@ def _respread(entries, digits: int, width: int, wider: int) -> tuple[int, ...]:
     return tuple(y - offset for y in entries)
 
 
-def _widen(entries, digits: int, width: int, grow: int, guard: int) -> tuple[tuple[int, ...], int, int]:
+def _widen(
+    entries, digits: int, width: int, grow: int, guard: int, failed: int = -1
+) -> tuple[tuple[int, ...], int, int]:
     """Measure the digits and respread the packed ints with room for grow
     more bits.  The measure is the least band b = 0, 16, ... whose
     certificate (_fits: -2^b <= every digit < 2^b) passes, found by
     binary search up to B - 2, which the fold's digits always pass; so
-    2^(b + 1) bounds them, at most 16 bits above the largest.
+    2^(b + 1) bounds them, at most 16 bits above the largest.  A
+    certificate at 2^failed that has failed already rules out every band
+    b <= failed, so the search starts above them.
 
     Returns (entries, width, bits) with every digit below 2^bits; the
     width is kept when it has the room already.
     """
     ones, top = _ones(width, digits), 1 << width * digits
-    lo, hi = 0, -(-(width - 2) // 16)
+    lo, hi = max(0, failed // 16 + 1), -(-(width - 2) // 16)
     while lo < hi:
         mid = (lo + hi) // 2
         certificate = (ones << 16 * mid, (ones << width) - (ones << 16 * mid + 1), top)
@@ -264,9 +271,13 @@ def _room(entries, q: int, width: int, grow: int) -> tuple[tuple[int, ...], int,
     digits by up to grow bits: certified at this width when one
     certificate covers the syllable and passes, otherwise widened."""
     _, _, _, _, guard, digits = _plan(q)
-    if grow <= guard - 3 and _fits(entries, _layout(q, width)[3:]):
+    if grow > guard - 3:
+        return _widen(entries, digits, width, grow, guard)
+    if _fits(entries, _layout(q, width)[3:]):
         return entries, width, width - guard + 1
-    return _widen(entries, digits, width, grow, guard)
+    # The fold's widths start above every guard, so this certificate at
+    # 2^(B - g) was a real one, and it failed.
+    return _widen(entries, digits, width, grow, guard, width - guard)
 
 
 def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
@@ -569,10 +580,38 @@ def oracle_report(word: Word, ctx: GroupContext) -> tuple[bool, bool, int]:
     return identity, one or _is_shear(state, ctx, sign=-1), value
 
 
+def plain_entries(ctx: GroupContext) -> bool:
+    """Whether the fold's entries are plain ints, one digit each: n = 1,
+    2, 3 and 5 (module docstring).  Such an entry is only as wide as its
+    digit, so the whole-word fold stays cheap: cone.certify_sign checks
+    one link there, which beat a chain of short links on 80 to 1,000
+    syllables."""
+    return _plan(ctx.q)[5] == 1
+
+
+def oracle_chain(u: Word, v: Word, cuts, ctx: GroupContext) -> bool:
+    """True when u and v are the same group element, checked link by link.
+
+    cuts is a list of (k, p, z), z a word, each claiming u[:k] = v[:p] z.
+    They must tile both words: k and p nondecreasing from the first cut
+    (0, 0, ()) to the last (len(u), len(v), ()).  Each link between two
+    cuts is the equality z u[k:k'] = v[p:p'] z' of two short words
+    (oracle_equal), and the links compose to u = v.  Nothing from the
+    cuts is trusted: a wrong cut fails its link, and the loop stops at
+    the first link that fails.
+    """
+    if not cuts or cuts[0] != (0, 0, ()) or cuts[-1] != (len(u), len(v), ()):
+        return False
+    for (k, p, z), (k_next, p_next, z_next) in zip(cuts, cuts[1:]):
+        if k_next < k or p_next < p or not oracle_equal(z + u[k:k_next], v[p:p_next] + z_next, ctx):
+            return False
+    return True
+
+
 def oracle_equal(u: Word, v: Word, ctx: GroupContext) -> bool:
-    """True when u and v are the same group element: each is folded on
-    its own, so each fold's width follows its own digits, and the two
-    states are compared (same_element)."""
+    """True when u and v are the same group element, oracle_chain's one
+    link: each is folded on its own, so each fold's width follows its own
+    digits, and the two states are compared (same_element)."""
     return same_element(oracle_state(u, ctx), oracle_state(v, ctx), ctx)
 
 

@@ -14,7 +14,7 @@ from test_cli_golden import CASES as GOLDEN_CASES
 from test_cli_golden import _long_word, _text
 from heckeord import braid3, cli, normalform, oracle, orderings, suites
 from heckeord.cli import main
-from heckeord.cone import ReductionStuck, decide_sign
+from heckeord.cone import ReductionStuck, certify_sign, decide_sign
 from heckeord.context import group_context
 from heckeord.words import (
     GEN_A,
@@ -63,9 +63,10 @@ class TestSign:
 
 
 class TestSignCheckFails:
-    """sign handed a wrong witness for the true verdict: the check fails,
-    the JSON says "oracle_checked": false, --plain says [oracle MISMATCH],
-    and the exit status is 1."""
+    """sign handed a wrong witness for the true verdict, with the true
+    cuts but the last one moved to the wrong witness's end: the check
+    fails, the JSON says "oracle_checked": false, --plain says [oracle
+    MISMATCH], and the exit status is 1."""
 
     LONG = _text(_long_word(63 + 320, 320))  # the golden sign case at n = 63 on 320 syllables
     CASES = [
@@ -89,19 +90,41 @@ class TestSignCheckFails:
     @pytest.mark.parametrize("kind", ["b", "delta", "delta-squared", "commutator"])
     def test_a_wrong_witness_is_refused(self, capsys, monkeypatch, n, text, kind):
         ctx, word = group_context(n), parse_word(text)
-        truth, extra = decide_sign(word, ctx), self.spoilers(n)[kind]
+        (truth, cuts), extra = certify_sign(word, ctx), self.spoilers(n)[kind]
+        spoilt = concat(truth.witness, extra)
         if text == self.LONG:
             assert ["sign", "--n", "63", text] in GOLDEN_CASES
-            # The folds of w and of the wrong witness end at other widths,
-            # so the compare respreads one state before it fails.
-            wrong = oracle.oracle_state(concat(truth.witness, extra), ctx)
+            # The whole-word folds of w and of the wrong witness end at other
+            # widths, so oracle_equal respreads one state before it fails;
+            # sign checks the long word link by link, and the last link fails.
+            wrong = oracle.oracle_state(spoilt, ctx)
             assert oracle.oracle_state(word, ctx)[1][2] != wrong[1][2]
-        monkeypatch.setattr(cli, "decide_sign", lambda w, c: truth._replace(witness=concat(truth.witness, extra)))
+            assert len(cuts) > 2
+        cuts = cuts[:-1] + [(len(word), len(spoilt), ())]
+        monkeypatch.setattr(cli, "certify_sign", lambda w, c: (truth._replace(witness=spoilt), cuts))
         code, doc = run_json(capsys, "sign", "--n", str(n), text)
         assert (code, doc["oracle_checked"], doc["verdict"]) == (1, False, truth.verdict.value)
-        assert doc["witness"] == format_word(concat(truth.witness, extra))
+        assert doc["witness"] == format_word(spoilt)
         code, out, _ = run(capsys, "sign", "--n", str(n), "--plain", text)
         assert code == 1 and out.endswith("[oracle MISMATCH]\n"), out
+
+
+@deep_only
+class TestLongSign:
+    """sign on long random words checks its witness link by link (at
+    n = 63, 1,000 syllables make about fifty links), and the whole-word
+    check agrees: the answer is checked, and checked right."""
+
+    @pytest.mark.parametrize("n", [7, 31, 63])
+    def test_long_random_words(self, capsys, n):
+        ctx, rng = group_context(n), random.Random(f"long sign:{n}")
+        for length in [rng.randint(1000, 2000) for _ in range(3)] + ([4000] if n == 63 else []):
+            text = _text(_long_word(f"long sign:{n}:{rng.random()}", length))
+            code, doc = run_json(capsys, "sign", "--n", str(n), text)
+            assert (code, doc["oracle_checked"]) == (0, True), (n, length)
+            word, witness = parse_word(text), parse_word(doc["witness"])
+            assert doc["verdict"] == decide_sign(word, ctx).verdict.value
+            assert oracle.oracle_equal(word, witness, ctx), (n, length)
 
 
 class TestCmp:
@@ -407,7 +430,7 @@ class TestExitCodes:
         def broken(word, ctx):
             raise error("forced")
 
-        monkeypatch.setattr(cli, "decide_sign", broken)
+        monkeypatch.setattr(cli, "certify_sign", broken)
         code, out, err = run(capsys, "sign", "--n", "2", "a b")
         assert code == 3
         assert out == ""

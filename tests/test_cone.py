@@ -1,6 +1,7 @@
 """Sign trichotomy: verdicts, one-signed witnesses, handle expansion."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,12 +9,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import trivial_words, words
-from heckeord import cone, orderings, suites
+from conftest import relator, trivial_words, words
+from heckeord import cone, normalform, orderings, suites
 from heckeord.cone import ReductionStuck, Sign, SignResult, decide_sign, expand_handle, verdict
 from heckeord.context import group_context
 from heckeord.normalform import START, NormalForm, stack_pass, to_normal_form
-from heckeord.oracle import oracle_is_identity
+from heckeord.oracle import oracle_chain, oracle_equal, oracle_is_identity, plain_entries
 from heckeord.words import (
     GEN_A,
     GEN_B,
@@ -351,3 +352,166 @@ class TestTrichotomyAgainstOracleForAllN:
         assert (r.verdict is Sign.IDENTITY) == oracle_is_identity(w, ctx)
         assert oracle_is_identity(concat(invert(w), r.witness), ctx)
         assert decide_sign(invert(w), ctx).verdict is FLIP[r.verdict]
+
+
+def assert_cuts_hold(word, ctx, cut):
+    """_certify's result is decide_sign's, its cuts tile word and witness
+    with every z at most cut syllables long, each claim holds on its own,
+    and oracle_chain accepts them.  Returns the number of interior cuts."""
+    result, cuts = cone._certify(word, ctx, cut)
+    assert result == decide_sign(word, ctx)
+    witness = result.witness
+    assert cuts[0] == (0, 0, ()) and cuts[-1] == (len(word), len(witness), ())
+    for (k, p, _), (k_next, p_next, z) in zip(cuts, cuts[1:]):
+        assert (k < k_next or not word) and p <= p_next and len(z) <= cut
+    for k, p, z in cuts:
+        assert oracle_equal(word[:k], witness[:p] + z, ctx), (k, p, z)
+    assert oracle_chain(word, witness, cuts, ctx)
+    return len(cuts) - 2
+
+
+class WatchedStack(list):
+    """A list that records the lowest index at which it is popped,
+    deleted, assigned or appended to (an append writes at its length),
+    whatever the index."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.low = len(self)
+
+    def _write(self, i):
+        self.low = min(self.low, i + len(self) if i < 0 else i)
+
+    def pop(self, i=-1):
+        self._write(i)
+        return super().pop(i)
+
+    def __delitem__(self, i):
+        self._write(i)
+        super().__delitem__(i)
+
+    def __setitem__(self, i, x):
+        self._write(i)
+        super().__setitem__(i, x)
+
+    def append(self, x):
+        self._write(len(self))
+        super().append(x)
+
+    def extend(self, xs):
+        xs = list(xs)
+        if xs:
+            self._write(len(self))
+        super().extend(xs)
+
+    def __iadd__(self, xs):
+        self.extend(xs)
+        return self
+
+
+@given(
+    st.integers(min_value=1, max_value=63),
+    words(max_syllables=12, max_exp=300),
+    words(max_syllables=6, max_exp=300),
+)
+def test_the_cut_stack_records_the_lowest_height_written(n, u, v):
+    # _certify's list records the lowest height at which the stack pass
+    # wrote over v; a list that records every write, at any index,
+    # agrees, so the pass writes nowhere the cut stack does not see.
+    ctx = group_context(n)
+    before = stack_pass(START, u, ctx)
+    watched, stack = WatchedStack(before[0]), cone._Stack(before[0])
+    stack.low = len(stack)
+    assert normalform._push(stack, before[1], before[2], v, ctx)[1:] == normalform._push(watched, before[1], before[2], v, ctx)[1:]
+    assert stack == watched and stack.low == watched.low
+
+
+class TestCertify:
+    """The cuts certify_sign makes verify, on the shapes that stress the
+    stack pass: trivial words, u b^-t v, relator sandwiches, and n = 1."""
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_trivial_words(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=63), label="n")
+        w = data.draw(trivial_words(n, conjugates=4, max_syllables=6), label="w")
+        assert_cuts_hold(w, group_context(n), data.draw(st.integers(1, 6), label="cut"))
+
+    @settings(max_examples=80)
+    @given(
+        st.integers(min_value=1, max_value=63),
+        words(max_syllables=20),
+        st.integers(min_value=1, max_value=10_000),
+        words(max_syllables=20),
+        st.integers(1, 8),
+    )
+    def test_long_b_powers(self, n, u, t, v, cut):
+        assert_cuts_hold(concat(u, ((GEN_B, -t),), v), group_context(n), cut)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 31, 63])
+    def test_sandwiches(self, n):
+        # x r x^-1 pops its whole stack, so while the stack of x stands a
+        # cut's z would hold it: those cuts are dropped, and one long link
+        # is left.  y b^-2000 y^-1 keeps its cuts.
+        ctx, rng = group_context(n), random.Random(f"sandwich:{n}")
+        x = word_from_syllables([(rng.randrange(2), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(200)])
+        sandwich = concat(x, relator(n), invert(x))
+        assert_cuts_hold(sandwich, ctx, cone.CUT)
+        if n >= 7:
+            cuts = cone._certify(sandwich, ctx, cone.CUT)[1]
+            assert all(k <= cone.CUT or k >= len(sandwich) - 2 * cone.CUT for k, _, _ in cuts)
+        y = x[:60]
+        assert assert_cuts_hold(concat(y, ((GEN_B, -2000),), invert(y)), ctx, cone.CUT) >= 2
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 63])
+    def test_a_positive_prefix_kept_whole(self, n):
+        # After x the stack is the final prefix, which ends in an a-block;
+        # each delta = a^q merges into it and b b^-1 leaves it as it was.
+        # So late cuts keep the whole prefix, whose last syllable the
+        # positive witness merges with delta^ell: the cut stops one short.
+        ctx = group_context(n)
+        x = ((GEN_B, 1), (GEN_A, 1), (GEN_B, 2), (GEN_A, 1))
+        w = x + ((GEN_A, ctx.q), (GEN_B, 1), (GEN_B, -1)) * 8
+        assert decide_sign(w, ctx).verdict is Sign.POSITIVE
+        assert assert_cuts_hold(w, ctx, 3) >= 6
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_plain_layouts_check_the_whole_word(self, n):
+        ctx = group_context(n)
+        assert plain_entries(ctx)
+        w = parse_word("a^2 b^-1 a^3 b^2 a^-1 b") * 20
+        result, cuts = cone.certify_sign(w, ctx)
+        assert result == decide_sign(w, ctx)
+        assert cuts == [(0, 0, ()), (len(w), len(result.witness), ())]
+        assert assert_cuts_hold(w, ctx, 4) > 0
+
+    def test_the_producer_folds_each_syllable_once_on_one_stack(self, monkeypatch):
+        # b^-t builds a stack of about 2t syllables that the short tail
+        # b a^8 (= b delta at n = 7) eats two at a time, so the stack stays
+        # high across every chunk.  The producer runs the stack pass on
+        # one list, a chunk of CUT syllables at a time, each syllable once.
+        ctx, t, pairs = group_context(7), 20_000, 6_000
+        w = ((GEN_B, -t),) + ((GEN_B, 1), (GEN_A, 8)) * pairs
+        real, lists, chunks = cone._push, set(), []
+
+        def counted(stack, ell, budget, word, ctx):
+            lists.add(id(stack))
+            chunks.append(len(word))
+            return real(stack, ell, budget, word, ctx)
+
+        monkeypatch.setattr(cone, "_push", counted)
+        result, cuts = cone.certify_sign(w, ctx)
+        assert len(lists) == 1 and sum(chunks) == len(w) and max(chunks) == cone.CUT
+        assert result == decide_sign(w, ctx) and len(cuts) > 2
+        assert oracle_chain(w, result.witness, cuts, ctx)
+
+    @pytest.mark.parametrize("n", [4, 7, 31, 63])
+    def test_packed_layouts_cut_every_cut_syllables(self, n):
+        ctx = group_context(n)
+        w = parse_word("a^2 b^-1 a^3 b^2 a^-1 b") * 20
+        result, cuts = cone.certify_sign(w, ctx)
+        assert (result, cuts) == cone._certify(w, ctx, cone.CUT)
+        assert len(cuts) - 2 > len(w) // cone.CUT // 2
+        assert all(len(z) <= cone.CUT for _, _, z in cuts)
+        short = w[: cone.CUT]
+        assert cone.certify_sign(short, ctx)[1] == [(0, 0, ()), (len(short), len(decide_sign(short, ctx).witness), ())]

@@ -336,6 +336,16 @@ class TestResume:
         monkeypatch.undo()
         assert nf == to_normal_form(w, ctx)
 
+    @given(st.integers(min_value=1, max_value=63), words(max_syllables=12, max_exp=300), words(max_syllables=6, max_exp=300))
+    def test_push_runs_on_its_list_in_place(self, n, u, v):
+        # The pass itself: stack_pass and resume hand it a copy, cone's
+        # cuts one list for the whole word.
+        ctx = group_context(n)
+        before = stack_pass(START, u, ctx)
+        stack = list(before[0])
+        out = normalform._push(stack, before[1], before[2], v, ctx)
+        assert out[0] is stack and out == stack_pass(before, v, ctx)
+
     def test_input_state_is_not_changed(self):
         ctx = CTX2
         stack = [(GEN_A, 2), (GEN_B, 1)]

@@ -10,6 +10,7 @@ from conftest import deep_only, relator, trivial_words, words
 from reference_oracle import reference_digit_bits, reference_fits, reference_repack, tuple_rho
 from heckeord import oracle
 from heckeord.algebra import mat_identity, mat_mul, mat_neg, mat_pow
+from heckeord import cone
 from heckeord.cone import decide_sign
 from heckeord.context import GroupContext, group_context, ring_of
 from heckeord.oracle import (
@@ -17,11 +18,13 @@ from heckeord.oracle import (
     element_key,
     klein_pair,
     klein_sign,
+    oracle_chain,
     oracle_equal,
     oracle_is_identity,
     oracle_report,
     oracle_state,
     phi,
+    plain_entries,
     rho,
     same_element,
 )
@@ -772,6 +775,34 @@ class TestWidening:
         assert wider >= width and bits + grow <= wider - 2
         assert entries == reference_repack(packed, digits, width, wider)
 
+    def test_a_failed_certificate_floors_the_search(self, monkeypatch):
+        # After the certificate at 2^(B - g) failed, the search starts above
+        # it and finds the same band, so it returns the same (entries,
+        # width, bits) as the search from band 0, with fewer _fits probes.
+        real, probes = oracle._fits, [0]
+        monkeypatch.setattr(oracle, "_fits", lambda *args: probes.__setitem__(0, probes[0] + 1) or real(*args))
+        rng, saved = random.Random("floored widening"), []
+        for digits in (1, 2, 3, 9, 15, 16, 18, 32):
+            for width in (96, 101, 160, 227, 544, 608):
+                for guard, grow in ((64, 0), (64, 20), (76, 61), (76, 80)):
+                    length = rng.randint(width - guard + 1, width - 2)
+                    top = (1 << length) - 1
+                    row = [rng.randint(-top, top) for _ in range(digits - 1)] + [rng.choice((top, -top - 1))]
+                    rng.shuffle(row)
+                    packed = (oracle._pack(row, width), oracle._pack(row[::-1], width))
+                    # The premise: the certificate at 2^(B - g) fails.
+                    failed = width - guard
+                    ones = oracle._ones(width, digits)
+                    certificate = (ones << failed, (ones << width) - (ones << failed + 1), 1 << width * digits)
+                    assert not real(packed, certificate)
+                    probes[0] = 0
+                    whole = oracle._widen(packed, digits, width, grow, guard)
+                    probes_whole, probes[0] = probes[0], 0
+                    assert oracle._widen(packed, digits, width, grow, guard, failed) == whole
+                    assert probes[0] <= probes_whole
+                    saved.append(probes_whole - probes[0])
+        assert sum(saved) >= len(saved), sum(saved)
+
     def test_the_measure_is_the_certificate(self, monkeypatch):
         # _widen reads its bound off _fits alone: a certificate that always
         # passes gives the lowest band, one that never does the highest.
@@ -786,15 +817,16 @@ class TestWidening:
 @deep_only
 @pytest.mark.parametrize("n", [7, 31, 63])
 def test_long_random_words_match_the_tuple_fold(monkeypatch, n):
-    # Words of 1,000 to 2,000 syllables widen 10 or more times each; every
-    # widening measures and respreads, and the matrix must still be exact.
+    # Words of 1,000 to 2,000 syllables, and one of 4,000, widen 10 or more
+    # times each; every widening measures and respreads, and the matrix
+    # must still be exact.
     ctx = group_context(n)
     rng = random.Random(f"long words:{n}")
     widened = []
     real = oracle._widen
     monkeypatch.setattr(oracle, "_widen", lambda *args: widened.append(1) or real(*args))
-    for _ in range(7):
-        w = random_word(rng, rng.randint(1000, 2000))
+    for length in [rng.randint(1000, 2000) for _ in range(7)] + [4000]:
+        w = random_word(rng, length)
         widened.clear()
         assert rho(w, ctx) == tuple_rho(w, ctx), (n, len(w))
         assert len(widened) >= 10, (n, len(w), len(widened))
@@ -960,3 +992,127 @@ class TestSameElement:
         for v in respellings(u, 1).values():
             assert same_element(oracle_state(u, ctx), oracle_state(v, ctx), ctx)
         assert not same_element(oracle_state(u, ctx), oracle_state(concat(u, parse_word("b")), ctx), ctx)
+
+
+def syllables(length):
+    """Words of up to length syllables, each b^(+-1) or a^(+-1..3)."""
+    letter = st.tuples(st.sampled_from([GEN_A, GEN_B]), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    return st.lists(letter, max_size=length).map(tuple)
+
+
+@st.composite
+def cut_lists(draw, u, v, ctx):
+    """Cut lists for u and v: the producer's (right when v is u's witness
+    in ctx's group), one of them spoiled in one place, or drawn at random."""
+    kind = draw(st.sampled_from(["producer", "spoiled", "random", "random-tiling"]))
+    if kind in ("producer", "spoiled"):
+        cuts = list(cone._certify(u, ctx, draw(st.integers(1, 6)))[1])
+        cuts[-1] = (len(u), len(v), ())
+        if kind == "spoiled":
+            i = draw(st.integers(0, len(cuts) - 1))
+            k, p, z = cuts[i]
+            cuts[i] = draw(
+                st.sampled_from(
+                    [(k + 1, p, z), (k, p + 1, z), (max(0, k - 1), p, z), (k, max(0, p - 1), z), (k, p, z + ((GEN_B, 1),))]
+                )
+                | st.tuples(st.just(k), st.just(p), syllables(3))
+            )
+            if draw(st.booleans()):
+                del cuts[draw(st.integers(0, len(cuts) - 1))]
+        return cuts
+    cut = st.tuples(st.integers(0, len(u)), st.integers(0, len(v)), syllables(3))
+    cuts = draw(st.lists(cut, max_size=5))
+    if kind == "random-tiling":
+        ks, ps = sorted(k for k, _, _ in cuts), sorted(p for _, p, _ in cuts)
+        cuts = [(0, 0, ())] + [(k, p, z) for k, p, (_, _, z) in zip(ks, ps, cuts)] + [(len(u), len(v), ())]
+    return cuts
+
+
+class TestChain:
+    """oracle_chain checks u = v link by link between cuts (k, p, z) that
+    claim u[:k] = v[:p] z; it trusts nothing from the cuts."""
+
+    @given(st.integers(1, 63), syllables(12), st.sampled_from(["witness", "respelled", "random"]), st.data())
+    def test_true_only_when_the_words_are_equal(self, n, u, kind, data):
+        # Sound for any cut list: wrong, non-monotone, short of either
+        # end, or with a nonempty z at an end.
+        ctx = group_context(n)
+        if kind == "witness":
+            v = decide_sign(u, ctx).witness
+        elif kind == "respelled":
+            v = respellings(u, n)[data.draw(st.sampled_from(["relator", "conjugate"]))]
+        else:
+            v = data.draw(syllables(12))
+        cuts = data.draw(cut_lists(u, v, ctx))
+        if oracle_chain(u, v, cuts, ctx):
+            assert oracle_equal(u, v, ctx), (n, u, v, cuts)
+
+    @given(st.integers(1, 63), syllables(40), st.integers(1, 8))
+    def test_the_producers_cuts_verify(self, n, u, cut):
+        ctx = group_context(n)
+        result, cuts = cone._certify(u, ctx, cut)
+        assert oracle_chain(u, result.witness, cuts, ctx)
+
+    def test_plain_entries_are_the_one_digit_layouts(self):
+        # n = 1, 2 (deg 1) and n = 3, 5 (deg 2, even q: halves of one digit).
+        assert [n for n in range(1, 64) if plain_entries(group_context(n))] == [1, 2, 3, 5]
+
+    def test_the_one_link_is_oracle_equal(self):
+        ctx = group_context(7)
+        u = parse_word("a^2 b^-1 a b^3")
+        for v in (*respellings(u, 7).values(), concat(u, parse_word("b")), u):
+            assert oracle_chain(u, v, [(0, 0, ()), (len(u), len(v), ())], ctx) == oracle_equal(u, v, ctx)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 63])
+    def test_the_tiling_must_reach_both_ends(self, n):
+        # Every link the cuts name holds; what is left out differs.
+        ctx = group_context(n)
+        x = ((GEN_B, 2), (GEN_A, -3), (GEN_B, 1), (GEN_A, 1))
+        a, b = ((GEN_A, 1),), ((GEN_B, 1),)
+        u, v = b + x, a + x
+        assert not oracle_chain(u, v, [(1, 1, ()), (len(u), len(v), ())], ctx)
+        assert not oracle_chain(u, v, [(0, 0, ()), (0, 0, ()), (1, 1, ()), (len(u), len(v), ())], ctx)
+        u, v = x + b, x + a
+        assert not oracle_chain(u, v, [(0, 0, ()), (len(x), len(x), ())], ctx)
+        assert not oracle_chain(u, v, [], ctx)
+        # A nonempty z at an end: u = v a^-1 holds as a link, u = v does not.
+        u, v = x, x + a
+        assert not oracle_chain(u, v, [(0, 0, ()), (len(u), len(v), ((GEN_A, -1),))], ctx)
+        assert oracle_chain(u, v + ((GEN_A, -1),), [(0, 0, ()), (len(u), len(v) + 1, ())], ctx)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 63])
+    def test_every_link_is_checked(self, n):
+        # Only the last link (or only the first) is wrong.
+        ctx = group_context(n)
+        x = ((GEN_B, 2), (GEN_A, -3), (GEN_B, 1), (GEN_A, 1))
+        a, b = ((GEN_A, 1),), ((GEN_B, 1),)
+        for u, v in ((x + b, x + a), (b + x, a + x)):
+            cuts = [(0, 0, ()), (1, 1, ()), (len(x), len(x), ()), (len(u), len(v), ())]
+            assert not oracle_chain(u, v, cuts, ctx)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 63])
+    def test_cuts_must_not_go_back(self, n):
+        # u = b and v = b a^-1 a a^-1 b = b^2: the prefixes u[:1] = v[:3]
+        # and the suffixes u[0:] = v[2:] agree, so each of the three links
+        # holds, the middle one over empty spans, yet u != v.
+        ctx = group_context(n)
+        u, v = ((GEN_B, 1),), ((GEN_B, 1), (GEN_A, -1), (GEN_A, 1), (GEN_A, -1), (GEN_B, 1))
+        cuts = [(0, 0, ()), (1, 3, ()), (0, 2, ()), (1, 5, ())]
+        assert oracle_equal(u[:1], v[:3], ctx) and oracle_equal(u, v[2:], ctx) and not oracle_equal(u, v, ctx)
+        assert not oracle_chain(u, v, cuts, ctx)
+
+    @pytest.mark.parametrize("n", [7, 31, 63])
+    def test_the_chain_folds_what_it_links(self, monkeypatch, n):
+        # Counted, not timed: the links fold each word once, plus each z
+        # twice, so at most |w| + |witness| + 2 CUT (number of cuts)
+        # syllables, however long the word.
+        ctx, rng = group_context(n), random.Random(f"chain work:{n}")
+        folded, real = [0], oracle.oracle_state
+        monkeypatch.setattr(oracle, "oracle_state", lambda w, c, *rest: folded.__setitem__(0, folded[0] + len(w)) or real(w, c, *rest))
+        for length in (30, 200, 700):
+            w = random_word(rng, length)
+            result, cuts = cone.certify_sign(w, ctx)
+            folded[0] = 0
+            assert oracle_chain(w, result.witness, cuts, ctx)
+            assert len(cuts) > length // cone.CUT
+            assert folded[0] <= len(w) + len(result.witness) + 2 * cone.CUT * len(cuts)

@@ -490,7 +490,7 @@ class TestScanEdges:
         def no_work(*args):
             raise AssertionError("a word was examined")
 
-        monkeypatch.setattr(normalform, "stack_pass", no_work)
+        monkeypatch.setattr(normalform, "_push", no_work)
         monkeypatch.setattr(words_module, "_ball_tree", no_work)
         with pytest.raises(ValueError, match="^max_len must be >= 0$"):
             scan(CTX2, -1)

@@ -302,13 +302,13 @@ def drop_ell(monkeypatch):
     read it: a stack pass that forgets ell, so that elements which differ
     by a power of delta share a form (at n = 2, a^-1 = a^2 delta^-1 gets
     the form of a^2)."""
-    real = normalform.stack_pass
+    real = normalform._push
 
-    def stack_pass(state, word, ctx):
-        stack, _, budget = real(state, word, ctx)
+    def push(stack, ell, budget, word, ctx):
+        stack, _, budget = real(stack, ell, budget, word, ctx)
         return stack, 0, budget
 
-    monkeypatch.setattr(normalform, "stack_pass", stack_pass)
+    monkeypatch.setattr(normalform, "_push", push)
 
 
 def memo_hits(ctx, max_len):
