@@ -57,15 +57,14 @@ ell -1 (a b^t a at n = 1).  Every word equal to b^k reaches the same
 form, so is_b_power reads off a word's normal form whether it is a
 power of b, which is how the flipped orders find the subgroup <b>.
 
-The pass is a left fold, and stack_pass exposes it as one: its state
-is (stack, ell, remaining budget), START is the state of the empty
-word, and the state of u resumed over v is the state of u v.  So the
-stack and ell of w x come from those of w in the work of the letter x,
-which is how the ball walks resume each word from its parent; resume
-is the pass plus its budget check, and to_normal_form resumes from START.
-The pass itself (_push) works on one list in place, and stack_pass
-and resume give it a copy; cone's cuts run one list through it chunk
-by chunk.
+The pass is a left fold, and resume exposes it as one: its state is
+(stack, ell, remaining budget), START is the state of the empty word,
+and the state of u resumed over v is the state of u v.  So the stack
+and ell of w x come from those of w in the work of the letter x, which
+is how the ball walks resume each word from its parent; resume is the
+pass on a copy of the stack plus its budget check, and to_normal_form
+resumes from START.  The pass itself (_push) works on one list in
+place; cone's cuts run one list through it chunk by chunk.
 """
 
 from __future__ import annotations
@@ -109,37 +108,29 @@ class NormalForm(_NormalForm):
 
 
 # The pass's state before any letter: empty stack, ell = 0, and the
-# budget's slack (see stack_pass).
+# budget's slack (see _push).
 START = ((), 0, 16)
-
-
-def stack_pass(state: tuple, word: Word, ctx: GroupContext) -> tuple[list[Syllable], int, int]:
-    """Resume the stack pass from state = (stack, ell, budget) over word.
-
-    stack is an irreducible positive word (any sequence of syllables; it
-    is copied, never changed), ell the central exponent so far and
-    budget the rule firings still allowed.  Returns the state after
-    word, with the stack as a new list.  Resuming from the state of u
-    over v gives the stack and ell of u v wherever the split falls (the
-    same positive letters are pushed), and a split between syllables
-    also gives the same budget: the same rules fire.
-
-    Each syllable adds its letters after inverse elimination to the
-    budget (a^-m gives n m of them, b^-t gives (2n+1) t) and every rule
-    firing takes one; START holds a slack of 16.  A syllable costs O(1)
-    steps plus the letters it writes, bar a b^k's r2 loop (at most k
-    rounds), so the caller checks the budget once, at the end, as a
-    tripwire: negative means more firings than letters, a bug.
-    """
-    return _push(list(state[0]), state[1], state[2], word, ctx)
 
 
 def _push(stack: list[Syllable], ell: int, budget: int, word: Word, ctx: GroupContext) -> tuple[list[Syllable], int, int]:
     """The stack pass itself, on the list stack in place: returns (stack,
-    ell, budget) after word.  It writes only at the top, through pop,
-    del stack[-1], stack[-1] = x and appends, which is how cone's cuts,
-    running one stack through it chunk by chunk, see the lowest height a
-    chunk wrote at.  stack_pass and resume give it a copy."""
+    ell, budget) after word.
+
+    stack is an irreducible positive word, ell the central exponent so
+    far and budget the rule firings still allowed.  Resuming from the
+    state of u over v gives the stack and ell of u v wherever the split
+    falls (the same positive letters are pushed), and a split between
+    syllables also gives the same budget: the same rules fire.  Each
+    syllable adds its letters after inverse elimination to the budget
+    (a^-m gives n m of them, b^-t gives (2n+1) t) and every rule firing
+    takes one; START holds a slack of 16.  A syllable costs O(1) steps
+    plus the letters it writes, bar a b^k's r2 loop (at most k rounds),
+    so the budget is checked once, at the end, as a tripwire (resume).
+
+    It writes only at the top, through pop, del stack[-1], stack[-1] = x
+    and appends, which is how cone's cuts, running one stack through it
+    chunk by chunk, see the lowest height a chunk wrote at.  resume
+    gives it a copy."""
     n, q = ctx.n, ctx.q
     top_a_n = (GEN_A, n)
     period = ((GEN_A, n - 1), (GEN_B, 1)) if n > 1 else ()  # (a^(n-1) b)
@@ -223,9 +214,12 @@ def _push(stack: list[Syllable], ell: int, budget: int, word: Word, ctx: GroupCo
 
 
 def resume(state: tuple, word: Word, ctx: GroupContext) -> tuple[list[Syllable], int, int]:
-    """stack_pass from state over word, with its budget tripwire: a
-    negative budget left (more firings than letters, a bug) raises."""
-    state = _push(list(state[0]), state[1], state[2], word, ctx)  # stack_pass, a call fewer
+    """Resume the stack pass (_push) from state = (stack, ell, budget)
+    over word, on a copy of stack (any sequence of syllables; it is never
+    changed), and return the state after word with the stack as a new
+    list.  The budget is the tripwire: a negative budget left (more rule
+    firings than letters, a bug) raises RewriteLimitError."""
+    state = _push(list(state[0]), state[1], state[2], word, ctx)
     if state[2] < 0:
         raise RewriteLimitError("normal-form budget exhausted")
     return state

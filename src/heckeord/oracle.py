@@ -60,8 +60,9 @@ bounds them; before that bound could reach 2^(B - 2), a guard-bit
 certificate (two big-int operations per packed int) proves them at most
 2^(B - g), with g = 64 guard bits (up to 76 for n >= 57, so that every
 rotation fits under one certificate).  Only a failed certificate
-widens, and without unpacking: certificates at 16-bit bands measure the
-digits and mask-and-shift rounds respread the ints (_widen).
+widens, and from the bound the fold holds: the ints are unpacked and
+packed again at a width with room for that bound, the syllable's growth
+and a fresh guard (_widen).
 
 The oracle's state of a word, (phi, the fold's state) or at n = 1 the
 Klein pair, is made and read only here: oracle_state hands it out,
@@ -168,7 +169,7 @@ def _layout(q: int, width: int) -> tuple[int, int, int, int, int, int]:
     place = width * (digits - 1)
     if width <= guard:  # too narrow for a certificate: 0 <= y < 0 fails
         return _pack(reducer, width), place, 1 << (place - 1), 0, 0, 0
-    ones = _ones(width, digits)
+    ones = _pack((1,) * digits, width)
     return (
         _pack(reducer, width),
         place,
@@ -215,69 +216,31 @@ def _fits(entries, certificate) -> bool:
     return 0 <= z < top and not z & guard
 
 
-def _ones(width: int, digits: int) -> int:
-    """1 in each of d digits at width B: the sum of 2^(B i), i < d."""
-    ones, count = 1, 1
-    while count < digits:
-        ones, count = ones | ones << width * count, 2 * count
-    return ones & ((1 << width * digits) - 1)
+def _repack(entries, digits: int, width: int, wider: int) -> tuple[int, ...]:
+    """The packed ints at another width: each unpacked at width and packed
+    at wider, exact while every digit is below 2^(B - 2) at both widths,
+    as the fold keeps them."""
+    return tuple(_pack(_unpack(x, width, digits), wider) for x in entries)
 
 
-def _respread(entries, digits: int, width: int, wider: int) -> tuple[int, ...]:
-    """The packed ints at the wider width, exact while every digit is
-    below 2^(B - 2): 2^(B - 2) added to each digit makes the slots
-    unsigned; then for s = 2^(r - 1), ..., 2, 1 (r = ceil(log2 d)) one
-    mask takes the runs of s digits whose index has bit s set and one
-    shift moves them up by s (wider - B); the offset comes off at wider.
-    """
-    offset, s = _ones(width, digits) << (width - 2), 1 << (digits - 1).bit_length() >> 1
-    entries = [x + offset for x in entries]
-    while s:
-        run = ((1 << width * s) - 1) << width * s
-        mask, shift = sum(run << wider * i for i in range(0, digits - s, 2 * s)), s * (wider - width)
-        entries = [y ^ (moved := y & mask) | moved << shift for y in entries]
-        s >>= 1
-    offset = _ones(wider, digits) << (width - 2)
-    return tuple(y - offset for y in entries)
+def _widen(entries, digits: int, width: int, bits: int, grow: int, guard: int) -> tuple[tuple[int, ...], int, int]:
+    """(entries, wider, bits): the packed ints, whose digits the fold
+    holds below 2^bits, repacked at the least multiple of 16 bits with
+    room for grow more bits, the guard and _SLACK.  The digits are not
+    measured, so the bound stays bits."""
+    wider = -(-(bits + grow + guard + _SLACK) // 16) * 16
+    return _repack(entries, digits, width, wider), wider, bits
 
 
-def _widen(
-    entries, digits: int, width: int, grow: int, guard: int, failed: int = -1
-) -> tuple[tuple[int, ...], int, int]:
-    """Measure the digits and respread the packed ints with room for grow
-    more bits.  The measure is the least band b = 0, 16, ... whose
-    certificate (_fits: -2^b <= every digit < 2^b) passes, found by
-    binary search up to B - 2, which the fold's digits always pass; so
-    2^(b + 1) bounds them, at most 16 bits above the largest.  A
-    certificate at 2^failed that has failed already rules out every band
-    b <= failed, so the search starts above them.
-
-    Returns (entries, width, bits) with every digit below 2^bits; the
-    width is kept when it has the room already.
-    """
-    ones, top = _ones(width, digits), 1 << width * digits
-    lo, hi = max(0, failed // 16 + 1), -(-(width - 2) // 16)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        certificate = (ones << 16 * mid, (ones << width) - (ones << 16 * mid + 1), top)
-        lo, hi = (lo, mid) if _fits(entries, certificate) else (mid + 1, hi)
-    bits = min(16 * hi, width - 2) + 1
-    wider = max(width, -(-(bits + grow + guard + _SLACK) // 16) * 16)
-    return _respread(entries, digits, width, wider), wider, bits
-
-
-def _room(entries, q: int, width: int, grow: int) -> tuple[tuple[int, ...], int, int]:
+def _room(entries, q: int, width: int, bits: int, grow: int) -> tuple[tuple[int, ...], int, int]:
     """(entries, width, bits) with room for a syllable that grows the
     digits by up to grow bits: certified at this width when one
-    certificate covers the syllable and passes, otherwise widened."""
+    certificate covers the syllable and passes, otherwise widened from
+    the bound 2^bits."""
     _, _, _, _, guard, digits = _plan(q)
-    if grow > guard - 3:
-        return _widen(entries, digits, width, grow, guard)
-    if _fits(entries, _layout(q, width)[3:]):
+    if grow <= guard - 3 and _fits(entries, _layout(q, width)[3:]):
         return entries, width, width - guard + 1
-    # The fold's widths start above every guard, so this certificate at
-    # 2^(B - g) was a real one, and it failed.
-    return _widen(entries, digits, width, grow, guard, width - guard)
+    return _widen(entries, digits, width, bits, grow, guard)
 
 
 def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
@@ -302,8 +265,15 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
     every digit stays below 2^(B - 2).  A bound 2^bits on the digits
     grows by each syllable's factor (_plan); before it could pass
     2^(B - 2) the packed ints are certified (_fits) to have digits
-    <= 2^(B - g), and only when that fails, or one syllable alone could
-    outgrow the guard, are they measured and respread wider (_widen).
+    <= 2^(B - g), which resets the bound to 2^(B - g + 1).  Only when
+    that fails, or one syllable alone could outgrow the guard, are they
+    repacked wider (_widen), at a width that follows the bound: the
+    digits themselves are not measured.  After a failed certificate the
+    bound is the growth proven since the last one that passed; on the
+    other branch, which only a b-syllable of |exponent| 2^45 or more
+    reaches (far past the parser's letter limit, so library words alone),
+    no certificate is tried and the width follows the proven growth
+    bound rather than the digits.
 
     The entries start at the identity, (1, -1) on the diagonal, and are
     right-multiplied one syllable at a time, each row (x, y) alike:
@@ -383,7 +353,7 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
                     flip, s = not flip, s - q
                 grow = rotation_bits[s if 2 * s <= q else q - s]
             if bits + grow > width - 2:
-                (e0, o0, f1, p1, e2, o2, f3, p3), width, bits = _room((e0, o0, f1, p1, e2, o2, f3, p3), q, width, grow)
+                (e0, o0, f1, p1, e2, o2, f3, p3), width, bits = _room((e0, o0, f1, p1, e2, o2, f3, p3), q, width, bits, grow)
                 mod, place, half = _layout(q, width)[:3]
             bits += grow
             if gen == GEN_B:
@@ -409,7 +379,7 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
                 flip, s = not flip, s - q
             grow = rotation_bits[s if 2 * s <= q else q - s]
         if bits + grow > width - 2:
-            (x0, y1, x2, y3), width, bits = _room((x0, y1, x2, y3), q, width, grow)
+            (x0, y1, x2, y3), width, bits = _room((x0, y1, x2, y3), q, width, bits, grow)
             mod, place, half = _layout(q, width)[:3]
         bits += grow
         if gen == GEN_B:
@@ -551,7 +521,7 @@ def same_element(u: tuple, v: tuple, ctx: GroupContext) -> bool:
     entries of one state negated when the two flips differ: a packed
     int has one balanced digit string at a given width, so equal rho
     means equal ints.  Of two states of different widths, the narrower
-    is respread to the wider width first (_respread).
+    is repacked at the wider width first (_repack, as _widen does).
     """
     if ctx.n == 1:
         return u == v
@@ -559,9 +529,9 @@ def same_element(u: tuple, v: tuple, ctx: GroupContext) -> bool:
         return False
     (u_entries, u_flip, u_width, _), (v_entries, v_flip, v_width, _) = u[1], v[1]
     if u_width < v_width:
-        u_entries = _respread(u_entries, _plan(ctx.q)[5], u_width, v_width)
+        u_entries = _repack(u_entries, _plan(ctx.q)[5], u_width, v_width)
     elif v_width < u_width:
-        v_entries = _respread(v_entries, _plan(ctx.q)[5], v_width, u_width)
+        v_entries = _repack(v_entries, _plan(ctx.q)[5], v_width, u_width)
     if u_flip == v_flip:
         return u_entries == v_entries
     return u_entries == tuple(map(operator.neg, v_entries))

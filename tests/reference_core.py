@@ -10,7 +10,8 @@ differential tests can demand identical normal forms and identical
 SignResults (verdict, witness, steps) from the package's core.  The
 stack pass pushes b^-t as a^n (b a^2n)^(t-1) b a^n one block at a time
 through one generic loop; the tests demand the same (stack, ell,
-budget) from `normalform.stack_pass` from every reachable state.  The
+budget) from the package's stack pass (`normalform._push`, under
+`normalform.resume`) from every reachable state.  The
 parser finds each term's offset with `text.index` as it goes and checks
 every term, repeats included; the differential tests demand the same
 word, or the same refusal message and offset, from `parse_word`.  The

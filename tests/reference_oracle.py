@@ -8,8 +8,9 @@ with `oracle._fold` but none of the packing, the width bound or the
 certificate, so the tests can demand identical matrices from the two.
 It also keeps the guard-bit certificate as it tested one packed int at
 a time, against which the tests check `oracle._fits`'s single test, and
-the widening as it unpacked and repacked every digit, against which the
-tests check `oracle._respread` and `oracle._widen`'s measured bound.
+a repack that reads and writes every digit one at a time, against which
+the tests check `oracle._repack`, the repack of `oracle._widen` and
+`oracle.same_element`.
 """
 
 from __future__ import annotations
@@ -81,12 +82,8 @@ def reference_digits(x: int, width: int, digits: int) -> list[int]:
 
 def reference_repack(entries, digits: int, width: int, wider: int) -> tuple[int, ...]:
     """The packed ints moved to another width: unpacked digit by digit
-    and packed again, as the fold widened before it respread in place."""
+    and packed again."""
     return tuple(
         sum(c << (wider * i) for i, c in enumerate(reference_digits(x, width, digits))) for x in entries
     )
 
-
-def reference_digit_bits(entries, digits: int, width: int) -> int:
-    """The bit length of the largest digit of any of the packed ints."""
-    return max(abs(c).bit_length() for x in entries for c in reference_digits(x, width, digits))

@@ -95,7 +95,7 @@ class TestSignCheckFails:
         if text == self.LONG:
             assert ["sign", "--n", "63", text] in GOLDEN_CASES
             # The whole-word folds of w and of the wrong witness end at other
-            # widths, so oracle_equal respreads one state before it fails;
+            # widths, so oracle_equal repacks one state before it fails;
             # sign checks the long word link by link, and the last link fails.
             wrong = oracle.oracle_state(spoilt, ctx)
             assert oracle.oracle_state(word, ctx)[1][2] != wrong[1][2]

@@ -13,7 +13,7 @@ from conftest import relator, trivial_words, words
 from heckeord import cone, normalform, orderings, suites
 from heckeord.cone import ReductionStuck, Sign, SignResult, decide_sign, expand_handle, verdict
 from heckeord.context import group_context
-from heckeord.normalform import START, NormalForm, stack_pass, to_normal_form
+from heckeord.normalform import START, NormalForm, resume, to_normal_form
 from heckeord.oracle import oracle_chain, oracle_equal, oracle_is_identity, plain_entries
 from heckeord.words import (
     GEN_A,
@@ -202,7 +202,7 @@ class TestVerdict:
     def test_equals_the_sign_pass_verdict(self, data):
         n = data.draw(st.one_of(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=63)), label="n")
         ctx = group_context(n)
-        stack, ell, _ = stack_pass(START, data.draw(words(max_syllables=12), label="w"), ctx)
+        stack, ell, _ = resume(START, data.draw(words(max_syllables=12), label="w"), ctx)
         ell += data.draw(st.integers(min_value=-2, max_value=2), label="shift")  # u * delta^ell for any ell
         expected = cone.sign_pass(NormalForm(tuple(stack), ell), ctx).verdict
         assert verdict(stack, ell, ctx) is verdict(tuple(stack), ell, ctx) is expected
@@ -419,7 +419,7 @@ def test_the_cut_stack_records_the_lowest_height_written(n, u, v):
     # wrote over v; a list that records every write, at any index,
     # agrees, so the pass writes nowhere the cut stack does not see.
     ctx = group_context(n)
-    before = stack_pass(START, u, ctx)
+    before = resume(START, u, ctx)
     watched, stack = WatchedStack(before[0]), cone._Stack(before[0])
     stack.low = len(stack)
     assert normalform._push(stack, before[1], before[2], v, ctx)[1:] == normalform._push(watched, before[1], before[2], v, ctx)[1:]

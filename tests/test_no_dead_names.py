@@ -2,15 +2,19 @@
 
 A function, class or assignment at the top level of src/heckeord/*.py
 must be named at least once outside its own definition: somewhere in
-src/, in perfbench/*.py (its tracer wraps package functions by name),
-or in tests/test_acceptance.py (which holds the paper's checks).  Other
-tests do not count, so code kept alive only by its own unit tests shows
-up here.  Dunder names such as __version__ are read by tools and are
-exempt.
+src/, in perfbench/*.py (its tracer wraps package functions by name,
+from string lists and f-strings), or in tests/test_acceptance.py (which
+holds the paper's checks).  In the name's own module only code counts:
+its comments and docstrings there are not reads.  Other tests do not
+count, so code kept alive only by its own unit tests, or only by its
+own module's prose, shows up here.  Dunder names such as __version__
+are read by tools and are exempt.
 """
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,12 +34,31 @@ def top_level_definitions(path):
                     yield target.id, node.lineno, node.end_lineno
 
 
+def code_outside(path, first, last):
+    """The source tokens of path outside lines first..last, without its
+    comments and docstrings (every statement that is a bare string)."""
+    source = path.read_text(encoding="utf-8")
+    prose = [
+        ((node.lineno, node.col_offset), (node.end_lineno, node.end_col_offset))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+    ]
+    return [
+        token.string
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type != tokenize.COMMENT
+        and not first <= token.start[0] <= last
+        and not any(start <= token.start < end for start, end in prose)
+    ]
+
+
 def is_named_elsewhere(name, path, first, last):
     pattern = re.compile(rf"\b{re.escape(name)}\b")
     for reader in READERS:
-        lines = reader.read_text(encoding="utf-8").splitlines()
         if reader == path:
-            lines = lines[: first - 1] + lines[last:]
+            lines = code_outside(path, first, last)
+        else:
+            lines = reader.read_text(encoding="utf-8").splitlines()
         if any(pattern.search(line) for line in lines):
             return True
     return False

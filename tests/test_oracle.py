@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import deep_only, relator, trivial_words, words
-from reference_oracle import reference_digit_bits, reference_fits, reference_repack, tuple_rho
+from reference_oracle import reference_digits, reference_fits, reference_repack, tuple_rho
 from heckeord import oracle
 from heckeord.algebra import mat_identity, mat_mul, mat_neg, mat_pow
 from heckeord import cone
@@ -724,9 +725,10 @@ class TestPackedFold:
 
 
 class TestWidening:
-    """oracle._widen measures the digits by certificates and respreads the
-    packed ints in place (oracle._respread); both against the reference
-    that unpacks and repacks every digit."""
+    """oracle._widen repacks the packed ints (oracle._repack, unpacked at
+    one width and packed at the other) at a width that follows the bound
+    the fold holds, without measuring the digits; _repack against the
+    reference that unpacks and repacks every digit one at a time."""
 
     @pytest.mark.parametrize("digits", range(1, 33))
     def test_respread_at_every_digit_count(self, digits):
@@ -737,7 +739,7 @@ class TestWidening:
             rows = [[c] * digits for c in (0, 1, -1, edge, -edge)]
             rows += [[(-1) ** i * edge for i in range(digits)], [(i % 3 - 1) * edge for i in range(digits)]]
             packed = tuple(oracle._pack(row, width) for row in rows)
-            assert oracle._respread(packed, digits, width, wider) == reference_repack(packed, digits, width, wider)
+            assert oracle._repack(packed, digits, width, wider) == reference_repack(packed, digits, width, wider)
 
     def test_digit_counts_of_the_fold(self):
         # The counts the fold packs lie in 1..32 and include ones that are
@@ -754,82 +756,82 @@ class TestWidening:
         rows = data.draw(st.lists(st.lists(digit, min_size=digits, max_size=digits), min_size=1, max_size=8))
         packed = tuple(oracle._pack(row, width) for row in rows)
         wider = width + more
-        assert oracle._respread(packed, digits, width, wider) == reference_repack(packed, digits, width, wider)
+        assert oracle._repack(packed, digits, width, wider) == reference_repack(packed, digits, width, wider)
 
     @settings(max_examples=300)
     @given(st.integers(1, 32), st.integers(3, 300), st.integers(0, 80), st.sampled_from([64, 76]), st.data())
-    def test_measured_bound_covers_every_digit(self, digits, width, grow, guard, data):
-        # The largest digit has some length up to B - 2; the bound _widen
-        # measures covers it with at most 16 bits to spare, and the ints
-        # come back at a width with room for grow more bits.
-        length = data.draw(st.integers(0, width - 2))
-        top = (1 << length) - 1
-        # -2^length is the certificate's own edge: band b passes -2^b.
-        digit = st.sampled_from([0, 1, -1, top, -top, -(1 << min(length, width - 3))])
-        row = st.lists(digit | st.integers(-top, top), min_size=digits, max_size=digits)
-        rows = data.draw(st.lists(row, min_size=1, max_size=8))
+    def test_widening_keeps_the_bound(self, digits, width, grow, guard, data):
+        # The fold holds a bound 2^bits on the digits, bits <= B - 2; the
+        # widening keeps it, moves to the least multiple of 16 bits with
+        # room for it, grow more bits, the guard and the slack, and hands
+        # back the same digits there, without a single certificate.
+        bits = data.draw(st.integers(1, width - 2))
+        top = (1 << bits) - 1
+        digit = st.sampled_from([0, 1, -1, top, -top]) | st.integers(-top, top)
+        rows = data.draw(st.lists(st.lists(digit, min_size=digits, max_size=digits), min_size=1, max_size=8))
         packed = tuple(oracle._pack(row, width) for row in rows)
-        entries, wider, bits = oracle._widen(packed, digits, width, grow, guard)
-        true = reference_digit_bits(packed, digits, width)
-        assert true <= bits <= true + 16, (true, bits)
-        assert wider >= width and bits + grow <= wider - 2
+        with mock.patch.object(oracle, "_fits", wraps=oracle._fits) as fits:
+            entries, wider, kept = oracle._widen(packed, digits, width, bits, grow, guard)
+        assert fits.call_count == 0
+        assert kept == bits and bits + grow <= wider - 2
+        assert wider % 16 == 0 and wider - 16 < bits + grow + guard + oracle._SLACK <= wider
         assert entries == reference_repack(packed, digits, width, wider)
+        assert [reference_digits(x, wider, digits) for x in entries] == rows
 
-    def test_a_failed_certificate_floors_the_search(self, monkeypatch):
-        # After the certificate at 2^(B - g) failed, the search starts above
-        # it and finds the same band, so it returns the same (entries,
-        # width, bits) as the search from band 0, with fewer _fits probes.
-        real, probes = oracle._fits, [0]
-        monkeypatch.setattr(oracle, "_fits", lambda *args: probes.__setitem__(0, probes[0] + 1) or real(*args))
-        rng, saved = random.Random("floored widening"), []
-        for digits in (1, 2, 3, 9, 15, 16, 18, 32):
-            for width in (96, 101, 160, 227, 544, 608):
-                for guard, grow in ((64, 0), (64, 20), (76, 61), (76, 80)):
-                    length = rng.randint(width - guard + 1, width - 2)
-                    top = (1 << length) - 1
-                    row = [rng.randint(-top, top) for _ in range(digits - 1)] + [rng.choice((top, -top - 1))]
-                    rng.shuffle(row)
-                    packed = (oracle._pack(row, width), oracle._pack(row[::-1], width))
-                    # The premise: the certificate at 2^(B - g) fails.
-                    failed = width - guard
-                    ones = oracle._ones(width, digits)
-                    certificate = (ones << failed, (ones << width) - (ones << failed + 1), 1 << width * digits)
-                    assert not real(packed, certificate)
-                    probes[0] = 0
-                    whole = oracle._widen(packed, digits, width, grow, guard)
-                    probes_whole, probes[0] = probes[0], 0
-                    assert oracle._widen(packed, digits, width, grow, guard, failed) == whole
-                    assert probes[0] <= probes_whole
-                    saved.append(probes_whole - probes[0])
-        assert sum(saved) >= len(saved), sum(saved)
+    @pytest.mark.parametrize("n", [7, 63])
+    def test_shears_that_outgrow_the_guard(self, monkeypatch, n):
+        # b^(2^70) grows the digits by more than any certificate leaves
+        # room for (g - 3 bits), so the fold widens at such a syllable
+        # without trying one, from the bound alone.
+        ctx = group_context(n)
+        guard = oracle._plan(ctx.q)[4]
+        w = word_from_syllables([(GEN_A, 1), (GEN_B, 1 << 70)] * 50)  # (a b^(2^70))^50
+        grows = []
+        real = oracle._widen
+        monkeypatch.setattr(oracle, "_widen", lambda *args: grows.append(args[4]) or real(*args))
+        assert rho(w, ctx) == tuple_rho(w, ctx), n
+        assert grows and all(grow > guard - 3 for grow in grows), (n, grows)
 
-    def test_the_measure_is_the_certificate(self, monkeypatch):
-        # _widen reads its bound off _fits alone: a certificate that always
-        # passes gives the lowest band, one that never does the highest.
-        packed, width = (oracle._pack([5, -300, 7], 96),), 96
-        assert oracle._widen(packed, 3, width, 0, 64)[2] == 17
-        monkeypatch.setattr(oracle, "_fits", lambda entries, certificate: True)
-        assert oracle._widen(packed, 3, width, 0, 64)[2] == 1
-        monkeypatch.setattr(oracle, "_fits", lambda entries, certificate: False)
-        assert oracle._widen(packed, 3, width, 0, 64)[2] == width - 1
+
+def long_words(n):
+    """The ci-deep long words at n: seven of 1,000 to 2,000 syllables and
+    one of 4,000."""
+    rng = random.Random(f"long words:{n}")
+    return [random_word(rng, length) for length in [rng.randint(1000, 2000) for _ in range(7)] + [4000]]
+
+
+def fold_counting_widenings(word, ctx):
+    """(oracle._fold's state of word, how many times the fold widened)."""
+    real, calls = oracle._widen, []
+    oracle._widen = lambda *args: calls.append(1) or real(*args)
+    try:
+        return oracle._fold(word, ctx), len(calls)
+    finally:
+        oracle._widen = real
+
+
+# Widenings per long word when every widening first measured the digits by
+# certificates at 16-bit bands (commit 5e03b91), counted there with
+#   mkdir parent && git archive 5e03b91 src | tar -x -C parent
+#   PYTHONPATH=parent/src:tests python -c "import test_oracle as t; from heckeord.context import group_context as g; print({n: [t.fold_counting_widenings(w, g(n))[1] for w in t.long_words(n)] for n in (7, 31, 63)})"
+MEASURED_WIDENINGS = {
+    7: [29, 21, 21, 26, 27, 34, 29, 74],
+    31: [36, 32, 31, 21, 37, 35, 38, 81],
+    63: [22, 17, 20, 32, 26, 23, 32, 65],
+}
 
 
 @deep_only
 @pytest.mark.parametrize("n", [7, 31, 63])
-def test_long_random_words_match_the_tuple_fold(monkeypatch, n):
+def test_long_random_words_match_the_tuple_fold(n):
     # Words of 1,000 to 2,000 syllables, and one of 4,000, widen 10 or more
-    # times each; every widening measures and respreads, and the matrix
-    # must still be exact.
+    # times each, and fewer times than when the digits were measured at
+    # every widening; the matrix must still be exact.
     ctx = group_context(n)
-    rng = random.Random(f"long words:{n}")
-    widened = []
-    real = oracle._widen
-    monkeypatch.setattr(oracle, "_widen", lambda *args: widened.append(1) or real(*args))
-    for length in [rng.randint(1000, 2000) for _ in range(7)] + [4000]:
-        w = random_word(rng, length)
-        widened.clear()
-        assert rho(w, ctx) == tuple_rho(w, ctx), (n, len(w))
-        assert len(widened) >= 10, (n, len(w), len(widened))
+    for w, measured in zip(long_words(n), MEASURED_WIDENINGS[n], strict=True):
+        state, widened = fold_counting_widenings(w, ctx)
+        assert oracle._coefficients(state, ctx) == tuple_rho(w, ctx), (n, len(w))
+        assert 10 <= widened < measured, (n, len(w), widened, measured)
 
 
 class TestResumedFold:
