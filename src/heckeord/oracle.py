@@ -59,13 +59,15 @@ same numbers however they are packed.  Each syllable's growth factor
 bounds them; before that bound could reach 2^(B - 2), a guard-bit
 certificate (two big-int operations per packed int) proves them at most
 2^(B - g), with g = 64 guard bits (up to 76 for n >= 57, so that every
-rotation fits under one certificate).  Only a failed certificate
-widens, and from the bound the fold holds: the ints are unpacked and
-packed again at a width with room for that bound, the syllable's growth
-and a fresh guard (_widen).
+rotation fits under one certificate).  The fold's loop runs it itself,
+on the width's constants it keeps as locals (_layout).  Only a failed
+certificate widens, and from the bound the fold holds: the ints are
+unpacked and packed again at a width with room for that bound, the
+syllable's growth and a fresh guard (_widen).
 
 The oracle's state of a word, (phi, the fold's state) or at n = 1 the
-Klein pair, is made and read only here: oracle_state hands it out,
+Klein pair, is made and read only here: oracle_state hands it out (phi
+summed in the packed fold's own pass over the word),
 oracle_is_identity resumes from it and same_element compares two.
 oracle_chain checks u = v as a chain of links between cuts, each the
 equality of two short words (oracle_equal, its one link), so that no
@@ -78,7 +80,7 @@ A b-syllable costs O(1) and an a-syllable O(min(e mod q, q - e mod q))
 big-int operations, each linear in the packed length except the product
 of the top digit with the packed modulus, which costs B times that
 length: deg * B^2 at odd q and half of it at even q, still most of a
-step at n = 63.
+step at n = 63.  A certificate is one _fits call.
 
 Everything here is computed with integer arithmetic only.
 """
@@ -156,27 +158,28 @@ def _plan(q: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=256)
-def _layout(q: int, width: int) -> tuple[int, int, int, int, int, int]:
-    """Packed constants at digit width B: (M, S, 2^(S-1), K, G, 2^(B d)).
+def _layout(q: int, width: int) -> tuple[int, int, tuple[int, int, int]]:
+    """Packed constants at digit width B: M, S - 1 and the certificate
+    (K, G, 2^(B d)) of _fits, for d digits per packed int (_plan).
 
-    d is the number of digits per packed int (_plan), M the monic
-    modulus packed, or N with M(x) = N(x^2) when entries are halves,
-    S = B (d - 1) the place of the top digit, K has 2^(B - g) in every
-    digit and G the top g - 1 bits of every digit.
+    M is the monic modulus packed, or N with M(x) = N(x^2) when entries
+    are halves, S = B (d - 1) the place of the top digit, K has 2^(B - g)
+    in every digit and G the top g - 1 bits of every digit.
     """
     deg, modulus, _, _, guard, digits = _plan(q)
     reducer = modulus if digits == deg else modulus[::2]
     place = width * (digits - 1)
     if width <= guard:  # too narrow for a certificate: 0 <= y < 0 fails
-        return _pack(reducer, width), place, 1 << (place - 1), 0, 0, 0
+        return _pack(reducer, width), place - 1, (0, 0, 0)
     ones = _pack((1,) * digits, width)
     return (
         _pack(reducer, width),
-        place,
-        1 << (place - 1),
-        ones << (width - guard),
-        ones * (((1 << (guard - 1)) - 1) << (width - guard + 1)),
-        1 << (width * digits),
+        place - 1,
+        (
+            ones << (width - guard),
+            ones * (((1 << (guard - 1)) - 1) << (width - guard + 1)),
+            1 << (width * digits),
+        ),
     )
 
 
@@ -232,20 +235,12 @@ def _widen(entries, digits: int, width: int, bits: int, grow: int, guard: int) -
     return _repack(entries, digits, width, wider), wider, bits
 
 
-def _room(entries, q: int, width: int, bits: int, grow: int) -> tuple[tuple[int, ...], int, int]:
-    """(entries, width, bits) with room for a syllable that grows the
-    digits by up to grow bits: certified at this width when one
-    certificate covers the syllable and passes, otherwise widened from
-    the bound 2^bits."""
-    _, _, _, _, guard, digits = _plan(q)
-    if grow <= guard - 3 and _fits(entries, _layout(q, width)[3:]):
-        return entries, width, width - guard + 1
-    return _widen(entries, digits, width, bits, grow, guard)
-
-
-def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
+def _fold(word: Word, ctx: GroupContext, start: tuple | None = None, value: int | None = None) -> tuple:
     """The fold's state after word, resumed from start (the identity when
-    None; start itself when word is empty).
+    None; start itself when word is empty).  Given value, the phi before
+    word, it returns (value + phi(word), state): packed loops sum each
+    generator's exponents and take phi of the sums, so oracle_state reads
+    a long word once; plain ones let phi read it, cheaper per letter.
 
     The state is (entries, flip, width, bits): rho of the letters folded
     so far is (-1)^flip times [[x0, -y1], [x2, -y3]] for the packed
@@ -260,20 +255,20 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
     and P those of y1 and y3.  A packed int of one digit is that digit
     (deg 1, or deg 2 at even q): width and bits are then 0.  Otherwise
     the digits are packed balanced at 2^B: lam u = (u << B) - t M with
-    t = (u + 2^(S-1)) >> S the top digit of u, or on halves lam (E, O) =
-    ((O << B) - t N, E) with t the top digit of O; either is exact while
-    every digit stays below 2^(B - 2).  A bound 2^bits on the digits
-    grows by each syllable's factor (_plan); before it could pass
-    2^(B - 2) the packed ints are certified (_fits) to have digits
-    <= 2^(B - g), which resets the bound to 2^(B - g + 1).  Only when
-    that fails, or one syllable alone could outgrow the guard, are they
-    repacked wider (_widen), at a width that follows the bound: the
-    digits themselves are not measured.  After a failed certificate the
-    bound is the growth proven since the last one that passed; on the
-    other branch, which only a b-syllable of |exponent| 2^45 or more
-    reaches (far past the parser's letter limit, so library words alone),
-    no certificate is tried and the width follows the proven growth
-    bound rather than the digits.
+    t = ((u >> (S - 1)) + 1) >> 1 the top digit of u (u / 2^S rounded,
+    no add as long as u), or on halves lam (E, O) = ((O << B) - t N, E)
+    with t the top digit of O; either is exact while every digit stays
+    below 2^(B - 2).  _layout's M, S - 1 and certificate are loop locals,
+    looked up again after a widening.  A bound 2^bits on the digits grows
+    by each syllable's factor (_plan); before it could pass 2^(B - 2) the
+    loop certifies the packed ints (_fits) to have digits <= 2^(B - g),
+    which resets the bound to 2^(B - g + 1).  Only when that fails, or
+    one syllable alone could outgrow the guard, are they repacked wider
+    (_widen), at a width that follows the bound, not the digits.
+    After a failed certificate the bound is the growth proven since the
+    last one that passed; on the other branch, which only a b-syllable of
+    |exponent| 2^45 or more reaches (far past the parser's letter limit,
+    so library words alone), no certificate is tried.
 
     The entries start at the identity, (1, -1) on the diagonal, and are
     right-multiplied one syllable at a time, each row (x, y) alike:
@@ -288,15 +283,15 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
     is read.
     """
     if start is not None and not word:
-        return start
+        return start if value is None else (value, start)
     q = ctx.q
     turn = 2 * q
-    deg, modulus, shear_bits, rotation_bits, _, digits = _plan(q)
-    halves = digits < deg
+    deg, modulus, shear_bits, rotation_bits, guard, digits = _plan(q)
     if start is None:
-        identity = (1, 0, 0, 0, 0, 0, -1, 0) if halves else (1, 0, 0, -1)
+        identity = (1, 0, 0, 0, 0, 0, -1, 0) if digits < deg else (1, 0, 0, -1)
         start = (identity, False, 0, 0) if digits == 1 else (identity, False, _START_WIDTH, 1)
     entries, flip, width, bits = start
+    summed = word
     if deg == 1:  # lam is an int
         lam = -modulus[0]
         x0, y1, x2, y3 = entries
@@ -318,8 +313,8 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
                 for _ in range(q - s):
                     x0, y1 = y1, lam * y1 - x0
                     x2, y3 = y3, lam * y3 - x2
-        return (x0, y1, x2, y3), flip, 0, 0
-    if digits == 1:  # halves of one digit each: lam (e, o) = (c o, e), c = lam^2
+        entries = x0, y1, x2, y3
+    elif digits == 1:  # halves of one digit each: lam (e, o) = (c o, e), c = lam^2
         c = -modulus[0]
         e0, o0, f1, p1, e2, o2, f3, p3 = entries
         for gen, exp in word:
@@ -340,61 +335,77 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
                 for _ in range(q - s):
                     e0, o0, f1, p1 = f1, p1, c * p1 - e0, f1 - o0
                     e2, o2, f3, p3 = f3, p3, c * p3 - e2, f3 - o2
-        return (e0, o0, f1, p1, e2, o2, f3, p3), flip, 0, 0
-    mod, place, half = _layout(q, width)[:3]
-    if halves:
+        entries = e0, o0, f1, p1, e2, o2, f3, p3
+    elif digits < deg:
+        mod, place, certificate = _layout(q, width)
         e0, o0, f1, p1, e2, o2, f3, p3 = entries
+        ta = tb = 0
         for gen, exp in word:
             if gen == GEN_B:
+                tb += exp
                 grow = exp.bit_length() + shear_bits
             else:
+                ta += exp
                 s = exp % turn
                 if s >= q:
                     flip, s = not flip, s - q
                 grow = rotation_bits[s if 2 * s <= q else q - s]
             if bits + grow > width - 2:
-                (e0, o0, f1, p1, e2, o2, f3, p3), width, bits = _room((e0, o0, f1, p1, e2, o2, f3, p3), q, width, bits, grow)
-                mod, place, half = _layout(q, width)[:3]
+                if grow <= guard - 3 and _fits((e0, o0, f1, p1, e2, o2, f3, p3), certificate):
+                    bits = width - guard + 1
+                else:
+                    (e0, o0, f1, p1, e2, o2, f3, p3), width, bits = _widen((e0, o0, f1, p1, e2, o2, f3, p3), digits, width, bits, grow, guard)
+                    mod, place, certificate = _layout(q, width)
             bits += grow
             if gen == GEN_B:
-                f1, p1 = f1 - exp * ((o0 << width) - ((o0 + half) >> place) * mod), p1 - exp * e0
-                f3, p3 = f3 - exp * ((o2 << width) - ((o2 + half) >> place) * mod), p3 - exp * e2
+                f1, p1 = f1 - exp * ((o0 << width) - ((o0 >> place) + 1 >> 1) * mod), p1 - exp * e0
+                f3, p3 = f3 - exp * ((o2 << width) - ((o2 >> place) + 1 >> 1) * mod), p3 - exp * e2
             elif 2 * s <= q:
                 for _ in range(s):
-                    e0, o0, f1, p1 = (o0 << width) - ((o0 + half) >> place) * mod - f1, e0 - p1, e0, o0
-                    e2, o2, f3, p3 = (o2 << width) - ((o2 + half) >> place) * mod - f3, e2 - p3, e2, o2
+                    e0, o0, f1, p1 = (o0 << width) - ((o0 >> place) + 1 >> 1) * mod - f1, e0 - p1, e0, o0
+                    e2, o2, f3, p3 = (o2 << width) - ((o2 >> place) + 1 >> 1) * mod - f3, e2 - p3, e2, o2
             else:
                 flip = not flip
                 for _ in range(q - s):
-                    e0, o0, f1, p1 = f1, p1, (p1 << width) - ((p1 + half) >> place) * mod - e0, f1 - o0
-                    e2, o2, f3, p3 = f3, p3, (p3 << width) - ((p3 + half) >> place) * mod - e2, f3 - o2
-        return (e0, o0, f1, p1, e2, o2, f3, p3), flip, width, bits
-    x0, y1, x2, y3 = entries
-    for gen, exp in word:
-        if gen == GEN_B:
-            grow = exp.bit_length() + shear_bits
-        else:
-            s = exp % turn
-            if s >= q:
-                flip, s = not flip, s - q
-            grow = rotation_bits[s if 2 * s <= q else q - s]
-        if bits + grow > width - 2:
-            (x0, y1, x2, y3), width, bits = _room((x0, y1, x2, y3), q, width, bits, grow)
-            mod, place, half = _layout(q, width)[:3]
-        bits += grow
-        if gen == GEN_B:
-            y1 -= exp * ((x0 << width) - ((x0 + half) >> place) * mod)
-            y3 -= exp * ((x2 << width) - ((x2 + half) >> place) * mod)
-        elif 2 * s <= q:
-            for _ in range(s):
-                x0, y1 = (x0 << width) - ((x0 + half) >> place) * mod - y1, x0
-                x2, y3 = (x2 << width) - ((x2 + half) >> place) * mod - y3, x2
-        else:
-            flip = not flip
-            for _ in range(q - s):
-                x0, y1 = y1, (y1 << width) - ((y1 + half) >> place) * mod - x0
-                x2, y3 = y3, (y3 << width) - ((y3 + half) >> place) * mod - x2
-    return (x0, y1, x2, y3), flip, width, bits
+                    e0, o0, f1, p1 = f1, p1, (p1 << width) - ((p1 >> place) + 1 >> 1) * mod - e0, f1 - o0
+                    e2, o2, f3, p3 = f3, p3, (p3 << width) - ((p3 >> place) + 1 >> 1) * mod - e2, f3 - o2
+        entries, summed = (e0, o0, f1, p1, e2, o2, f3, p3), ((GEN_A, ta), (GEN_B, tb))
+    else:
+        mod, place, certificate = _layout(q, width)
+        x0, y1, x2, y3 = entries
+        ta = tb = 0
+        for gen, exp in word:
+            if gen == GEN_B:
+                tb += exp
+                grow = exp.bit_length() + shear_bits
+            else:
+                ta += exp
+                s = exp % turn
+                if s >= q:
+                    flip, s = not flip, s - q
+                grow = rotation_bits[s if 2 * s <= q else q - s]
+            if bits + grow > width - 2:
+                if grow <= guard - 3 and _fits((x0, y1, x2, y3), certificate):
+                    bits = width - guard + 1
+                else:
+                    (x0, y1, x2, y3), width, bits = _widen((x0, y1, x2, y3), digits, width, bits, grow, guard)
+                    mod, place, certificate = _layout(q, width)
+            bits += grow
+            if gen == GEN_B:
+                y1 -= exp * ((x0 << width) - ((x0 >> place) + 1 >> 1) * mod)
+                y3 -= exp * ((x2 << width) - ((x2 >> place) + 1 >> 1) * mod)
+            elif 2 * s <= q:
+                for _ in range(s):
+                    x0, y1 = (x0 << width) - ((x0 >> place) + 1 >> 1) * mod - y1, x0
+                    x2, y3 = (x2 << width) - ((x2 >> place) + 1 >> 1) * mod - y3, x2
+            else:
+                flip = not flip
+                for _ in range(q - s):
+                    x0, y1 = y1, (y1 << width) - ((y1 >> place) + 1 >> 1) * mod - x0
+                    x2, y3 = y3, (y3 << width) - ((y3 >> place) + 1 >> 1) * mod - x2
+        entries, summed = (x0, y1, x2, y3), ((GEN_A, ta), (GEN_B, tb))
+    state = entries, flip, width, bits
+    return state if value is None else (value + phi(summed, ctx), state)
 
 
 def _is_shear(state: tuple, ctx: GroupContext, k: int = 0, sign: int = 1) -> bool:
@@ -489,9 +500,8 @@ def oracle_state(word: Word, ctx: GroupContext, start: tuple | None = None) -> t
     """
     if ctx.n == 1:
         return klein_pair(word, start or (0, 0))
-    if start is None:
-        return phi(word, ctx), _fold(word, ctx)
-    return start[0] + phi(word, ctx), _fold(word, ctx, start[1])
+    value, fold = start or (0, None)
+    return _fold(word, ctx, fold, value)
 
 
 def oracle_is_identity(word: Word, ctx: GroupContext, start: tuple | None = None) -> bool:

@@ -573,6 +573,19 @@ class TestPackedFold:
             w = parse_word(text)
             assert rho(w, ctx) == tuple_rho(w, ctx), (n, text)
 
+    @pytest.mark.parametrize("n", [4, 7, 31, 63])
+    def test_witness_alphabet(self, n):
+        # Witnesses are spelled in a^+-1, a^-(n-1), b^+-1 and mostly b^-1;
+        # words of 40 to 800 such syllables widen on the way.
+        ctx = group_context(n)
+        rng = random.Random(f"witness alphabet:{n}")
+        for length in (40, 200, 800):
+            w = word_from_syllables(
+                (GEN_A, rng.choice((1, -1, 1 - n))) if i % 2 else (GEN_B, rng.choice((1, -1, -1, -1)))
+                for i in range(length)
+            )
+            assert rho(w, ctx) == tuple_rho(w, ctx), (n, length)
+
     @pytest.mark.parametrize("half", [-32, -31, 31, 32, 33])
     def test_runs_of_half_turns_at_n63(self, half):
         # a^(q//2) at n = 63 is the largest rotation: 32 steps, each one
@@ -671,7 +684,7 @@ class TestPackedFold:
         edge = 1 << (width - guard)
         near = st.sampled_from([0, 1, -1, edge - 1, edge, edge + 1, -edge, -edge - 1, (1 << (width - 2)) - 1])
         digits = data.draw(st.lists(near | st.integers(-(1 << (width - 2)) + 1, (1 << (width - 2)) - 1), min_size=size, max_size=size))
-        certificate = oracle._layout(q, width)[3:]
+        certificate = oracle._layout(q, width)[2]
         fits = oracle._fits((oracle._pack(digits, width),), certificate)
         assert fits == all(-edge <= c < edge for c in digits), digits
         assert oracle._unpack(oracle._pack(digits, width), width, size) == tuple(digits)
@@ -683,7 +696,7 @@ class TestPackedFold:
         # random (negative ones included), the edges 0, -1, top - 1 and
         # top, and a passing Y with one guard bit set.  At width <= g the
         # certificate is (0, 0, 0), which nothing passes.
-        offset, guard, top = certificate = oracle._layout(q, width)[3:]
+        offset, guard, top = certificate = oracle._layout(q, width)[2]
         bits = [i for i in range(guard.bit_length()) if guard >> i & 1]
         passing = st.integers(0, max(top - 1, 0)).map(lambda y: y & ~guard)
         edges = st.sampled_from([0, -1, top - 1, top, top + 1, -top])
@@ -700,7 +713,7 @@ class TestPackedFold:
     def test_combined_certificate_at_its_edges(self, q):
         # Every entry passing, then one of four entries at top - 1 (passes
         # if it misses G), at top, at -1 or with one guard bit set.
-        offset, guard, top = certificate = oracle._layout(q, 160)[3:]
+        offset, guard, top = certificate = oracle._layout(q, 160)[2]
         high_guard = 1 << (guard.bit_length() - 1)
         fine = (0, 1, offset, offset - 1)
         assert oracle._fits(tuple(y - offset for y in fine), certificate)
@@ -821,6 +834,93 @@ MEASURED_WIDENINGS = {
 }
 
 
+def pinned_words(n):
+    """The words whose width decisions test_every_width_decision_is_pinned
+    fixes: seeded random words of 20, 320 and 2,000 syllables, (a b^3)^40
+    and (a b^(2^70))^50, whose shears outgrow the guard."""
+    rng = random.Random(f"pinned widths:{n}")
+    return {
+        "random 20": random_word(rng, 20),
+        "random 320": random_word(rng, 320),
+        "random 2000": random_word(rng, 2000),
+        "(a b^3)^40": WIDE,
+        "(a b^(2^70))^50": word_from_syllables([(GEN_A, 1), (GEN_B, 1 << 70)] * 50),
+    }
+
+
+def width_decisions(n):
+    """Per pinned word at n: (width, bits) of its fold's state and how many
+    times the fold called _fits and _widen."""
+    ctx = group_context(n)
+    calls = {"_fits": 0, "_widen": 0}
+    reals = {name: getattr(oracle, name) for name in calls}
+
+    def counting(name):
+        def call(*args):
+            calls[name] += 1
+            return reals[name](*args)
+        return call
+
+    got = {}
+    try:
+        for name in calls:
+            setattr(oracle, name, counting(name))
+        for label, w in pinned_words(n).items():
+            calls.update(dict.fromkeys(calls, 0))
+            _, _, width, bits = oracle._fold(w, ctx)
+            got[label] = (width, bits, calls["_fits"], calls["_widen"])
+    finally:
+        for name, real in reals.items():
+            setattr(oracle, name, real)
+    return got
+
+
+# (width, bits, _fits calls, _widen calls) of each pinned word's fold,
+# counted at commit 47e5dc4, when a helper of the fold (_room) tried each
+# certificate, with
+#   mkdir parent && git archive 47e5dc4 src | tar -x -C parent
+#   PYTHONPATH=parent/src:tests python -c "import test_oracle as t; print({n: t.width_decisions(n) for n in (4, 7, 31, 63)})"
+PINNED_WIDTHS = {
+    4: {
+        "random 20": (96, 62, 0, 0),
+        "random 320": (384, 360, 14, 3),
+        "random 2000": (2112, 2027, 92, 20),
+        "(a b^3)^40": (208, 181, 2, 1),
+        "(a b^(2^70))^50": (3856, 3751, 0, 25),
+    },
+    7: {
+        "random 20": (96, 91, 0, 0),
+        "random 320": (512, 469, 21, 4),
+        "random 2000": (2528, 2458, 133, 23),
+        "(a b^3)^40": (208, 201, 3, 1),
+        "(a b^(2^70))^50": (3952, 3851, 0, 25),
+    },
+    31: {
+        "random 20": (96, 58, 3, 0),
+        "random 320": (528, 499, 61, 4),
+        "random 2000": (2720, 2694, 392, 24),
+        "(a b^3)^40": (208, 167, 14, 1),
+        "(a b^(2^70))^50": (3728, 3628, 21, 27),
+    },
+    63: {
+        "random 20": (96, 70, 6, 0),
+        "random 320": (624, 619, 104, 4),
+        "random 2000": (2752, 2725, 668, 21),
+        "(a b^3)^40": (224, 172, 25, 1),
+        "(a b^(2^70))^50": (4256, 4134, 23, 27),
+    },
+}
+
+
+@pytest.mark.parametrize("n", [4, 7, 31, 63])
+def test_every_width_decision_is_pinned(n):
+    # Odd q with packed ints (n = 4) and packed halves (n = 7, 31, 63):
+    # every certificate passes or fails, and every widening happens, where
+    # and as it did at that commit, including the widenings of
+    # (a b^(2^70))^50 that no certificate is tried for (grow > g - 3).
+    assert width_decisions(n) == PINNED_WIDTHS[n]
+
+
 @deep_only
 @pytest.mark.parametrize("n", [7, 31, 63])
 def test_long_random_words_match_the_tuple_fold(n):
@@ -890,6 +990,19 @@ class TestResumedFold:
     @given(words(max_syllables=12, max_exp=9), words(max_syllables=12, max_exp=9))
     def test_klein_pair_resumed(self, u, v):
         assert klein_pair(v, klein_pair(u)) == klein_pair(u + v)
+
+    @given(st.integers(min_value=1, max_value=63), words(max_syllables=20, max_exp=300), words(max_syllables=20, max_exp=300))
+    def test_oracle_state_is_phi_and_the_fold(self, n, u, v):
+        # Fresh and resumed, oracle_state's phi (summed in the fold's own
+        # pass at the packed layouts) is phi of the word, and its fold
+        # part is _fold's state; at n = 1 the state is the Klein pair.
+        ctx = group_context(n)
+        fresh, resumed = oracle_state(v, ctx), oracle_state(v, ctx, oracle_state(u, ctx))
+        if n == 1:
+            assert (fresh, resumed) == (klein_pair(v), klein_pair(u + v))
+            return
+        assert fresh == (phi(v, ctx), oracle._fold(v, ctx))
+        assert resumed == (phi(u, ctx) + phi(v, ctx), oracle._fold(u + v, ctx))
 
 
 # (a b^3)^40 outgrows the fold's start width at n >= 7, so a word with
