@@ -65,14 +65,14 @@ certificate widens, and from the bound the fold holds: the ints are
 unpacked and packed again at a width with room for that bound, the
 syllable's growth and a fresh guard (_widen).
 
-The oracle's state of a word, (phi, the fold's state) or at n = 1 the
-Klein pair, is made and read only here: oracle_state hands it out (phi
-summed in the packed fold's own pass over the word),
+The oracle's state of a word, (phi, fold) or at n = 1 the Klein pair,
+is made and read only here.  At n >= 2 every query is one _fold call,
+which alone sums phi: oracle_state hands the state out,
 oracle_is_identity resumes from it and same_element compares two.
 oracle_chain checks u = v as a chain of links between cuts, each the
 equality of two short words (oracle_equal, its one link), so that no
 fold grows wide.
-_is_shear compares a fold's state with sign times rho(b)^k =
+_is_shear compares a fold with sign times rho(b)^k =
 [[1, k lam], [0, 1]], whose packed ints are the same at every width but
 for k lam, and _coefficients unpacks it for rho and element_key, both
 undoing the negated column.
@@ -235,20 +235,20 @@ def _widen(entries, digits: int, width: int, bits: int, grow: int, guard: int) -
     return _repack(entries, digits, width, wider), wider, bits
 
 
-def _fold(word: Word, ctx: GroupContext, start: tuple | None = None, value: int | None = None) -> tuple:
-    """The fold's state after word, resumed from start (the identity when
-    None; start itself when word is empty).  Given value, the phi before
-    word, it returns (value + phi(word), state): packed loops sum each
-    generator's exponents and take phi of the sums, so oracle_state reads
-    a long word once; plain ones let phi read it, cheaper per letter.
+def _fold(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
+    """The oracle's state (phi, fold) after word, resumed from start (the
+    identity's when None; start itself when word is empty).  phi is summed
+    here and nowhere else: packed loops sum each generator's exponents and
+    take phi of the two sums, so a long word is read once; plain ones let
+    phi read the word, cheaper per letter.
 
-    The state is (entries, flip, width, bits): rho of the letters folded
+    The fold is (entries, flip, width, bits): rho of the letters folded
     so far is (-1)^flip times [[x0, -y1], [x2, -y3]] for the packed
     entries (x0, y1, x2, y3) at digit width B = width, and 2^bits bounds
     their digits.  The second column is stored negated, so that no step
     below negates an entry.  Folding v from the state of u gives the
     state of u v, so rho(w x) costs the letter x once rho(w) is known;
-    _is_shear and _coefficients read rho off a state.
+    _is_shear and _coefficients read rho off a fold.
 
     At even q >= 4 the entries are the eight halves (E0, O0, F1, P1, E2,
     O2, F3, P3): E of the even and O of the odd digits of x0 and x2, F
@@ -283,14 +283,14 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None, value: int 
     is read.
     """
     if start is not None and not word:
-        return start if value is None else (value, start)
+        return start
     q = ctx.q
     turn = 2 * q
     deg, modulus, shear_bits, rotation_bits, guard, digits = _plan(q)
     if start is None:
         identity = (1, 0, 0, 0, 0, 0, -1, 0) if digits < deg else (1, 0, 0, -1)
-        start = (identity, False, 0, 0) if digits == 1 else (identity, False, _START_WIDTH, 1)
-    entries, flip, width, bits = start
+        start = 0, ((identity, False, 0, 0) if digits == 1 else (identity, False, _START_WIDTH, 1))
+    value, (entries, flip, width, bits) = start
     summed = word
     if deg == 1:  # lam is an int
         lam = -modulus[0]
@@ -404,19 +404,18 @@ def _fold(word: Word, ctx: GroupContext, start: tuple | None = None, value: int 
                     x0, y1 = y1, (y1 << width) - ((y1 >> place) + 1 >> 1) * mod - x0
                     x2, y3 = y3, (y3 << width) - ((y3 >> place) + 1 >> 1) * mod - x2
         entries, summed = (x0, y1, x2, y3), ((GEN_A, ta), (GEN_B, tb))
-    state = entries, flip, width, bits
-    return state if value is None else (value + phi(summed, ctx), state)
+    return value + phi(summed, ctx), (entries, flip, width, bits)
 
 
-def _is_shear(state: tuple, ctx: GroupContext, k: int = 0, sign: int = 1) -> bool:
-    """Whether rho of a _fold state is sign times rho(b)^k = [[1, k lam], [0, 1]],
+def _is_shear(fold: tuple, ctx: GroupContext, k: int = 0, sign: int = 1) -> bool:
+    """Whether rho of a fold is sign times rho(b)^k = [[1, k lam], [0, 1]],
     stored as (sign, -sign k lam, 0, -sign).
 
     Its packed ints are the same at every width but for k lam: k 2^B as
     one packed int, k * lam as a plain one, and k alone as the odd
     half of an entry.
     """
-    entries, flip, width, _ = state
+    entries, flip, width, _ = fold
     if flip:
         sign = -sign
     if len(entries) == 8:
@@ -425,9 +424,9 @@ def _is_shear(state: tuple, ctx: GroupContext, k: int = 0, sign: int = 1) -> boo
     return entries == (sign, -sign * k * lam, 0, -sign)
 
 
-def _coefficients(state: tuple, ctx: GroupContext) -> Mat2:
-    """rho of a _fold state as coefficient tuples in the power basis of lam."""
-    entries, flip, width, _ = state
+def _coefficients(fold: tuple, ctx: GroupContext) -> Mat2:
+    """rho of a fold as coefficient tuples in the power basis of lam."""
+    entries, flip, width, _ = fold
     # The second column is stored negated: entries 1 and 3, or halves 2, 3, 6 and 7.
     second = (0, 1, 0, 1) if len(entries) == 4 else (0, 0, 1, 1) * 2
     entries = [-x if flip ^ negated else x for x, negated in zip(entries, second)]
@@ -441,7 +440,7 @@ def _coefficients(state: tuple, ctx: GroupContext) -> Mat2:
 def rho(word: Word, ctx: GroupContext) -> Mat2:
     """The matrix image of a word (an honest SL2 product, det = 1): the
     packed fold, unpacked into coefficient tuples in the power basis of lam."""
-    return _coefficients(_fold(word, ctx), ctx)
+    return _coefficients(_fold(word, ctx)[1], ctx)
 
 
 def phi(word: Word, ctx: GroupContext) -> int:
@@ -493,34 +492,29 @@ def klein_sign(word: Word) -> int:
 def oracle_state(word: Word, ctx: GroupContext, start: tuple | None = None) -> tuple:
     """The oracle's state of start · word, or of word when start is None.
 
-    n >= 2: (phi, the fold's state); n == 1: the Klein pair.  The state
-    of u resumed over v is the state of u v, so a walk that keeps one
-    per word pays one letter for each child.  oracle_is_identity takes
-    it as its start.
+    n >= 2: (phi, fold), _fold's state; n == 1: the Klein pair.  The
+    state of u resumed over v is the state of u v, so a walk that keeps
+    one per word pays one letter for each child.  oracle_is_identity
+    takes it as its start.
     """
     if ctx.n == 1:
         return klein_pair(word, start or (0, 0))
-    value, fold = start or (0, None)
-    return _fold(word, ctx, fold, value)
+    return _fold(word, ctx, start)
 
 
 def oracle_is_identity(word: Word, ctx: GroupContext, start: tuple | None = None) -> bool:
     """Exact word-problem test of start · word (an oracle_state; word
     alone when None), independent of all rewriting code.
 
-    n >= 2: phi = 0, then rho == I (folded only when phi = 0); the
-    packed identity is the same at every width, so nothing is unpacked.
+    n >= 2: phi = 0 and rho == I, both read off one fold; the packed
+    identity is the same at every width, so nothing is unpacked.
     n == 1: Klein bottle closed form (the matrix pair is blind to b there).
     """
     if ctx.n == 1:
         pair = start or (0, 0)
         return (klein_pair(word, pair) if word else pair) == (0, 0)
-    value, fold = start or (0, None)
-    if word:
-        value += phi(word, ctx)
-    if value:
-        return False
-    return _is_shear(_fold(word, ctx, fold), ctx)
+    value, fold = _fold(word, ctx, start)
+    return not value and _is_shear(fold, ctx)
 
 
 def same_element(u: tuple, v: tuple, ctx: GroupContext) -> bool:
@@ -548,16 +542,16 @@ def same_element(u: tuple, v: tuple, ctx: GroupContext) -> bool:
 
 
 def oracle_report(word: Word, ctx: GroupContext) -> tuple[bool, bool, int]:
-    """(identity, rho_projectively_trivial, phi) of a word, folding rho once.
+    """(identity, rho_projectively_trivial, phi) of a word, read off one fold.
 
     identity is oracle_is_identity's answer; rho_projectively_trivial says
     rho(word) = +-I, which for n >= 2 also holds on every central power
     delta^j.
     """
-    state, value = _fold(word, ctx), phi(word, ctx)
-    one = _is_shear(state, ctx)
+    value, fold = _fold(word, ctx)
+    one = _is_shear(fold, ctx)
     identity = klein_pair(word) == (0, 0) if ctx.n == 1 else (value == 0 and one)
-    return identity, one or _is_shear(state, ctx, sign=-1), value
+    return identity, one or _is_shear(fold, ctx, sign=-1), value
 
 
 def plain_entries(ctx: GroupContext) -> bool:
@@ -600,9 +594,9 @@ def b_power_of(word: Word, ctx: GroupContext) -> int | None:
 
     For n >= 2, phi(b) != 0, so k = phi(word) / phi(b) is the only
     candidate; word = b^k then holds exactly when rho(word) is the shear
-    rho(b)^k = [[1, k lam], [0, 1]], since (rho, phi) is faithful.  rho
-    runs only when phi(b) divides phi(word), and its packed entries are
-    compared as they are.  The orders decide b-powers by the shape of
+    rho(b)^k = [[1, k lam], [0, 1]], since (rho, phi) is faithful.  Both
+    are read off one fold, and its packed entries are compared as they
+    are.  The orders decide b-powers by the shape of
     the normal form (normalform.is_b_power); this is the independent
     check that the convexity report and the tests ask.
 
@@ -615,19 +609,19 @@ def b_power_of(word: Word, ctx: GroupContext) -> int | None:
     if ctx.n == 1:
         t, s = klein_pair(word)
         return s if t == 0 else None
-    k, rest = divmod(phi(word, ctx), ctx.phi_b)
-    if rest:
-        return None
-    return k if _is_shear(_fold(word, ctx), ctx, k) else None
+    value, fold = _fold(word, ctx)
+    k, rest = divmod(value, ctx.phi_b)
+    return k if not rest and _is_shear(fold, ctx, k) else None
 
 
 def element_key(word: Word, ctx: GroupContext) -> tuple:
     """A perfect invariant of the group element represented by word.
 
-    n >= 2: the matrix plus phi (faithful, since rho is a homomorphism
-    whose kernel lies in <delta> and phi separates central powers).
-    n == 1: the Klein pair.
+    n >= 2: the matrix plus phi, read off one fold (faithful, since rho
+    is a homomorphism whose kernel lies in <delta> and phi separates
+    central powers).  n == 1: the Klein pair.
     """
     if ctx.n == 1:
         return klein_pair(word)
-    return (rho(word, ctx), phi(word, ctx))
+    value, fold = _fold(word, ctx)
+    return _coefficients(fold, ctx), value

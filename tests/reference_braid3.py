@@ -6,8 +6,10 @@ PSL(2, Z) (abar, bbar and a 2x2 product) and its own cyclic rewriting
 (a^3 -> 1 and b a^2 b -> a on a mutable block list, rescanned to a
 fixpoint), kept verbatim apart from their names so the tests can demand
 the same certificates from `braid3.cone_certify_b3`.
-The normal form comes from `reference_core`, and only the cone geometry
-(`_certified`) is shared with the package.
+The normal form comes from `reference_core`, and the cone test is its own
+(`maps_into`: each region as its two edge rays, tested by cross
+products); only the region names (`ConeRegion`) are shared with the
+package.
 
 Handle reduction as it was before it edited its syllable list in place
 (`reference_dehornoy_reduce`), verbatim but for the names of the
@@ -17,7 +19,7 @@ words from `braid3.dehornoy_reduce`.
 
 from __future__ import annotations
 
-from heckeord.braid3 import CertificateError, ConeRegion, _certified
+from heckeord.braid3 import CertificateError, ConeRegion
 from heckeord.context import group_context
 from heckeord.words import GEN_A, GEN_B, RewriteLimitError, Word, word_from_syllables
 
@@ -48,8 +50,40 @@ def integer_model(word: Word):
     return m
 
 
+# Each region's closed cone between two edge rays, counterclockwise:
+# U = {x > y > 0} from (1, 0) to (1, 1), V = {0 < x < y} from (1, 1) to (0, 1).
+EDGES = {ConeRegion.U: ((1, 0), (1, 1)), ConeRegion.V: ((1, 1), (0, 1))}
+
+
+def cross(r, s) -> int:
+    return r[0] * s[1] - r[1] * s[0]
+
+
+def inside(ray, region: ConeRegion, strict: bool) -> bool:
+    """Whether ray or -ray lies in the region's cone, open when strict."""
+    lo, hi = EDGES[region]
+    for r in (ray, (-ray[0], -ray[1])):
+        left, right = cross(lo, r), cross(r, hi)
+        if (left > 0 and right > 0) if strict else (left >= 0 and right >= 0 and r != (0, 0)):
+            return True
+    return False
+
+
+def maps_into(m, source: ConeRegion, target: ConeRegion) -> bool:
+    """Whether m maps source's closed cone into target's, up to sign: both
+    edge rays land in target's closed cone, and their sum, an interior
+    ray, in its open one."""
+    lo, hi = EDGES[source]
+
+    def image(r):
+        return (m[0] * r[0] + m[1] * r[1], m[2] * r[0] + m[3] * r[1])
+
+    middle = (lo[0] + hi[0], lo[1] + hi[1])
+    return inside(image(lo), target, False) and inside(image(hi), target, False) and inside(image(middle), target, True)
+
+
 def _verified(m, source: ConeRegion, target: ConeRegion) -> tuple[ConeRegion, ConeRegion]:
-    if not _certified(m, source, target):
+    if not maps_into(m, source, target):
         raise CertificateError(f"{m} does not map {source.name} into {target.name}")
     return source, target
 

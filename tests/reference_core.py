@@ -20,7 +20,8 @@ text from `format_word`.  The
 word helpers these need, `concat` and `letter_length`, are local copies,
 so a fault in the package's versions cannot hit both sides alike; the
 parser merges its syllables through the local `concat` instead of
-`word_from_syllables`.
+`word_from_syllables`, and the cascade spells each handle itself instead
+of calling `cone.expand_handle`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections import deque
 from itertools import accumulate
 from operator import itemgetter
 
-from heckeord.cone import ReductionStuck, Sign, SignResult, expand_handle
+from heckeord.cone import ReductionStuck, Sign, SignResult
 from heckeord.context import GroupContext
 from heckeord.normalform import NormalForm
 from heckeord.words import (
@@ -348,14 +349,15 @@ def reference_decide_sign(word: Word, ctx: GroupContext) -> SignResult:
                     negative[0] = (n_gen, n_exp + cancel)
                 continue
             if p_gen == GEN_B and n_gen == GEN_A:
-                # handle move: b^j a^-1 = a^-1 (a^-(n-1) b^-1)^j
+                # handle move: b^j a^-1 = a^-1 (a^-(n-1) b^-1)^j, or a^-1 b^-j at n = 1
                 j = p_exp
                 positive.pop()
                 if n_exp == -1:
                     negative.popleft()
                 else:
                     negative[0] = (GEN_A, n_exp + 1)
-                for gen, exp in reversed(expand_handle(j, ctx)):
+                handle = ((GEN_B, -j),) if ctx.n == 1 else ((GEN_A, 1 - ctx.n), (GEN_B, -1)) * j
+                for gen, exp in reversed(handle):
                     _prepend(negative, gen, exp)
                 _prepend(negative, GEN_A, -1)
                 continue

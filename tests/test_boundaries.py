@@ -7,7 +7,10 @@ names the fold's helpers or the Klein pair, and the ball walks in
 suites.py and orderings.py branch on no n == 1 case of their own.  Order
 decisions read a verdict, never a witness: orderings.py names no
 witness writer.  They rest on the normal form alone: the order-sign path
-in orderings.py calls no oracle function.
+in orderings.py calls no oracle function.  The test-only references
+(tests/reference_*.py) import from the package only the names listed
+here, none of them private, so a fault in the code they check cannot
+hit both sides alike.
 """
 
 import ast
@@ -15,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "heckeord"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "heckeord"
 ORACLE_PRIVATE = {"_fold", "_is_shear", "_coefficients", "klein_pair"}
 
 
@@ -127,3 +131,55 @@ def test_order_signs_ask_the_oracle_nothing():
     # The check sees what it looks for: the convexity report is the
     # oracle's check of the order, and asks b_power_of.
     assert "b_power_of" in oracle_names_in("orderings.py", {"convexity_check"})
+
+
+# What each reference module may import from the package: the names a
+# reference needs to take the package's words and contexts and return
+# its result types, and the package functions it treats as given.
+REFERENCE_IMPORTS = {
+    "reference_braid3.py": {
+        "braid3.CertificateError", "braid3.ConeRegion", "context.group_context",
+        "words.GEN_A", "words.GEN_B", "words.RewriteLimitError", "words.Word", "words.word_from_syllables",
+    },
+    "reference_core.py": {
+        "cone.ReductionStuck", "cone.Sign", "cone.SignResult", "context.GroupContext", "normalform.NormalForm",
+        "words.ALPHABET_AB", "words.GEN_A", "words.GEN_B", "words.MAX_LETTERS", "words.RewriteLimitError",
+        "words.Syllable", "words.Word", "words.WordSyntaxError", "words.gen_power", "words.is_one_signed",
+    },
+    "reference_oracle.py": {
+        "algebra.Mat2", "algebra.mat_identity", "algebra.mat_neg", "context.GroupContext", "context.ring_of",
+        "words.GEN_B", "words.Word",
+    },
+    "reference_orderings.py": {
+        "cone.Sign", "cone.decide_sign", "context.GroupContext", "oracle.b_power_of", "orderings.Cmp",
+        "orderings.Conjugated", "orderings.ConvexityReport", "orderings.DD", "orderings.DDReversed",
+        "orderings.DehornoyLike", "orderings.OrderingSpec", "words.GEN_B", "words.Word", "words.concat",
+        "words.conjugate", "words.enumerate_reduced", "words.gen_power", "words.invert",
+    },
+    "reference_suites.py": {
+        "cone.MIRROR", "cone.Sign", "cone.decide_sign", "context.GroupContext", "oracle.oracle_is_identity",
+        "suites.MAX_SUITE_LEN", "suites.SuiteReport", "words.Word", "words.concat", "words.enumerate_reduced",
+        "words.format_word", "words.invert", "words.is_one_signed",
+    },
+}
+
+
+def package_imports(tree):
+    """(module.name, line) for every name imported from the package,
+    anywhere in the module; a bare import of a package module gives its
+    dotted path."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "heckeord":
+            module = node.module.removeprefix("heckeord")
+            yield from ((f"{module}.{alias.name}".lstrip("."), node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((alias.name, node.lineno) for alias in node.names if alias.name.split(".")[0] == "heckeord")
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in TESTS.glob("reference_*.py")))
+def test_references_import_only_their_allowlist(path):
+    imported = list(package_imports(ast.parse((TESTS / path).read_text(encoding="utf-8"))))
+    private = [(name, line) for name, line in imported if any(part.startswith("_") for part in name.split("."))]
+    assert private == [], f"{path} imports private package names: {private}"
+    extra = sorted((name, line) for name, line in imported if name not in REFERENCE_IMPORTS.get(path, set()))
+    assert extra == [], f"{path} imports package names outside its allowlist: {extra}"

@@ -1,5 +1,7 @@
 """Three-strand braids: bridge, handle reduction, cone certificates."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -287,6 +289,14 @@ class TestAgainstReference:
     @given(st.lists(POSITIVE_SYLLABLES, max_size=30).map(word_from_syllables))
     def test_swapped_rho_is_the_integer_model(self, w):
         assert tuple(x for (x,) in reversed(rho(w, CTX2))) == integer_model(w)
+
+    def test_own_ray_test_is_the_packages(self):
+        # The reference's cross-product cone test against braid3's rays, on
+        # every integer matrix with entries in -2..2 and every region pair.
+        entries = range(-2, 3)
+        for m in itertools.product(entries, repeat=4):
+            for source, target in itertools.product(ConeRegion, repeat=2):
+                assert reference_braid3.maps_into(m, source, target) == braid3._certified(m, source, target), (m, source, target)
 
     def test_same_certificate_on_every_positive_word_up_to_12_letters(self):
         words = list(positive_words(12))

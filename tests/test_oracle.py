@@ -215,16 +215,6 @@ class TestIdentityDecision:
                 assert projective == proj_eq(ring, rho(word, ctx), mat_identity(ring))
                 assert value == phi(word, ctx)
 
-    def test_rho_is_folded_only_when_phi_vanishes(self, monkeypatch):
-        calls = []
-        real_fold = oracle._fold
-        monkeypatch.setattr(oracle, "_fold", lambda word, ctx, start=None: calls.append(word) or real_fold(word, ctx, start))
-        assert not oracle_is_identity(parse_word("a"), group_context(2))
-        assert oracle_is_identity(parse_word("b a b a^-1"), group_context(1))
-        assert calls == []
-        assert oracle_is_identity(parse_word("b a^2 b a^-1"), group_context(2))
-        assert len(calls) == 1
-
     def test_central_power_is_not_identity(self):
         # rho sees delta only mod 2; phi must catch delta^2.
         ctx = group_context(2)
@@ -814,11 +804,11 @@ def long_words(n):
 
 
 def fold_counting_widenings(word, ctx):
-    """(oracle._fold's state of word, how many times the fold widened)."""
+    """(oracle._fold's fold of word, how many times the fold widened)."""
     real, calls = oracle._widen, []
     oracle._widen = lambda *args: calls.append(1) or real(*args)
     try:
-        return oracle._fold(word, ctx), len(calls)
+        return oracle._fold(word, ctx)[1], len(calls)
     finally:
         oracle._widen = real
 
@@ -867,7 +857,7 @@ def width_decisions(n):
             setattr(oracle, name, counting(name))
         for label, w in pinned_words(n).items():
             calls.update(dict.fromkeys(calls, 0))
-            _, _, width, bits = oracle._fold(w, ctx)
+            _, (_, _, width, bits) = oracle._fold(w, ctx)
             got[label] = (width, bits, calls["_fits"], calls["_widen"])
     finally:
         for name, real in reals.items():
@@ -949,7 +939,7 @@ class TestResumedFold:
         ctx = group_context(n)
         whole = oracle._fold(u + v, ctx)
         assert oracle._fold(v, ctx, oracle._fold(u, ctx)) == whole
-        assert oracle._coefficients(whole, ctx) == tuple_rho(u + v, ctx)
+        assert oracle._coefficients(whole[1], ctx) == tuple_rho(u + v, ctx)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 63])
     def test_every_split_of_a_long_word(self, n):
@@ -960,7 +950,7 @@ class TestResumedFold:
         whole = oracle._fold(w, ctx)
         for k in range(0, len(w) + 1, 10):
             assert oracle._fold(w[k:], ctx, oracle._fold(w[:k], ctx)) == whole, (n, k)
-        assert oracle._coefficients(whole, ctx) == tuple_rho(w, ctx)
+        assert oracle._coefficients(whole[1], ctx) == tuple_rho(w, ctx)
 
     @pytest.mark.parametrize("n", [7, 31, 63])
     def test_widening_inside_the_resumed_part(self, monkeypatch, n):
@@ -973,9 +963,9 @@ class TestResumedFold:
         real = oracle._widen
         monkeypatch.setattr(oracle, "_widen", lambda *args: widened.append(1) or real(*args))
         resumed = oracle._fold(v, ctx, state)
-        assert widened and resumed[2] > state[2]
+        assert widened and resumed[1][2] > state[1][2]
         assert resumed == oracle._fold(u + v, ctx)
-        assert oracle._coefficients(resumed, ctx) == tuple_rho(u + v, ctx)
+        assert oracle._coefficients(resumed[1], ctx) == tuple_rho(u + v, ctx)
 
     def test_letter_by_letter(self):
         # The trichotomy suite folds the ball one letter at a time.
@@ -985,7 +975,7 @@ class TestResumedFold:
         for gen, exp in w:
             for _ in range(abs(exp)):
                 state = oracle._fold(((gen, 1 if exp > 0 else -1),), ctx, state)
-        assert oracle._coefficients(state, ctx) == tuple_rho(w, ctx) == rho(w, ctx)
+        assert oracle._coefficients(state[1], ctx) == tuple_rho(w, ctx) == rho(w, ctx)
 
     @given(words(max_syllables=12, max_exp=9), words(max_syllables=12, max_exp=9))
     def test_klein_pair_resumed(self, u, v):
@@ -993,16 +983,48 @@ class TestResumedFold:
 
     @given(st.integers(min_value=1, max_value=63), words(max_syllables=20, max_exp=300), words(max_syllables=20, max_exp=300))
     def test_oracle_state_is_phi_and_the_fold(self, n, u, v):
-        # Fresh and resumed, oracle_state's phi (summed in the fold's own
-        # pass at the packed layouts) is phi of the word, and its fold
-        # part is _fold's state; at n = 1 the state is the Klein pair.
+        # Fresh and resumed, oracle_state is _fold's state, whose phi
+        # (summed in the fold's own pass at the packed layouts) is phi of
+        # the word; at n = 1 the state is the Klein pair.
         ctx = group_context(n)
         fresh, resumed = oracle_state(v, ctx), oracle_state(v, ctx, oracle_state(u, ctx))
         if n == 1:
             assert (fresh, resumed) == (klein_pair(v), klein_pair(u + v))
             return
-        assert fresh == (phi(v, ctx), oracle._fold(v, ctx))
-        assert resumed == (phi(u, ctx) + phi(v, ctx), oracle._fold(u + v, ctx))
+        assert fresh == oracle._fold(v, ctx) and fresh[0] == phi(v, ctx)
+        assert resumed == oracle._fold(u + v, ctx) and resumed[0] == phi(u, ctx) + phi(v, ctx)
+
+
+class TestOneFoldPerQuery:
+    """At n >= 2 every oracle query is one _fold call, and phi is summed
+    only inside it: on the word itself at the plain layouts, on the two
+    exponent sums a^ta b^tb at the packed ones."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 63])
+    @pytest.mark.parametrize(
+        "query", [oracle_state, oracle_is_identity, b_power_of, oracle_report, element_key, rho], ids=lambda f: f.__name__
+    )
+    def test_one_fold_and_phi_only_inside_it(self, monkeypatch, n, query):
+        ctx = group_context(n)
+        w = random_word(random.Random(f"one fold:{n}"), 200)
+        folded, summed = [], []
+        real_fold, real_phi = oracle._fold, oracle.phi
+        monkeypatch.setattr(oracle, "_fold", lambda *args: folded.append(args[0]) or real_fold(*args))
+        monkeypatch.setattr(oracle, "phi", lambda word, c: summed.append(word) or real_phi(word, c))
+        query(w, ctx)
+        assert folded == [w]
+        if n in (2, 3):
+            assert summed == [w]
+        else:
+            sums = tuple((gen, sum(exp for g, exp in w if g == gen)) for gen in (GEN_A, GEN_B))
+            assert summed == [sums]
+
+    @given(st.integers(min_value=1, max_value=63), words(max_syllables=20, max_exp=300))
+    def test_phi_read_off_the_fold_is_phi_of_the_word(self, n, w):
+        # Every layout, the Klein pair at n = 1 included.
+        ctx = group_context(n)
+        assert oracle_report(w, ctx)[2] == phi(w, ctx)
+        assert element_key(w, ctx) == (klein_pair(w) if n == 1 else (rho(w, ctx), phi(w, ctx)))
 
 
 # (a b^3)^40 outgrows the fold's start width at n >= 7, so a word with

@@ -277,6 +277,8 @@ ORACLE_FAULTS = [
     ("_is_shear", shear_always, 5, 4, {"oracle-agreement"}),
     ("_is_shear", shear_always, 63, 4, {"oracle-agreement"}),
     ("phi", phi_blind_to_b, 2, 5, {"oracle-agreement", "witness-equality"}),
+    ("phi", phi_blind_to_b, 4, 4, {"witness-equality"}),
+    ("phi", phi_blind_to_b, 7, 4, {"witness-equality"}),
     ("klein_pair", klein_untwisted, 1, 4, {"oracle-agreement"}),
 ]
 
