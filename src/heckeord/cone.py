@@ -105,7 +105,7 @@ from typing import NamedTuple
 from .context import GroupContext
 from .normalform import START, NormalForm, ReductionStuck, _push, to_normal_form
 from .oracle import plain_entries
-from .words import _EXPONENT, GEN_A, GEN_B, RewriteLimitError, Syllable, Word, gallop, is_one_signed
+from .words import _EXPONENT, GEN_A, GEN_B, RewriteLimitError, Syllable, Word, concat, gallop, gen_power, is_one_signed
 
 
 # Syllables of the word between two snapshots, and the longest z a cut
@@ -134,18 +134,14 @@ class SignResult(NamedTuple):
 
 
 def expand_handle(j: int, ctx: GroupContext) -> Word:
-    """The word (a^-(n-1) b^-1)^j, i.e. a b^j a^-1 pushed negative.
+    """The word (a^-(n-1) b^-1)^j, i.e. a b^j a^-1 pushed negative: j
+    copies of sign_pass's handle (_runs).
 
     For n = 1 the a-part vanishes and the handle is just b^-j.
     """
     if j < 0:
         raise ValueError("handle exponent must be >= 0")
-    if j == 0:
-        return ()
-    n = ctx.n
-    if n == 1:
-        return ((GEN_B, -j),)
-    return ((GEN_A, -(n - 1)), (GEN_B, -1)) * j
+    return _runs(ctx.n)[0] * j if ctx.n > 1 else gen_power(GEN_B, -j)
 
 
 def decide_sign(word: Word, ctx: GroupContext) -> SignResult:
@@ -212,11 +208,11 @@ def _certify(word: Word, ctx: GroupContext, cut: int) -> tuple[SignResult, list[
         if states:  # prefix[:m] = out * a^carry, and out[:-1] is the witness's
             size, carry, last = states[j]
             p = max(0, size - 1)
-            y = ((last,) if size else ()) + (((GEN_A, carry),) if carry else ())
+            y = ((last,) if size else ()) + gen_power(GEN_A, carry)
         else:  # the witness is the prefix, bar its last syllable
             p = max(0, min(m, len(witness) - 1))
             y = prefix[p:m]
-        z = y + tuple(top[len(top) - height + m :]) + (((GEN_A, q * snap_ell),) if snap_ell else ())
+        z = y + tuple(top[len(top) - height + m :]) + gen_power(GEN_A, q * snap_ell)
         if len(z) <= cut:
             cuts.append((k, p, z))
     cuts.append((len(word), len(witness), ()))
@@ -269,7 +265,7 @@ def verdict(prefix: Word | list[Syllable], ell: int, ctx: GroupContext) -> Sign:
 @functools.lru_cache(maxsize=None)
 def _runs(n: int) -> tuple[Word, Word]:
     """The handle a^-(n-1) b^-1 that a b-letter writes, and two periods
-    (b a^(n-1))^2 of a run, for sign_pass at n."""
+    (b a^(n-1))^2 of a run, for sign_pass and expand_handle at n > 1."""
     return ((GEN_A, 1 - n), (GEN_B, -1)), ((GEN_B, 1), (GEN_A, n - 1)) * 2
 
 
@@ -287,20 +283,20 @@ def sign_pass(nf: NormalForm, ctx: GroupContext, stops=(), states=None) -> SignR
     b-block).  Given stops, nondecreasing positions of u, a negative
     pass appends (len(out), carry, out[-1]) to states at each stop and
     at the end; of out only out[-1] changes later, so out[:-1] is a
-    prefix of the witness.  The other cases write the witness whole.
+    prefix of the witness.
+
+    When ell >= 0 or the prefix is empty there is no pass: the witness
+    is concat(prefix, a^(q ell)), the prefix itself when ell = 0, and
+    steps is 0.  Otherwise the pass closes the witness with
+    a^(carry + q ell), the fed delta^ell.
     """
     if not isinstance(nf, NormalForm):
         raise TypeError(f"sign_pass takes a NormalForm, not {type(nf).__name__}")
     prefix, ell = nf
     q = ctx.q
-    if ell >= 0:
-        if not ell:
-            return SignResult(Sign.POSITIVE if prefix else Sign.IDENTITY, prefix, 0)
-        if prefix and prefix[-1][0] == GEN_A:  # delta^ell merges into the last a-block
-            return SignResult(Sign.POSITIVE, prefix[:-1] + ((GEN_A, prefix[-1][1] + q * ell),), 0)
-        return SignResult(Sign.POSITIVE, prefix + ((GEN_A, q * ell),), 0)
-    if not prefix:
-        return SignResult(Sign.NEGATIVE, ((GEN_A, q * ell),), 0)
+    if ell >= 0 or not prefix:  # the feed is the whole pass: w = prefix * delta^ell
+        witness = concat(prefix, gen_power(GEN_A, q * ell)) if ell else prefix
+        return SignResult(Sign.NEGATIVE if ell < 0 else Sign.POSITIVE if witness else Sign.IDENTITY, witness, 0)
 
     n = ctx.n
     handle, two_periods = _runs(n)
@@ -341,9 +337,7 @@ def sign_pass(nf: NormalForm, ctx: GroupContext, stops=(), states=None) -> SignR
         if states is not None:
             states.append((len(out), carry, out[-1] if out else None))
 
-    last = carry + q * ell  # the fed delta^ell; out ends in a b-block or is empty
-    if last:
-        out.append((GEN_A, last))
+    out += gen_power(GEN_A, carry + q * ell)  # out ends in a b-block or is empty: nothing to merge
     witness = tuple(out)
     if not (witness and is_one_signed(witness) and witness[0][1] < 0):
         raise ReductionStuck(f"cascade ended with a witness that is not all-negative: {witness}")

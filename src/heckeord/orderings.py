@@ -47,7 +47,7 @@ from .cone import MIRROR, Sign, verdict
 from .context import GroupContext
 from .normalform import START, is_b_power, resume
 from .oracle import b_power_of
-from .words import GEN_A, GEN_B, SIGNED_LETTERS, Word, _ball, concat, conjugate, gen_power, invert
+from .words import GEN_A, GEN_B, Word, _ball, concat, conjugate, gen_power, invert
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,9 +202,9 @@ def smallest_positive_in_ball(
     versus = _Track(ctx, max_len, flipped, right)
     path = [()] * (max_len + 1)  # path[d]: the last letter of the word at depth d
     best, best_rank = None, 0
-    for w, letter, depth, rank, _ in ball:
+    for w, last, depth, rank, _ in ball:
         if depth:
-            path[depth] = last = SIGNED_LETTERS[letter : letter + 1]
+            path[depth] = last
             test.push(depth, last)
             if best is not None:
                 versus.push(depth, last)
@@ -252,10 +252,9 @@ def convexity_check(ctx: GroupContext, max_len: int) -> ConvexityReport:
     below.start(gen_power(GEN_B, -radius))
     violations = []
     checked = 0
-    for c, letter, depth, rank, _ in ball:
+    for c, last, depth, rank, _ in ball:
         checked += 1
         if depth:
-            last = SIGNED_LETTERS[letter : letter + 1]
             above.push(depth, last)
             below.push(depth, last)
         if (

@@ -250,9 +250,11 @@ def _ball_tree(max_len: int, first: int | None):
     children append one letter, visited in the order of SIGNED_LETTERS
     (a, a^-1, b, b^-1), and first is the index of the letter every word
     of this part starts with, or None for the identity alone.  Yields
-    (word, letter, depth, rank, inverse rank), where letter indexes the
-    last letter, depth is the letter length, and rank is the word's
-    position in enumerate_reduced(max_len), inverse rank its inverse's.
+    (word, last, depth, rank, inverse rank), where last is the word's
+    last letter as a one-letter word (() for the identity), the step a
+    walk resumes the parent's state over; depth is the letter length,
+    and rank is the word's position in enumerate_reduced(max_len),
+    inverse rank its inverse's.
 
     A word of length L >= 1 has rank 2 * 3^(L-1) - 1 + i, with i its
     index among the 4 * 3^(L-1) words of its length: its first letter's
@@ -264,14 +266,15 @@ def _ball_tree(max_len: int, first: int | None):
     index ^ 1 is the inverse letter.
     """
     if first is None:
-        yield (), None, 0, 0, 0
+        yield (), (), 0, 0, 0
         return
     third = [3**k for k in range(max_len)]  # 3^(L-1) at depth L
-    todo = [(SIGNED_LETTERS[first:first + 1], first, 1, first, first ^ 1)]
+    steps = [(syllable,) for syllable in SIGNED_LETTERS]  # each letter as a word
+    todo = [(steps[first], first, 1, first, first ^ 1)]
     while todo:
         word, letter, depth, index, inverse_index = todo.pop()
         base = 2 * third[depth - 1] - 1
-        yield word, letter, depth, base + index, base + inverse_index
+        yield word, steps[letter], depth, base + index, base + inverse_index
         if depth == max_len:
             continue
         back = letter ^ 1  # the letter that would cancel; first letter of w^-1

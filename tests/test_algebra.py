@@ -100,6 +100,14 @@ class TestPolynomials:
         with pytest.raises(ZeroDivisionError):
             poly_divmod_exact((1,), ())
 
+    def test_division_needing_fractions_raises(self):
+        with pytest.raises(ValueError, match="^division is not exact over the integers$"):
+            poly_divmod_exact((1, 1), (1, 2))  # (x+1)/(2x+1)
+
+    def test_cyclotomic_index_must_be_positive(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            cyclotomic(0)
+
     def test_cyclotomic_table(self):
         for n, expected in CYCLOTOMIC_TABLE.items():
             assert cyclotomic(n) == expected, f"Phi_{n}"

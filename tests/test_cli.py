@@ -12,7 +12,7 @@ import pytest
 from conftest import deep_only
 from test_cli_golden import CASES as GOLDEN_CASES
 from test_cli_golden import _long_word, _text
-from heckeord import braid3, cli, normalform, oracle, orderings, suites
+from heckeord import braid3, cli, cone, normalform, oracle, orderings, suites
 from heckeord.cli import main
 from heckeord.cone import ReductionStuck, certify_sign, decide_sign
 from heckeord.context import group_context
@@ -439,6 +439,17 @@ class TestExitCodes:
             "error": "internal",
             "type": error.__name__,
             "message": "forced",
+        }
+
+    def test_exhausted_certify_budget_is_3_with_one_json_line(self, capsys, monkeypatch):
+        # n = 7 cuts its witness, so sign runs cone._certify's own stack pass.
+        monkeypatch.setattr(cone, "START", ((), 0, -10**6))
+        code, out, err = run(capsys, "sign", "--n", "7", "a b^-2 a^3 b")
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        assert json.loads(err) == {
+            "error": "internal",
+            "type": "RewriteLimitError",
+            "message": "normal-form budget exhausted",
         }
 
 

@@ -170,6 +170,10 @@ CASES = [
     *_both("cmp", "--n", "5", "--order", "dlike", "--conj", "b a", "1", "a^-1 b^2 a"),
     *_both("cmp", "--n", "1", "--order", "dlike", "a^-1 b^3 a", "1"),
     *_both("cmp", "--n", "2", "--order", "dlike", "1", "b^-1 a b a^-1 b^-1"),
+    # long words at even n >= 4, where the oracle's modulus is odd and its
+    # fold runs on one packed int
+    *(["sign", "--n", str(n), _text(_long_word(n + size, size))] for n in (4, 6, 62) for size in (80, 320)),
+    *_long_oracle_cases(62, 3),
 ]
 
 

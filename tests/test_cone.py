@@ -18,6 +18,7 @@ from heckeord.oracle import oracle_chain, oracle_equal, oracle_is_identity, plai
 from heckeord.words import (
     GEN_A,
     GEN_B,
+    RewriteLimitError,
     concat,
     format_word,
     gen_power,
@@ -504,6 +505,13 @@ class TestCertify:
         assert len(lists) == 1 and sum(chunks) == len(w) and max(chunks) == cone.CUT
         assert result == decide_sign(w, ctx) and len(cuts) > 2
         assert oracle_chain(w, result.witness, cuts, ctx)
+
+    def test_budget_tripwire(self, monkeypatch):
+        # A stack pass that starts overspent must raise, not hand its state
+        # to the sign pass: real code, so also under -O.
+        monkeypatch.setattr(cone, "START", ((), 0, -10**6))
+        with pytest.raises(RewriteLimitError, match="^normal-form budget exhausted$"):
+            cone.certify_sign(parse_word("a b^-2 a^3 b"), group_context(7))
 
     @pytest.mark.parametrize("n", [4, 7, 31, 63])
     def test_packed_layouts_cut_every_cut_syllables(self, n):

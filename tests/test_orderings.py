@@ -49,6 +49,10 @@ class TestPositivity:
                 invert(w), DD(), CTX2
             )
 
+    def test_unknown_spec_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^unknown ordering spec 'dd'$"):
+            is_positive(parse_word("a"), "dd", CTX2)
+
     def test_identity_is_never_positive(self):
         for spec in (DD(), DDReversed(), DehornoyLike()):
             assert not is_positive((), spec, CTX2)

@@ -255,6 +255,10 @@ class TestAlgebraicLaws:
         assert all(exp != 0 for _, exp in w)
         assert all(w[i][0] != w[i + 1][0] for i in range(len(w) - 1))
 
+    def test_word_from_syllables_refuses_an_unknown_generator(self):
+        with pytest.raises(ValueError, match="^unknown generator index 2$"):
+            word_from_syllables([(GEN_A, 1), (2, 1)])
+
     @given(words(max_syllables=4), words(max_syllables=4))
     def test_concat_matches_syllable_semantics(self, u, v):
         assert concat(u, v) == word_from_syllables(list(u) + list(v))
