@@ -555,11 +555,13 @@ def parsers_made(monkeypatch):
 
 
 class TestParsersBuilt:
-    def test_a_command_builds_its_own_parser_on_every_call(self, capsys, parsers_made):
-        for _ in range(2):
-            parsers_made.clear()
-            assert main(["sign", "a"]) == 0
-            assert parsers_made == ["heckeord sign"]
+    def test_a_command_builds_its_own_parser_once(self, capsys, parsers_made):
+        cli._command_parser.cache_clear()
+        assert main(["sign", "a"]) == 0
+        assert parsers_made == ["heckeord sign"]
+        parsers_made.clear()
+        assert main(["sign", "a"]) == 0
+        assert parsers_made == []
         capsys.readouterr()
 
     def test_help_builds_the_full_tree(self, capsys, parsers_made):
@@ -567,9 +569,56 @@ class TestParsersBuilt:
         assert parsers_made == ["heckeord"] + [f"heckeord {name}" for name in cli.COMMANDS]
         assert capsys.readouterr().out.startswith("usage: heckeord [-h]")
 
+    def test_help_builds_the_full_tree_on_every_call(self, capsys, parsers_made):
+        for _ in range(2):
+            parsers_made.clear()
+            assert main(["--help"]) == 0
+            assert parsers_made == ["heckeord"] + [f"heckeord {name}" for name in cli.COMMANDS]
+        capsys.readouterr()
+
     def test_left_over_argument_is_reported_by_the_top_level_parser(self, capsys, parsers_made):
+        assert main(["sign", "a"]) == 0  # the sign parser is warm from here on
+        parsers_made.clear()
         assert main(["sign", "a", "--bogus"]) == 2
-        assert parsers_made[:2] == ["heckeord sign", "heckeord"]
+        assert parsers_made == ["heckeord"] + [f"heckeord {name}" for name in cli.COMMANDS]
         err = capsys.readouterr().err
         assert err.startswith("usage: heckeord [-h]")
         assert err.endswith("heckeord: error: unrecognized arguments: --bogus\n")
+
+
+def _full_tree_outcome(capsys, monkeypatch, argv):
+    with monkeypatch.context() as full_tree:
+        full_tree.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+        return _outcome(capsys, argv)
+
+
+class TestWarmParsers:
+    """A command's parser serves every call in the process: no parse may leave
+    anything on it that shows in the next, and what argparse reads from the
+    machine (the terminal width, the CPU count) is read anew on each call."""
+
+    def test_corpus_forward_and_reversed_matches_a_fresh_full_tree(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = {tuple(argv): _full_tree_outcome(capsys, monkeypatch, argv) for argv in ARGV_CORPUS}
+        for name in cli.COMMANDS:
+            assert main([name, "-h"]) == 0
+        capsys.readouterr()
+        for argv in ARGV_CORPUS + ARGV_CORPUS[::-1]:
+            assert _outcome(capsys, argv) == expected[tuple(argv)], argv
+
+    def test_help_wraps_to_the_width_at_each_call(self, capsys, monkeypatch):
+        got = {}
+        for columns in ("80", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            got[columns] = _outcome(capsys, ["sign", "--help"])
+            assert got[columns] == _full_tree_outcome(capsys, monkeypatch, ["sign", "--help"])
+        assert got["80"] != got["40"]
+
+    def test_jobs_is_checked_against_the_cpu_count_at_each_call(self, capsys, monkeypatch):
+        argv = ["suite", "--jobs", "2", "--max-len", "1"]
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith("heckeord suite: error: argument --jobs: must be an integer in 1..1, got '2'\n")

@@ -174,6 +174,12 @@ CASES = [
     # fold runs on one packed int
     *(["sign", "--n", str(n), _text(_long_word(n + size, size))] for n in (4, 6, 62) for size in (80, 320)),
     *_long_oracle_cases(62, 3),
+    # integer options take ASCII digits only, as word exponents do: int()
+    # would read these as 63, 3, 1 and 1
+    ["sign", "--n", "6_3", "a"],
+    ["sign", "--n", "٣", "a"],
+    ["converge", "--kmax", "１", "--plain"],
+    ["suite", "--jobs", "١"],
 ]
 
 
