@@ -11,6 +11,11 @@ the handle reduction's budget (braid3.dehornoy_reduce); 3 internal error
 CertificateError from a b3 cone certificate): a bug, reported as one
 JSON line on stderr.
 
+sign joins the decision and its checker here: the oracle picks how its
+witness check is cut into links (oracle.link_syllables), cone.certify_sign
+decides and makes the interior cuts at that length, and
+oracle.oracle_chain checks the chain.
+
 When argv starts with a command name, main parses it with that command's
 parser only, built on first use and reused for the life of the process
 (in-process `sign --n 2 "a b a^-1"` 0.28 -> 0.09 ms; a one-shot process
@@ -32,7 +37,7 @@ import time
 from . import braid3, normalform, orderings, suites
 from .cone import ReductionStuck, certify_sign
 from .context import group_context
-from .oracle import oracle_chain, oracle_report
+from .oracle import link_syllables, oracle_chain, oracle_report
 from .words import RewriteLimitError, format_word, parse_word
 
 _ORDERS = {"dd": orderings.DD(), "ddrev": orderings.DDReversed(), "dlike": orderings.DehornoyLike()}
@@ -58,7 +63,7 @@ def _jobs(text: str) -> int:
 
 def _sign(args):
     ctx, word = group_context(args.n), parse_word(args.word)
-    result, cuts = certify_sign(word, ctx)
+    result, cuts = certify_sign(word, ctx, link_syllables(ctx))
     checked = oracle_chain(word, result.witness, cuts, ctx)
     text, witness, verdict = format_word(word), format_word(result.witness), result.verdict.value
     payload = dict(input=text, n=args.n, verdict=verdict, witness=witness, steps=result.steps)

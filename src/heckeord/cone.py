@@ -64,15 +64,18 @@ checks over slices of u hold those bounds, for orderings and the Cayley
 export; decide_sign and sign_pass write the witness for suites, and
 certify_sign for sign.
 
-Cuts.  certify_sign also returns cuts (k, p, z), each claiming
-w[:k] = witness[:p] * z in G_n for a word z of at most CUT syllables,
-from (0, 0, ()) to (len(w), len(witness), ()).  oracle.oracle_chain
-checks the witness as the chain of links z * w[k:k'] = witness[p:p'] * z',
-each an equality of short words, so no fold grows wide; it trusts
-nothing from the cuts, which only decide where the links fall.  They
-come from the passes that make the verdict and witness:
+Cuts.  certify_sign(w, ctx, C) also returns the interior cuts
+(k, p, z), each claiming w[:k] = witness[:p] * z in G_n for a word z of
+at most C syllables, k and p nondecreasing.  oracle.oracle_chain checks
+the witness as the chain of links z * w[k:k'] = witness[p:p'] * z'
+from (0, 0, ()) through the cuts to (len(w), len(witness), ()), the
+two ends its own; each link is an equality of short words, so no fold
+grows wide, and it trusts nothing from the cuts, which only decide
+where the links fall.  The checker picks C (oracle.link_syllables):
+None asks for no cuts, one whole-word link.  The cuts come from the
+passes that make the verdict and witness:
 
-  stack    every CUT syllables the stack pass (a left fold, run on one
+  stack    every C syllables the stack pass (a left fold, run on one
            list in place) holds a stack S with S * delta^ell = w[:k].
            Its watermark is the lowest height the next chunk writes at
            (the list records it, _Stack), so S[:watermark] lives on into
@@ -84,13 +87,11 @@ come from the passes that make the verdict and witness:
            When the witness is u itself, bar the delta^ell merged into
            its last syllable, Y = u[p:m] with p = min(m, len(witness) - 1).
 
-So z = Y * S[m:] * a^(q ell).  A cut whose z would be longer than CUT is
+So z = Y * S[m:] * a^(q ell).  A cut whose z would be longer than C is
 dropped: the relator sandwich x r x^-1 pops its whole stack, and keeps
-one long link.  Only each snapshot's top CUT syllables are copied, so
+one long link.  Only each snapshot's top C syllables are copied, so
 the producer's work and memory stay linear in the word, whatever the
-height of the stack.  Where the oracle's entries are plain ints
-(n = 1, 2, 3, 5) the one whole-word link is cheaper, and certify_sign
-makes no cuts.
+height of the stack.
 
 The verdicts are cross-validated exhaustively against the matrix
 oracle in the test suite; nothing here trusts normal-form uniqueness.
@@ -104,14 +105,7 @@ from typing import NamedTuple
 
 from .context import GroupContext
 from .normalform import START, NormalForm, ReductionStuck, _push, to_normal_form
-from .oracle import plain_entries
 from .words import _EXPONENT, GEN_A, GEN_B, RewriteLimitError, Syllable, Word, concat, gallop, gen_power, is_one_signed
-
-
-# Syllables of the word between two snapshots, and the longest z a cut
-# may carry (certify_sign); picked from a table of decide+check times at
-# n = 7, 31, 63 on 80 to 4,000 syllables.
-CUT = 20
 
 
 class Sign(enum.Enum):
@@ -156,27 +150,23 @@ def decide_sign(word: Word, ctx: GroupContext) -> SignResult:
     return sign_pass(to_normal_form(word, ctx), ctx)
 
 
-def certify_sign(word: Word, ctx: GroupContext) -> tuple[SignResult, list[tuple[int, int, Word]]]:
-    """decide_sign's result, and the cuts (k, p, z) by which
+def certify_sign(word: Word, ctx: GroupContext, cut: int | None) -> tuple[SignResult, list[tuple[int, int, Word]]]:
+    """decide_sign's result, and the interior cuts (k, p, z) by which
     oracle.oracle_chain checks its witness (see Cuts in the module
-    docstring): one every CUT syllables, except where the oracle's
-    entries are plain ints (oracle.plain_entries), where the one
-    whole-word link is cheaper.
+    docstring): a snapshot every cut syllables, or none when cut is
+    None, for one whole-word link.  The checker picks cut
+    (oracle.link_syllables).
 
     >>> from heckeord.context import group_context
     >>> from heckeord.words import parse_word
-    >>> result, cuts = certify_sign(parse_word("a b a^-1"), group_context(2))
-    >>> cuts == [(0, 0, ()), (3, len(result.witness), ())]
-    True
+    >>> result, cuts = certify_sign(parse_word("a b a^-1"), group_context(7), 2)
+    >>> [k for k, _, _ in cuts]
+    [2]
+    >>> certify_sign(parse_word("a b a^-1"), group_context(2), None)[1]
+    []
     """
-    if plain_entries(ctx):
-        result = decide_sign(word, ctx)
-        return result, [(0, 0, ()), (len(word), len(result.witness), ())]
-    return _certify(word, ctx, CUT)
-
-
-def _certify(word: Word, ctx: GroupContext, cut: int) -> tuple[SignResult, list[tuple[int, int, Word]]]:
-    """certify_sign with a snapshot every cut syllables, at any n."""
+    if cut is None:
+        return decide_sign(word, ctx), []
     # Per snapshot: [k, ell, stack height, the stack's top cut syllables, watermark].
     stack, ell, budget = _Stack(), START[1], START[2]
     done, snaps = 0, []
@@ -200,7 +190,7 @@ def _certify(word: Word, ctx: GroupContext, cut: int) -> tuple[SignResult, list[
     states = []
     result = sign_pass(NormalForm(prefix, ell), ctx, tuple(marks), states)
     witness, q = result.witness, ctx.q
-    cuts = [(0, 0, ())]
+    cuts = []
     for j, (k, snap_ell, height, top, _) in enumerate(snaps):
         m = marks[j]
         if height - m > cut:
@@ -208,19 +198,18 @@ def _certify(word: Word, ctx: GroupContext, cut: int) -> tuple[SignResult, list[
         if states:  # prefix[:m] = out * a^carry, and out[:-1] is the witness's
             size, carry, last = states[j]
             p = max(0, size - 1)
-            y = ((last,) if size else ()) + gen_power(GEN_A, carry)
+            y = last + gen_power(GEN_A, carry)
         else:  # the witness is the prefix, bar its last syllable
             p = max(0, min(m, len(witness) - 1))
             y = prefix[p:m]
         z = y + tuple(top[len(top) - height + m :]) + gen_power(GEN_A, q * snap_ell)
         if len(z) <= cut:
             cuts.append((k, p, z))
-    cuts.append((len(word), len(witness), ()))
     return result, cuts
 
 
 class _Stack(list):
-    """The list _certify runs through the stack pass in place.  low is
+    """The list certify_sign runs through the stack pass in place.  low is
     the lowest height at which the pass popped, deleted or rewrote an
     entry since low was set: the pass writes only at its top, through
     these three and appends (normalform._push), so stack[:low] is as it
@@ -281,9 +270,9 @@ def sign_pass(nf: NormalForm, ctx: GroupContext, stops=(), states=None) -> SignR
     (out, carry) with u[:m] = out * a^carry, wherever it stops (a jump
     ends at a stop, and the handle move after it merges into the same
     b-block).  Given stops, nondecreasing positions of u, a negative
-    pass appends (len(out), carry, out[-1]) to states at each stop and
-    at the end; of out only out[-1] changes later, so out[:-1] is a
-    prefix of the witness.
+    pass appends (len(out), carry, out[-1:] as a tuple) to states at
+    each stop and at the end; of out only out[-1] changes later, so
+    out[:-1] is a prefix of the witness.
 
     When ell >= 0 or the prefix is empty there is no pass: the witness
     is concat(prefix, a^(q ell)), the prefix itself when ell = 0, and
@@ -335,7 +324,7 @@ def sign_pass(nf: NormalForm, ctx: GroupContext, stops=(), states=None) -> SignR
             else:
                 i += 1
         if states is not None:
-            states.append((len(out), carry, out[-1] if out else None))
+            states.append((len(out), carry, tuple(out[-1:])))
 
     out += gen_power(GEN_A, carry + q * ell)  # out ends in a b-block or is empty: nothing to merge
     witness = tuple(out)

@@ -71,7 +71,9 @@ which alone sums phi: oracle_state hands the state out,
 oracle_is_identity resumes from it and same_element compares two.
 oracle_chain checks u = v as a chain of links between cuts, each the
 equality of two short words (oracle_equal, its one link), so that no
-fold grows wide.
+fold grows wide; it supplies the chain's two ends itself.  The checker
+also plans sign's check: link_syllables picks how many syllables of
+the word a link spans, or one whole-word link at the plain layouts.
 _is_shear compares a fold with sign times rho(b)^k =
 [[1, k lam], [0, 1]], whose packed ints are the same at every width but
 for k lam, and _coefficients unpacks it for rho and element_key, both
@@ -554,29 +556,36 @@ def oracle_report(word: Word, ctx: GroupContext) -> tuple[bool, bool, int]:
     return identity, one or _is_shear(fold, ctx, sign=-1), value
 
 
-def plain_entries(ctx: GroupContext) -> bool:
-    """Whether the fold's entries are plain ints, one digit each: n = 1,
-    2, 3 and 5 (module docstring).  Such an entry is only as wide as its
-    digit, so the whole-word fold stays cheap: cone.certify_sign checks
-    one link there, which beat a chain of short links on 80 to 1,000
-    syllables."""
-    return _plan(ctx.q)[5] == 1
+# The most syllables a link of sign's witness check spans (link_syllables);
+# picked from a table of decide+check times at n = 7, 31, 63 on 80 to
+# 4,000 syllables.
+CUT = 20
+
+
+def link_syllables(ctx: GroupContext) -> int | None:
+    """How sign's witness check is cut into links: CUT syllables of the
+    word, or None for one whole-word link.  None where the fold's
+    entries are plain ints, one digit each: n = 1, 2, 3 and 5 (module
+    docstring).  Such an entry is only as wide as its digit, so the
+    whole-word fold stays cheap, and one link beat a chain of short
+    links there on 80 to 1,000 syllables."""
+    return None if _plan(ctx.q)[5] == 1 else CUT
 
 
 def oracle_chain(u: Word, v: Word, cuts, ctx: GroupContext) -> bool:
     """True when u and v are the same group element, checked link by link.
 
-    cuts is a list of (k, p, z), z a word, each claiming u[:k] = v[:p] z.
-    They must tile both words: k and p nondecreasing from the first cut
-    (0, 0, ()) to the last (len(u), len(v), ()).  Each link between two
-    cuts is the equality z u[k:k'] = v[p:p'] z' of two short words
-    (oracle_equal), and the links compose to u = v.  Nothing from the
-    cuts is trusted: a wrong cut fails its link, and the loop stops at
-    the first link that fails.
+    cuts is a list of interior cuts (k, p, z), z a word, each claiming
+    u[:k] = v[:p] z; the chain runs from (0, 0, ()) through them to
+    (len(u), len(v), ()), so an empty list is the one whole-word link
+    oracle_equal(u, v).  k and p must not decrease along the chain.
+    Each link between two cuts is the equality z u[k:k'] = v[p:p'] z'
+    of two short words (oracle_equal), and the links compose to u = v.
+    Nothing from the cuts is trusted: a wrong cut fails its link, and
+    the loop stops at the first link that fails.
     """
-    if not cuts or cuts[0] != (0, 0, ()) or cuts[-1] != (len(u), len(v), ()):
-        return False
-    for (k, p, z), (k_next, p_next, z_next) in zip(cuts, cuts[1:]):
+    chain = [(0, 0, ()), *cuts, (len(u), len(v), ())]
+    for (k, p, z), (k_next, p_next, z_next) in zip(chain, chain[1:]):
         if k_next < k or p_next < p or not oracle_equal(z + u[k:k_next], v[p:p_next] + z_next, ctx):
             return False
     return True

@@ -73,17 +73,17 @@ def _walk(ctx: GroupContext, max_len: int, first: int | None):
     a b^-1 a b and b a b^-1 a are both b delta b at every n.  In one
     part of the length-8 ball 97 / 81 / 65 / 40 % of the words repeat
     an earlier form at n = 1 / 2 / 3 / 5, and 28 % at n = 63.  So the
-    walk keeps a memo from the form (ell, *stack) to (verdict code, the
-    oracle state of the first word with that form if its witness equals
-    it, else None, the witness-shape detail or None).  The first word
-    of a form runs the sign pass, the shape check and the witness fold.
-    A later one asks oracle.same_element whether it is the same element
-    as that first word, which makes it the witness too; only when it is
-    not, or the entry holds None, does it run the sign pass and the
-    fold again, so a form that fails the normal form's promise is
-    reported for every word it fails on.  Every word keeps its own
-    count, mirror byte and oracle-agreement check.  An entry holds no
-    witness (0.18 KB at n = 5, 0.29 KB at n = 63); the memo is emptied
+    walk keeps a memo from a checked form (ell, *stack) to (verdict
+    code, oracle state): a word that reaches a form with no entry runs
+    the sign pass, the shape check and the witness fold, and only if it
+    passes both is its form stored, with its state.  A later word of
+    the form asks oracle.same_element whether it is the same element
+    as that word, which makes it the witness too and passes both checks;
+    only when it is not does it run the sign pass and the fold again,
+    so a form that fails the normal form's promise is reported for
+    every word it fails on.  Every word keeps its own count, mirror
+    byte and oracle-agreement check.  An entry holds no witness
+    (0.18 KB at n = 5, 0.29 KB at n = 63); the memo is emptied
     at MEMO_FORMS entries, more than a part of the length-8 ball holds
     at any n (at most 2,359 forms, at n = 63).
     """
@@ -101,9 +101,8 @@ def _walk(ctx: GroupContext, max_len: int, first: int | None):
         stack, ell, _ = nf[depth]
         form = (ell, *stack)
         entry = memo.get(form)
-        if entry is not None and entry[1] is not None and same_element(state, entry[1], ctx):
-            code, _, shape = entry
-            equal = True
+        if entry is not None and same_element(state, entry[1], ctx):
+            code, shape, equal = entry[0], None, True
         else:
             sign, witness, _ = sign_pass(NormalForm(tuple(stack), ell), ctx)
             shape = None
@@ -118,10 +117,10 @@ def _walk(ctx: GroupContext, max_len: int, first: int | None):
             # witness-equality: w witness^-1 = 1, which is w^-1 witness = 1
             # conjugated, folded on from w's state; trivial when witness is w.
             equal = witness == word or oracle_is_identity(invert(witness), ctx, state)
-            if entry is None:
+            if entry is None and equal and shape is None:
                 if len(memo) >= MEMO_FORMS:
                     memo.clear()
-                memo[form] = code, state if equal else None, shape
+                memo[form] = code, state
         if shape is not None:
             violations.append((rank, (format_word(word), "witness-shape", shape)))
         if not equal:

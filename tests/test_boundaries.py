@@ -7,7 +7,10 @@ names the fold's helpers or the Klein pair, and the ball walks in
 suites.py and orderings.py branch on no n == 1 case of their own.  Order
 decisions read a verdict, never a witness: orderings.py names no
 witness writer.  They rest on the normal form alone: the order-sign path
-in orderings.py calls no oracle function.  The test-only references
+in orderings.py calls no oracle function.  The decision core (words,
+normal form, cone) imports nothing from the checker (oracle, and the
+algebra its matrices live in): sign's check is planned by the oracle
+and joined to the decision in cli.py.  The test-only references
 (tests/reference_*.py) import from the package only the names listed
 here, none of them private, so a fault in the code they check cannot
 hit both sides alike.
@@ -166,11 +169,11 @@ REFERENCE_IMPORTS = {
 
 def package_imports(tree):
     """(module.name, line) for every name imported from the package,
-    anywhere in the module; a bare import of a package module gives its
-    dotted path."""
+    anywhere in the module, relative imports included; a bare import of
+    a package module gives its dotted path."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "heckeord":
-            module = node.module.removeprefix("heckeord")
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "heckeord"):
+            module = (node.module or "").removeprefix("heckeord")
             yield from ((f"{module}.{alias.name}".lstrip("."), node.lineno) for alias in node.names)
         elif isinstance(node, ast.Import):
             yield from ((alias.name, node.lineno) for alias in node.names if alias.name.split(".")[0] == "heckeord")
@@ -183,3 +186,23 @@ def test_references_import_only_their_allowlist(path):
     assert private == [], f"{path} imports private package names: {private}"
     extra = sorted((name, line) for name, line in imported if name not in REFERENCE_IMPORTS.get(path, set()))
     assert extra == [], f"{path} imports package names outside its allowlist: {extra}"
+
+
+def modules_imported(tree):
+    return {name.removeprefix("heckeord.").split(".")[0] for name, _ in package_imports(tree)}
+
+
+CHECKER = {"oracle", "algebra"}
+
+
+@pytest.mark.parametrize("path", ["words.py", "normalform.py", "cone.py"])
+def test_the_decision_core_imports_nothing_from_the_checker(path):
+    found = sorted(modules_imported(parse(path)) & CHECKER)
+    assert found == [], f"{path} imports from the checker: {found}"
+
+
+def test_the_import_check_sees_what_it_looks_for():
+    # cli.py joins the decision to its check, so it imports the oracle.
+    assert "oracle" in modules_imported(parse("cli.py"))
+    for source in ("from . import algebra", "from .oracle import CUT", "from heckeord.oracle import CUT", "import heckeord.algebra"):
+        assert modules_imported(ast.parse(source)) & CHECKER, source

@@ -64,7 +64,7 @@ class TestSign:
 
 class TestSignCheckFails:
     """sign handed a wrong witness for the true verdict, with the true
-    cuts but the last one moved to the wrong witness's end: the check
+    interior cuts: the chain's last link, to the wrong witness's end,
     fails, the JSON says "oracle_checked": false, --plain says [oracle
     MISMATCH], and the exit status is 1."""
 
@@ -90,7 +90,7 @@ class TestSignCheckFails:
     @pytest.mark.parametrize("kind", ["b", "delta", "delta-squared", "commutator"])
     def test_a_wrong_witness_is_refused(self, capsys, monkeypatch, n, text, kind):
         ctx, word = group_context(n), parse_word(text)
-        (truth, cuts), extra = certify_sign(word, ctx), self.spoilers(n)[kind]
+        (truth, cuts), extra = certify_sign(word, ctx, oracle.link_syllables(ctx)), self.spoilers(n)[kind]
         spoilt = concat(truth.witness, extra)
         if text == self.LONG:
             assert ["sign", "--n", "63", text] in GOLDEN_CASES
@@ -99,9 +99,8 @@ class TestSignCheckFails:
             # sign checks the long word link by link, and the last link fails.
             wrong = oracle.oracle_state(spoilt, ctx)
             assert oracle.oracle_state(word, ctx)[1][2] != wrong[1][2]
-            assert len(cuts) > 2
-        cuts = cuts[:-1] + [(len(word), len(spoilt), ())]
-        monkeypatch.setattr(cli, "certify_sign", lambda w, c: (truth._replace(witness=spoilt), cuts))
+            assert cuts
+        monkeypatch.setattr(cli, "certify_sign", lambda w, c, cut: (truth._replace(witness=spoilt), cuts))
         code, doc = run_json(capsys, "sign", "--n", str(n), text)
         assert (code, doc["oracle_checked"], doc["verdict"]) == (1, False, truth.verdict.value)
         assert doc["witness"] == format_word(spoilt)
@@ -427,7 +426,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("error", [RewriteLimitError, ReductionStuck])
     def test_internal_error_is_3_with_one_json_line(self, capsys, monkeypatch, error):
-        def broken(word, ctx):
+        def broken(word, ctx, cut):
             raise error("forced")
 
         monkeypatch.setattr(cli, "certify_sign", broken)
@@ -442,7 +441,7 @@ class TestExitCodes:
         }
 
     def test_exhausted_certify_budget_is_3_with_one_json_line(self, capsys, monkeypatch):
-        # n = 7 cuts its witness, so sign runs cone._certify's own stack pass.
+        # n = 7 cuts its witness, so sign runs cone.certify_sign's own stack pass.
         monkeypatch.setattr(cone, "START", ((), 0, -10**6))
         code, out, err = run(capsys, "sign", "--n", "7", "a b^-2 a^3 b")
         assert (code, out, err.count("\n")) == (3, "", 1)

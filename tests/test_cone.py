@@ -14,7 +14,7 @@ from heckeord import cone, normalform, orderings, suites
 from heckeord.cone import ReductionStuck, Sign, SignResult, decide_sign, expand_handle, verdict
 from heckeord.context import group_context
 from heckeord.normalform import START, NormalForm, resume, to_normal_form
-from heckeord.oracle import oracle_chain, oracle_equal, oracle_is_identity, plain_entries
+from heckeord.oracle import CUT, link_syllables, oracle_chain, oracle_equal, oracle_is_identity
 from heckeord.words import (
     GEN_A,
     GEN_B,
@@ -356,19 +356,20 @@ class TestTrichotomyAgainstOracleForAllN:
 
 
 def assert_cuts_hold(word, ctx, cut):
-    """_certify's result is decide_sign's, its cuts tile word and witness
-    with every z at most cut syllables long, each claim holds on its own,
-    and oracle_chain accepts them.  Returns the number of interior cuts."""
-    result, cuts = cone._certify(word, ctx, cut)
+    """certify_sign's result is decide_sign's, its interior cuts tile word
+    and witness between the chain's two ends with every z at most cut
+    syllables long, each claim holds on its own, and oracle_chain accepts
+    them.  Returns the number of interior cuts."""
+    result, cuts = cone.certify_sign(word, ctx, cut)
     assert result == decide_sign(word, ctx)
     witness = result.witness
-    assert cuts[0] == (0, 0, ()) and cuts[-1] == (len(word), len(witness), ())
-    for (k, p, _), (k_next, p_next, z) in zip(cuts, cuts[1:]):
+    chain = [(0, 0, ()), *cuts, (len(word), len(witness), ())]
+    for (k, p, _), (k_next, p_next, z) in zip(chain, chain[1:]):
         assert (k < k_next or not word) and p <= p_next and len(z) <= cut
     for k, p, z in cuts:
         assert oracle_equal(word[:k], witness[:p] + z, ctx), (k, p, z)
     assert oracle_chain(word, witness, cuts, ctx)
-    return len(cuts) - 2
+    return len(cuts)
 
 
 class WatchedStack(list):
@@ -416,7 +417,7 @@ class WatchedStack(list):
     words(max_syllables=6, max_exp=300),
 )
 def test_the_cut_stack_records_the_lowest_height_written(n, u, v):
-    # _certify's list records the lowest height at which the stack pass
+    # certify_sign's list records the lowest height at which the stack pass
     # wrote over v; a list that records every write, at any index,
     # agrees, so the pass writes nowhere the cut stack does not see.
     ctx = group_context(n)
@@ -457,12 +458,12 @@ class TestCertify:
         ctx, rng = group_context(n), random.Random(f"sandwich:{n}")
         x = word_from_syllables([(rng.randrange(2), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(200)])
         sandwich = concat(x, relator(n), invert(x))
-        assert_cuts_hold(sandwich, ctx, cone.CUT)
+        assert_cuts_hold(sandwich, ctx, CUT)
         if n >= 7:
-            cuts = cone._certify(sandwich, ctx, cone.CUT)[1]
-            assert all(k <= cone.CUT or k >= len(sandwich) - 2 * cone.CUT for k, _, _ in cuts)
+            cuts = cone.certify_sign(sandwich, ctx, CUT)[1]
+            assert all(k <= CUT or k >= len(sandwich) - 2 * CUT for k, _, _ in cuts)
         y = x[:60]
-        assert assert_cuts_hold(concat(y, ((GEN_B, -2000),), invert(y)), ctx, cone.CUT) >= 2
+        assert assert_cuts_hold(concat(y, ((GEN_B, -2000),), invert(y)), ctx, CUT) >= 2
 
     @pytest.mark.parametrize("n", [1, 2, 7, 63])
     def test_a_positive_prefix_kept_whole(self, n):
@@ -479,11 +480,11 @@ class TestCertify:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_plain_layouts_check_the_whole_word(self, n):
         ctx = group_context(n)
-        assert plain_entries(ctx)
+        assert link_syllables(ctx) is None
         w = parse_word("a^2 b^-1 a^3 b^2 a^-1 b") * 20
-        result, cuts = cone.certify_sign(w, ctx)
+        result, cuts = cone.certify_sign(w, ctx, None)
         assert result == decide_sign(w, ctx)
-        assert cuts == [(0, 0, ()), (len(w), len(result.witness), ())]
+        assert cuts == []
         assert assert_cuts_hold(w, ctx, 4) > 0
 
     def test_the_producer_folds_each_syllable_once_on_one_stack(self, monkeypatch):
@@ -501,9 +502,9 @@ class TestCertify:
             return real(stack, ell, budget, word, ctx)
 
         monkeypatch.setattr(cone, "_push", counted)
-        result, cuts = cone.certify_sign(w, ctx)
-        assert len(lists) == 1 and sum(chunks) == len(w) and max(chunks) == cone.CUT
-        assert result == decide_sign(w, ctx) and len(cuts) > 2
+        result, cuts = cone.certify_sign(w, ctx, link_syllables(ctx))
+        assert len(lists) == 1 and sum(chunks) == len(w) and max(chunks) == CUT
+        assert result == decide_sign(w, ctx) and cuts
         assert oracle_chain(w, result.witness, cuts, ctx)
 
     def test_budget_tripwire(self, monkeypatch):
@@ -511,15 +512,16 @@ class TestCertify:
         # to the sign pass: real code, so also under -O.
         monkeypatch.setattr(cone, "START", ((), 0, -10**6))
         with pytest.raises(RewriteLimitError, match="^normal-form budget exhausted$"):
-            cone.certify_sign(parse_word("a b^-2 a^3 b"), group_context(7))
+            cone.certify_sign(parse_word("a b^-2 a^3 b"), group_context(7), CUT)
 
     @pytest.mark.parametrize("n", [4, 7, 31, 63])
     def test_packed_layouts_cut_every_cut_syllables(self, n):
         ctx = group_context(n)
         w = parse_word("a^2 b^-1 a^3 b^2 a^-1 b") * 20
-        result, cuts = cone.certify_sign(w, ctx)
-        assert (result, cuts) == cone._certify(w, ctx, cone.CUT)
-        assert len(cuts) - 2 > len(w) // cone.CUT // 2
-        assert all(len(z) <= cone.CUT for _, _, z in cuts)
-        short = w[: cone.CUT]
-        assert cone.certify_sign(short, ctx)[1] == [(0, 0, ()), (len(short), len(decide_sign(short, ctx).witness), ())]
+        assert link_syllables(ctx) == CUT
+        result, cuts = cone.certify_sign(w, ctx, CUT)
+        assert result == decide_sign(w, ctx)
+        assert len(cuts) > len(w) // CUT // 2
+        assert all(len(z) <= CUT for _, _, z in cuts)
+        short = w[:CUT]
+        assert cone.certify_sign(short, ctx, CUT)[1] == []

@@ -4,11 +4,16 @@ follows).  Too slow for Tier-1: it runs in the ci-deep step.
 
   gate 1  the trichotomy suite on the length-7 ball: no violations, and
           as many positive words as negative ones;
+  gate 2  products of positive words of the length-7 ball, |u| + |v| at
+          most 8 letters, stay positive (at least 20,000 pairs a n);
   gate 6  <b> is convex for DD on the length-6 ball, and b^-1 is the
           least dlike-positive element of the radius-6 ball;
   gate 7  the conjugated orders by b^k a: every row locks in at k = 1,
           bar one stated exception at n = 1, and the conjugated minimum
-          is a^-1 b^-1 a, distinct from b^-1.
+          is a^-1 b^-1 a, distinct from b^-1;
+  gate 8  every check of the identity battery holds, and the battery
+          has the checks test_acceptance's gate 8 names (crossing-expansion
+          from n = 2).
 
 Beyond the gates, the dlike cone is a semigroup: products of positive
 words stay positive, for dlike and its conjugate by b a.  Gate 2 checks
@@ -23,6 +28,7 @@ import time
 import pytest
 
 from conftest import deep_only
+from heckeord.cone import Sign, decide_sign
 from heckeord.context import group_context
 from heckeord.oracle import oracle_equal
 from heckeord.orderings import (
@@ -33,7 +39,7 @@ from heckeord.orderings import (
     is_positive,
     smallest_positive_in_ball,
 )
-from heckeord.suites import run_trichotomy_suite
+from heckeord.suites import run_identity_suite, run_trichotomy_suite
 from heckeord.words import concat, enumerate_reduced, format_word, letter_length, parse_word
 
 pytestmark = deep_only
@@ -70,6 +76,33 @@ def test_gate_01_trichotomy_at_every_n():
     assert timed("gate 1", check) == []
 
 
+def test_gate_02_positive_products_at_every_n():
+    # Pairs of positive words u, v of the length-7 ball with |u| + |v| <= 8
+    # letters, grouped by letter length as in test_acceptance.
+    ball = [(w, letter_length(w)) for w in enumerate_reduced(7) if w]
+
+    def check(n):
+        ctx = group_context(n)
+        positive = {}
+        for w, size in ball:
+            if decide_sign(w, ctx).verdict is Sign.POSITIVE:
+                positive.setdefault(size, []).append(w)
+        pairs = 0
+        for i, us in positive.items():
+            for j, vs in positive.items():
+                if i + j > 8:
+                    continue
+                pairs += len(us) * len(vs)
+                for u in us:
+                    for v in vs:
+                        if decide_sign(concat(u, v), ctx).verdict is not Sign.POSITIVE:
+                            yield f"{format_word(u)} times {format_word(v)} is not positive"
+        if pairs < 20_000:
+            yield f"only {pairs} pairs examined"
+
+    assert timed("gate 2", check) == []
+
+
 def test_gate_06_convexity_and_least_positive_at_every_n():
     b_inverse = parse_word("b^-1")
 
@@ -103,6 +136,25 @@ def test_gate_07_conjugated_orders_at_every_n():
             yield "conjugated minimum collides with the base minimum"
 
     assert timed("gate 7", check) == []
+
+
+GATE_8_CHECKS = {
+    "b-inverse-elimination", "center-vs-a", "center-vs-b",
+    *(f"handle-k{k}" for k in range(1, 6)),
+    *(f"flip-b-power-r{r}" for r in range(1, 6)),
+}
+
+
+def test_gate_08_identity_battery_at_every_n():
+    def check(n):
+        rep = run_identity_suite(group_context(n))
+        names = {c.name for c in rep.checks}
+        missing = (GATE_8_CHECKS | ({"crossing-expansion"} if n >= 2 else set())) - names
+        if missing:
+            yield f"missing checks {sorted(missing)}"
+        yield from (f"{c.name} fails" for c in rep.checks if not c.holds)
+
+    assert timed("gate 8", check) == []
 
 
 def test_dlike_cone_is_a_semigroup_at_every_n():

@@ -15,17 +15,18 @@ from heckeord import cone
 from heckeord.cone import decide_sign
 from heckeord.context import GroupContext, group_context, ring_of
 from heckeord.oracle import (
+    CUT,
     b_power_of,
     element_key,
     klein_pair,
     klein_sign,
+    link_syllables,
     oracle_chain,
     oracle_equal,
     oracle_is_identity,
     oracle_report,
     oracle_state,
     phi,
-    plain_entries,
     rho,
     same_element,
 )
@@ -1139,13 +1140,14 @@ def syllables(length):
 
 @st.composite
 def cut_lists(draw, u, v, ctx):
-    """Cut lists for u and v: the producer's (right when v is u's witness
-    in ctx's group), one of them spoiled in one place, or drawn at random."""
+    """Interior cut lists for u and v: the producer's (right when v is u's
+    witness in ctx's group), one of them spoiled in one place (a cut at
+    the far end standing in for an empty list), or drawn at random."""
     kind = draw(st.sampled_from(["producer", "spoiled", "random", "random-tiling"]))
     if kind in ("producer", "spoiled"):
-        cuts = list(cone._certify(u, ctx, draw(st.integers(1, 6)))[1])
-        cuts[-1] = (len(u), len(v), ())
+        cuts = list(cone.certify_sign(u, ctx, draw(st.integers(1, 6)))[1])
         if kind == "spoiled":
+            cuts = cuts or [(len(u), len(v), ())]
             i = draw(st.integers(0, len(cuts) - 1))
             k, p, z = cuts[i]
             cuts[i] = draw(
@@ -1161,18 +1163,19 @@ def cut_lists(draw, u, v, ctx):
     cuts = draw(st.lists(cut, max_size=5))
     if kind == "random-tiling":
         ks, ps = sorted(k for k, _, _ in cuts), sorted(p for _, p, _ in cuts)
-        cuts = [(0, 0, ())] + [(k, p, z) for k, p, (_, _, z) in zip(ks, ps, cuts)] + [(len(u), len(v), ())]
+        cuts = [(k, p, z) for k, p, (_, _, z) in zip(ks, ps, cuts)]
     return cuts
 
 
 class TestChain:
-    """oracle_chain checks u = v link by link between cuts (k, p, z) that
-    claim u[:k] = v[:p] z; it trusts nothing from the cuts."""
+    """oracle_chain checks u = v link by link between interior cuts
+    (k, p, z) that claim u[:k] = v[:p] z, from the two ends it adds
+    itself; it trusts nothing from the cuts."""
 
     @given(st.integers(1, 63), syllables(12), st.sampled_from(["witness", "respelled", "random"]), st.data())
     def test_true_only_when_the_words_are_equal(self, n, u, kind, data):
-        # Sound for any cut list: wrong, non-monotone, short of either
-        # end, or with a nonempty z at an end.
+        # Sound for any cut list: wrong, non-monotone, or naming an end
+        # again, with a nonempty z there.
         ctx = group_context(n)
         if kind == "witness":
             v = decide_sign(u, ctx).witness
@@ -1187,35 +1190,39 @@ class TestChain:
     @given(st.integers(1, 63), syllables(40), st.integers(1, 8))
     def test_the_producers_cuts_verify(self, n, u, cut):
         ctx = group_context(n)
-        result, cuts = cone._certify(u, ctx, cut)
+        result, cuts = cone.certify_sign(u, ctx, cut)
         assert oracle_chain(u, result.witness, cuts, ctx)
 
     def test_plain_entries_are_the_one_digit_layouts(self):
         # n = 1, 2 (deg 1) and n = 3, 5 (deg 2, even q: halves of one digit).
-        assert [n for n in range(1, 64) if plain_entries(group_context(n))] == [1, 2, 3, 5]
+        # They get one whole-word link; every other layout links CUT syllables.
+        links = {n: link_syllables(group_context(n)) for n in range(1, 64)}
+        assert [n for n, cut in links.items() if cut is None] == [1, 2, 3, 5]
+        assert {cut for cut in links.values() if cut is not None} == {CUT}
 
     def test_the_one_link_is_oracle_equal(self):
         ctx = group_context(7)
         u = parse_word("a^2 b^-1 a b^3")
         for v in (*respellings(u, 7).values(), concat(u, parse_word("b")), u):
-            assert oracle_chain(u, v, [(0, 0, ()), (len(u), len(v), ())], ctx) == oracle_equal(u, v, ctx)
+            assert oracle_chain(u, v, [], ctx) == oracle_equal(u, v, ctx)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 63])
     def test_the_tiling_must_reach_both_ends(self, n):
-        # Every link the cuts name holds; what is left out differs.
+        # Every link between the cuts holds; the chain's own first or last
+        # link, which the cuts leave out, does not.
         ctx = group_context(n)
         x = ((GEN_B, 2), (GEN_A, -3), (GEN_B, 1), (GEN_A, 1))
         a, b = ((GEN_A, 1),), ((GEN_B, 1),)
         u, v = b + x, a + x
-        assert not oracle_chain(u, v, [(1, 1, ()), (len(u), len(v), ())], ctx)
-        assert not oracle_chain(u, v, [(0, 0, ()), (0, 0, ()), (1, 1, ()), (len(u), len(v), ())], ctx)
+        assert not oracle_chain(u, v, [(1, 1, ())], ctx)
+        assert not oracle_chain(u, v, [(0, 0, ()), (0, 0, ()), (1, 1, ())], ctx)
         u, v = x + b, x + a
-        assert not oracle_chain(u, v, [(0, 0, ()), (len(x), len(x), ())], ctx)
+        assert not oracle_chain(u, v, [(len(x), len(x), ())], ctx)
         assert not oracle_chain(u, v, [], ctx)
-        # A nonempty z at an end: u = v a^-1 holds as a link, u = v does not.
+        # A nonempty z at the end: u = v a^-1 holds as a link, u = v does not.
         u, v = x, x + a
-        assert not oracle_chain(u, v, [(0, 0, ()), (len(u), len(v), ((GEN_A, -1),))], ctx)
-        assert oracle_chain(u, v + ((GEN_A, -1),), [(0, 0, ()), (len(u), len(v) + 1, ())], ctx)
+        assert not oracle_chain(u, v, [(len(u), len(v), ((GEN_A, -1),))], ctx)
+        assert oracle_chain(u, v + ((GEN_A, -1),), [], ctx)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 63])
     def test_every_link_is_checked(self, n):
@@ -1224,7 +1231,7 @@ class TestChain:
         x = ((GEN_B, 2), (GEN_A, -3), (GEN_B, 1), (GEN_A, 1))
         a, b = ((GEN_A, 1),), ((GEN_B, 1),)
         for u, v in ((x + b, x + a), (b + x, a + x)):
-            cuts = [(0, 0, ()), (1, 1, ()), (len(x), len(x), ()), (len(u), len(v), ())]
+            cuts = [(1, 1, ()), (len(x), len(x), ())]
             assert not oracle_chain(u, v, cuts, ctx)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 63])
@@ -1234,22 +1241,22 @@ class TestChain:
         # holds, the middle one over empty spans, yet u != v.
         ctx = group_context(n)
         u, v = ((GEN_B, 1),), ((GEN_B, 1), (GEN_A, -1), (GEN_A, 1), (GEN_A, -1), (GEN_B, 1))
-        cuts = [(0, 0, ()), (1, 3, ()), (0, 2, ()), (1, 5, ())]
+        cuts = [(1, 3, ()), (0, 2, ())]
         assert oracle_equal(u[:1], v[:3], ctx) and oracle_equal(u, v[2:], ctx) and not oracle_equal(u, v, ctx)
         assert not oracle_chain(u, v, cuts, ctx)
 
     @pytest.mark.parametrize("n", [7, 31, 63])
     def test_the_chain_folds_what_it_links(self, monkeypatch, n):
-        # Counted, not timed: the links fold each word once, plus each z
-        # twice, so at most |w| + |witness| + 2 CUT (number of cuts)
-        # syllables, however long the word.
+        # Counted, not timed: the links fold each word once, plus each
+        # interior z twice, so at most |w| + |witness| + 2 CUT (number of
+        # cuts) syllables, however long the word.
         ctx, rng = group_context(n), random.Random(f"chain work:{n}")
         folded, real = [0], oracle.oracle_state
         monkeypatch.setattr(oracle, "oracle_state", lambda w, c, *rest: folded.__setitem__(0, folded[0] + len(w)) or real(w, c, *rest))
         for length in (30, 200, 700):
             w = random_word(rng, length)
-            result, cuts = cone.certify_sign(w, ctx)
+            result, cuts = cone.certify_sign(w, ctx, link_syllables(ctx))
             folded[0] = 0
             assert oracle_chain(w, result.witness, cuts, ctx)
-            assert len(cuts) > length // cone.CUT
-            assert folded[0] <= len(w) + len(result.witness) + 2 * cone.CUT * len(cuts)
+            assert len(cuts) >= length // CUT - 1
+            assert folded[0] <= len(w) + len(result.witness) + 2 * CUT * len(cuts)
