@@ -5,8 +5,9 @@ returns (payload, plain lines, exit status) for main to print as JSON
 or, with --plain, as text.  Exit status: 0 clean; 1 violations found or
 a witness failed its oracle check; 2 usage or parse error, also an
 --elems file that is unreadable or holds no words, suite --max-len
-outside 0..12, converge --kmax outside 1..1000 or a b3 sign word past
-the handle reduction's budget (braid3.dehornoy_reduce); 3 internal error
+outside 0..12 (for either --kind), converge --kmax outside 1..1000, b3
+with any --n but 2 or a b3 sign word past the handle reduction's
+budget (braid3.dehornoy_reduce); 3 internal error
 (RewriteLimitError from the normal form's budget, ReductionStuck,
 CertificateError from a b3 cone certificate): a bug, reported as one
 JSON line on stderr.
@@ -113,6 +114,8 @@ def _ctx(args):
 
 
 def _b3(args):
+    if args.n != 2:
+        raise ValueError("b3 works in G_2 = B_3 only: n must be 2")
     if args.action == "sign":
         word = braid3.parse_sigma(args.word)
         reduced = braid3.dehornoy_reduce(word)
@@ -169,6 +172,7 @@ def _converge(args):
 
 def _suite(args):
     ctx = group_context(args.n)
+    suites.check_max_len(args.max_len)  # identities ignores it, but refuses it out of range too
     start = time.perf_counter()
     if args.kind == "trichotomy":
         report = suites.run_trichotomy_suite(ctx, args.max_len, jobs=args.jobs)

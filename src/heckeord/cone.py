@@ -72,24 +72,24 @@ from (0, 0, ()) through the cuts to (len(w), len(witness), ()), the
 two ends its own; each link is an equality of short words, so no fold
 grows wide, and it trusts nothing from the cuts, which only decide
 where the links fall.  The checker picks C (oracle.link_syllables):
-None asks for no cuts, one whole-word link.  The cuts come from the
-passes that make the verdict and witness:
+None asks for no cuts, one whole-word link.  Each pass that makes the
+verdict and witness states its own half of the claims, and certify_sign
+only joins the two:
 
-  stack    every C syllables the stack pass (a left fold, run on one
-           list in place) holds a stack S with S * delta^ell = w[:k].
-           Its watermark is the lowest height the next chunk writes at
-           (the list records it, _Stack), so S[:watermark] lives on into
-           the next snapshot, and m, the least watermark from there on,
-           gives S[:m] = u[:m], nondecreasing.
-  sign     the pass over u, stopped at each m, holds u[:m] = out * a^carry,
-           and only out[-1] of out changes later: so u[:m] =
-           witness[:p] * Y with p = len(out) - 1 and Y = out[-1] a^carry.
-           When the witness is u itself, bar the delta^ell merged into
-           its last syllable, Y = u[p:m] with p = min(m, len(witness) - 1).
+  stack    normalform.stack_checkpoints runs the stack pass every C
+           syllables and gives, at each checkpoint, its stack S with
+           S * delta^ell = w[:k], S's top C syllables, and kept = m with
+           S[:m] = u[:m] for the final prefix u, nondecreasing.
+  sign     sign_pass, stopped at each m, claims u[:m] = witness[:p] * Y
+           for a short Y.  In the pass u[:m] = out * a^carry and only
+           out[-1] of out changes later, so p = len(out) - 1 and
+           Y = out[-1] a^carry; with no pass the witness is u itself,
+           bar the delta^ell merged into its last syllable, so
+           p = min(m, len(witness) - 1) and Y = u[p:m].
 
 So z = Y * S[m:] * a^(q ell).  A cut whose z would be longer than C is
 dropped: the relator sandwich x r x^-1 pops its whole stack, and keeps
-one long link.  Only each snapshot's top C syllables are copied, so
+one long link.  Only each checkpoint's top C syllables are copied, so
 the producer's work and memory stay linear in the word, whatever the
 height of the stack.
 
@@ -104,8 +104,8 @@ import functools
 from typing import NamedTuple
 
 from .context import GroupContext
-from .normalform import START, NormalForm, ReductionStuck, _push, to_normal_form
-from .words import _EXPONENT, GEN_A, GEN_B, RewriteLimitError, Syllable, Word, concat, gallop, gen_power, is_one_signed
+from .normalform import NormalForm, ReductionStuck, stack_checkpoints, to_normal_form
+from .words import _EXPONENT, GEN_A, GEN_B, Syllable, Word, concat, gallop, gen_power, is_one_signed
 
 
 class Sign(enum.Enum):
@@ -153,9 +153,10 @@ def decide_sign(word: Word, ctx: GroupContext) -> SignResult:
 def certify_sign(word: Word, ctx: GroupContext, cut: int | None) -> tuple[SignResult, list[tuple[int, int, Word]]]:
     """decide_sign's result, and the interior cuts (k, p, z) by which
     oracle.oracle_chain checks its witness (see Cuts in the module
-    docstring): a snapshot every cut syllables, or none when cut is
-    None, for one whole-word link.  The checker picks cut
-    (oracle.link_syllables).
+    docstring): the stack pass's checkpoints every cut syllables
+    (normalform.stack_checkpoints) joined with the sign pass's claims at
+    what each keeps of the prefix, or no cuts when cut is None, for one
+    whole-word link.  The checker picks cut (oracle.link_syllables).
 
     >>> from heckeord.context import group_context
     >>> from heckeord.words import parse_word
@@ -167,70 +168,15 @@ def certify_sign(word: Word, ctx: GroupContext, cut: int | None) -> tuple[SignRe
     """
     if cut is None:
         return decide_sign(word, ctx), []
-    # Per snapshot: [k, ell, stack height, the stack's top cut syllables, watermark].
-    stack, ell, budget = _Stack(), START[1], START[2]
-    done, snaps = 0, []
-    for k in (*range(cut, len(word), cut), len(word)):
-        stack.low = len(stack)
-        stack, ell, budget = _push(stack, ell, budget, word[done:k], ctx)
-        if snaps:
-            snaps[-1][4] = stack.low
-        snaps.append([k, ell, len(stack), stack[-cut:], 0])
-        done = k
-    if budget < 0:
-        raise RewriteLimitError("normal-form budget exhausted")
-    snaps.pop()  # the end of the word
-    prefix = tuple(stack)
-    # m: the least watermark from a snapshot on, so S[:m] = prefix[:m].
-    marks, m = [], len(prefix)
-    for snap in reversed(snaps):
-        m = min(m, snap[4])
-        marks.append(m)
-    marks.reverse()
-    states = []
-    result = sign_pass(NormalForm(prefix, ell), ctx, tuple(marks), states)
-    witness, q = result.witness, ctx.q
+    nf, checkpoints = stack_checkpoints(word, ctx, cut)
+    claims = []
+    result = sign_pass(nf, ctx, tuple(kept for _, _, _, _, kept in checkpoints), claims)
     cuts = []
-    for j, (k, snap_ell, height, top, _) in enumerate(snaps):
-        m = marks[j]
-        if height - m > cut:
-            continue
-        if states:  # prefix[:m] = out * a^carry, and out[:-1] is the witness's
-            size, carry, last = states[j]
-            p = max(0, size - 1)
-            y = last + gen_power(GEN_A, carry)
-        else:  # the witness is the prefix, bar its last syllable
-            p = max(0, min(m, len(witness) - 1))
-            y = prefix[p:m]
-        z = y + tuple(top[len(top) - height + m :]) + gen_power(GEN_A, q * snap_ell)
-        if len(z) <= cut:
+    for (k, ell, height, top, kept), (p, y) in zip(checkpoints, claims):
+        z = y + top[len(top) - height + kept :] + gen_power(GEN_A, ctx.q * ell)
+        if height - kept <= cut and len(z) <= cut:
             cuts.append((k, p, z))
     return result, cuts
-
-
-class _Stack(list):
-    """The list certify_sign runs through the stack pass in place.  low is
-    the lowest height at which the pass popped, deleted or rewrote an
-    entry since low was set: the pass writes only at its top, through
-    these three and appends (normalform._push), so stack[:low] is as it
-    was.  The hot callers of the pass, on plain lists, pay nothing."""
-
-    __slots__ = ("low",)
-
-    def pop(self):
-        if len(self) <= self.low:
-            self.low = len(self) - 1
-        return list.pop(self)
-
-    def __delitem__(self, i):  # del stack[-1]
-        if len(self) <= self.low:
-            self.low = len(self) - 1
-        list.__delitem__(self, i)
-
-    def __setitem__(self, i, x):  # stack[-1] = x
-        if len(self) <= self.low:
-            self.low = len(self) - 1
-        list.__setitem__(self, i, x)
 
 
 def verdict(prefix: Word | list[Syllable], ell: int, ctx: GroupContext) -> Sign:
@@ -269,10 +215,13 @@ def sign_pass(nf: NormalForm, ctx: GroupContext, stops=(), states=None) -> SignR
     The pass is a left fold over the prefix u: after u[:m] its state is
     (out, carry) with u[:m] = out * a^carry, wherever it stops (a jump
     ends at a stop, and the handle move after it merges into the same
-    b-block).  Given stops, nondecreasing positions of u, a negative
-    pass appends (len(out), carry, out[-1:] as a tuple) to states at
-    each stop and at the end; of out only out[-1] changes later, so
-    out[:-1] is a prefix of the witness.
+    b-block).  Given stops, nondecreasing positions of u, it appends to
+    states, at each stop m (and, in a pass, at the end), the claim
+    (p, y) that u[:m] = witness[:p] * y, y at most two syllables (Cuts
+    in the module docstring).  In a pass, of out only out[-1] changes
+    later, so p = len(out) - 1 and y = out[-1:] a^carry; with no pass
+    p = min(m, len(witness) - 1), 0 for an empty witness, and
+    y = u[p:m].
 
     When ell >= 0 or the prefix is empty there is no pass: the witness
     is concat(prefix, a^(q ell)), the prefix itself when ell = 0, and
@@ -285,6 +234,9 @@ def sign_pass(nf: NormalForm, ctx: GroupContext, stops=(), states=None) -> SignR
     q = ctx.q
     if ell >= 0 or not prefix:  # the feed is the whole pass: w = prefix * delta^ell
         witness = concat(prefix, gen_power(GEN_A, q * ell)) if ell else prefix
+        if states is not None:  # the witness is the prefix, bar its last syllable
+            end = max(0, len(witness) - 1)
+            states.extend((min(stop, end), prefix[min(stop, end) : stop]) for stop in stops)
         return SignResult(Sign.NEGATIVE if ell < 0 else Sign.POSITIVE if witness else Sign.IDENTITY, witness, 0)
 
     n = ctx.n
@@ -323,8 +275,8 @@ def sign_pass(nf: NormalForm, ctx: GroupContext, stops=(), states=None) -> SignR
                 i += 2 * k
             else:
                 i += 1
-        if states is not None:
-            states.append((len(out), carry, tuple(out[-1:])))
+        if states is not None:  # of out only out[-1] changes later
+            states.append((max(0, len(out) - 1), tuple(out[-1:]) + gen_power(GEN_A, carry)))
 
     out += gen_power(GEN_A, carry + q * ell)  # out ends in a b-block or is empty: nothing to merge
     witness = tuple(out)

@@ -64,7 +64,9 @@ and ell of w x come from those of w in the work of the letter x, which
 is how the ball walks resume each word from its parent; resume is the
 pass on a copy of the stack plus its budget check, and to_normal_form
 resumes from START.  The pass itself (_push) works on one list in
-place; cone's cuts run one list through it chunk by chunk.
+place, and stack_checkpoints runs one list through it chunk by chunk:
+each checkpoint holds the stack's top and how much of the stack the
+final prefix keeps, which is what sign's cuts are made of (cone).
 """
 
 from __future__ import annotations
@@ -128,9 +130,9 @@ def _push(stack: list[Syllable], ell: int, budget: int, word: Word, ctx: GroupCo
     so the budget is checked once, at the end, as a tripwire (resume).
 
     It writes only at the top, through pop, del stack[-1], stack[-1] = x
-    and appends, which is how cone's cuts, running one stack through it
-    chunk by chunk, see the lowest height a chunk wrote at.  resume
-    gives it a copy."""
+    and appends, which is how stack_checkpoints, running one _Stack
+    through it chunk by chunk, sees the lowest height a chunk wrote at.
+    resume gives it a copy."""
     n, q = ctx.n, ctx.q
     top_a_n = (GEN_A, n)
     period = ((GEN_A, n - 1), (GEN_B, 1)) if n > 1 else ()  # (a^(n-1) b)
@@ -223,6 +225,68 @@ def resume(state: tuple, word: Word, ctx: GroupContext) -> tuple[list[Syllable],
     if state[2] < 0:
         raise RewriteLimitError("normal-form budget exhausted")
     return state
+
+
+def stack_checkpoints(word: Word, ctx: GroupContext, every: int) -> tuple[NormalForm, list[tuple[int, int, int, Word, int]]]:
+    """The normal form of word, and a checkpoint (k, ell, height, top,
+    kept) every `every` syllables of it, the end of the word left out.
+
+    The stack pass runs on one list, chunk by chunk.  At a checkpoint
+    the stack S (height syllables) and ell hold S * delta^ell = word[:k];
+    top is S's top `every` syllables, so the work and memory stay linear
+    in the word whatever the height.  Each chunk records the lowest
+    height it wrote at (_Stack), below which S lives on into the next
+    checkpoint; kept, the least of these from the next chunk on, gives
+    S[:kept] = prefix[:kept] for the final prefix, kept nondecreasing.
+    The budget is checked once, at the end, as in resume.
+
+    >>> from heckeord.context import group_context
+    >>> from heckeord.words import parse_word
+    >>> nf, checkpoints = stack_checkpoints(parse_word("a b^2 a^-1 b"), group_context(2), 2)
+    >>> nf, checkpoints
+    (NormalForm(prefix=((0, 1), (1, 1), (0, 1)), ell=-1), [(2, 0, 2, ((0, 1), (1, 2)), 1)])
+    """
+    stack, ell, budget = _Stack(), START[1], START[2]
+    done, lows, checkpoints = 0, [], []
+    for k in (*range(every, len(word), every), len(word)):
+        stack.low = len(stack)
+        stack, ell, budget = _push(stack, ell, budget, word[done:k], ctx)
+        lows.append(stack.low)
+        checkpoints.append((k, ell, len(stack), tuple(stack[-every:])))
+        done = k
+    if budget < 0:
+        raise RewriteLimitError("normal-form budget exhausted")
+    checkpoints.pop()  # the end of the word
+    kept = len(stack)
+    for j in reversed(range(len(checkpoints))):
+        kept = min(kept, lows[j + 1])
+        checkpoints[j] += (kept,)
+    return NormalForm(tuple(stack), ell), checkpoints
+
+
+class _Stack(list):
+    """The list stack_checkpoints runs through the stack pass in place.
+    low is the lowest height at which the pass popped, deleted or rewrote
+    an entry since low was set: the pass writes only at its top, through
+    these three and appends (_push), so stack[:low] is as it was.  The
+    hot callers of the pass, on plain lists, pay nothing."""
+
+    __slots__ = ("low",)
+
+    def pop(self):
+        if len(self) <= self.low:
+            self.low = len(self) - 1
+        return list.pop(self)
+
+    def __delitem__(self, i):  # del stack[-1]
+        if len(self) <= self.low:
+            self.low = len(self) - 1
+        list.__delitem__(self, i)
+
+    def __setitem__(self, i, x):  # stack[-1] = x
+        if len(self) <= self.low:
+            self.low = len(self) - 1
+        list.__setitem__(self, i, x)
 
 
 def is_b_power(prefix: Word | list[Syllable], ell: int, ctx: GroupContext) -> bool:

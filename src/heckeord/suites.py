@@ -135,6 +135,13 @@ def _walk(ctx: GroupContext, max_len: int, first: int | None):
     return counts, violations, verdicts
 
 
+def check_max_len(max_len: int) -> None:
+    """A ValueError unless max_len is in 0..MAX_SUITE_LEN: the suites'
+    ball length, which the CLI checks for every --kind."""
+    if not 0 <= max_len <= MAX_SUITE_LEN:
+        raise ValueError(f"max_len must be in 0..{MAX_SUITE_LEN}, got {max_len!r}")
+
+
 def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> SuiteReport:
     """Check every word of the ball against the oracle, plus mirroring.
 
@@ -162,8 +169,7 @@ def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> Suit
     Violations come out as from a pass in ball order: the per-word ones
     by rank, then the mirror ones by rank.
     """
-    if not 0 <= max_len <= MAX_SUITE_LEN:
-        raise ValueError(f"max_len must be in 0..{MAX_SUITE_LEN}, got {max_len!r}")
+    check_max_len(max_len)
     limit = os.cpu_count() or 1
     if not 1 <= jobs <= limit:
         raise ValueError(f"jobs must be in 1..{limit}, got {jobs!r}")

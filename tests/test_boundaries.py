@@ -195,7 +195,10 @@ def modules_imported(tree):
 CHECKER = {"oracle", "algebra"}
 
 
-@pytest.mark.parametrize("path", ["words.py", "normalform.py", "cone.py"])
+DECISION_CORE = ["words.py", "normalform.py", "cone.py"]
+
+
+@pytest.mark.parametrize("path", DECISION_CORE)
 def test_the_decision_core_imports_nothing_from_the_checker(path):
     found = sorted(modules_imported(parse(path)) & CHECKER)
     assert found == [], f"{path} imports from the checker: {found}"
@@ -206,3 +209,49 @@ def test_the_import_check_sees_what_it_looks_for():
     assert "oracle" in modules_imported(parse("cli.py"))
     for source in ("from . import algebra", "from .oracle import CUT", "from heckeord.oracle import CUT", "import heckeord.algebra"):
         assert modules_imported(ast.parse(source)) & CHECKER, source
+
+
+STACK_PASS_PRIVATE = {"_push", "_Stack"}
+
+
+def names_or_defines(tree):
+    """names_used, and the names of the module's functions and classes."""
+    yield from names_used(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+
+
+def raised(tree):
+    """(name, line) of every exception raised by name, as a class or a call,
+    bare or through its module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                yield (exc.id if isinstance(exc, ast.Name) else exc.attr), node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "normalform.py"))
+def test_only_normalform_names_the_stack_pass_internals(path):
+    # The pass's write rules (_push) and the list that watches them
+    # (_Stack) live in one module; others take the pass through resume,
+    # to_normal_form and stack_checkpoints.
+    found = sorted({(name, line) for name, line in names_or_defines(parse(path)) if name in STACK_PASS_PRIVATE})
+    assert found == [], f"{path} names the stack pass's internals: {found}"
+
+
+@pytest.mark.parametrize("path", [path for path in DECISION_CORE if path != "normalform.py"])
+def test_only_normalform_raises_the_budget_error(path):
+    # The normal form's budget is checked where it is spent.
+    found = sorted(line for name, line in raised(parse(path)) if name == "RewriteLimitError")
+    assert found == [], f"{path} raises RewriteLimitError at lines {found}"
+
+
+def test_the_stack_pass_checks_see_what_they_look_for():
+    tree = parse("normalform.py")
+    assert STACK_PASS_PRIVATE <= {name for name, _ in names_or_defines(tree)}
+    assert "RewriteLimitError" in {name for name, _ in raised(tree)}
+    assert {name for name, _ in names_or_defines(ast.parse("class _Stack(list):\n    pass\n"))} >= {"_Stack", "list"}
+    for source in ("raise RewriteLimitError", "raise RewriteLimitError('x')", "raise words.RewriteLimitError('x') from None"):
+        assert [name for name, _ in raised(ast.parse(source))] == ["RewriteLimitError"], source

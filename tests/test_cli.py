@@ -12,7 +12,7 @@ import pytest
 from conftest import deep_only
 from test_cli_golden import CASES as GOLDEN_CASES
 from test_cli_golden import _long_word, _text
-from heckeord import braid3, cli, cone, normalform, oracle, orderings, suites
+from heckeord import braid3, cli, normalform, oracle, orderings, suites
 from heckeord.cli import main
 from heckeord.cone import ReductionStuck, certify_sign, decide_sign
 from heckeord.context import group_context
@@ -394,6 +394,23 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: max_len must be in 0..12, got {max_len}\n"
 
+    @pytest.mark.parametrize("max_len", ["-5", "13", "99"])
+    def test_identities_refuse_max_len_out_of_range_too(self, capsys, monkeypatch, max_len):
+        # The identity battery walks no ball, but --max-len is checked for
+        # every --kind, by the same check and message as the trichotomy's.
+        monkeypatch.setattr(suites, "run_identity_suite", lambda ctx: pytest.fail("the battery ran"))
+        code, out, err = run(capsys, "suite", "--kind", "identities", "--max-len", max_len)
+        assert (code, out, err) == (2, "", f"error: max_len must be in 0..12, got {max_len}\n")
+
+    @pytest.mark.parametrize("n", ["1", "3", "7", "63", "99", "0"])
+    @pytest.mark.parametrize("argv", [["sign", "s1"], ["bridge", "s1"], ["bridge", "--alphabet", "ab", "a"], ["cert", "a"]])
+    def test_b3_refuses_every_n_but_2(self, capsys, n, argv):
+        # b3 works in G_2 = B_3 only, as every other command refuses n
+        # outside 1..63.
+        code, out, err = run(capsys, "b3", "--n", n, *argv)
+        assert (code, out, err) == (2, "", "error: b3 works in G_2 = B_3 only: n must be 2\n")
+        assert run(capsys, "b3", "--n", "2", *argv)[0] == 0
+
     def test_failed_certificate_is_3_with_one_json_line(self, capsys, monkeypatch):
         monkeypatch.setattr(braid3, "_certified", lambda m, source, target: False)
         code, out, err = run(capsys, "b3", "cert", "b^3")
@@ -441,8 +458,9 @@ class TestExitCodes:
         }
 
     def test_exhausted_certify_budget_is_3_with_one_json_line(self, capsys, monkeypatch):
-        # n = 7 cuts its witness, so sign runs cone.certify_sign's own stack pass.
-        monkeypatch.setattr(cone, "START", ((), 0, -10**6))
+        # n = 7 cuts its witness, so sign runs the stack pass chunk by chunk
+        # (normalform.stack_checkpoints).
+        monkeypatch.setattr(normalform, "START", ((), 0, -10**6))
         code, out, err = run(capsys, "sign", "--n", "7", "a b^-2 a^3 b")
         assert (code, out, err.count("\n")) == (3, "", 1)
         assert json.loads(err) == {

@@ -180,6 +180,11 @@ CASES = [
     ["sign", "--n", "٣", "a"],
     ["converge", "--kmax", "１", "--plain"],
     ["suite", "--jobs", "١"],
+    # options a command ignores are still checked: identities takes no
+    # ball, yet refuses --max-len out of range; b3 works in G_2 = B_3 only
+    ["suite", "--kind", "identities", "--max-len", "13"],
+    ["b3", "--n", "7", "sign", "s1"],
+    ["b3", "--n", "99", "bridge", "s1"],
 ]
 
 

@@ -417,15 +417,30 @@ class WatchedStack(list):
     words(max_syllables=6, max_exp=300),
 )
 def test_the_cut_stack_records_the_lowest_height_written(n, u, v):
-    # certify_sign's list records the lowest height at which the stack pass
-    # wrote over v; a list that records every write, at any index,
+    # stack_checkpoints' list records the lowest height at which the stack
+    # pass wrote over v; a list that records every write, at any index,
     # agrees, so the pass writes nowhere the cut stack does not see.
     ctx = group_context(n)
     before = resume(START, u, ctx)
-    watched, stack = WatchedStack(before[0]), cone._Stack(before[0])
+    watched, stack = WatchedStack(before[0]), normalform._Stack(before[0])
     stack.low = len(stack)
     assert normalform._push(stack, before[1], before[2], v, ctx)[1:] == normalform._push(watched, before[1], before[2], v, ctx)[1:]
     assert stack == watched and stack.low == watched.low
+
+
+@given(st.integers(min_value=1, max_value=63), words(max_syllables=12), st.data())
+def test_the_sign_pass_claims_hold_at_every_stop(n, w, data):
+    # Both branches, the pass (ell < 0, a nonempty prefix) and the bare
+    # feed, claim u[:m] = witness[:p] * y at each stop m, y short.
+    ctx = group_context(n)
+    nf = to_normal_form(w, ctx)
+    stops = tuple(sorted(data.draw(st.lists(st.integers(0, len(nf.prefix)), max_size=4), label="stops")))
+    claims = []
+    witness = cone.sign_pass(nf, ctx, stops, claims).witness
+    assert len(claims) == len(stops) + (nf.ell < 0 and bool(nf.prefix))
+    for stop, (p, y) in zip(stops, claims):
+        assert 0 <= p <= len(witness) and len(y) <= 2
+        assert oracle_equal(nf.prefix[:stop], concat(witness[:p], y), ctx)
 
 
 class TestCertify:
@@ -494,14 +509,14 @@ class TestCertify:
         # one list, a chunk of CUT syllables at a time, each syllable once.
         ctx, t, pairs = group_context(7), 20_000, 6_000
         w = ((GEN_B, -t),) + ((GEN_B, 1), (GEN_A, 8)) * pairs
-        real, lists, chunks = cone._push, set(), []
+        real, lists, chunks = normalform._push, set(), []
 
         def counted(stack, ell, budget, word, ctx):
             lists.add(id(stack))
             chunks.append(len(word))
             return real(stack, ell, budget, word, ctx)
 
-        monkeypatch.setattr(cone, "_push", counted)
+        monkeypatch.setattr(normalform, "_push", counted)
         result, cuts = cone.certify_sign(w, ctx, link_syllables(ctx))
         assert len(lists) == 1 and sum(chunks) == len(w) and max(chunks) == CUT
         assert result == decide_sign(w, ctx) and cuts
@@ -510,7 +525,7 @@ class TestCertify:
     def test_budget_tripwire(self, monkeypatch):
         # A stack pass that starts overspent must raise, not hand its state
         # to the sign pass: real code, so also under -O.
-        monkeypatch.setattr(cone, "START", ((), 0, -10**6))
+        monkeypatch.setattr(normalform, "START", ((), 0, -10**6))
         with pytest.raises(RewriteLimitError, match="^normal-form budget exhausted$"):
             cone.certify_sign(parse_word("a b^-2 a^3 b"), group_context(7), CUT)
 

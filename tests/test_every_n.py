@@ -2,7 +2,7 @@
 acceptance gates (tests/test_acceptance.py, whose numbering this file
 follows).  Too slow for Tier-1: it runs in the ci-deep step.
 
-  gate 1  the trichotomy suite on the length-7 ball: no violations, and
+  gate 1  the trichotomy suite on the length-8 ball: no violations, and
           as many positive words as negative ones;
   gate 2  products of positive words of the length-7 ball, |u| + |v| at
           most 8 letters, stay positive (at least 20,000 pairs a n);
@@ -45,7 +45,7 @@ from heckeord.words import concat, enumerate_reduced, format_word, letter_length
 pytestmark = deep_only
 
 EVERY_N = range(1, 64)
-BALL_7_COUNT = 4373  # 2 * 3^7 - 1
+BALL_8_COUNT = 13121  # 2 * 3^8 - 1
 
 # Gate 7's rows where some n differs from "locks in at k = 1": at n = 1,
 # a^-1 b^-1 a = b (G_1 is the Klein bottle group), so b^-1 conjugated by
@@ -66,8 +66,8 @@ def timed(label, check):
 
 def test_gate_01_trichotomy_at_every_n():
     def check(n):
-        rep = run_trichotomy_suite(group_context(n), 7)
-        if rep.total_words != BALL_7_COUNT:
+        rep = run_trichotomy_suite(group_context(n), 8)
+        if rep.total_words != BALL_8_COUNT:
             yield f"examined {rep.total_words} words"
         yield from rep.violations
         if rep.counts["positive"] != rep.counts["negative"]:
