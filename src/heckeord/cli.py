@@ -27,7 +27,6 @@ Both paths print the same bytes.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -110,7 +109,7 @@ def _ctx(args):
         f"G_{ctx.n} = <a, b | b a^{ctx.n} b = a>,  delta = a^{ctx.q} central",
         f"min poly of 2cos(pi/{ctx.q}): {ctx.min_poly}  phi(a)={ctx.phi_a} phi(b)={ctx.phi_b}",
     ]
-    return dataclasses.asdict(ctx), lines, 0
+    return ctx._asdict(), lines, 0
 
 
 def _b3(args):
@@ -177,7 +176,7 @@ def _suite(args):
     if args.kind == "trichotomy":
         report = suites.run_trichotomy_suite(ctx, args.max_len, jobs=args.jobs)
         violations = [dict(word=w, check=c, detail=d) for w, c, d in report.violations]
-        payload = dict(dataclasses.asdict(report), violations=violations)
+        payload = dict(report._asdict(), violations=violations)
         lines = [
             f"trichotomy suite n={report.n} max_len={report.max_len}: "
             f"{report.total_words} words, counts={report.counts}",
@@ -185,7 +184,7 @@ def _suite(args):
         ]
     else:
         report = suites.run_identity_suite(ctx)
-        payload = dataclasses.asdict(report)
+        payload = dict(report._asdict(), checks=[c._asdict() for c in report.checks])
         lines = [f"identity suite n={report.n}: ok={report.ok}"] + [
             f"  {c.name:24s} {'ok' if c.holds else 'FAIL'}: {c.lhs} = {c.rhs}"
             for c in report.checks

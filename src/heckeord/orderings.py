@@ -40,8 +40,8 @@ only; the trichotomy suite resumes its own states (suites._walk).
 
 from __future__ import annotations
 
-import dataclasses
 import enum
+from typing import NamedTuple
 
 from .cone import MIRROR, Sign, verdict
 from .context import GroupContext
@@ -50,26 +50,46 @@ from .oracle import b_power_of
 from .words import GEN_A, GEN_B, Word, _ball, concat, conjugate, gen_power, invert
 
 
-@dataclasses.dataclass(frozen=True)
-class DD:
+class _FieldLess:
+    """An order spec without fields: immutable, equal to and hashed by
+    its class alone, with repr Name()."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__class__)
+
+    def __repr__(self):
+        return f"{type(self).__name__}()"
+
+
+class DD(_FieldLess):
     """Positive cone = the monoid generated by {a, b}."""
 
+    __slots__ = ()
 
-@dataclasses.dataclass(frozen=True)
-class DDReversed:
+
+class DDReversed(_FieldLess):
     """Positive cone = the monoid generated by {a^-1, b^-1}."""
 
+    __slots__ = ()
 
-@dataclasses.dataclass(frozen=True)
-class DehornoyLike:
+
+class DehornoyLike(_FieldLess):
     """DD with the order flipped on the convex subgroup <b>."""
 
+    __slots__ = ()
 
-@dataclasses.dataclass(frozen=True)
-class Conjugated:
+
+class Conjugated(NamedTuple):
     """The base order transported along w -> g w g^-1."""
 
-    base: "OrderingSpec"
+    base: OrderingSpec
     g: Word
 
 
@@ -219,8 +239,7 @@ def smallest_positive_in_ball(
     return best
 
 
-@dataclasses.dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(NamedTuple):
     """Exhaustive check that <b> is convex for the DD order."""
 
     n: int
@@ -273,15 +292,13 @@ def convexity_check(ctx: GroupContext, max_len: int) -> ConvexityReport:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     element: Word
     verdicts: tuple[bool, ...]  # DehornoyLike-positivity of (b^k a)^-1 w (b^k a)
     stabilized_from: int | None  # least k with all verdicts true from k on
 
 
-@dataclasses.dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Positivity of test elements under the conjugated orders, k = 1..k_max.
 
     The conjugators are g_k = b^k a.  As k grows these orders converge

@@ -8,10 +8,10 @@ therefore always names a concrete word and the check it failed.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import operator
 import os
+from typing import NamedTuple
 
 from .cone import MIRROR, Sign, expand_handle, sign_pass, verdict
 from .context import GroupContext
@@ -37,8 +37,8 @@ from .words import (
 MAX_SUITE_LEN = 12  # the length-12 ball has 1,062,881 words
 MEMO_FORMS = 8192  # the trichotomy walk forgets its normal forms at this many (see _walk)
 
-@dataclasses.dataclass(frozen=True)
-class SuiteReport:
+
+class SuiteReport(NamedTuple):
     n: int
     max_len: int
     total_words: int
@@ -208,16 +208,14 @@ def run_trichotomy_suite(ctx: GroupContext, max_len: int, jobs: int = 1) -> Suit
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     lhs: str
     rhs: str
     holds: bool
 
 
-@dataclasses.dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     n: int
     checks: tuple
 

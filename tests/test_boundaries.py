@@ -13,10 +13,15 @@ algebra its matrices live in): sign's check is planned by the oracle
 and joined to the decision in cli.py.  The test-only references
 (tests/reference_*.py) import from the package only the names listed
 here, none of them private, so a fault in the code they check cannot
-hit both sides alike.
+hit both sides alike.  Importing heckeord.cli, as every one-shot
+command does, loads neither dataclasses nor inspect.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -255,3 +260,21 @@ def test_the_stack_pass_checks_see_what_they_look_for():
     assert {name for name, _ in names_or_defines(ast.parse("class _Stack(list):\n    pass\n"))} >= {"_Stack", "list"}
     for source in ("raise RewriteLimitError", "raise RewriteLimitError('x')", "raise words.RewriteLimitError('x') from None"):
         assert [name for name, _ in raised(ast.parse(source))] == ["RewriteLimitError"], source
+
+
+# What a one-shot `heckeord` process may not load on import: dataclasses
+# execs generated source for every class it decorates (about 1 ms each)
+# and brings inspect, ast, dis and tokenize with it.
+HEAVY_IMPORTS = {"dataclasses", "inspect"}
+
+
+def test_importing_the_cli_stays_lean():
+    probe = "import json, sys; before = set(sys.modules); import heckeord.cli; print(json.dumps(sorted(set(sys.modules) - before)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert "heckeord.cli" in loaded and "argparse" in loaded  # the probe sees what the import loads
+    assert loaded & HEAVY_IMPORTS == set()
+    named = sorted(path.name for path in PACKAGE.glob("*.py") if "dataclasses" in path.read_text(encoding="utf-8"))
+    assert named == [], f"these modules name dataclasses: {named}"

@@ -36,6 +36,29 @@ CTX2 = group_context(2)
 FLIP = {Cmp.LESS: Cmp.GREATER, Cmp.GREATER: Cmp.LESS, Cmp.EQUAL: Cmp.EQUAL}
 
 
+class TestSpecValues:
+    """Order specs are immutable values: equal and hashed by their class
+    and fields, with a dataclass-style repr."""
+
+    def test_field_less_specs(self):
+        assert DD() == DD() and hash(DD()) == hash(DD()) and repr(DD()) == "DD()"
+        assert DD() != DDReversed() and DD() != DehornoyLike() and DDReversed() != DehornoyLike()
+        assert DD() != () and repr(DehornoyLike()) == "DehornoyLike()"
+        assert len({DD(), DD(), DDReversed(), DehornoyLike()}) == 3
+        with pytest.raises(AttributeError):
+            DD().x = 1
+
+    def test_conjugated(self):
+        g = parse_word("b a")
+        assert Conjugated(DD(), g) == Conjugated(DD(), g) and hash(Conjugated(DD(), g)) == hash(Conjugated(DD(), g))
+        assert Conjugated(DD(), g) != Conjugated(DDReversed(), g)
+        assert Conjugated(DD(), g) != Conjugated(DD(), parse_word("a b"))
+        assert repr(Conjugated(DehornoyLike(), g)) == f"Conjugated(base=DehornoyLike(), g={g!r})"
+        match Conjugated(Conjugated(DD(), g), ()):
+            case Conjugated(base=Conjugated(base=base, g=h), g=()):
+                assert (base, h) == (DD(), g)
+
+
 class TestPositivity:
     def test_dd_cone_contains_positive_words(self):
         for text in ("a", "b", "a b^2", "b a b"):
