@@ -10,6 +10,9 @@ The abelianization of G_n is Z^2 / (a^(n-1) b^2): a surjection
 phi: G_n -> Z picks out the quotient by the torsion part, with
 phi(a) = 2/d and phi(b) = -(n-1)/d for d = gcd(n-1, 2).  phi(delta) =
 (n+1) phi(a) != 0, so phi separates all central powers delta^j.
+
+Every constant here is a function of n: GroupContext(n) works out q,
+the minimal polynomial and phi itself.
 """
 
 from __future__ import annotations
@@ -23,13 +26,14 @@ from .algebra import CosRing, min_poly_2cos_pi_over
 class GroupContext:
     """Everything the decision procedures need to know about one G_n.
 
-    Immutable, equal and hashed by its fields, with the repr
+    Built from n alone, 1 <= n <= 63: q, min_poly, phi_a and phi_b are
+    worked out from n, so a context whose fields disagree cannot be
+    built.  Immutable, equal and hashed by n, with the repr
     GroupContext(n=..., q=..., ...).  A slotted class, not a named
     tuple: ctx.n and ctx.q are read on every stack-pass step and
     verdict, and a slot reads in less than half the time of a named
-    tuple's field.  The checks run in __init__, so they are real code
-    under python -O, and again when a pickled copy is rebuilt
-    (__reduce__), as in a suite's worker process.
+    tuple's field.  A pickled copy, as in a suite's worker process, is
+    rebuilt from n (__reduce__).
     """
 
     __slots__ = ("n", "q", "min_poly", "phi_a", "phi_b")
@@ -40,21 +44,16 @@ class GroupContext:
     phi_a: int  # phi(a) for the torsion-free abelianized coordinate
     phi_b: int  # phi(b)
 
-    def __init__(self, n: int, q: int, min_poly: tuple[int, ...], phi_a: int, phi_b: int):
-        if q != n + 1:
-            raise ValueError(f"q must be n + 1, got n = {n}, q = {q}")
-        if n * phi_a + 2 * phi_b != phi_a:
-            raise ValueError("phi must kill the relator")
-        if min_poly != min_poly_2cos_pi_over(q):
-            raise ValueError(f"min_poly must be that of 2cos(pi/{q}), got {min_poly}")
-        for name, value in zip(self.__slots__, (n, q, min_poly, phi_a, phi_b)):
+    def __init__(self, n: int):
+        if not 1 <= n <= 63:
+            raise ValueError("n must be in 1..63")
+        d = math.gcd(n - 1, 2)
+        fields = (n, n + 1, min_poly_2cos_pi_over(n + 1), 2 // d, -(n - 1) // d)
+        for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
-    def _astuple(self) -> tuple:
-        return self.n, self.q, self.min_poly, self.phi_a, self.phi_b
-
     def _asdict(self) -> dict:
-        return dict(zip(self.__slots__, self._astuple()))
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -64,17 +63,17 @@ class GroupContext:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
+            return self.n == other.n
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._astuple())
+        return hash(self.n)
 
     def __repr__(self):
         return f"GroupContext({', '.join(f'{name}={value!r}' for name, value in self._asdict().items())})"
 
     def __reduce__(self):
-        return GroupContext, self._astuple()
+        return GroupContext, (self.n,)
 
 
 def group_context(n: int) -> GroupContext:
@@ -86,17 +85,7 @@ def group_context(n: int) -> GroupContext:
     >>> group_context(5).phi_b
     -2
     """
-    if not 1 <= n <= 63:
-        raise ValueError("n must be in 1..63")
-    q = n + 1
-    d = math.gcd(n - 1, 2)
-    return GroupContext(
-        n=n,
-        q=q,
-        min_poly=min_poly_2cos_pi_over(q),
-        phi_a=2 // d,
-        phi_b=-(n - 1) // d,
-    )
+    return GroupContext(n)
 
 
 @functools.lru_cache(maxsize=None)

@@ -269,37 +269,6 @@ def run_identity_suite(ctx: GroupContext) -> IdentityReport:
     return IdentityReport(n=ctx.n, checks=tuple(checks))
 
 
-def verify_family_identity(m: int, n: int) -> bool:
-    """Oriented-rewrite check in the two-parameter group
-    < a, b | b^-1 a^m b^-1 = a^n >:  the word
-
-        W = a^(1-n) b^-1 a^(m+n-1) a^(1-n) b^-1
-
-    must rewrite to the single letter a using only free reduction and
-    the oriented rule b^-1 a^m b^-1 -> a^n (consuming one b^-1 letter
-    from each flanking block; the a-exponent must match exactly).
-    W holds exactly two b^-1 letters and a firing uses both, so the rule
-    fires at most once: apply the one redex, if there is one, and
-    compare with a.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("family parameters must be >= 1")
-    w = concat(
-        gen_power(GEN_A, 1 - n),
-        gen_power(GEN_B, -1),
-        gen_power(GEN_A, m + n - 1),
-        gen_power(GEN_A, 1 - n),
-        gen_power(GEN_B, -1),
-    )
-    # Syllables alternate generators, so the neighbours of a^m are b-blocks.
-    redex = (i for i in range(1, len(w) - 1) if w[i] == (GEN_A, m) and w[i - 1][1] < 0 and w[i + 1][1] < 0)
-    i = next(redex, None)
-    if i is not None:
-        x, y = w[i - 1][1], w[i + 1][1]
-        w = concat(w[: i - 1], gen_power(GEN_B, x + 1), gen_power(GEN_A, n), gen_power(GEN_B, y + 1), w[i + 2 :])
-    return w == ((GEN_A, 1),)
-
-
 def build_cayley_ball(ctx: GroupContext, radius: int) -> dict:
     """BFS ball of the Cayley graph (right multiplication), with one
     node per group element — deduplicated by the exact element key, so

@@ -139,7 +139,7 @@ def test_gate_07_conjugated_orders_at_every_n():
 
 
 GATE_8_CHECKS = {
-    "b-inverse-elimination", "center-vs-a", "center-vs-b",
+    "relator", "b-inverse-elimination", "center-vs-a", "center-vs-b",
     *(f"handle-k{k}" for k in range(1, 6)),
     *(f"flip-b-power-r{r}" for r in range(1, 6)),
 }

@@ -1,6 +1,7 @@
 """Matrix/abelianization oracle and group contexts."""
 
 import itertools
+import math
 import random
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import deep_only, relator, trivial_words, words
 from reference_oracle import reference_digits, reference_fits, reference_repack, tuple_rho
 from heckeord import oracle
-from heckeord.algebra import mat_identity, mat_mul, mat_neg, mat_pow
+from heckeord.algebra import mat_identity, mat_mul, mat_neg, mat_pow, min_poly_2cos_pi_over
 from heckeord import cone
 from heckeord.cone import decide_sign
 from heckeord.context import GroupContext, group_context, ring_of
@@ -58,10 +59,20 @@ class TestContext:
         assert (group_context(5).phi_a, group_context(5).phi_b) == (1, -2)
         assert (group_context(4).phi_a, group_context(4).phi_b) == (2, -3)
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 64))
     def test_phi_kills_the_relator(self, n):
         ctx = group_context(n)
         assert n * ctx.phi_a + 2 * ctx.phi_b == ctx.phi_a
+
+    @pytest.mark.parametrize("n", range(1, 64))
+    def test_q_and_min_poly_follow_n(self, n):
+        # The oracle reads ctx.min_poly at the plain layouts: a wrong one
+        # at q = 3, such as (-2, 1), would miss that b^3 is a b-power.
+        ctx = group_context(n)
+        assert ctx.q == n + 1
+        assert ctx.min_poly == min_poly_2cos_pi_over(ctx.q) and ctx.min_poly[-1] == 1
+        totient = sum(1 for k in range(1, 2 * ctx.q + 1) if math.gcd(k, 2 * ctx.q) == 1)
+        assert len(ctx.min_poly) - 1 == totient // 2
 
     def test_domain(self):
         with pytest.raises(ValueError):

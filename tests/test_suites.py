@@ -1,4 +1,4 @@
-"""Verification suites, the two-parameter family check, Cayley export."""
+"""Verification suites and Cayley export."""
 
 import functools
 import json
@@ -20,7 +20,6 @@ from heckeord.suites import (
     render_cayley_dot,
     run_identity_suite,
     run_trichotomy_suite,
-    verify_family_identity,
 )
 from heckeord.words import (
     GEN_A,
@@ -470,22 +469,6 @@ class TestIdentitySuite:
         for check in run_identity_suite(CTX2).checks:
             lhs, rhs = parse_word(check.lhs), parse_word(check.rhs)
             assert oracle_is_identity(concat(lhs, invert(rhs)), CTX2) == check.holds
-
-
-class TestFamilyIdentity:
-    def test_full_grid(self):
-        for m in range(1, 6):
-            for n in range(1, 6):
-                assert verify_family_identity(m, n), (m, n)
-
-    def test_degenerate_block(self):
-        assert verify_family_identity(3, 1)  # a^0 handled by free reduction
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            verify_family_identity(0, 2)
-        with pytest.raises(ValueError):
-            verify_family_identity(2, -1)
 
 
 class TestCayleyBall:
